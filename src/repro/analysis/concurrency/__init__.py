@@ -28,7 +28,7 @@ One call runs everything::
 
     report = run_concurrency_analysis(["src/repro"])
     report.has_errors          # the CI gate
-    report.to_sarif()          # SARIF 2.1.0, shared writer with `lint`
+    report.to_sarif()          # SARIF 2.1.0
 """
 
 from .annotations import GuardedBy, LOOP_GUARD

@@ -1,13 +1,11 @@
-"""The concurrency analyzer's registry, report, and runner.
+"""The concurrency analyzer: its report and runner.
 
-Mirrors :mod:`repro.analysis.static.framework` one level up the stack:
-a :class:`ConcurrencyPass` is a named function from shared
+An instance of the :mod:`repro.diagnostics` kernel one level up the
+stack: the passes are functions from shared
 :class:`~repro.analysis.concurrency.facts.CodebaseFacts` to
-:class:`CodeDiagnostic` findings, the module-level registry holds the
-default pipeline in execution order, and :func:`run_concurrency_analysis`
-drives every registered pass over a set of Python files, folding the
-results into one :class:`ConcurrencyReport` the CLI renders as text,
-JSON, or SARIF.
+diagnostics, and :func:`run_concurrency_analysis` drives every
+registered pass over a set of Python files, folding the results into
+one :class:`ConcurrencyReport` the CLI renders as text, JSON, or SARIF.
 
 Findings land on real file/line coordinates (unlike Datalog rules,
 Python code has provenance), so the SARIF output carries
@@ -19,14 +17,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, ClassVar, Dict, Iterable, List, Mapping, Optional
 
-from ...datalog.lint import LEVELS
-from ..sarif import (
-    physical_location,
-    rule_descriptors,
-    sarif_level,
-    sarif_log,
+from ...diagnostics import (
+    Diagnostic,
+    Pass,
+    PassRegistry,
+    Report,
+    run_passes,
+    sort_diagnostics,
 )
 from .facts import CodebaseFacts
 from .model import ModuleModel, build_module_model
@@ -70,131 +69,46 @@ RULE_METADATA: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class CodeDiagnostic:
-    """One finding anchored to a file/line in the analyzed tree."""
-
-    level: str
-    code: str
-    message: str
-    path: str
-    line: int
-    col: int = 0
-
-    def __str__(self):
-        return (
-            f"{self.path}:{self.line}: {self.level}[{self.code}]: "
-            f"{self.message}"
-        )
-
-
-PassFunction = Callable[[CodebaseFacts], List[CodeDiagnostic]]
-
-
-@dataclass(frozen=True)
-class ConcurrencyPass:
-    """One registered pass: a name, a description, and its function."""
-
-    name: str
-    description: str
-    run: PassFunction
-
-
-_REGISTRY: Dict[str, ConcurrencyPass] = {}
-
-
-def register_concurrency_pass(name: str, description: str):
-    """Decorator: add a pass to the default pipeline, in call order."""
-
-    def decorate(function: PassFunction) -> PassFunction:
-        _REGISTRY[name] = ConcurrencyPass(name, description, function)
-        return function
-
-    return decorate
-
-
-def registered_concurrency_passes() -> List[ConcurrencyPass]:
-    """The default pipeline, in registration (execution) order."""
-    return list(_REGISTRY.values())
+#: Findings here always carry ``path``/``line``.
+CodeDiagnostic = Diagnostic
+ConcurrencyPass = Pass
+CONCURRENCY_PASSES: PassRegistry[
+    Callable[[CodebaseFacts], List[Diagnostic]]
+] = PassRegistry("concurrency")
+register_concurrency_pass = CONCURRENCY_PASSES.register
+registered_concurrency_passes = CONCURRENCY_PASSES.passes
 
 
 @dataclass
-class ConcurrencyReport:
+class ConcurrencyReport(Report):
     """Everything one analysis run learned about a Python file set."""
 
+    SARIF_DRIVER: ClassVar[str] = "repro-concurrency-analyzer"
+    RULE_METADATA: ClassVar[Mapping[str, str]] = RULE_METADATA
+
     files: List[str]
-    diagnostics: List[CodeDiagnostic]
+    diagnostics: List[Diagnostic]
     passes_run: List[str]
     suppressed: int = 0
     guarded_attributes: int = 0
     lock_edges: List[str] = field(default_factory=list)
 
-    @property
-    def has_errors(self) -> bool:
-        return any(d.level == "error" for d in self.diagnostics)
-
-    def counts(self) -> Dict[str, int]:
-        tally = {level: 0 for level in LEVELS}
-        for diagnostic in self.diagnostics:
-            tally[diagnostic.level] += 1
-        return tally
-
-    def exceeds(self, fail_on: str) -> bool:
-        """True when any diagnostic is at or above ``fail_on`` severity."""
-        threshold = LEVELS.index(fail_on)
-        return any(
-            LEVELS.index(d.level) <= threshold for d in self.diagnostics
-        )
-
     def to_json(self) -> Dict[str, object]:
         """A plain-dict rendering (the CLI's ``--format json``)."""
         return {
             "files": list(self.files),
-            "passes": list(self.passes_run),
-            "counts": self.counts(),
+            **self.findings_json(),
             "suppressed": self.suppressed,
             "guarded_attributes": self.guarded_attributes,
             "lock_edges": list(self.lock_edges),
-            "diagnostics": [
-                {
-                    "level": d.level,
-                    "code": d.code,
-                    "message": d.message,
-                    "path": d.path,
-                    "line": d.line,
-                    "col": d.col,
-                }
-                for d in self.diagnostics
-            ],
         }
 
-    def to_sarif(self) -> Dict[str, object]:
-        """One SARIF 2.1.0 ``sarifLog`` with per-line physical locations."""
-        codes = sorted({d.code for d in self.diagnostics})
-        rule_index = {code: i for i, code in enumerate(codes)}
-        results = [
-            {
-                "ruleId": d.code,
-                "ruleIndex": rule_index[d.code],
-                "level": sarif_level(d.level),
-                "message": {"text": d.message},
-                "locations": [
-                    {"physicalLocation": physical_location(d.path, d.line)}
-                ],
-            }
-            for d in self.diagnostics
-        ]
-        return sarif_log(
-            "repro-concurrency-analyzer",
-            results,
-            rule_descriptors(codes, RULE_METADATA),
-            information_uri="https://dl.acm.org/doi/10.1145/38713.38725",
-            properties={
-                "analyzedFiles": len(self.files),
-                "guardedAttributes": self.guarded_attributes,
-                "suppressed": self.suppressed,
-            },
-        )
+    def sarif_properties(self) -> Dict[str, object]:
+        return {
+            "analyzedFiles": len(self.files),
+            "guardedAttributes": self.guarded_attributes,
+            "suppressed": self.suppressed,
+        }
 
 
 def iter_python_files(paths: Iterable[str]) -> List[str]:
@@ -223,49 +137,30 @@ def run_concurrency_analysis(
     """
     files = iter_python_files(paths)
     modules: List[ModuleModel] = []
-    parse_failures: List[CodeDiagnostic] = []
+    diagnostics: List[Diagnostic] = []
     for path in files:
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
         try:
             modules.append(build_module_model(path, source))
         except SyntaxError as error:
-            parse_failures.append(
-                CodeDiagnostic(
+            diagnostics.append(
+                Diagnostic(
                     "error",
                     "parse-error",
                     f"could not parse: {error.msg}",
-                    path,
-                    error.lineno or 1,
+                    path=path,
+                    line=error.lineno or 1,
                 )
             )
     facts = CodebaseFacts(modules)
-    if passes is None:
-        selected = registered_concurrency_passes()
-    else:
-        wanted = set(passes)
-        unknown = wanted - set(_REGISTRY)
-        if unknown:
-            raise KeyError(
-                f"unknown concurrency pass(es): {sorted(unknown)}; "
-                f"registered: {sorted(_REGISTRY)}"
-            )
-        selected = [
-            p for p in registered_concurrency_passes() if p.name in wanted
-        ]
-    diagnostics: List[CodeDiagnostic] = list(parse_failures)
-    for analysis_pass in selected:
-        diagnostics.extend(analysis_pass.run(facts))
+    selected = CONCURRENCY_PASSES.select(passes)
+    diagnostics.extend(run_passes(selected, facts))
     # Suppression: a ``# race-ok`` comment on the finding's line wins.
     suppressed_lines = {
-        module.path: module.suppressed for module in modules
+        (module.path, line) for module in modules for line in module.suppressed
     }
-    kept = [
-        d
-        for d in diagnostics
-        if d.line not in suppressed_lines.get(d.path, frozenset())
-    ]
-    kept.sort(key=lambda d: (d.path, d.line, LEVELS.index(d.level), d.code))
+    kept = [d for d in diagnostics if (d.path, d.line) not in suppressed_lines]
     guarded = sum(
         len(cls.guards)
         for module in modules
@@ -276,7 +171,7 @@ def run_concurrency_analysis(
     edges = lock_graph_edges(facts)
     return ConcurrencyReport(
         files=files,
-        diagnostics=kept,
+        diagnostics=sort_diagnostics(kept),
         passes_run=[p.name for p in selected],
         suppressed=len(diagnostics) - len(kept),
         guarded_attributes=guarded,

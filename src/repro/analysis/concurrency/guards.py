@@ -21,12 +21,10 @@ from __future__ import annotations
 
 from typing import List
 
+from ...diagnostics import Diagnostic
 from .annotations import LOOP_GUARD
 from .facts import CodebaseFacts
-from .framework import (
-    CodeDiagnostic,
-    register_concurrency_pass,
-)
+from .framework import register_concurrency_pass
 from .model import ClassSummary, FunctionSummary, ModuleModel
 
 #: Methods where unguarded access is fine: the object is not yet (or no
@@ -40,7 +38,7 @@ def _check_method_guards(
     name: str,
     method: FunctionSummary,
     requirements,
-    out: List[CodeDiagnostic],
+    out: List[Diagnostic],
 ) -> None:
     assumed = name.endswith("_locked")
     for access in method.accesses:
@@ -58,14 +56,14 @@ def _check_method_guards(
             else f"in {cls.name}.{name}"
         )
         out.append(
-            CodeDiagnostic(
+            Diagnostic(
                 "error",
                 f"unguarded-{kind}",
                 f"self.{access.attr} is guarded by self.{guard} but "
                 f"{kind} without holding it {where}",
-                module.path,
-                access.line,
-                access.col,
+                path=module.path,
+                line=access.line,
+                col=access.col,
             )
         )
     if assumed:
@@ -84,14 +82,14 @@ def _check_method_guards(
         if missing or call.escaped:
             needs = ", ".join(f"self.{lock}" for lock in missing)
             out.append(
-                CodeDiagnostic(
+                Diagnostic(
                     "error",
                     "unguarded-call",
                     f"{cls.name}.{helper} assumes {needs or 'its locks'} "
                     f"held, but {cls.name}.{name} calls it without",
-                    module.path,
-                    call.line,
-                    call.col,
+                    path=module.path,
+                    line=call.line,
+                    col=call.col,
                 )
             )
 
@@ -100,8 +98,8 @@ def _check_method_guards(
     "guarded-by",
     "guarded attributes accessed only under their declared lock",
 )
-def check_guarded_by(facts: CodebaseFacts) -> List[CodeDiagnostic]:
-    out: List[CodeDiagnostic] = []
+def check_guarded_by(facts: CodebaseFacts) -> List[Diagnostic]:
+    out: List[Diagnostic] = []
     for module in facts.modules:
         for cls in module.classes.values():
             if not cls.guards:
@@ -120,8 +118,8 @@ def check_guarded_by(facts: CodebaseFacts) -> List[CodeDiagnostic]:
     "loop-confined",
     "@loop attributes never touched from thread-dispatched code",
 )
-def check_loop_confined(facts: CodebaseFacts) -> List[CodeDiagnostic]:
-    out: List[CodeDiagnostic] = []
+def check_loop_confined(facts: CodebaseFacts) -> List[Diagnostic]:
+    out: List[Diagnostic] = []
     for module in facts.modules:
         for cls in module.classes.values():
             confined = {
@@ -140,16 +138,16 @@ def check_loop_confined(facts: CodebaseFacts) -> List[CodeDiagnostic]:
                         continue
                     if access.escaped or method_escaped:
                         out.append(
-                            CodeDiagnostic(
+                            Diagnostic(
                                 "error",
                                 "loop-confined-escape",
                                 f"self.{access.attr} is event-loop-"
                                 f"confined (@loop) but touched from "
                                 f"code dispatched to a worker thread "
                                 f"(via {cls.name}.{name})",
-                                module.path,
-                                access.line,
-                                access.col,
+                                path=module.path,
+                                line=access.line,
+                                col=access.col,
                             )
                         )
     return out
@@ -161,8 +159,8 @@ def check_loop_confined(facts: CodebaseFacts) -> List[CodeDiagnostic]:
 )
 def check_structured_acquisition(
     facts: CodebaseFacts,
-) -> List[CodeDiagnostic]:
-    out: List[CodeDiagnostic] = []
+) -> List[Diagnostic]:
+    out: List[Diagnostic] = []
     for module in facts.modules:
         for cls in module.classes.values():
             for name, method in cls.methods.items():
@@ -173,29 +171,29 @@ def check_structured_acquisition(
                         else raw.target[len("local:"):]
                     )
                     out.append(
-                        CodeDiagnostic(
+                        Diagnostic(
                             "warning",
                             "unstructured-acquire",
                             f"{lock}.{raw.method}() in {cls.name}.{name}: "
                             f"use 'with {lock}:' so the release is "
                             f"exception-safe and visible to the "
                             f"guarded-by analysis",
-                            module.path,
-                            raw.line,
+                            path=module.path,
+                            line=raw.line,
                         )
                     )
         for name, function in module.functions.items():
             for raw in function.raw_acquires:
                 lock = raw.target.replace("local:", "", 1)
                 out.append(
-                    CodeDiagnostic(
+                    Diagnostic(
                         "warning",
                         "unstructured-acquire",
                         f"{lock}.{raw.method}() in {name}: use "
                         f"'with {lock}:' so the release is exception-"
                         f"safe and visible to the guarded-by analysis",
-                        module.path,
-                        raw.line,
+                        path=module.path,
+                        line=raw.line,
                     )
                 )
     return out

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ...diagnostics import Diagnostic
 from .facts import CodebaseFacts
-from .framework import CodeDiagnostic, register_concurrency_pass
+from .framework import register_concurrency_pass
 from .model import FunctionSummary, ModuleModel
 
 #: Exact dotted calls that block the calling thread.
@@ -61,7 +62,7 @@ def _check_function(
     module: ModuleModel,
     owner: str,
     function: FunctionSummary,
-    out: List[CodeDiagnostic],
+    out: List[Diagnostic],
 ) -> None:
     for call in function.calls:
         if not call.in_async or call.escaped:
@@ -69,27 +70,27 @@ def _check_function(
         reason = _blocking_reason(call.chain)
         if reason is not None:
             out.append(
-                CodeDiagnostic(
+                Diagnostic(
                     "error",
                     "blocking-in-async",
                     f"{reason} inside async {owner}; run it on an "
                     f"executor (loop.run_in_executor) instead",
-                    module.path,
-                    call.line,
-                    call.col,
+                    path=module.path,
+                    line=call.line,
+                    col=call.col,
                 )
             )
     for raw in function.raw_acquires:
         if raw.in_async and raw.method == "acquire" and raw.kind != "asyncio":
             out.append(
-                CodeDiagnostic(
+                Diagnostic(
                     "error",
                     "blocking-in-async",
                     f"threading-lock acquire() inside async {owner} "
                     f"blocks the event loop; use an asyncio.Lock with "
                     f"'async with'",
-                    module.path,
-                    raw.line,
+                    path=module.path,
+                    line=raw.line,
                 )
             )
     for enter in function.lock_enters:
@@ -97,28 +98,28 @@ def _check_function(
             enter.kind == "threading"
         ):
             out.append(
-                CodeDiagnostic(
+                Diagnostic(
                     "error",
                     "blocking-in-async",
                     f"'with' on a threading lock inside async {owner} "
                     f"blocks the event loop; use an asyncio.Lock with "
                     f"'async with'",
-                    module.path,
-                    enter.line,
+                    path=module.path,
+                    line=enter.line,
                 )
             )
     for point in function.awaits:
         if point.held_sync:
             held = ", ".join(sorted(point.held_sync))
             out.append(
-                CodeDiagnostic(
+                Diagnostic(
                     "error",
                     "await-under-lock",
                     f"await inside async {owner} while holding sync "
                     f"lock(s) {held}; the lock is parked across "
                     f"arbitrary task interleavings",
-                    module.path,
-                    point.line,
+                    path=module.path,
+                    line=point.line,
                 )
             )
 
@@ -127,8 +128,8 @@ def _check_function(
     "asyncio-hygiene",
     "no blocking calls in async bodies; no await under a sync lock",
 )
-def check_asyncio_hygiene(facts: CodebaseFacts) -> List[CodeDiagnostic]:
-    out: List[CodeDiagnostic] = []
+def check_asyncio_hygiene(facts: CodebaseFacts) -> List[Diagnostic]:
+    out: List[Diagnostic] = []
     for module in facts.modules:
         for cls in module.classes.values():
             for name, method in cls.methods.items():

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ...diagnostics import Diagnostic
 from .facts import CodebaseFacts, LockToken
-from .framework import CodeDiagnostic, register_concurrency_pass
+from .framework import register_concurrency_pass
 from .model import ClassSummary
 
 #: edge -> (path, line, human description), first witness wins.
@@ -44,9 +45,9 @@ def _held_tokens(
 
 def _collect(
     facts: CodebaseFacts,
-) -> Tuple[EdgeMap, List[CodeDiagnostic]]:
+) -> Tuple[EdgeMap, List[Diagnostic]]:
     edges: EdgeMap = {}
-    relocks: List[CodeDiagnostic] = []
+    relocks: List[Diagnostic] = []
     acquires = facts.method_acquires
     for module in facts.modules:
         for cls in module.classes.values():
@@ -63,14 +64,14 @@ def _collect(
                         if held == token:
                             if not reentrant:
                                 relocks.append(
-                                    CodeDiagnostic(
+                                    Diagnostic(
                                         "error",
                                         "relock",
                                         f"{context} re-acquires non-"
                                         f"reentrant {token} while "
                                         f"already holding it",
-                                        module.path,
-                                        enter.line,
+                                        path=module.path,
+                                        line=enter.line,
                                     )
                                 )
                             continue
@@ -98,15 +99,15 @@ def _collect(
                             if held == token:
                                 if not reentrant:
                                     relocks.append(
-                                        CodeDiagnostic(
+                                        Diagnostic(
                                             "error",
                                             "relock",
                                             f"{context} calls "
                                             f"{callee_name}, which re-"
                                             f"acquires non-reentrant "
                                             f"{token} already held here",
-                                            module.path,
-                                            call.line,
+                                            path=module.path,
+                                            line=call.line,
                                         )
                                     )
                                 continue
@@ -214,7 +215,7 @@ def _witness_cycle(
     "lock-order",
     "acquisition-graph cycles (deadlocks) and non-reentrant re-locks",
 )
-def check_lock_order(facts: CodebaseFacts) -> List[CodeDiagnostic]:
+def check_lock_order(facts: CodebaseFacts) -> List[Diagnostic]:
     edges, diagnostics = _collect(facts)
     adjacency: Dict[LockToken, List[LockToken]] = {}
     for (a, b) in sorted(edges):
@@ -236,15 +237,15 @@ def check_lock_order(facts: CodebaseFacts) -> List[CodeDiagnostic]:
             steps.append(f"{description} [{path}:{line}]")
         path, line = first_edge if first_edge else ("<unknown>", 1)
         diagnostics.append(
-            CodeDiagnostic(
+            Diagnostic(
                 "error",
                 "lock-order-cycle",
                 "lock-acquisition cycle "
                 + " -> ".join(cycle)
                 + "; witness: "
                 + "; ".join(steps),
-                path,
-                line,
+                path=path,
+                line=line,
             )
         )
     return diagnostics

@@ -1,8 +1,7 @@
 """Static cost-bound analysis: certified per-method retrieval bounds.
 
-The third analyzer in the family (after :mod:`repro.analysis.static`
-and :mod:`repro.analysis.concurrency`), in the same pass-registry
-shape.  It abstract-interprets the magic-graph dynamics over a
+An instance of the :mod:`repro.diagnostics` pass kernel.  It
+abstract-interprets the magic-graph dynamics over a
 cardinality/multiplicity interval domain plus budgeted EDB statistics,
 and certifies a closed-form upper bound on ``CostCounter`` retrievals
 for every evaluation method the repo implements — the pure methods and

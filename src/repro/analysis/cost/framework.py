@@ -1,10 +1,8 @@
-"""The cost-analysis pipeline: registry, report, runner.
+"""The cost analyzer: its facts, passes, report, and runner.
 
-Same shape as :mod:`repro.analysis.static.framework` and
-:mod:`repro.analysis.concurrency`: an :class:`CostPass` is a named
-function from shared :class:`CostFacts` to diagnostics, the
-module-level registry holds the default pipeline in execution order,
-and :func:`run_cost_analysis` folds diagnostics plus the structured
+An instance of the :mod:`repro.diagnostics` kernel: the passes are
+functions from shared :class:`CostFacts` to diagnostics, and
+:func:`run_cost_analysis` folds diagnostics plus the structured
 artifacts — the :class:`~repro.analysis.cost.certificate.
 CostCertificate` and the bound-ranked plan recommendation — into one
 :class:`CostReport` the serving layer attaches to compiled plans and
@@ -13,14 +11,20 @@ the CLI renders as text, JSON, or SARIF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Dict, Iterable, List, Mapping, Optional
 
 from ...core.csl import CSLQuery
 from ...datalog.database import Database
-from ...datalog.lint import LEVELS, Diagnostic, sort_diagnostics
 from ...datalog.program import Program
-from ..sarif import rule_descriptors, sarif_level, sarif_log
+from ...diagnostics import (
+    Diagnostic,
+    Pass,
+    PassRegistry,
+    Report,
+    run_passes,
+    sort_diagnostics,
+)
 from .bounds import certify_cost
 from .certificate import CostCertificate
 from .stats import DEFAULT_NODE_BUDGET
@@ -86,34 +90,12 @@ class CostFacts:
         return self._recommendation
 
 
-PassFunction = Callable[[CostFacts], List[Diagnostic]]
-
-
-@dataclass(frozen=True)
-class CostPass:
-    """One registered pass: a name, a description, and its function."""
-
-    name: str
-    description: str
-    run: PassFunction
-
-
-_REGISTRY: Dict[str, CostPass] = {}
-
-
-def register_pass(name: str, description: str):
-    """Decorator: add a pass to the default pipeline, in call order."""
-
-    def decorate(function: PassFunction) -> PassFunction:
-        _REGISTRY[name] = CostPass(name, description, function)
-        return function
-
-    return decorate
-
-
-def registered_passes() -> List[CostPass]:
-    """The default pipeline, in registration (execution) order."""
-    return list(_REGISTRY.values())
+CostPass = Pass
+COST_PASSES: PassRegistry[Callable[[CostFacts], List[Diagnostic]]] = (
+    PassRegistry("cost")
+)
+register_pass = COST_PASSES.register
+registered_passes = COST_PASSES.passes
 
 
 @register_pass("cost-applicability", "is there a CSL query to bound?")
@@ -190,31 +172,17 @@ def _pass_ranking(facts: CostFacts) -> List[Diagnostic]:
 
 
 @dataclass
-class CostReport:
+class CostReport(Report):
     """Everything the cost analyzer learned about one query."""
+
+    SARIF_DRIVER: ClassVar[str] = "repro-cost-analyzer"
+    RULE_METADATA: ClassVar[Mapping[str, str]] = RULE_METADATA
 
     goal: Optional[str]
     diagnostics: List[Diagnostic]
     passes_run: List[str]
     certificate: Optional[CostCertificate] = None
     recommendation: Optional[object] = None  # PlanRecommendation
-
-    @property
-    def has_errors(self) -> bool:
-        return any(d.level == "error" for d in self.diagnostics)
-
-    def counts(self) -> Dict[str, int]:
-        tally = {level: 0 for level in LEVELS}
-        for diagnostic in self.diagnostics:
-            tally[diagnostic.level] += 1
-        return tally
-
-    def exceeds(self, fail_on: str) -> bool:
-        """True when any diagnostic is at or above ``fail_on`` severity."""
-        threshold = LEVELS.index(fail_on)
-        return any(
-            LEVELS.index(d.level) <= threshold for d in self.diagnostics
-        )
 
     def to_json(self) -> Dict[str, object]:
         recommendation = None
@@ -226,43 +194,14 @@ class CostReport:
             }
         return {
             "goal": self.goal,
-            "passes": list(self.passes_run),
-            "counts": self.counts(),
-            "diagnostics": [
-                {
-                    "level": d.level,
-                    "code": d.code,
-                    "message": d.message,
-                    "rule": None if d.rule is None else str(d.rule),
-                }
-                for d in self.diagnostics
-            ],
+            **self.findings_json(),
             "certificate": None
             if self.certificate is None
             else self.certificate.to_json(),
             "recommendation": recommendation,
         }
 
-    def to_sarif(self, artifact_uri: Optional[str] = None) -> Dict[str, object]:
-        codes = sorted({d.code for d in self.diagnostics})
-        rule_index = {code: i for i, code in enumerate(codes)}
-        results = []
-        for diagnostic in self.diagnostics:
-            result: Dict[str, object] = {
-                "ruleId": diagnostic.code,
-                "ruleIndex": rule_index[diagnostic.code],
-                "level": sarif_level(diagnostic.level),
-                "message": {"text": diagnostic.message},
-            }
-            if artifact_uri is not None:
-                result["locations"] = [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": artifact_uri}
-                        }
-                    }
-                ]
-            results.append(result)
+    def sarif_properties(self) -> Dict[str, object]:
         properties: Dict[str, object] = {}
         if self.certificate is not None:
             properties["widened"] = self.certificate.widened
@@ -275,39 +214,20 @@ class CostReport:
             properties["recommendationProvenance"] = (
                 self.recommendation.provenance
             )
-        return sarif_log(
-            "repro-cost-analyzer",
-            results,
-            rule_descriptors(codes, RULE_METADATA),
-            information_uri="https://dl.acm.org/doi/10.1145/38713.38725",
-            properties=properties or None,
-        )
+        return properties
 
 
-def _fold_report(facts: CostFacts, selected: List[CostPass]) -> CostReport:
-    diagnostics: List[Diagnostic] = []
-    for cost_pass in selected:
-        diagnostics.extend(cost_pass.run(facts))
+def _fold_report(
+    facts: CostFacts, passes: Optional[Iterable[str]]
+) -> CostReport:
+    selected = COST_PASSES.select(passes)
     return CostReport(
         goal=facts.goal,
-        diagnostics=sort_diagnostics(diagnostics),
+        diagnostics=sort_diagnostics(run_passes(selected, facts)),
         passes_run=[p.name for p in selected],
         certificate=facts.certificate(),
         recommendation=facts.recommendation(),
     )
-
-
-def _select_passes(passes: Optional[Iterable[str]]) -> List[CostPass]:
-    if passes is None:
-        return registered_passes()
-    wanted = set(passes)
-    unknown = wanted - set(_REGISTRY)
-    if unknown:
-        raise KeyError(
-            f"unknown cost pass(es): {sorted(unknown)}; "
-            f"registered: {sorted(_REGISTRY)}"
-        )
-    return [p for p in registered_passes() if p.name in wanted]
 
 
 def run_cost_analysis(
@@ -338,7 +258,7 @@ def run_cost_analysis(
         ),
         node_budget=node_budget,
     )
-    return _fold_report(facts, _select_passes(passes))
+    return _fold_report(facts, passes)
 
 
 def analyze_cost_query(
@@ -352,4 +272,4 @@ def analyze_cost_query(
         goal=f"p({query.source!r}, Y)?",
         node_budget=node_budget,
     )
-    return _fold_report(facts, _select_passes(passes))
+    return _fold_report(facts, passes)

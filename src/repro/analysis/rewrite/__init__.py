@@ -1,14 +1,13 @@
 """Semantics-preserving static program optimization.
 
-The fourth analyzer in the repo — and the first one that *transforms*
-instead of reporting.  :func:`optimize_program` drives a registered
-pass pipeline (constant folding, subsumption, chain inlining, dead-rule
-elimination, argument slicing, bounded-recursion unfolding) to a
-fixpoint over a Datalog program — typically the output of the magic /
-supplementary / counting rewrites — and returns an
-:class:`OptimizationReport` carrying the optimized program, the
-per-pass :class:`OptimizationTrace` provenance, and JSON/SARIF
-renderings via the shared :mod:`repro.analysis.sarif` driver.
+The one analyzer that *transforms* instead of reporting.
+:func:`optimize_program` drives a registered pass pipeline (constant
+folding, subsumption, chain inlining, dead-rule elimination, argument
+slicing, bounded-recursion unfolding) to a fixpoint over a Datalog
+program — typically the output of the magic / supplementary / counting
+rewrites — and returns an :class:`OptimizationReport` carrying the
+optimized program, the per-pass :class:`OptimizationTrace` provenance,
+and JSON/SARIF renderings.
 
 Every pass preserves the answers of ``program.query`` and never
 increases charged tuple retrievals; the serving layer additionally
@@ -16,7 +15,9 @@ cross-checks optimized plans against the unoptimized program at
 compile time (see :func:`repro.service.plan.compile_program_plan`).
 """
 
+from ..sarif import report_to_sarif
 from .framework import (
+    RULE_METADATA,
     OptimizationPass,
     OptimizationReport,
     OptimizationTrace,
@@ -25,7 +26,18 @@ from .framework import (
     register_pass,
     registered_passes,
 )
-from .sarif import RULE_METADATA, report_to_sarif
+
+# Importing the pass modules registers the pipeline.  Registration
+# order is execution order, so the imports are deliberately sequential:
+# folding first (it exposes constants and duplicate literals), then
+# redundancy removal, structural simplification, and finally the
+# recursion-bounding rewrite.
+from . import folding as _folding  # noqa: F401  (1) constant propagation
+from . import subsumption as _subsumption  # noqa: F401  (2) duplicates + θ
+from . import inlining as _inlining  # noqa: F401  (3) chain-rule inlining
+from . import deadcode as _deadcode  # noqa: F401  (4) goal cone + empty cascade
+from . import slicing as _slicing  # noqa: F401  (5) unused-argument slicing
+from . import boundedness as _boundedness  # noqa: F401  (6) bounded unfolding
 
 __all__ = [
     "OptimizationPass",

@@ -1,10 +1,11 @@
-"""The program-optimizer framework: pass registry, traces, report, driver.
+"""The program optimizer: its traces, report, and fixpoint driver.
 
-Unlike the three reporting analyzers (:mod:`repro.analysis.static`,
-:mod:`repro.analysis.concurrency`, :mod:`repro.analysis.cost`), this one
-*transforms*: an :class:`OptimizationPass` is a named function from a
-program (plus an optional database snapshot) to an equivalent program
-and a list of trace deltas.  :func:`optimize_program` drives the
+An instance of the :mod:`repro.diagnostics` kernel that, unlike the
+three reporting analyzers (:mod:`repro.analysis.static`,
+:mod:`repro.analysis.concurrency`, :mod:`repro.analysis.cost`),
+*transforms*: a pass is a named function from a program (plus an
+optional database snapshot) to an equivalent program and a list of
+trace deltas.  :func:`optimize_program` drives the
 registered pipeline to a fixpoint — each pass can expose work for the
 next (constant folding exposes duplicate literals, inlining exposes
 dead rules) — and folds everything into an :class:`OptimizationReport`
@@ -22,13 +23,55 @@ so a database-free optimization is valid for **every** database.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from ...datalog.database import Database
-from ...datalog.lint import LEVELS, Diagnostic
 from ...datalog.program import Program
 from ...datalog.rule import Rule
+from ...diagnostics import Diagnostic, Pass, PassRegistry, Report
+
+#: Every trace code the pipeline can emit, with SARIF descriptions.
+RULE_METADATA: Dict[str, str] = {
+    "constant-folded": (
+        "A ground builtin was decided at optimization time and deleted."
+    ),
+    "statically-false": (
+        "A rule body is statically false; the rule was deleted."
+    ),
+    "duplicate-literal": (
+        "A body literal duplicated an earlier one and was removed."
+    ),
+    "subsumed-rule": (
+        "A rule was θ-subsumed by a more general rule and deleted."
+    ),
+    "inlined-rule": (
+        "A single-literal chain rule was inlined into its consumers."
+    ),
+    "dead-rule": (
+        "A rule outside the query goal's dependency cone was deleted."
+    ),
+    "empty-predicate": (
+        "A rule or literal depending on a provably-empty predicate was "
+        "simplified away."
+    ),
+    "sliced-argument": (
+        "An argument position no consumer reads was projected away."
+    ),
+    "bounded-recursion": (
+        "Certifiably bounded recursion was deleted or unfolded into "
+        "non-recursive strata."
+    ),
+}
 
 #: Trace kinds — the delta vocabulary every pass reports in.
 TRACE_KINDS = (
@@ -65,59 +108,20 @@ PassFunction = Callable[
 ]
 
 
-@dataclass(frozen=True)
-class OptimizationPass:
-    """One registered pass: a name, a description, and its function."""
-
-    name: str
-    description: str
-    run: PassFunction
-
-
-_REGISTRY: Dict[str, OptimizationPass] = {}
-_LOADED = False
-
-
-def register_pass(name: str, description: str):
-    """Decorator: add a pass to the default pipeline, in call order."""
-
-    def decorate(function: PassFunction) -> PassFunction:
-        _REGISTRY[name] = OptimizationPass(name, description, function)
-        return function
-
-    return decorate
-
-
-def _load_default_passes() -> None:
-    """Import the pass modules once, in pipeline order.
-
-    Registration order *is* execution order, so the imports here are
-    deliberately sequential: folding first (it exposes constants and
-    duplicate literals), then redundancy removal, structural
-    simplification, and finally the recursion-bounding rewrite.
-    """
-    global _LOADED
-    if _LOADED:
-        return
-    from . import folding  # noqa: F401  (1) constant propagation
-    from . import subsumption  # noqa: F401  (2) duplicates + θ-subsumption
-    from . import inlining  # noqa: F401  (3) chain-rule inlining
-    from . import deadcode  # noqa: F401  (4) goal cone + empty cascade
-    from . import slicing  # noqa: F401  (5) unused-argument slicing
-    from . import boundedness  # noqa: F401  (6) bounded-recursion unfolding
-
-    _LOADED = True
-
-
-def registered_passes() -> List[OptimizationPass]:
-    """The default pipeline, in registration (execution) order."""
-    _load_default_passes()
-    return list(_REGISTRY.values())
+OptimizationPass = Pass
+#: Registration order *is* execution order; the package ``__init__``
+#: imports the pass modules in pipeline order.
+OPTIMIZER_PASSES: PassRegistry[PassFunction] = PassRegistry("optimizer")
+register_pass = OPTIMIZER_PASSES.register
+registered_passes = OPTIMIZER_PASSES.passes
 
 
 @dataclass
-class OptimizationReport:
+class OptimizationReport(Report):
     """Everything one optimizer run did to one program."""
+
+    SARIF_DRIVER: ClassVar[str] = "repro-optimizer"
+    RULE_METADATA: ClassVar[Mapping[str, str]] = RULE_METADATA
 
     goal: Optional[str]
     passes_run: List[str]
@@ -148,32 +152,17 @@ class OptimizationReport:
         return sum(1 for t in self.traces if t.kind == "argument-removed")
 
     @property
-    def diagnostics(self) -> List[Diagnostic]:
+    def diagnostics(self) -> List[Diagnostic]:  # type: ignore[override]
         """The traces as ``info``-level diagnostics (for shared tooling).
 
         The optimizer never *complains* — every finding is an applied,
         semantics-preserving improvement — so all traces render at
-        ``info`` severity.
+        ``info`` severity, and of the shared ``--fail-on`` gate only
+        ``info`` can trip on them.
         """
         return [
             Diagnostic("info", t.code, t.message, t.rule) for t in self.traces
         ]
-
-    def counts(self) -> Dict[str, int]:
-        tally = {level: 0 for level in LEVELS}
-        tally["info"] = len(self.traces)
-        return tally
-
-    def exceeds(self, fail_on: str) -> bool:
-        """True when any trace is at or above ``fail_on`` severity.
-
-        Mirrors the other analyzers' gate so ``analyze --all`` can apply
-        one ``--fail-on`` across the merged set; optimizer traces are
-        all ``info``, so only ``--fail-on info`` can trip on them.
-        """
-        return bool(self.traces) and LEVELS.index("info") <= LEVELS.index(
-            fail_on
-        )
 
     def summary(self) -> Dict[str, object]:
         """The metrics-facing scalar summary of this run."""
@@ -216,10 +205,26 @@ class OptimizationReport:
             "optimized_program": str(self.program),
         }
 
-    def to_sarif(self, artifact_uri: Optional[str] = None) -> Dict[str, object]:
-        from .sarif import report_to_sarif
+    def sarif_diagnostics(self) -> List[Diagnostic]:
+        """Each note names the pass that applied the improvement."""
+        return [
+            Diagnostic(
+                "info", t.code, f"[{t.pass_name}] {t.message}", t.rule
+            )
+            for t in self.traces
+        ]
 
-        return report_to_sarif(self, artifact_uri=artifact_uri)
+    def sarif_properties(self) -> Dict[str, object]:
+        """The headline deltas, so CI can chart ``rulesRemoved``
+        without parsing messages."""
+        return {
+            "rulesRemoved": self.rules_removed,
+            "rulesAdded": self.rules_added,
+            "literalsRemoved": self.literals_removed,
+            "argumentsRemoved": self.arguments_removed,
+            "iterations": self.iterations,
+            "optimizeMs": round(self.optimize_seconds * 1000.0, 3),
+        }
 
 
 def optimize_program(
@@ -236,18 +241,7 @@ def optimize_program(
     emptiness abstain without one, so the database-free result is
     correct for every database.  The input program is never mutated.
     """
-    _load_default_passes()
-    if passes is None:
-        selected = registered_passes()
-    else:
-        wanted = set(passes)
-        unknown = wanted - set(_REGISTRY)
-        if unknown:
-            raise KeyError(
-                f"unknown optimizer pass(es): {sorted(unknown)}; "
-                f"registered: {sorted(_REGISTRY)}"
-            )
-        selected = [p for p in registered_passes() if p.name in wanted]
+    selected = OPTIMIZER_PASSES.select(passes)
     started = time.perf_counter()
     current = program
     traces: List[OptimizationTrace] = []

@@ -1,22 +1,24 @@
 """Shared SARIF 2.1.0 emission for every analyzer in the repo.
 
 SARIF (Static Analysis Results Interchange Format, OASIS standard) is
-the lingua franca CI systems ingest for static-analysis findings.  Two
-producers share this module: the Datalog program analyzer
-(:mod:`repro.analysis.static`) and the Python concurrency analyzer
-(:mod:`repro.analysis.concurrency`).  Each supplies its own tool name,
-rule-metadata table, and result list; the ``sarifLog`` skeleton, the
+the lingua franca CI systems ingest for static-analysis findings.  Each
+analyzer's :class:`~repro.diagnostics.Report` supplies its own tool
+name, rule-metadata table, findings and run properties; the result
+builder (:func:`report_to_sarif`), the ``sarifLog`` skeleton, the
 reporting-descriptor table, and the severity mapping live here once.
 
 Level mapping follows the SARIF ``result.level`` enumeration:
 ``error`` -> ``error``, ``warning`` -> ``warning``, ``info`` ->
-``note``.  Both producers are validated against the same vendored
+``note``.  Every producer is validated against the same vendored
 schema subset (``tests/data/sarif-2.1.0-subset.json``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional
+
+if TYPE_CHECKING:
+    from ..diagnostics import Report
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -80,6 +82,54 @@ def sarif_log(
         "version": SARIF_VERSION,
         "runs": [run],
     }
+
+
+def report_to_sarif(
+    report: "Report", artifact_uri: Optional[str] = None
+) -> Dict[str, object]:
+    """One SARIF 2.1.0 ``sarifLog`` document for any analyzer's report.
+
+    A finding that names a Datalog rule anchors to it as a *logical*
+    location (rules carry no file/line provenance); a finding with its
+    own ``path`` gets a ``physicalLocation`` region there, and the rest
+    fall back to ``artifact_uri`` — the analyzed file — when the caller
+    knows it.
+    """
+    diagnostics = report.sarif_diagnostics()
+    codes = sorted({d.code for d in diagnostics})
+    rule_index = {code: i for i, code in enumerate(codes)}
+    results: List[Dict[str, object]] = []
+    for diagnostic in diagnostics:
+        result: Dict[str, object] = {
+            "ruleId": diagnostic.code,
+            "ruleIndex": rule_index[diagnostic.code],
+            "level": sarif_level(diagnostic.level),
+            "message": {"text": diagnostic.message},
+        }
+        location: Dict[str, object] = {}
+        if diagnostic.rule is not None:
+            location["logicalLocations"] = [
+                {
+                    "fullyQualifiedName": str(diagnostic.rule),
+                    "kind": "declaration",
+                }
+            ]
+        if diagnostic.path is not None:
+            location["physicalLocation"] = physical_location(
+                diagnostic.path, diagnostic.line
+            )
+        elif artifact_uri is not None:
+            location["physicalLocation"] = physical_location(artifact_uri)
+        if location:
+            result["locations"] = [location]
+        results.append(result)
+    return sarif_log(
+        report.SARIF_DRIVER,
+        results,
+        rule_descriptors(codes, report.RULE_METADATA),
+        information_uri="https://dl.acm.org/doi/10.1145/38713.38725",
+        properties=report.sarif_properties() or None,
+    )
 
 
 def merge_sarif_logs(logs: Iterable[Dict[str, object]]) -> Dict[str, object]:

@@ -21,7 +21,9 @@ classic :mod:`repro.datalog.lint` checks run as the first six passes.
 
 from .admissibility import MethodVerdict, method_admissibility, recommended
 from .facts import ProgramFacts
+from ..sarif import SARIF_SCHEMA_URI, SARIF_VERSION, report_to_sarif
 from .framework import (
+    RULE_METADATA,
     AnalysisPass,
     StaticReport,
     analyze_query,
@@ -44,12 +46,12 @@ from .safety import (
     certify_source,
     find_l_cycle,
 )
-from .sarif import SARIF_SCHEMA_URI, SARIF_VERSION, report_to_sarif
 
 __all__ = [
     "AnalysisPass",
     "MethodVerdict",
     "ProgramFacts",
+    "RULE_METADATA",
     "SARIF_SCHEMA_URI",
     "SARIF_VERSION",
     "SafetyCertificate",

@@ -1,96 +1,71 @@
-"""The multi-pass static-analysis framework: registry, report, runner.
+"""The static analyzer: its passes, report, and runner.
 
-An :class:`AnalysisPass` is a named function from shared
-:class:`~repro.analysis.static.facts.ProgramFacts` to diagnostics; the
-module-level registry holds the default pipeline in execution order.
+An instance of the :mod:`repro.diagnostics` kernel.  The pipeline
+:data:`STATIC_PASSES` starts with the six classic
+:data:`repro.datalog.lint.LINT_PASSES`; this module appends the
+binding, shape, counting-safety and rewrite-verification passes over
+the shared :class:`~repro.analysis.static.facts.ProgramFacts`.
 :func:`run_static_analysis` drives every registered pass (or a caller-
 selected subset) and folds the results — diagnostics plus the
 structured artifacts (safety certificate, classification, method
 advisory) — into one :class:`StaticReport` that the serving layer can
 attach to a compiled plan and the CLI can render as text, JSON, or
 SARIF.
-
-The classic :mod:`repro.datalog.lint` checks are absorbed here as the
-first six passes; ``lint_program`` itself remains the standalone
-composition for callers that want only the classic diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, ClassVar, Dict, Iterable, List, Mapping, Optional
 
 from ...core.csl import CSLQuery
-from ...datalog import lint as lint_checks
 from ...datalog.database import Database
-from ...datalog.lint import LEVELS, Diagnostic, sort_diagnostics
+from ...datalog.lint import LINT_PASSES
 from ...datalog.program import Program
+from ...diagnostics import (
+    Diagnostic,
+    Pass,
+    PassRegistry,
+    Report,
+    run_passes,
+    sort_diagnostics,
+)
 from .admissibility import MethodVerdict, method_admissibility, recommended
 from .facts import ProgramFacts
 from .rewrite_check import verify_rewrites
 from .safety import SafetyCertificate, Verdict, certify_counting_safety
 
-PassFunction = Callable[[ProgramFacts], List[Diagnostic]]
+#: Every diagnostic code the pipeline can emit, with SARIF descriptions.
+RULE_METADATA: Dict[str, str] = {
+    "unsafe": "A rule violates range restriction.",
+    "unstrat": "The program recurses through negation.",
+    "undefined": "A body predicate has no rules and no facts.",
+    "unused": "An IDB predicate is defined but never referenced.",
+    "unreachable": "A rule cannot contribute to the query goal.",
+    "singleton": "A variable occurs exactly once in a rule.",
+    "free-goal": "The query goal binds no constant.",
+    "not-csl": "The program is outside the CSL class.",
+    "counting-unsafe": (
+        "The magic graph reachable from the bound source is cyclic; "
+        "the counting method would diverge."
+    ),
+    "counting-unknown": (
+        "Counting safety could not be statically decided."
+    ),
+    "rewrite-partition": (
+        "A Step-1 partition strategy violates the Theorem 1/2 "
+        "correctness conditions."
+    ),
+    "rewrite-unsafe": "A rewrite emitted an unsafe rule.",
+    "rewrite-unstrat": "A rewrite emitted an unstratifiable program.",
+}
 
-
-@dataclass(frozen=True)
-class AnalysisPass:
-    """One registered pass: a name, a description, and its function."""
-
-    name: str
-    description: str
-    run: PassFunction
-
-
-_REGISTRY: Dict[str, AnalysisPass] = {}
-
-
-def register_pass(name: str, description: str):
-    """Decorator: add a pass to the default pipeline, in call order."""
-
-    def decorate(function: PassFunction) -> PassFunction:
-        _REGISTRY[name] = AnalysisPass(name, description, function)
-        return function
-
-    return decorate
-
-
-def registered_passes() -> List[AnalysisPass]:
-    """The default pipeline, in registration (execution) order."""
-    return list(_REGISTRY.values())
-
-
-# --- the classic lint checks, absorbed as passes -----------------------
-
-
-@register_pass("rule-safety", "range restriction on every rule")
-def _pass_rule_safety(facts: ProgramFacts) -> List[Diagnostic]:
-    return lint_checks.check_rule_safety(facts.program)
-
-
-@register_pass("stratification", "no recursion through negation")
-def _pass_stratification(facts: ProgramFacts) -> List[Diagnostic]:
-    return lint_checks.check_stratification(facts.program)
-
-
-@register_pass("undefined", "body predicates with no rules and no facts")
-def _pass_undefined(facts: ProgramFacts) -> List[Diagnostic]:
-    return lint_checks.check_undefined(facts.program, facts.database)
-
-
-@register_pass("unused", "IDB predicates never referenced (any polarity)")
-def _pass_unused(facts: ProgramFacts) -> List[Diagnostic]:
-    return lint_checks.check_unused(facts.program)
-
-
-@register_pass("unreachable", "rules outside the goal's dependency cone")
-def _pass_unreachable(facts: ProgramFacts) -> List[Diagnostic]:
-    return lint_checks.check_unreachable(facts.program)
-
-
-@register_pass("singletons", "single-occurrence variables (underscore-exempt)")
-def _pass_singletons(facts: ProgramFacts) -> List[Diagnostic]:
-    return lint_checks.check_singletons(facts.program)
+AnalysisPass = Pass
+STATIC_PASSES: PassRegistry[Callable[[ProgramFacts], List[Diagnostic]]] = (
+    PassRegistry("analysis", LINT_PASSES)
+)
+register_pass = STATIC_PASSES.register
+registered_passes = STATIC_PASSES.passes
 
 
 # --- binding and shape passes ------------------------------------------
@@ -171,8 +146,11 @@ def _pass_rewrite_verification(facts: ProgramFacts) -> List[Diagnostic]:
 
 
 @dataclass
-class StaticReport:
+class StaticReport(Report):
     """Everything the analyzer learned about one program or query."""
+
+    SARIF_DRIVER: ClassVar[str] = "repro-static-analyzer"
+    RULE_METADATA: ClassVar[Mapping[str, str]] = RULE_METADATA
 
     goal: Optional[str]
     diagnostics: List[Diagnostic]
@@ -182,38 +160,11 @@ class StaticReport:
     admissibility: List[MethodVerdict] = field(default_factory=list)
     recommended_method: Optional[str] = None
 
-    @property
-    def has_errors(self) -> bool:
-        return any(d.level == "error" for d in self.diagnostics)
-
-    def counts(self) -> Dict[str, int]:
-        tally = {level: 0 for level in LEVELS}
-        for diagnostic in self.diagnostics:
-            tally[diagnostic.level] += 1
-        return tally
-
-    def exceeds(self, fail_on: str) -> bool:
-        """True when any diagnostic is at or above ``fail_on`` severity."""
-        threshold = LEVELS.index(fail_on)
-        return any(
-            LEVELS.index(d.level) <= threshold for d in self.diagnostics
-        )
-
     def to_json(self) -> Dict[str, object]:
         """A plain-dict rendering (the CLI's ``--format json``)."""
         return {
             "goal": self.goal,
-            "passes": list(self.passes_run),
-            "counts": self.counts(),
-            "diagnostics": [
-                {
-                    "level": d.level,
-                    "code": d.code,
-                    "message": d.message,
-                    "rule": None if d.rule is None else str(d.rule),
-                }
-                for d in self.diagnostics
-            ],
+            **self.findings_json(),
             "counting_safety": None
             if self.certificate is None
             else {
@@ -239,10 +190,16 @@ class StaticReport:
             "recommended_method": self.recommended_method,
         }
 
-    def to_sarif(self, artifact_uri: Optional[str] = None) -> Dict[str, object]:
-        from .sarif import report_to_sarif
-
-        return report_to_sarif(self, artifact_uri=artifact_uri)
+    def sarif_properties(self) -> Dict[str, object]:
+        properties: Dict[str, object] = {}
+        if self.certificate is not None:
+            properties["countingSafety"] = self.certificate.verdict
+            properties["countingSafetyReason"] = self.certificate.reason
+        if self.graph_class is not None:
+            properties["magicGraphClass"] = self.graph_class
+        if self.recommended_method is not None:
+            properties["recommendedMethod"] = self.recommended_method
+        return properties
 
 
 def run_static_analysis(
@@ -259,20 +216,8 @@ def run_static_analysis(
     pre-seeds the materialized query when the caller already holds it.
     """
     facts = ProgramFacts(program, database, csl=csl_query)
-    if passes is None:
-        selected = registered_passes()
-    else:
-        wanted = set(passes)
-        unknown = wanted - set(_REGISTRY)
-        if unknown:
-            raise KeyError(
-                f"unknown analysis pass(es): {sorted(unknown)}; "
-                f"registered: {sorted(_REGISTRY)}"
-            )
-        selected = [p for p in registered_passes() if p.name in wanted]
-    diagnostics: List[Diagnostic] = []
-    for analysis_pass in selected:
-        diagnostics.extend(analysis_pass.run(facts))
+    selected = STATIC_PASSES.select(passes)
+    diagnostics = run_passes(selected, facts)
     classification = facts.classification()
     certificate = (
         facts.safety_certificate() if facts.goal is not None else None

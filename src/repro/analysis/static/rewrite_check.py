@@ -35,10 +35,14 @@ from ...core.reduced_sets import (
     check_theorem1,
     check_theorem2,
 )
-from ...datalog import lint as lint_checks
 from ...datalog.counting_rewrite import counting_rewrite
-from ...datalog.lint import Diagnostic
+from ...datalog.lint import (
+    LintFacts,
+    check_rule_safety,
+    check_stratification,
+)
 from ...datalog.magic_rewrite import magic_rewrite
+from ...diagnostics import Diagnostic
 from ...errors import MethodConditionError, ReproError
 
 
@@ -141,12 +145,12 @@ def lint_rewrite_outputs(program) -> List[Diagnostic]:
     for kind, rewriter in (("magic", magic_rewrite),
                            ("counting", counting_rewrite)):
         try:
-            rewritten = rewriter(program)
+            rewritten = LintFacts(rewriter(program))
         except ReproError:
             # Outside the rewrite's input class — the csl-shape pass
             # already reports that; nothing to lint.
             continue
-        for diagnostic in lint_checks.check_rule_safety(rewritten):
+        for diagnostic in check_rule_safety(rewritten):
             diagnostics.append(
                 Diagnostic(
                     "error",
@@ -156,7 +160,7 @@ def lint_rewrite_outputs(program) -> List[Diagnostic]:
                     diagnostic.rule,
                 )
             )
-        for diagnostic in lint_checks.check_stratification(rewritten):
+        for diagnostic in check_stratification(rewritten):
             diagnostics.append(
                 Diagnostic(
                     "error",

@@ -183,11 +183,64 @@ def cmd_serve(args) -> int:
     return server.run()
 
 
+def _render_diagnostics(report) -> None:
+    for diagnostic in report.diagnostics:
+        print(diagnostic)
+
+
+def _emit_reports(
+    args, reports, render_text=_render_diagnostics, summary=None
+) -> int:
+    """The one format/exit-code path of every analyzer command.
+
+    ``reports`` maps a name to a report: the document goes to stdout in
+    ``args.format`` (text through the command's own ``render_text``),
+    ``summary`` (default: one findings line per report) to stderr, and
+    the exit code is 1 when any report has a finding at or above
+    ``args.fail_on``.  Several reports (``analyze --all``) key the JSON
+    by name and title the text sections; SARIF is one log with a
+    ``runs[]`` entry per report either way.
+    """
+    import json
+
+    from .analysis.sarif import merge_sarif_logs
+
+    merged = len(reports) > 1
+    if args.format == "text":
+        for name, report in reports.items():
+            if merged:
+                print(f"== {name} ==")
+            render_text(report)
+            if merged:
+                print()
+    else:
+        if args.format == "sarif":
+            artifact_uri = getattr(args, "program", None)
+            document = merge_sarif_logs(
+                report.to_sarif(artifact_uri=artifact_uri)
+                for report in reports.values()
+            )
+        elif merged:
+            document = {
+                name: report.to_json() for name, report in reports.items()
+            }
+        else:
+            (report,) = reports.values()
+            document = report.to_json()
+        print(json.dumps(document, indent=2, sort_keys=True))
+    if summary is None:
+        summary = "\n".join(
+            _findings_summary(report, f"{name}: " if merged else "")
+            for name, report in reports.items()
+        )
+    print(summary, file=sys.stderr)
+    return int(any(r.exceeds(args.fail_on) for r in reports.values()))
+
+
 def _render_cost_report(report) -> None:
     """Human-readable rendering of a cost-analysis report."""
     print(f"goal: {report.goal}")
-    for diagnostic in report.diagnostics:
-        print(diagnostic)
+    _render_diagnostics(report)
     certificate = report.certificate
     if certificate is None:
         return
@@ -216,32 +269,20 @@ def _render_cost_report(report) -> None:
             print(f"  {reason}")
 
 
-def _cmd_analyze_cost(args) -> int:
-    import json
+def _findings_summary(report, label: str = "") -> str:
+    counts = report.counts()
+    return (
+        f"-- {label}{len(report.diagnostics)} finding(s), "
+        f"{counts['error']} error(s), {counts['warning']} warning(s)"
+    )
 
+
+def _cmd_analyze_cost(args) -> int:
     from .analysis.cost import run_cost_analysis
 
     program, database = _load(args.program, args.facts)
     report = run_cost_analysis(program, database)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(
-            json.dumps(
-                report.to_sarif(artifact_uri=args.program),
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        _render_cost_report(report)
-    counts = report.counts()
-    print(
-        f"-- {len(report.diagnostics)} finding(s), "
-        f"{counts['error']} error(s), {counts['warning']} warning(s)",
-        file=sys.stderr,
-    )
-    return 1 if report.exceeds(args.fail_on) else 0
+    return _emit_reports(args, {"repro-cost": report}, _render_cost_report)
 
 
 def _cmd_analyze_all(args) -> int:
@@ -254,7 +295,6 @@ def _cmd_analyze_all(args) -> int:
     (one ``runs[]`` entry per driver) for CI ingestion, and ``--fail-on``
     applies across the merged set.
     """
-    import json
     from pathlib import Path
 
     import repro
@@ -262,52 +302,20 @@ def _cmd_analyze_all(args) -> int:
     from .analysis.concurrency import run_concurrency_analysis
     from .analysis.cost import run_cost_analysis
     from .analysis.rewrite import optimize_program
-    from .analysis.sarif import merge_sarif_logs
     from .analysis.static import run_static_analysis
 
     program, database = _load(args.program, args.facts)
-    reports = [
-        ("repro-lint", run_static_analysis(program, database)),
-        ("repro-cost", run_cost_analysis(program, database)),
-        ("repro-optimizer", optimize_program(program, database)),
-        (
-            "repro-lint-py",
-            run_concurrency_analysis([str(Path(repro.__file__).parent)]),
-        ),
-    ]
-    if args.format == "sarif":
-        logs = []
-        for name, report in reports:
-            if name == "repro-lint-py":
-                logs.append(report.to_sarif())
-            else:
-                logs.append(report.to_sarif(artifact_uri=args.program))
-        print(json.dumps(merge_sarif_logs(logs), indent=2, sort_keys=True))
-    elif args.format == "json":
-        print(
-            json.dumps(
-                {name: report.to_json() for name, report in reports},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        for name, report in reports:
-            print(f"== {name} ==")
-            for diagnostic in report.diagnostics:
-                print(diagnostic)
-            print()
-    failing = 0
-    for name, report in reports:
-        counts = report.counts()
-        print(
-            f"-- {name}: {len(report.diagnostics)} finding(s), "
-            f"{counts['error']} error(s), {counts['warning']} warning(s)",
-            file=sys.stderr,
-        )
-        if report.exceeds(args.fail_on):
-            failing += 1
-    return 1 if failing else 0
+    return _emit_reports(
+        args,
+        {
+            "repro-lint": run_static_analysis(program, database),
+            "repro-cost": run_cost_analysis(program, database),
+            "repro-optimizer": optimize_program(program, database),
+            "repro-lint-py": run_concurrency_analysis(
+                [str(Path(repro.__file__).parent)]
+            ),
+        },
+    )
 
 
 def cmd_analyze(args) -> int:
@@ -412,37 +420,24 @@ def _render_optimizer_diff(report) -> None:
 
 
 def cmd_optimize(args) -> int:
-    import json
-
     from .analysis.rewrite import optimize_program
 
     program, database = _load(args.program, args.facts)
     if args.rewrite != "none":
         program = _rewritten(program, database, args)
     report = optimize_program(program, database)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(
-            json.dumps(
-                report.to_sarif(artifact_uri=args.program),
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        _render_optimizer_diff(report)
     summary = report.summary()
-    print(
+    return _emit_reports(
+        args,
+        {"repro-optimizer": report},
+        _render_optimizer_diff,
         f"-- {summary['rules_removed']} rule(s) removed, "
         f"{summary['rules_added']} added, "
         f"{summary['literals_removed']} literal(s) removed, "
         f"{summary['arguments_removed']} argument(s) sliced "
         f"in {summary['iterations']} iteration(s) "
         f"({summary['optimize_ms']:.1f} ms)",
-        file=sys.stderr,
     )
-    return 1 if report.exceeds(args.fail_on) else 0
 
 
 def cmd_generate(args) -> int:
@@ -511,62 +506,32 @@ def cmd_report(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    import json
-
     from .analysis.static import run_static_analysis
 
     program, database = _load(args.program, args.facts)
     report = run_static_analysis(program, database)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(
-            json.dumps(
-                report.to_sarif(artifact_uri=args.program),
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        for diagnostic in report.diagnostics:
-            print(diagnostic)
-    counts = report.counts()
-    print(
+    summary = (
         f"-- {len(report.diagnostics)} finding(s), "
-        f"{counts['error']} error(s)",
-        file=sys.stderr,
+        f"{report.counts()['error']} error(s)"
     )
     if report.certificate is not None:
-        print(
-            f"-- counting safety: {report.certificate.verdict}",
-            file=sys.stderr,
-        )
-    return 1 if report.exceeds(args.fail_on) else 0
+        summary += f"\n-- counting safety: {report.certificate.verdict}"
+    return _emit_reports(args, {"repro-lint": report}, summary=summary)
 
 
 def cmd_lint_py(args) -> int:
-    import json
-
     from .analysis.concurrency import run_concurrency_analysis
 
     report = run_concurrency_analysis(args.paths)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(json.dumps(report.to_sarif(), indent=2, sort_keys=True))
-    else:
-        for diagnostic in report.diagnostics:
-            print(diagnostic)
-    counts = report.counts()
-    print(
-        f"-- {len(report.files)} file(s), "
+    return _emit_reports(
+        args,
+        {"repro-lint-py": report},
+        summary=f"-- {len(report.files)} file(s), "
         f"{report.guarded_attributes} guarded attribute(s), "
         f"{len(report.diagnostics)} finding(s), "
-        f"{counts['error']} error(s), "
+        f"{report.counts()['error']} error(s), "
         f"{report.suppressed} suppressed",
-        file=sys.stderr,
     )
-    return 1 if report.exceeds(args.fail_on) else 0
 
 
 def cmd_explain(args) -> int:
@@ -597,6 +562,20 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sub):
         sub.add_argument("program", help="Datalog program file with a ?- goal")
         sub.add_argument("--facts", help="separate file of ground facts")
+
+    def add_report_options(sub, scope="", fail_on_note=""):
+        sub.add_argument(
+            "--format", default="text", choices=["text", "json", "sarif"],
+            help=scope
+            + "output format (sarif emits a SARIF 2.1.0 log for CI)",
+        )
+        sub.add_argument(
+            "--fail-on", dest="fail_on", default="error",
+            choices=["error", "warning"],
+            help=scope
+            + "lowest severity that forces a non-zero exit code"
+            + fail_on_note,
+        )
 
     sub_solve = subparsers.add_parser("solve", help="answer the query goal")
     add_common(sub_solve)
@@ -701,17 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format sarif one multi-run log with one runs[] entry per "
         "analyzer",
     )
-    sub_analyze.add_argument(
-        "--format", default="text", choices=["text", "json", "sarif"],
-        help="output format for --cost/--all (sarif emits SARIF 2.1.0 "
-        "for CI)",
-    )
-    sub_analyze.add_argument(
-        "--fail-on", dest="fail_on", default="error",
-        choices=["error", "warning"],
-        help="with --cost/--all: lowest severity that forces a non-zero "
-        "exit",
-    )
+    add_report_options(sub_analyze, scope="with --cost/--all: ")
     sub_analyze.set_defaults(handler=cmd_analyze)
 
     sub_rewrite = subparsers.add_parser(
@@ -744,15 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
                               choices=sorted(_STRATEGIES))
     sub_optimize.add_argument("--mode", default="integrated",
                               choices=sorted(_MODES))
-    sub_optimize.add_argument(
-        "--format", default="text", choices=["text", "json", "sarif"],
-        help="output format (sarif emits a SARIF 2.1.0 log for CI)",
-    )
-    sub_optimize.add_argument(
-        "--fail-on", dest="fail_on", default="error",
-        choices=["error", "warning"],
-        help="lowest severity that forces a non-zero exit code "
-        "(optimizer traces are info-level, so this exits 0 by default)",
+    add_report_options(
+        sub_optimize,
+        fail_on_note=" (optimizer traces are info-level, so this exits 0 "
+        "by default)",
     )
     sub_optimize.set_defaults(handler=cmd_optimize)
 
@@ -769,15 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="static diagnostics for a program"
     )
     add_common(sub_lint)
-    sub_lint.add_argument(
-        "--format", default="text", choices=["text", "json", "sarif"],
-        help="output format (sarif emits a SARIF 2.1.0 log for CI)",
-    )
-    sub_lint.add_argument(
-        "--fail-on", dest="fail_on", default="error",
-        choices=["error", "warning"],
-        help="lowest severity that forces a non-zero exit code",
-    )
+    add_report_options(sub_lint)
     sub_lint.set_defaults(handler=cmd_lint)
 
     sub_lint_py = subparsers.add_parser(
@@ -788,15 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="+",
         help="Python files or directories to analyze (e.g. src/repro)",
     )
-    sub_lint_py.add_argument(
-        "--format", default="text", choices=["text", "json", "sarif"],
-        help="output format (sarif emits a SARIF 2.1.0 log for CI)",
-    )
-    sub_lint_py.add_argument(
-        "--fail-on", dest="fail_on", default="error",
-        choices=["error", "warning"],
-        help="lowest severity that forces a non-zero exit code",
-    )
+    add_report_options(sub_lint_py)
     sub_lint_py.set_defaults(handler=cmd_lint_py)
 
     sub_repl = subparsers.add_parser(

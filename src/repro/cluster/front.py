@@ -24,9 +24,7 @@ What changes is what happens after coalescing:
   ``/health`` and ``/metrics`` aggregate the whole fleet.
 
 The front's own service stays authoritative so a cluster can always be
-rebuilt from it; it must be EAGER (``maintenance_batching=False``) —
-a deferred local apply would leave ``db_version`` behind the epoch the
-workers need to follow.
+rebuilt from it.
 """
 
 from __future__ import annotations
@@ -55,12 +53,6 @@ class ClusterFront(SolverServer):
         health_interval: float = 1.0,
         **kwargs,
     ):
-        if service.maintenance_batching:
-            raise ValueError(
-                "the cluster front's service must be eager "
-                "(maintenance_batching=False): its db_version is the "
-                "cluster epoch and must advance with every applied delta"
-            )
         super().__init__(service, program=program, **kwargs)
         self.workers = workers
         self.standbys = standbys

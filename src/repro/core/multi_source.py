@@ -55,10 +55,9 @@ def multi_source_magic(
 ) -> Dict[object, FrozenSet]:
     """One shared magic/``P_M`` fixpoint for every source.
 
-    Returns ``{source: answers}``.  Total cost is charged to ``counter``
-    (or a fresh one; read it back via ``result_counter`` attribute — the
-    function attaches it to the returned dict as ``dict.counter`` would
-    be un-Pythonic, so instead pass your own counter in).
+    Returns ``{source: answers}``.  The whole run is charged to
+    ``counter``; pass your own to read the cost back (a fresh one is
+    used, and discarded, otherwise).
     """
     sources = list(sources)
     counter = counter if counter is not None else CostCounter()

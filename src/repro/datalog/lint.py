@@ -18,10 +18,11 @@ code         level    meaning
                       legal, but the classic typo smell
 ===========  =======  ====================================================
 
-Each check is exposed as its own ``check_*`` function returning a list of
-diagnostics, so the multi-pass analyzer in :mod:`repro.analysis.static`
-can run them individually (with shared program facts) while
-:func:`lint_program` remains the standalone composition of all six.
+Each check is a ``check_*`` function from program facts (anything with
+``program`` and ``database`` attributes) to diagnostics.
+:data:`LINT_PASSES` lists the six in execution order:
+:func:`lint_program` runs exactly those, and the
+:mod:`repro.analysis.static` pipeline starts with them.
 
 Two deliberate behaviours, pinned by tests:
 
@@ -34,9 +35,9 @@ Two deliberate behaviours, pinned by tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
+from ..diagnostics import Diagnostic, Pass, run_passes, sort_diagnostics
 from ..errors import SafetyError, StratificationError
 from .atom import BuiltinAtom, Literal
 from .database import Database
@@ -45,21 +46,16 @@ from .rule import Rule
 from .stratify import stratify
 from .term import Variable
 
-LEVELS = ("error", "warning", "info")
 
+class LintFacts(NamedTuple):
+    """The slice of program facts the classic checks read.
 
-@dataclass(frozen=True)
-class Diagnostic:
-    level: str
-    code: str
-    message: str
-    rule: Optional[Rule] = None
+    :class:`repro.analysis.static.facts.ProgramFacts` has the same two
+    attributes, so the checks run unchanged inside the full pipeline.
+    """
 
-    def __str__(self):
-        prefix = f"{self.level}[{self.code}]"
-        if self.rule is not None:
-            return f"{prefix}: {self.message}  (in: {self.rule})"
-        return f"{prefix}: {self.message}"
+    program: Program
+    database: Optional[Database] = None
 
 
 def _singleton_variables(rule: Rule) -> List[Variable]:
@@ -113,10 +109,10 @@ def referenced_predicates(program: Program) -> Set[str]:
 # --- individual checks -----------------------------------------------------
 
 
-def check_rule_safety(program: Program) -> List[Diagnostic]:
+def check_rule_safety(facts: LintFacts) -> List[Diagnostic]:
     """``unsafe``: range-restriction violations, one finding per rule."""
     diagnostics: List[Diagnostic] = []
-    for rule in program.rules:
+    for rule in facts.program.rules:
         try:
             rule.check_safety()
         except SafetyError as error:
@@ -124,19 +120,18 @@ def check_rule_safety(program: Program) -> List[Diagnostic]:
     return diagnostics
 
 
-def check_stratification(program: Program) -> List[Diagnostic]:
+def check_stratification(facts: LintFacts) -> List[Diagnostic]:
     """``unstrat``: recursion through negation, whole program."""
     try:
-        stratify(program)
+        stratify(facts.program)
     except StratificationError as error:
         return [Diagnostic("error", "unstrat", str(error))]
     return []
 
 
-def check_undefined(
-    program: Program, database: Optional[Database] = None
-) -> List[Diagnostic]:
+def check_undefined(facts: LintFacts) -> List[Diagnostic]:
     """``undefined``: body predicates with no rules and no facts."""
+    program, database = facts.program, facts.database
     diagnostics: List[Diagnostic] = []
     for predicate in sorted(program.edb_predicates()):
         if database is not None and database.has_relation(predicate):
@@ -154,26 +149,26 @@ def check_undefined(
     return diagnostics
 
 
-def check_unused(program: Program) -> List[Diagnostic]:
+def check_unused(facts: LintFacts) -> List[Diagnostic]:
     """``unused``: IDB predicates never referenced anywhere.
 
     A reference through a negated literal (or any literal polarity)
     counts as a use; only predicates with *zero* references outside
     their own definitions are flagged.
     """
-    referenced = referenced_predicates(program)
+    referenced = referenced_predicates(facts.program)
     return [
         Diagnostic(
             "warning", "unused",
             f"predicate {predicate!r} is defined but never used",
         )
-        for predicate in sorted(program.idb_predicates() - referenced)
+        for predicate in sorted(facts.program.idb_predicates() - referenced)
     ]
 
 
-def check_unreachable(program: Program) -> List[Diagnostic]:
+def check_unreachable(facts: LintFacts) -> List[Diagnostic]:
     """``unreachable``: rules outside the goal's dependency cone."""
-    cone = goal_cone(program)
+    cone = goal_cone(facts.program)
     if cone is None:
         return []
     return [
@@ -183,19 +178,19 @@ def check_unreachable(program: Program) -> List[Diagnostic]:
             "to the query goal",
             rule,
         )
-        for rule in program.rules
+        for rule in facts.program.rules
         if rule.head.predicate not in cone
     ]
 
 
-def check_singletons(program: Program) -> List[Diagnostic]:
+def check_singletons(facts: LintFacts) -> List[Diagnostic]:
     """``singleton``: variables occurring exactly once in a rule.
 
     Underscore-prefixed names (``_``, ``_X``) follow the anonymous
     variable convention and are skipped — they announce single use.
     """
     diagnostics: List[Diagnostic] = []
-    for rule in program.rules:
+    for rule in facts.program.rules:
         for variable in _singleton_variables(rule):
             diagnostics.append(
                 Diagnostic(
@@ -208,21 +203,35 @@ def check_singletons(program: Program) -> List[Diagnostic]:
     return diagnostics
 
 
-def sort_diagnostics(diagnostics: List[Diagnostic]) -> List[Diagnostic]:
-    """Errors first, then by code and offending rule (stable, total)."""
-    order = {level: i for i, level in enumerate(LEVELS)}
-    return sorted(diagnostics, key=lambda d: (order[d.level], d.code, str(d.rule)))
+#: The classic checks, in execution order.
+LINT_PASSES = (
+    Pass("rule-safety", "range restriction on every rule", check_rule_safety),
+    Pass(
+        "stratification", "no recursion through negation", check_stratification
+    ),
+    Pass(
+        "undefined", "body predicates with no rules and no facts",
+        check_undefined,
+    ),
+    Pass(
+        "unused", "IDB predicates never referenced (any polarity)",
+        check_unused,
+    ),
+    Pass(
+        "unreachable", "rules outside the goal's dependency cone",
+        check_unreachable,
+    ),
+    Pass(
+        "singletons", "single-occurrence variables (underscore-exempt)",
+        check_singletons,
+    ),
+)
 
 
 def lint_program(
     program: Program, database: Optional[Database] = None
 ) -> List[Diagnostic]:
-    """Run every check; returns diagnostics sorted errors-first."""
-    diagnostics: List[Diagnostic] = []
-    diagnostics.extend(check_rule_safety(program))
-    diagnostics.extend(check_stratification(program))
-    diagnostics.extend(check_undefined(program, database))
-    diagnostics.extend(check_unused(program))
-    diagnostics.extend(check_unreachable(program))
-    diagnostics.extend(check_singletons(program))
-    return sort_diagnostics(diagnostics)
+    """Run the six classic checks; diagnostics sorted errors-first."""
+    return sort_diagnostics(
+        run_passes(LINT_PASSES, LintFacts(program, database))
+    )

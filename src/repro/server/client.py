@@ -1,6 +1,8 @@
 """Client libraries for the NDJSON serving protocol.
 
-Two clients over one wire format:
+Two clients over one wire format and one operation table
+(:class:`_Operations`: each op's request parameters and result decoder,
+written once); a client adds only its transport:
 
 * :class:`SolverClient` — synchronous, one blocking socket, one request
   in flight at a time.  The right tool for scripts, shells, and tests
@@ -35,7 +37,7 @@ import asyncio
 import itertools
 import json
 import socket
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .protocol import (
     IDEMPOTENT_OPS,
@@ -51,7 +53,97 @@ from .protocol import (
 )
 
 
-class SolverClient:
+class _Operations:
+    """The protocol's operations, each defined once as request
+    parameters plus a result decoder over an abstract ``_call``.
+
+    :class:`SolverClient` completes the call inline and returns the
+    decoded result — the type each docstring names;
+    :class:`AsyncSolverClient` returns an awaitable of it.  The async
+    client's op methods are therefore plain functions returning the
+    ``_call`` coroutine, not ``async def``: ``await client.solve(...)``
+    works, ``asyncio.iscoroutinefunction(client.solve)`` is False.
+    """
+
+    def _call(
+        self, op: str, params: Optional[Dict], decode: Callable[[Any], Any]
+    ) -> Any:
+        raise NotImplementedError
+
+    def ping(self):
+        """``bool``: True when the server answers."""
+        return self._call("ping", None, lambda result: result == "pong")
+
+    def solve(
+        self,
+        source=None,
+        method: Optional[str] = None,
+        deadline_ms: Optional[float] = None,
+        program: Optional[str] = None,
+    ):
+        """``FrozenSet`` of answers for one bound goal; rides a coalesced
+        batch server-side."""
+        return self._call(
+            "solve",
+            _solve_params(source, method, deadline_ms, program),
+            lambda result: decode_answers(result["answers"]),
+        )
+
+    def solve_batch(
+        self,
+        sources: Iterable,
+        method: Optional[str] = None,
+        deadline_ms: Optional[float] = None,
+        program: Optional[str] = None,
+    ):
+        """``Dict[source, FrozenSet]``: the answer set of every source, as
+        one explicit batch."""
+        params = _solve_params(None, method, deadline_ms, program)
+        params["sources"] = [encode_value(source) for source in sources]
+        return self._call(
+            "solve_batch",
+            params,
+            lambda result: decode_answer_map(result["answers"]),
+        )
+
+    def add_fact(self, name: str, *values):
+        """Insert one fact; ``bool``: True when it was new."""
+        return self._call(
+            "add_fact",
+            {"name": name, "values": [encode_value(v) for v in values]},
+            lambda result: bool(result["added"]),
+        )
+
+    def add_facts(self, name: str, tuples: Iterable[Tuple]):
+        """Bulk insert; ``int``: the number of new facts."""
+        return self._call(
+            "add_facts",
+            {"name": name, "tuples": _encode_rows(tuples)},
+            lambda result: int(result["added"]),
+        )
+
+    def remove_fact(self, name: str, *values):
+        """Delete one fact; ``bool``: True when it was present."""
+        return self._call(
+            "remove_fact",
+            {"name": name, "values": [encode_value(v) for v in values]},
+            lambda result: bool(result["removed"]),
+        )
+
+    def remove_facts(self, name: str, tuples: Iterable[Tuple]):
+        """Bulk delete; ``int``: the number of facts that were present."""
+        return self._call(
+            "remove_facts",
+            {"name": name, "tuples": _encode_rows(tuples)},
+            lambda result: int(result["removed"]),
+        )
+
+    def stats(self):
+        """``Dict``: the server's metrics snapshot."""
+        return self._call("stats", None, lambda result: result)
+
+
+class SolverClient(_Operations):
     """Synchronous client: one socket, one request in flight."""
 
     def __init__(
@@ -128,6 +220,9 @@ class SolverClient:
             return response.get("result")
         raise error_from_payload(response.get("error", {}))
 
+    def _call(self, op, params, decode):
+        return decode(self.request(op, params))
+
     def close(self) -> None:
         try:
             self._file.close()
@@ -140,68 +235,11 @@ class SolverClient:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # --- operations -----------------------------------------------------
-
-    def ping(self) -> bool:
-        return self.request("ping") == "pong"
-
-    def solve(
-        self,
-        source=None,
-        method: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        program: Optional[str] = None,
-    ) -> FrozenSet:
-        """Answers for one bound goal; rides a coalesced batch server-side."""
-        result = self.request(
-            "solve", _solve_params(source, method, deadline_ms, program)
-        )
-        return decode_answers(result["answers"])
-
-    def solve_batch(
-        self,
-        sources: Iterable,
-        method: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        program: Optional[str] = None,
-    ) -> Dict[object, FrozenSet]:
-        params = _solve_params(None, method, deadline_ms, program)
-        params["sources"] = [encode_value(source) for source in sources]
-        result = self.request("solve_batch", params)
-        return decode_answer_map(result["answers"])
-
-    def add_fact(self, name: str, *values) -> bool:
-        result = self.request(
-            "add_fact",
-            {"name": name, "values": [encode_value(v) for v in values]},
-        )
-        return bool(result["added"])
-
-    def add_facts(self, name: str, tuples: Iterable[Tuple]) -> int:
-        rows = [[encode_value(v) for v in row] for row in tuples]
-        result = self.request("add_facts", {"name": name, "tuples": rows})
-        return int(result["added"])
-
-    def remove_fact(self, name: str, *values) -> bool:
-        result = self.request(
-            "remove_fact",
-            {"name": name, "values": [encode_value(v) for v in values]},
-        )
-        return bool(result["removed"])
-
-    def remove_facts(self, name: str, tuples: Iterable[Tuple]) -> int:
-        rows = [[encode_value(v) for v in row] for row in tuples]
-        result = self.request("remove_facts", {"name": name, "tuples": rows})
-        return int(result["removed"])
-
-    def stats(self) -> Dict[str, object]:
-        return self.request("stats")
-
     def __repr__(self):
         return f"SolverClient({self.host}:{self.port})"
 
 
-class AsyncSolverClient:
+class AsyncSolverClient(_Operations):
     """Asyncio client: pipelines concurrent requests on one connection."""
 
     def __init__(
@@ -307,6 +345,9 @@ class AsyncSolverClient:
         await self._writer.drain()
         return await future
 
+    async def _call(self, op, params, decode):
+        return decode(await self.request(op, params))
+
     async def _ensure_connected(self) -> None:
         """Redial after the transport died.  Serialized so concurrent
         retries of pipelined requests share ONE reconnect."""
@@ -346,66 +387,6 @@ class AsyncSolverClient:
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close()
 
-    # --- operations -----------------------------------------------------
-
-    async def ping(self) -> bool:
-        return await self.request("ping") == "pong"
-
-    async def solve(
-        self,
-        source=None,
-        method: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        program: Optional[str] = None,
-    ) -> FrozenSet:
-        result = await self.request(
-            "solve", _solve_params(source, method, deadline_ms, program)
-        )
-        return decode_answers(result["answers"])
-
-    async def solve_batch(
-        self,
-        sources: Iterable,
-        method: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        program: Optional[str] = None,
-    ) -> Dict[object, FrozenSet]:
-        params = _solve_params(None, method, deadline_ms, program)
-        params["sources"] = [encode_value(source) for source in sources]
-        result = await self.request("solve_batch", params)
-        return decode_answer_map(result["answers"])
-
-    async def add_fact(self, name: str, *values) -> bool:
-        result = await self.request(
-            "add_fact",
-            {"name": name, "values": [encode_value(v) for v in values]},
-        )
-        return bool(result["added"])
-
-    async def add_facts(self, name: str, tuples: Iterable[Tuple]) -> int:
-        rows = [[encode_value(v) for v in row] for row in tuples]
-        result = await self.request(
-            "add_facts", {"name": name, "tuples": rows}
-        )
-        return int(result["added"])
-
-    async def remove_fact(self, name: str, *values) -> bool:
-        result = await self.request(
-            "remove_fact",
-            {"name": name, "values": [encode_value(v) for v in values]},
-        )
-        return bool(result["removed"])
-
-    async def remove_facts(self, name: str, tuples: Iterable[Tuple]) -> int:
-        rows = [[encode_value(v) for v in row] for row in tuples]
-        result = await self.request(
-            "remove_facts", {"name": name, "tuples": rows}
-        )
-        return int(result["removed"])
-
-    async def stats(self) -> Dict[str, object]:
-        return await self.request("stats")
-
 
 def _solve_params(source, method, deadline_ms, program) -> Dict[str, object]:
     params: Dict[str, object] = {}
@@ -418,6 +399,10 @@ def _solve_params(source, method, deadline_ms, program) -> Dict[str, object]:
     if program is not None:
         params["program"] = program
     return params
+
+
+def _encode_rows(tuples: Iterable[Tuple]) -> List[List]:
+    return [[encode_value(v) for v in row] for row in tuples]
 
 
 # --- the HTTP operational surface ------------------------------------------

@@ -504,7 +504,6 @@ def _mutation_fields(result) -> Dict[str, object]:
         "db_version": result.db_version,
         "plans_maintained": result.plans_maintained,
         "plans_invalidated": result.plans_invalidated,
-        "deferred": result.deferred,
         "maintenance": dict(result.maintenance),
     }
 

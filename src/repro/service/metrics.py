@@ -247,9 +247,6 @@ class ServiceMetrics:
         "maintenance_overdeleted",
         "maintenance_rederived",
         "maintenance_retrievals",
-        "maintenance_queued",
-        "maintenance_flushed",
-        "maintenance_flushes",
         "bound_checks",
         "bound_violations",
         "optimized_compiles",
@@ -275,12 +272,6 @@ class ServiceMetrics:
         self.maintenance_overdeleted = 0  # guarded-by: _lock
         self.maintenance_rederived = 0  # guarded-by: _lock
         self.maintenance_retrievals = 0  # guarded-by: _lock
-        # Bounded-staleness batching: EDB fact deltas queued by mutate()
-        # instead of maintained eagerly, and the flush events that later
-        # applied them to the cached plans (at the next solve/compile).
-        self.maintenance_queued = 0  # guarded-by: _lock
-        self.maintenance_flushed = 0  # guarded-by: _lock
-        self.maintenance_flushes = 0  # guarded-by: _lock
         # Predicted-vs-actual: batches served with a certified retrieval
         # bound attached, and how many measured above it (a violation
         # indicts the cost analyzer's soundness, never the answers).
@@ -332,17 +323,6 @@ class ServiceMetrics:
         with self._lock:
             self.maintenance_fallbacks += count
 
-    def record_maintenance_queued(self, facts: int) -> None:
-        """``facts`` EDB changes deferred by a batching mutate()."""
-        with self._lock:
-            self.maintenance_queued += facts
-
-    def record_maintenance_flush(self, facts: int) -> None:
-        """One lazy flush applied ``facts`` net queued changes."""
-        with self._lock:
-            self.maintenance_flushes += 1
-            self.maintenance_flushed += facts
-
     def record_optimization(self, rules_removed: int, literals_removed: int) -> None:
         """One plan compile whose program the optimizer improved."""
         with self._lock:
@@ -372,9 +352,6 @@ class ServiceMetrics:
                 "maintenance_overdeleted": self.maintenance_overdeleted,
                 "maintenance_rederived": self.maintenance_rederived,
                 "maintenance_retrievals": self.maintenance_retrievals,
-                "maintenance_queued": self.maintenance_queued,
-                "maintenance_flushed": self.maintenance_flushed,
-                "maintenance_flushes": self.maintenance_flushes,
                 "bound_checks": self.bound_checks,
                 "bound_violations": self.bound_violations,
                 "optimized_compiles": self.optimized_compiles,

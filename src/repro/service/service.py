@@ -24,9 +24,8 @@ into pair-set deltas on each plan's materialized ``L``/``E``/``R``
 relations, so single-fact churn costs a handful of retrievals instead
 of a recompile.  A plan whose program is outside the supported
 maintenance fragment is dropped instead (recorded in the
-``maintenance_fallbacks`` metric), and ``maintain_plans=False``
-restores the old invalidate-everything behaviour — either way a served
-answer can never be computed from stale compiled artifacts.
+``maintenance_fallbacks`` metric) — either way a served answer can
+never be computed from stale compiled artifacts.
 
 The service is safe to share between threads — the network serving
 layer executes overlapping batches from a worker pool while mutations
@@ -90,17 +89,13 @@ class MutationResult:
     plans_maintained: int = 0
     plans_invalidated: int = 0
     maintenance: Dict[str, int] = field(default_factory=dict)
-    #: facts whose plan maintenance was deferred to the next solve
-    #: (bounded-staleness batching mode only; 0 in eager mode)
-    deferred: int = 0
 
     def __repr__(self):
         return (
             f"MutationResult(changed={self.changed}, "
             f"db_version={self.db_version}, "
             f"maintained={self.plans_maintained}, "
-            f"invalidated={self.plans_invalidated}, "
-            f"deferred={self.deferred})"
+            f"invalidated={self.plans_invalidated})"
         )
 
 
@@ -142,30 +137,9 @@ class SolverService:
         plan_cache_size: int = 8,
         verify_database: bool = False,
         unsafe_fallback: bool = False,
-        maintain_plans: bool = True,
-        maintenance_batching: bool = False,
         optimize: bool = True,
     ):
-        """``maintain_plans`` selects what a database mutation does to
-        the cached plans: ``True`` (default) updates each plan's
-        materialized pair sets in place through its incremental
-        maintainer, dropping only the plans maintenance cannot handle;
-        ``False`` restores the invalidate-everything behaviour.
-
-        ``maintenance_batching`` trades bounded staleness of the cached
-        plans for write throughput: mutations still hit the database
-        (and bump the version) immediately, but the per-plan maintenance
-        sweep is *deferred* — fact deltas queue up (composing: an insert
-        cancels a queued delete of the same tuple and vice versa) and
-        the net delta is applied to every cached plan lazily, once, when
-        the next solve or compile needs a plan.  A write-heavy stream
-        between two reads pays one maintenance sweep instead of one per
-        mutation; served answers are never stale because the flush
-        happens before any plan lookup.  Queued/flushed deltas are
-        reported in the ``maintenance_queued``/``maintenance_flushed``/
-        ``maintenance_flushes`` metrics.
-
-        ``verify_database`` re-digests the EDB on every cache hit and
+        """``verify_database`` re-digests the EDB on every cache hit and
         recompiles on mismatch — a paranoia mode for callers that keep a
         handle on the database and may mutate it behind the service's
         back (the version counter only sees mutations routed through
@@ -184,8 +158,6 @@ class SolverService:
         self.metrics = ServiceMetrics()
         self.verify_database = verify_database
         self.unsafe_fallback = unsafe_fallback
-        self.maintain_plans = maintain_plans
-        self.maintenance_batching = maintenance_batching
         # Static program optimization at plan-compile time (verified
         # against the unoptimized materialization; see
         # compile_program_plan).  Default on; ``optimize=False`` keeps
@@ -195,11 +167,6 @@ class SolverService:
         # _mutated while already holding the lock.
         self._lock = threading.RLock()
         self._db_version = 0  # guarded-by: _lock
-        # The composed not-yet-flushed fact delta (batching mode): the
-        # net difference between the cached plans' last-maintained state
-        # and the live database.
-        self._pending_inserts: Dict[str, set] = {}  # guarded-by: _lock
-        self._pending_deletes: Dict[str, set] = {}  # guarded-by: _lock
 
     # --- database mutation (every write invalidates cached plans) ------
 
@@ -242,8 +209,7 @@ class SolverService:
         version — so the very next batch is a cache *hit* — or dropped
         when its program is outside the supported maintenance fragment
         (a :class:`~repro.errors.MaintenanceError`, or any other library
-        error, from the maintainer).  With ``maintain_plans=False`` the
-        whole cache is invalidated instead.
+        error, from the maintainer).
         """
         with self._lock:
             applied_ins: Dict[str, List[Tuple]] = {}
@@ -276,25 +242,41 @@ class SolverService:
             )
             if not changed:
                 return MutationResult(changed=0, db_version=self._db_version)
-            if not self.maintain_plans:
-                dropped = self._invalidate_locked()
-                return MutationResult(
-                    changed=changed,
-                    db_version=self._db_version,
-                    plans_invalidated=dropped,
-                )
             self._db_version += 1
-            if self.maintenance_batching:
-                self._queue_delta_locked(applied_ins, applied_dels)
-                self.metrics.record_maintenance_queued(changed)
-                return MutationResult(
-                    changed=changed,
-                    db_version=self._db_version,
-                    deferred=changed,
-                )
-            maintained, invalidated, totals = self._maintain_plans_locked(
-                applied_ins, applied_dels
+            new_fp = (
+                database_fingerprint(self.database)
+                if self.verify_database
+                else None
             )
+            maintained = 0
+            invalidated = 0
+            totals: Dict[str, int] = {}
+            for key, plan in self.plan_cache.entries():
+                try:
+                    summary = plan.maintain(
+                        applied_ins,
+                        applied_dels,
+                        self._db_version,
+                        new_database_fp=new_fp,
+                    )
+                except ReproError:
+                    # Unsupported fragment (no maintainer, IDB predicate
+                    # mutated, inconsistent counts, ...): never serve a
+                    # possibly-wrong plan — drop it and recompile later.
+                    self.plan_cache.discard(key)
+                    invalidated += 1
+                    continue
+                self.plan_cache.replace(
+                    key, (key[0], self._db_version), plan
+                )
+                maintained += 1
+                for field_name, value in summary.items():
+                    totals[field_name] = totals.get(field_name, 0) + value
+            if maintained:
+                self.metrics.record_maintenance(maintained, totals)
+            if invalidated:
+                self.metrics.record_maintenance_fallback(invalidated)
+                self.metrics.record_invalidation(invalidated)
             return MutationResult(
                 changed=changed,
                 db_version=self._db_version,
@@ -302,111 +284,6 @@ class SolverService:
                 plans_invalidated=invalidated,
                 maintenance=totals,
             )
-
-    def _maintain_plans_locked(
-        self,
-        applied_ins: Dict[str, List[Tuple]],
-        applied_dels: Dict[str, List[Tuple]],
-    ) -> Tuple[int, int, Dict[str, int]]:
-        """Bring every cached plan up to ``self._db_version`` by applying
-        one already-database-applied fact delta (the shared sweep of the
-        eager mutation path and the lazy batching flush)."""
-        new_fp = (
-            database_fingerprint(self.database)
-            if self.verify_database
-            else None
-        )
-        maintained = 0
-        invalidated = 0
-        totals: Dict[str, int] = {}
-        for key, plan in self.plan_cache.entries():
-            try:
-                summary = plan.maintain(
-                    applied_ins,
-                    applied_dels,
-                    self._db_version,
-                    new_database_fp=new_fp,
-                )
-            except ReproError:
-                # Unsupported fragment (no maintainer, IDB predicate
-                # mutated, inconsistent counts, ...): never serve a
-                # possibly-wrong plan — drop it and recompile later.
-                self.plan_cache.discard(key)
-                invalidated += 1
-                continue
-            self.plan_cache.replace(
-                key, (key[0], self._db_version), plan
-            )
-            maintained += 1
-            for field_name, value in summary.items():
-                totals[field_name] = totals.get(field_name, 0) + value
-        if maintained:
-            self.metrics.record_maintenance(maintained, totals)
-        if invalidated:
-            self.metrics.record_maintenance_fallback(invalidated)
-            self.metrics.record_invalidation(invalidated)
-        return maintained, invalidated, totals
-
-    # --- bounded-staleness maintenance batching ------------------------
-
-    def _queue_delta_locked(
-        self,
-        applied_ins: Dict[str, List[Tuple]],
-        applied_dels: Dict[str, List[Tuple]],
-    ) -> None:
-        """Compose one applied fact delta into the pending queue.
-
-        The queue always holds the *net* delta between the plans'
-        last-maintained state and the live database: inserting a tuple
-        whose delete is queued cancels the delete (and vice versa), so
-        an insert/delete churn cycle flushes as a no-op rather than a
-        pair of opposing sweeps.
-        """
-        for name, rows in applied_ins.items():
-            dels = self._pending_deletes.get(name)
-            ins = self._pending_inserts.setdefault(name, set())
-            for row in rows:
-                if dels and row in dels:
-                    dels.discard(row)
-                else:
-                    ins.add(row)
-        for name, rows in applied_dels.items():
-            ins = self._pending_inserts.get(name)
-            dels = self._pending_deletes.setdefault(name, set())
-            for row in rows:
-                if ins and row in ins:
-                    ins.discard(row)
-                else:
-                    dels.add(row)
-
-    def _flush_maintenance_locked(self) -> None:
-        """Apply the queued net delta to every cached plan (lazy half of
-        ``maintenance_batching``; called before any plan lookup).
-
-        Runs even when the net delta cancelled to nothing: the database
-        version advanced with every queued mutation, so the cached plans
-        still need re-keying (and re-stamping) to the current version or
-        they could never be hit again.
-        """
-        if not self._pending_inserts and not self._pending_deletes:
-            return
-        pending_ins = {
-            name: sorted(rows, key=repr)
-            for name, rows in self._pending_inserts.items()
-            if rows
-        }
-        pending_dels = {
-            name: sorted(rows, key=repr)
-            for name, rows in self._pending_deletes.items()
-            if rows
-        }
-        self._pending_inserts.clear()
-        self._pending_deletes.clear()
-        flushed = sum(len(r) for r in pending_ins.values()) + sum(
-            len(r) for r in pending_dels.values()
-        )
-        self._maintain_plans_locked(pending_ins, pending_dels)
-        self.metrics.record_maintenance_flush(flushed)
 
     def invalidate_plans(self) -> int:
         """Explicitly drop every cached plan (e.g. after out-of-band
@@ -420,12 +297,9 @@ class SolverService:
 
     def _invalidate_locked(self) -> int:
         """Version bump + full cache drop + metrics, the one shared
-        invalidation path (explicit, verify-mismatch, and
-        ``maintain_plans=False`` mutations all land here).  Any queued
-        maintenance delta is dropped with the plans it was meant for."""
+        invalidation path (explicit and verify-mismatch both land
+        here)."""
         self._db_version += 1
-        self._pending_inserts.clear()
-        self._pending_deletes.clear()
         dropped = self.plan_cache.invalidate()
         self.metrics.record_invalidation()
         return dropped
@@ -445,10 +319,6 @@ class SolverService:
         # threads racing a miss would otherwise compile the same plan
         # twice and interleave with a concurrent version bump.
         with self._lock:
-            # Batching mode: any queued fact deltas must reach the
-            # cached plans before one is looked up (the lazy half of
-            # maintenance_batching; a no-op in eager mode).
-            self._flush_maintenance_locked()
             key = self._plan_key_locked(target)
             plan = self.plan_cache.get(key)
             if plan is not None and self.verify_database:

@@ -130,8 +130,7 @@ def read_snapshot(path: str) -> Tuple[Database, int, Optional[str]]:
 def import_snapshot(path: str, **service_kwargs) -> "ImportedSnapshot":
     """A fresh :class:`SolverService` over the snapshot's database.
 
-    ``service_kwargs`` pass through to the service constructor, so a
-    worker can e.g. enable ``maintenance_batching`` for its replica.
+    ``service_kwargs`` pass through to the service constructor.
     """
     database, epoch, program_text = read_snapshot(path)
     service = SolverService(database, **service_kwargs)

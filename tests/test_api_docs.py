@@ -21,13 +21,7 @@ def test_api_docs_up_to_date(tmp_path, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
 
-    sections = [
-        "# API reference",
-        "",
-        "Generated by `python tools/gen_api_docs.py` — the public name",
-        "inventory of every package, with one-line summaries.",
-        "",
-    ]
+    sections = list(module.HEADER)
     for package in module.PACKAGES:
         sections.append(module.describe(package))
     regenerated = "\n".join(sections)

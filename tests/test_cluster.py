@@ -309,12 +309,3 @@ class TestStaleResync:
                 await front.stop()
 
         run(main())
-
-
-class TestFrontGuards:
-    def test_front_requires_an_eager_service(self):
-        service = SolverService(
-            QUERY.database(), maintenance_batching=True
-        )
-        with pytest.raises(ValueError, match="eager"):
-            ClusterFront(service, program=QUERY.to_program())

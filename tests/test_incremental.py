@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.datalog.database import Database
 from repro.datalog.evaluation import seminaive_evaluate
 from repro.datalog.incremental import insert_and_maintain
+from repro.datalog.maintenance import MaintenanceState
 from repro.datalog.parser import parse_program
 from repro.errors import EvaluationError, UnsafeQueryError
 
@@ -166,6 +167,32 @@ class TestIncrementalCheaperThanRescratch:
         scratch.add_facts("e", base + [(120, 121)])
         seminaive_evaluate(TC, scratch)
         assert incremental_cost < scratch.total_cost()
+
+    def test_persistent_state_matches_stateless_insertion(self):
+        """Why both modules exist: a *persistent* ``MaintenanceState``
+        inserts as cheaply as the stateless ``insert_and_maintain`` (and
+        also handles deletion and negation), but building that state
+        costs more than a from-scratch evaluation — so the one-shot
+        insertion stays in :mod:`repro.datalog.incremental`."""
+        base = [(i, i + 1) for i in range(120)]
+        db = evaluated_db(base)
+        db.reset_cost()
+        insert_and_maintain(TC, db, {"e": [(120, 121)]})
+        stateless_cost = db.total_cost()
+
+        db = evaluated_db(base)
+        state = MaintenanceState(TC, db)
+        db.reset_cost()
+        report = state.insert({"e": [(120, 121)]})
+        persistent_cost = db.total_cost()
+        assert report.summary()["retrievals"] == persistent_cost
+
+        scratch = Database()
+        scratch.add_facts("e", base + [(120, 121)])
+        seminaive_evaluate(TC, scratch)
+        assert persistent_cost <= stateless_cost * 1.05
+        assert stateless_cost < scratch.total_cost()
+        assert persistent_cost < scratch.total_cost()
 
 
 class TestAgainstScratchProperty:

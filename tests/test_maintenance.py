@@ -16,7 +16,6 @@ from repro.datalog.evaluation import seminaive_evaluate
 from repro.datalog.maintenance import (
     MaintenanceState,
     delete_and_maintain,
-    insert_and_maintain,
 )
 from repro.datalog.parser import parse_program
 from repro.errors import EvaluationError, MaintenanceError, UnsafeQueryError
@@ -270,7 +269,7 @@ class TestRollback:
 class TestOneShots:
     def test_insert_and_maintain_handles_negation(self):
         db = fixpoint_db({"node": [("n",), ("m",)], "bad": []}, NEG)
-        report = insert_and_maintain(NEG, db, {"bad": [("n",)]})
+        report = MaintenanceState(NEG, db).insert({"bad": [("n",)]})
         assert db.facts("good") == {("m",)}
         assert report.removed["good"] == {("n",)}
 

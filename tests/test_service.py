@@ -212,11 +212,15 @@ class TestPlanCache:
         assert stats["compiles"] == 1
 
     def test_mutation_invalidates_and_recompiles_when_disabled(self):
-        service = SolverService(sg_database(), maintain_plans=False)
+        """An out-of-band database edit bypasses plan maintenance; the
+        explicit invalidation drops the plan and the next batch
+        recompiles against the edited database."""
+        service = SolverService(sg_database())
         program = sg_program()
         before = service.solve_batch(program, ["d"])
         assert before.answers["d"] == frozenset({"y2"})
-        assert service.add_fact("flat", "d", "d1") is True
+        assert service.database.add_fact("flat", "d", "d1") is True
+        assert service.invalidate_plans() == 1
         assert service.db_version == 1
         assert len(service.plan_cache) == 0
         after = service.solve_batch(program, ["d"])

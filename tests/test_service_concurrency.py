@@ -66,17 +66,18 @@ class TestStalePlanRegression:
         assert result.answers["d"] == oracle(service, "d")
 
     def test_mutation_between_lookup_and_execute_forces_recompile(self):
-        """With maintenance off, a batch must never be answered from a
-        plan invalidated after the cache lookup but before execution
-        started.
+        """A batch must never be answered from a plan invalidated
+        (the path unmaintainable plans take) after the cache lookup but
+        before execution started.
 
-        The mutation is injected deterministically: the first cache hit
-        triggers a write (version bump + invalidate) *after* the plan
-        is handed back, exactly the window a concurrent writer hits.
-        ``solve_batch`` re-checks the plan version at execute time and
-        must retry on the fresh plan.
+        The drop is injected deterministically: the first cache hit
+        triggers an out-of-band write plus ``invalidate_plans()``
+        (version bump + drop) *after* the plan is handed back, exactly
+        the window a concurrent writer hits.  ``solve_batch`` re-checks
+        the plan version at execute time and must retry on the fresh
+        plan.
         """
-        service = SolverService(sg_database(), maintain_plans=False)
+        service = SolverService(sg_database())
         program = sg_program("d")
         warm = service.solve_batch(program, ["d"])
         assert warm.answers["d"] == frozenset({"y2"})
@@ -88,7 +89,8 @@ class TestStalePlanRegression:
             plan = real_get(key)
             if plan is not None and not mutated.is_set():
                 mutated.set()
-                assert service.add_fact("flat", "d", "d1") is True
+                assert service.database.add_fact("flat", "d", "d1") is True
+                service.invalidate_plans()
             return plan
 
         service.plan_cache.get = racing_get
@@ -131,10 +133,10 @@ class TestStalePlanRegression:
         assert result.answers["d"] == oracle(service, "d")
 
     def test_every_attempt_starved_raises(self):
-        """With maintenance off, if a writer invalidates the plan on
-        *every* attempt the batch fails loudly instead of looping
-        forever or serving stale data."""
-        service = SolverService(sg_database(), maintain_plans=False)
+        """If a writer invalidates the plan on *every* attempt the
+        batch fails loudly instead of looping forever or serving stale
+        data."""
+        service = SolverService(sg_database())
         program = sg_program("d")
         service.solve_batch(program, ["d"])
 
@@ -143,9 +145,10 @@ class TestStalePlanRegression:
 
         def always_racing_plan_for(target):
             plan, hit = real_plan_for(target)
-            # Land the write after compilation, inside the stale window,
+            # Land the drop after compilation, inside the stale window,
             # on every single attempt.
-            service.add_fact("flat", "starver", f"s{next(extra)}")
+            service.database.add_fact("flat", "starver", f"s{next(extra)}")
+            service.invalidate_plans()
             return plan, hit
 
         service._plan_for = always_racing_plan_for

@@ -462,7 +462,7 @@ class TestSarif:
         assert {r["level"] for r in run["results"]} == {"note"}
 
     def test_every_emitted_code_has_rule_metadata(self):
-        from repro.analysis.static.sarif import RULE_METADATA
+        from repro.analysis.static import RULE_METADATA
 
         report = self.make_report()
         for diagnostic in report.diagnostics:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Tuple
 
-from ...datalog.stratify import strongly_connected_components
+from ...core.graph_index import bfs_depths, recurring_closure
 from .domain import INF, Interval
 from .stats import RegionStatistics
 
@@ -147,40 +147,11 @@ def interpret(stats: RegionStatistics) -> MultiplicityAbstract:
         )
 
     nodes = stats.ms
-    adjacency = {v: list(stats.adjacency.get(v, ())) for v in nodes}
-    successor_sets = {v: set(adjacency[v]) for v in nodes}
-
-    # Cycle participation: cores plus forward closure.
-    components = strongly_connected_components(
-        sorted(nodes, key=repr), successor_sets
-    )
-    recurring: set = set()
-    for component in components:
-        if len(component) > 1:
-            recurring.update(component)
-        elif component[0] in successor_sets[component[0]]:
-            recurring.add(component[0])
-    stack = list(recurring)
-    while stack:
-        value = stack.pop()
-        for successor in successor_sets[value]:
-            if successor not in recurring:
-                recurring.add(successor)
-                stack.append(successor)
-
-    # Exact shortest distances (every region node is source-reachable).
-    dmin: Dict[object, int] = {stats.source: 0}
-    frontier = [stats.source]
-    depth = 0
-    while frontier:
-        depth += 1
-        next_frontier: List[object] = []
-        for value in frontier:
-            for successor in adjacency[value]:
-                if successor not in dmin:
-                    dmin[successor] = depth
-                    next_frontier.append(successor)
-        frontier = next_frontier
+    successors = stats.adjacency
+    # Cycle participation, and exact shortest distances (every region
+    # node is source-reachable).
+    components, recurring = recurring_closure(nodes, successors)
+    dmin = bfs_depths(stats.source, successors)
 
     # Longest path + multiplicity over the finite DAG.  Tarjan's output
     # is reverse-topological w.r.t. successors; walk it backwards so
@@ -189,7 +160,7 @@ def interpret(stats: RegionStatistics) -> MultiplicityAbstract:
     finite = frozenset(nodes - recurring)
     predecessors: Dict[object, List[object]] = {v: [] for v in finite}
     for v in finite:
-        for successor in adjacency[v]:
+        for successor in successors.get(v, ()):
             if successor in predecessors:
                 predecessors[successor].append(v)
     n = len(nodes)

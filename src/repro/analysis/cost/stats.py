@@ -7,9 +7,10 @@ relation* L in-degrees (the paper's nested-loop joins probe ``L(None,
 x1)``, which charges every predecessor whether reachable or not), and
 the answer-side sweep cost ``n_R + m_R``.
 
-Collecting them exactly costs one pass over each of the three pair sets
-plus two bounded closures (L forward from the source, R backward from
-the exit targets).  Both closures respect a *node budget*: the moment
+Collecting them exactly costs two bounded closures over the query's
+shared adjacency index (L forward from the source, R backward from the
+exit targets) — nothing that grows with the relations outside the
+region.  Both closures respect a *node budget*: the moment
 more nodes are discovered than the budget allows, the explorer gives up
 and **widens** — the region is replaced by the whole-relation superset
 (every L target plus the source; every R first column plus every E
@@ -22,36 +23,15 @@ the region), just loose; the analyzer never samples-and-guesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from ...core.csl import CSLQuery
+from ...core.graph_index import closure
 
 #: Default exploration budget: regions larger than this are widened to
 #: whole-relation aggregates instead of being traversed.
 DEFAULT_NODE_BUDGET = 4096
-
-
-def _bounded_closure(
-    seeds: Iterable[object],
-    successors: Mapping[object, List[object]],
-    budget: int,
-) -> Tuple[FrozenSet[object], bool]:
-    """Forward closure of ``seeds`` under ``successors``, or give up.
-
-    Returns ``(nodes, exceeded)``; when ``exceeded`` is True the
-    returned set is partial and MUST NOT be used (the caller widens).
-    """
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        if len(seen) > budget:
-            return frozenset(seen), True
-        node = stack.pop()
-        for successor in successors.get(node, ()):
-            if successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-    return frozenset(seen), False
 
 
 @dataclass(frozen=True)
@@ -73,16 +53,16 @@ class RegionStatistics:
     assumptions: Tuple[str, ...]
     ms: FrozenSet[object]
     answer_nodes: FrozenSet[object]
-    #: L successors restricted to ``ms`` (adjacency for the abstract
+    #: L successors of every ``ms`` node (adjacency for the abstract
     #: interpretation; only populated when the region was NOT widened).
-    adjacency: Mapping[object, Tuple[object, ...]] = field(repr=False)
-    #: Full-relation L out-degree, keyed by first column.
+    adjacency: Mapping[object, Set[object]] = field(repr=False)
+    #: Full-relation L out-degree of the ``ms`` nodes.
     out_l: Mapping[object, int] = field(repr=False)
     #: Full-relation L in-degree, keyed by second column.
     in_l: Mapping[object, int] = field(repr=False)
-    #: Full-relation E out-degree, keyed by first column.
+    #: Full-relation E out-degree of the ``ms`` nodes.
     out_e: Mapping[object, int] = field(repr=False)
-    #: Full-relation R in-degree, keyed by second column.
+    #: Full-relation R in-degree of the ``answer_nodes``.
     in_r: Mapping[object, int] = field(repr=False)
 
     @property
@@ -90,7 +70,7 @@ class RegionStatistics:
         """|MS| upper bound (the paper's ``n_L``)."""
         return len(self.ms)
 
-    @property
+    @cached_property
     def m(self) -> int:
         """L arcs leaving the region (the paper's ``m_L``)."""
         return sum(self.out_l.get(v, 0) for v in self.ms)
@@ -100,7 +80,7 @@ class RegionStatistics:
         """Answer-side node count (the paper's ``n_R``)."""
         return len(self.answer_nodes)
 
-    @property
+    @cached_property
     def m_r(self) -> int:
         """R arcs inside the answer region (the paper's ``m_R``).
 
@@ -152,29 +132,13 @@ class RegionStatistics:
 def collect_statistics(
     query: CSLQuery, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> RegionStatistics:
-    """One pass over L/E/R plus two budgeted closures."""
-    out_l: Dict[object, int] = {}
-    in_l: Dict[object, int] = {}
-    successors: Dict[object, List[object]] = {}
-    for b, c in query.left:
-        out_l[b] = out_l.get(b, 0) + 1
-        in_l[c] = in_l.get(c, 0) + 1
-        successors.setdefault(b, []).append(c)
-
-    out_e: Dict[object, int] = {}
-    for b, c in query.exit:
-        out_e[b] = out_e.get(b, 0) + 1
-
-    in_r: Dict[object, int] = {}
-    r_backward: Dict[object, List[object]] = {}
-    for y, y1 in query.right:
-        in_r[y1] = in_r.get(y1, 0) + 1
-        r_backward.setdefault(y1, []).append(y)
-
+    """Two budgeted closures over the query's adjacency index."""
+    index = query.index
     assumptions: List[str] = []
-    ms, ms_exceeded = _bounded_closure([query.source], successors, node_budget)
+    ms = closure([query.source], index.l_successors, node_budget)
+    ms_exceeded = len(ms) > node_budget
     if ms_exceeded:
-        ms = frozenset({query.source} | {c for _b, c in query.left})
+        ms = {query.source} | {c for _b, c in query.left}
         assumptions.append(
             f"magic region exceeded the {node_budget}-node exploration "
             "budget; widened to every L target plus the source"
@@ -183,33 +147,29 @@ def collect_statistics(
     # Answer region: E targets of the magic region, closed backwards
     # under R.  With a widened magic set the seed set is already a
     # superset of the true exit frontier, so the closure stays sound.
-    exit_targets = {c for b, c in query.exit if b in ms}
-    answers, r_exceeded = _bounded_closure(exit_targets, r_backward, node_budget)
+    exit_targets = {c for b in ms for c in index.e_successors.get(b, ())}
+    answers = closure(exit_targets, index.r_predecessors, node_budget)
+    r_exceeded = len(answers) > node_budget
     if r_exceeded:
-        answers = frozenset(
-            {c for _b, c in query.exit} | {y for y, _y1 in query.right}
-        )
+        answers = {c for _b, c in query.exit} | {y for y, _y1 in query.right}
         assumptions.append(
             f"answer region exceeded the {node_budget}-node exploration "
             "budget; widened to every E target plus every R first column"
         )
 
-    widened = ms_exceeded or r_exceeded
-    adjacency: Dict[object, Tuple[object, ...]] = {}
-    if not ms_exceeded:
-        for v in ms:
-            adjacency[v] = tuple(successors.get(v, ()))
+    def degrees(nodes, adjacency) -> Dict[object, int]:
+        return {v: len(adjacency[v]) for v in nodes if v in adjacency}
 
     return RegionStatistics(
         source=query.source,
-        widened=widened,
+        widened=ms_exceeded or r_exceeded,
         magic_widened=ms_exceeded,
         assumptions=tuple(assumptions),
         ms=frozenset(ms),
         answer_nodes=frozenset(answers),
-        adjacency=adjacency,
-        out_l=out_l,
-        in_l=in_l,
-        out_e=out_e,
-        in_r=in_r,
+        adjacency={} if ms_exceeded else index.l_successors,
+        out_l=degrees(ms, index.l_successors),
+        in_l=index.l_in_degree,
+        out_e=degrees(ms, index.e_successors),
+        in_r=degrees(answers, index.r_predecessors),
     )

@@ -22,17 +22,19 @@ component analysis of the ``L`` pair set:
   ``UNKNOWN`` with a stated reason whenever certification is impossible
   (no goal, free goal, outside the CSL class, no database).
 
-Everything here walks in-memory pair sets — no
-:class:`~repro.datalog.relation.Relation` probes, no cost-counter
-charges, and crucially no fixpoint iteration.
+Everything here walks the in-memory adjacency index of the pair sets
+(:mod:`repro.core.graph_index`; a raw pair set is indexed on the way
+in) — no :class:`~repro.datalog.relation.Relation` probes, no
+cost-counter charges, and crucially no fixpoint iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from ...core.csl import CSLQuery, Pair
+from ...core.graph_index import GraphIndex, closure
 from ...datalog.stratify import strongly_connected_components
 from ...errors import NotCSLError
 
@@ -77,49 +79,28 @@ class SafetyCertificate:
         return text
 
 
-def _adjacency(
-    left: Iterable[Pair], restrict: Optional[Set[object]] = None
-) -> Dict[object, Set[object]]:
-    """Successor map of the ``L`` graph, optionally node-restricted."""
-    successors: Dict[object, Set[object]] = {}
-    for b, c in left:
-        if restrict is not None and (b not in restrict or c not in restrict):
-            continue
-        successors.setdefault(b, set()).add(c)
-        successors.setdefault(c, set())
-    return successors
+def _as_index(left: Union[GraphIndex, Iterable[Pair]]) -> GraphIndex:
+    """``left`` is the ``L`` pair set, or the index already built from
+    it (a query's, a plan's)."""
+    return left if isinstance(left, GraphIndex) else GraphIndex(left)
 
 
-def _reachable(left: Iterable[Pair], source) -> Set[object]:
-    successors = _adjacency(left)
-    seen = {source}
-    stack = [source]
-    while stack:
-        node = stack.pop()
-        for successor in successors.get(node, ()):
-            if successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-    return seen
-
-
-def find_l_cycle(
-    left: Iterable[Pair], restrict: Optional[Set[object]] = None
+def _witness_cycle(
+    nodes: Iterable[object], successors: Dict[object, Set[object]]
 ) -> Optional[Tuple[object, ...]]:
-    """A witness cycle of the (restricted) ``L`` graph, or None.
+    """A cycle among ``nodes`` (closed under ``successors``), or None.
 
     One Tarjan pass finds a non-trivial SCC or a self-loop; a walk
     inside the component extracts an explicit node sequence so the
     diagnostic can *show* the divergence, not just assert it.
     """
-    successors = _adjacency(left, restrict)
     components = strongly_connected_components(
-        sorted(successors, key=repr), successors
+        sorted(nodes, key=repr), successors
     )
     for component in components:
         if len(component) == 1:
             node = component[0]
-            if node in successors[node]:
+            if node in successors.get(node, ()):
                 return (node,)
             continue
         # Walk within the component until a node repeats; the suffix
@@ -138,39 +119,58 @@ def find_l_cycle(
     return None
 
 
-def certify_relation(left: FrozenSet[Pair]) -> SafetyCertificate:
+def find_l_cycle(
+    left: Iterable[Pair], restrict: Optional[Set[object]] = None
+) -> Optional[Tuple[object, ...]]:
+    """A witness cycle of the (restricted) ``L`` graph, or None."""
+    index = GraphIndex(left)
+    if restrict is None:
+        return _witness_cycle(index.l_nodes(), index.l_successors)
+    return _witness_cycle(
+        restrict,
+        {b: index.l_successors.get(b, set()) & restrict for b in restrict},
+    )
+
+
+def certify_relation(
+    left: Union[GraphIndex, Iterable[Pair]]
+) -> SafetyCertificate:
     """Whole-relation certificate: SAFE means safe from *every* source.
 
     A cycle anywhere in ``L`` downgrades to UNKNOWN — the bound constant
     of a particular goal may not reach it, so deciding that goal needs
     :func:`certify_source`.
     """
-    cycle = find_l_cycle(left)
-    nodes = len({value for pair in left for value in pair})
+    index = _as_index(left)
+    nodes = index.l_nodes()
+    cycle = _witness_cycle(nodes, index.l_successors)
     if cycle is None:
         return SafetyCertificate(
             Verdict.SAFE,
             "the L graph is acyclic; counting terminates from every source",
-            checked_nodes=nodes,
+            checked_nodes=len(nodes),
         )
     return SafetyCertificate(
         Verdict.UNKNOWN,
         "the L graph contains a cycle; whether the bound source reaches "
         "it requires per-source certification",
         cycle=cycle,
-        checked_nodes=nodes,
+        checked_nodes=len(nodes),
     )
 
 
-def certify_source(left: FrozenSet[Pair], source) -> SafetyCertificate:
+def certify_source(
+    left: Union[GraphIndex, Iterable[Pair]], source
+) -> SafetyCertificate:
     """Per-source certificate: SCC on ``L`` restricted to the magic set.
 
     Decides every input — the restricted graph either has a cycle
     (counting diverges, Proposition 1(c)) or it does not (the counting
     fixpoint visits each (index, node) pair at most once and stops).
     """
-    reachable = _reachable(left, source)
-    cycle = find_l_cycle(left, restrict=reachable)
+    successors = _as_index(left).l_successors
+    reachable = closure([source], successors)
+    cycle = _witness_cycle(reachable, successors)
     if cycle is None:
         return SafetyCertificate(
             Verdict.SAFE,
@@ -191,7 +191,7 @@ def certify_source(left: FrozenSet[Pair], source) -> SafetyCertificate:
 
 def certify_counting_safety(query: CSLQuery) -> SafetyCertificate:
     """Certificate for one CSL query (its own source)."""
-    return certify_source(query.left, query.source)
+    return certify_source(query.index, query.source)
 
 
 def certify_program(program, database=None) -> SafetyCertificate:

@@ -24,6 +24,7 @@ from .hierarchy import (
     check_dominance,
     check_regular_equivalence,
 )
+from .graph_index import GraphIndex
 from .hn_method import hn_method
 from .magic_method import magic_set_method
 from .methods import all_method_coordinates, magic_counting, method_name
@@ -67,6 +68,7 @@ __all__ = [
     "CSLInstance",
     "CSLQuery",
     "Classification",
+    "GraphIndex",
     "GraphStatistics",
     "HIERARCHY_RELATIONS",
     "MagicGraphClass",

@@ -18,17 +18,18 @@ recurring Step 1):
    self-loop) are *cyclic cores*;
 2. recurring = forward closure of the cores;
 3. the subgraph induced by the non-recurring nodes is a DAG; a dynamic
-   program over a topological order accumulates the exact distance sets.
+   program over a topological order (Tarjan's, reversed) accumulates
+   the exact distance sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set
 
-from ..datalog.stratify import strongly_connected_components
 from .csl import CSLQuery
+from .graph_index import bfs_depths, recurring_closure
 from .query_graph import QueryGraph, build_query_graph
 
 
@@ -96,56 +97,25 @@ def classify_graph(graph: QueryGraph) -> Classification:
     successors = graph.l_successors()
     classification = Classification(source=graph.source)
 
-    # Shortest distances (BFS) — used for i_x and as a sanity anchor.
-    frontier = [graph.source]
-    classification.shortest_distance[graph.source] = 0
-    depth = 0
-    while frontier:
-        depth += 1
-        next_frontier = []
-        for node in frontier:
-            for successor in successors[node]:
-                if successor not in classification.shortest_distance:
-                    classification.shortest_distance[successor] = depth
-                    next_frontier.append(successor)
-        frontier = next_frontier
-
-    # Cyclic cores: non-trivial SCCs and self-loops.
-    components = strongly_connected_components(sorted(graph.l_nodes, key=repr), successors)
-    cores: Set[object] = set()
-    for component in components:
-        if len(component) > 1:
-            cores.update(component)
-        else:
-            node = component[0]
-            if node in successors[node]:
-                cores.add(node)
-
-    # Recurring = forward closure of the cores.
-    stack = list(cores)
-    recurring = set(cores)
-    while stack:
-        node = stack.pop()
-        for successor in successors[node]:
-            if successor not in recurring:
-                recurring.add(successor)
-                stack.append(successor)
+    # Shortest distances — used for i_x and as a sanity anchor.
+    classification.shortest_distance = bfs_depths(graph.source, successors)
+    components, recurring = recurring_closure(graph.l_nodes, successors)
     classification.recurring = recurring
 
-    # Distance sets for the non-recurring nodes: DP over a topological
-    # order of the induced (acyclic) subgraph.
+    # Distance sets for the non-recurring nodes: DP over the induced
+    # (acyclic) subgraph.  Tarjan's output is reverse-topological, so
+    # walking it backwards visits every node after its predecessors.
     finite_nodes = graph.l_nodes - recurring
-    order = _topological_order(finite_nodes, successors)
     working: Dict[object, Set[int]] = {node: set() for node in finite_nodes}
     if graph.source in working:
         working[graph.source].add(0)
-    for node in order:
-        indices = working[node]
-        if not indices:
+    for component in reversed(components):
+        node = component[0]
+        if node not in working:
             continue
         for successor in successors[node]:
             if successor in working:
-                working[successor].update(i + 1 for i in indices)
+                working[successor].update(i + 1 for i in working[node])
 
     for node in finite_nodes:
         indices = frozenset(working[node])
@@ -155,26 +125,6 @@ def classify_graph(graph: QueryGraph) -> Classification:
         else:
             classification.multiple.add(node)
     return classification
-
-
-def _topological_order(nodes: Set[object], successors) -> List[object]:
-    """Topological order of the subgraph induced by ``nodes`` (a DAG)."""
-    indegree: Dict[object, int] = {node: 0 for node in nodes}
-    for node in nodes:
-        for successor in successors[node]:
-            if successor in indegree:
-                indegree[successor] += 1
-    ready = [node for node, degree in indegree.items() if degree == 0]
-    order: List[object] = []
-    while ready:
-        node = ready.pop()
-        order.append(node)
-        for successor in successors[node]:
-            if successor in indegree:
-                indegree[successor] -= 1
-                if indegree[successor] == 0:
-                    ready.append(successor)
-    return order
 
 
 def classify_nodes(query: CSLQuery) -> Classification:

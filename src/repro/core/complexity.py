@@ -44,6 +44,7 @@ from .classification import (
     classify_graph,
 )
 from .csl import CSLQuery
+from .graph_index import closure
 from .query_graph import QueryGraph, build_query_graph
 
 
@@ -54,15 +55,9 @@ def _reaches_target(graph: QueryGraph, targets: Set[object]) -> Set[object]:
     included only if it can re-reach a target through an arc.
     """
     predecessors = graph.l_predecessors()
-    reaching: Set[object] = set()
-    frontier = list(targets)
-    while frontier:
-        node = frontier.pop()
-        for predecessor in predecessors[node]:
-            if predecessor not in reaching:
-                reaching.add(predecessor)
-                frontier.append(predecessor)
-    return reaching
+    return closure(
+        {p for target in targets for p in predecessors[target]}, predecessors
+    )
 
 
 def _arcs_within(graph: QueryGraph, nodes: Set[object]) -> int:

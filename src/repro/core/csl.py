@@ -24,7 +24,7 @@ Two bridges connect it to the Datalog world:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
 from ..datalog.atom import Atom, Literal
 from ..datalog.database import Database
@@ -35,8 +35,15 @@ from ..datalog.relation import CostCounter, Relation
 from ..datalog.rule import Rule
 from ..datalog.term import Constant, Variable
 from ..errors import NotCSLError
+from .graph_index import GraphIndex, Pair, closure
 
-Pair = Tuple[object, object]
+
+def _frozen(pairs: Iterable[Pair]) -> FrozenSet[Pair]:
+    """``pairs`` as a frozenset of tuples; one that is frozen already is
+    kept as it is, so queries built from the same sets share them."""
+    if isinstance(pairs, frozenset):
+        return pairs
+    return frozenset(tuple(p) for p in pairs)
 
 
 @dataclass(frozen=True)
@@ -51,13 +58,38 @@ class CSLQuery:
     exit: FrozenSet[Pair]
     right: FrozenSet[Pair]
     source: object
+    _index: Optional[GraphIndex] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __init__(self, left: Iterable[Pair], exit: Iterable[Pair],
                  right: Iterable[Pair], source):
-        object.__setattr__(self, "left", frozenset(tuple(p) for p in left))
-        object.__setattr__(self, "exit", frozenset(tuple(p) for p in exit))
-        object.__setattr__(self, "right", frozenset(tuple(p) for p in right))
+        object.__setattr__(self, "left", _frozen(left))
+        object.__setattr__(self, "exit", _frozen(exit))
+        object.__setattr__(self, "right", _frozen(right))
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "_index", None)
+
+    @property
+    def index(self) -> GraphIndex:
+        """The adjacency index of the pair sets (built on first use).
+
+        It does not depend on the source: every structural analysis of
+        this query, and of every :meth:`with_source` sibling, walks this
+        one object.
+        """
+        if self._index is None:
+            object.__setattr__(
+                self, "_index", GraphIndex(self.left, self.exit, self.right)
+            )
+        return self._index
+
+    def with_source(self, source) -> "CSLQuery":
+        """The same relations — and the same :attr:`index` — asked from
+        another bound constant."""
+        sibling = object.__new__(CSLQuery)
+        sibling.__dict__.update(self.__dict__, source=source, _index=self.index)
+        return sibling
 
     # --- constructors --------------------------------------------------
 
@@ -213,25 +245,14 @@ class CSLQuery:
     # --- uncharged structural views (for analysis) ----------------------
 
     def left_successors(self) -> Dict[object, Set[object]]:
-        """Adjacency of the L relation: b -> {c : (b, c) in L}."""
-        adjacency: Dict[object, Set[object]] = {}
-        for b, c in self.left:
-            adjacency.setdefault(b, set()).add(c)
-        return adjacency
+        """Adjacency of the L relation: b -> {c : (b, c) in L} (the
+        shared :attr:`index`'s — read, do not modify)."""
+        return self.index.l_successors
 
     def magic_set(self) -> Set[object]:
         """The magic set MS: values L-reachable from the source
         (including the source itself)."""
-        adjacency = self.left_successors()
-        seen = {self.source}
-        stack = [self.source]
-        while stack:
-            node = stack.pop()
-            for successor in adjacency.get(node, ()):
-                if successor not in seen:
-                    seen.add(successor)
-                    stack.append(successor)
-        return seen
+        return closure([self.source], self.index.l_successors)
 
     def __repr__(self):
         return (

@@ -1,0 +1,128 @@
+"""The one adjacency index of a CSL instance, and the walks over it.
+
+Everything that distinguishes the paper's methods — the magic set,
+single/multiple/recurring (Proposition 1), regular/acyclic/cyclic,
+``i_x``, counting safety, the cost analyzer's region statistics — is a
+function of the graph reachable from the source (Section 3).  The
+adjacency itself does not depend on the source, so it is built here
+once per ``(L, E, R)`` triple (:attr:`repro.core.csl.CSLQuery.index`
+caches it and :meth:`~repro.core.csl.CSLQuery.with_source` shares it)
+and every analysis walks it from its own source: nothing below the
+constructor ever iterates a whole relation.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+
+from ..datalog.stratify import strongly_connected_components
+
+Node = Hashable
+Pair = Tuple[Node, Node]
+
+
+class GraphIndex:
+    """Source-independent adjacency of the ``L``, ``E`` and ``R`` pairs.
+
+    Degrees are the lengths of the adjacency entries; only the ``L``
+    in-degree (the backward probe ``L(None, x1)`` charges every
+    predecessor) needs its own count.  Read-only once built: it is
+    shared between every query over the same pair sets.
+    """
+
+    __slots__ = (
+        "l_successors", "l_in_degree", "e_successors", "r_predecessors"
+    )
+
+    def __init__(
+        self,
+        left: Iterable[Pair],
+        exit: Iterable[Pair] = (),
+        right: Iterable[Pair] = (),
+    ):
+        #: ``b -> {c : (b, c) in L}``
+        self.l_successors: Dict[Node, Set[Node]] = {}
+        #: ``c -> |{b : (b, c) in L}|``
+        self.l_in_degree: Dict[Node, int] = {}
+        for b, c in left:
+            self.l_successors.setdefault(b, set()).add(c)
+            self.l_in_degree[c] = self.l_in_degree.get(c, 0) + 1
+        #: ``b -> [c : (b, c) in E]``
+        self.e_successors: Dict[Node, List[Node]] = {}
+        for b, c in exit:
+            self.e_successors.setdefault(b, []).append(c)
+        #: ``y1 -> [y : (y, y1) in R]`` — the ``G_R`` arcs out of ``y1``
+        self.r_predecessors: Dict[Node, List[Node]] = {}
+        for y, y1 in right:
+            self.r_predecessors.setdefault(y1, []).append(y)
+
+    def l_nodes(self) -> Set[Node]:
+        """Every value occurring in ``L``."""
+        return set(self.l_successors) | set(self.l_in_degree)
+
+
+def closure(
+    seeds: Iterable[Node],
+    successors: Mapping[Node, Iterable[Node]],
+    budget: Optional[int] = None,
+) -> Set[Node]:
+    """Forward closure of ``seeds`` under ``successors``.
+
+    With a ``budget`` the walk gives up as soon as it has discovered
+    more nodes than that: a result larger than the budget is partial
+    and MUST NOT be used (the caller widens); a complete closure never
+    is.
+    """
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        if budget is not None and len(seen) > budget:
+            break
+        node = stack.pop()
+        for successor in successors.get(node, ()):
+            if successor not in seen:
+                seen.add(successor)
+                stack.append(successor)
+    return seen
+
+
+def recurring_closure(
+    nodes: Iterable[Node], successors: Dict[Node, Set[Node]]
+) -> Tuple[List[List[Node]], Set[Node]]:
+    """The recurring nodes among ``nodes`` (Proposition 1(c)).
+
+    Tarjan SCC finds the cyclic cores — non-trivial components and
+    self-loops; their forward closure is the set of nodes some path
+    reaches through a cycle.  ``nodes`` must be closed under
+    ``successors``.  Also returns the components, which are in reverse
+    topological order of the condensation.
+    """
+    components = strongly_connected_components(
+        sorted(nodes, key=repr), successors
+    )
+    cores: Set[Node] = set()
+    for component in components:
+        if len(component) > 1:
+            cores.update(component)
+        elif component[0] in successors.get(component[0], ()):
+            cores.add(component[0])
+    return components, closure(cores, successors)
+
+
+def bfs_depths(
+    source: Node, successors: Mapping[Node, Iterable[Node]]
+) -> Dict[Node, int]:
+    """Shortest distance from ``source`` to every node it reaches."""
+    depths = {source: 0}
+    frontier = [source]
+    depth = 0
+    while frontier:
+        depth += 1
+        next_frontier = []
+        for node in frontier:
+            for successor in successors.get(node, ()):
+                if successor not in depths:
+                    depths[successor] = depth
+                    next_frontier.append(successor)
+        frontier = next_frontier
+    return depths

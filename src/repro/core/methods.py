@@ -167,8 +167,10 @@ class PlanRecommendation:
 
 
 def plan_candidates() -> List[Tuple[str, Optional[Strategy], Optional[Mode], bool]]:
-    """Every plan ``adaptive_solve`` can execute, in preference order
-    (the order breaks exact bound ties after the heuristic choice)."""
+    """Every plan the ranking considers, in preference order (the order
+    breaks exact bound ties after the heuristic choice).  The
+    ``extended_counting`` and ``magic_set`` methods are certified too but
+    never ranked: they run only when asked for by name."""
     candidates: List[Tuple[str, Optional[Strategy], Optional[Mode], bool]] = [
         ("counting", None, None, False)
     ]

@@ -84,9 +84,10 @@ def multi_source_counting(
     counter = counter if counter is not None else CostCounter()
     answers: Dict[object, FrozenSet] = {}
     for source in sources:
-        per_source = CSLQuery(query.left, query.exit, query.right, source)
         result = counting_method(
-            per_source, counter=counter, detect_divergence=detect_divergence
+            query.with_source(source),
+            counter=counter,
+            detect_divergence=detect_divergence,
         )
         answers[source] = result.answers
     return answers
@@ -96,8 +97,6 @@ def shared_ancestor_sources(query: CSLQuery, count: int) -> List:
     """A helper for experiments: ``count`` L-side values whose
     reachable regions overlap heavily (all values sorted by out-degree,
     highest first — hubs share the most downstream work)."""
-    degree: Dict[object, int] = {}
-    for b, _c in query.left:
-        degree[b] = degree.get(b, 0) + 1
-    ranked = sorted(degree, key=lambda v: (-degree[v], repr(v)))
+    successors = query.index.l_successors
+    ranked = sorted(successors, key=lambda v: (-len(successors[v]), repr(v)))
     return ranked[:count]

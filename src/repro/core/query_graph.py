@@ -13,7 +13,8 @@ by the nodes reachable from the source constant ``a``:
 * ``G_R``: one **reversed** arc ``(c, b)`` per pair ``(b, c) ∈ R``.
 
 This module builds the graph *unchar­ged* (it is an analysis artefact,
-not a database computation) directly from the raw pair sets.
+not a database computation) by walking the query's shared adjacency
+index (:mod:`repro.core.graph_index`) from the source.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Set
 
 from .csl import CSLQuery, Pair
+from .graph_index import closure
 
 
 @dataclass
@@ -104,45 +106,20 @@ def build_query_graph(query: CSLQuery) -> QueryGraph:
     outgoing ``G_R`` arcs) so the graph semantics exactly matches the
     Datalog semantics.
     """
+    index = query.index
     graph = QueryGraph(source=query.source)
-
-    # --- L side: BFS/DFS over L from the source --------------------------
-    l_adjacency: Dict[object, Set[object]] = {}
-    for b, c in query.left:
-        l_adjacency.setdefault(b, set()).add(c)
-    graph.l_nodes.add(query.source)
-    stack = [query.source]
-    while stack:
-        node = stack.pop()
-        for successor in l_adjacency.get(node, ()):
-            graph.l_arcs.add((node, successor))
-            if successor not in graph.l_nodes:
-                graph.l_nodes.add(successor)
-                stack.append(successor)
-
-    # --- E arcs from reachable L-nodes -----------------------------------
-    e_by_source: Dict[object, Set[object]] = {}
-    for b, c in query.exit:
-        e_by_source.setdefault(b, set()).add(c)
-    e_targets: Set[object] = set()
-    for b in graph.l_nodes:
-        for c in e_by_source.get(b, ()):
-            graph.e_arcs.add((b, c))
-            e_targets.add(c)
-
-    # --- R side: graph arcs are reversed R pairs; BFS from E targets ------
-    r_adjacency: Dict[object, Set[object]] = {}
-    for b, c in query.right:
-        # pair (b, c) in R gives arc (c, b)
-        r_adjacency.setdefault(c, set()).add(b)
-    graph.r_nodes.update(e_targets)
-    stack = list(e_targets)
-    while stack:
-        node = stack.pop()
-        for successor in r_adjacency.get(node, ()):
-            graph.r_arcs.add((node, successor))
-            if successor not in graph.r_nodes:
-                graph.r_nodes.add(successor)
-                stack.append(successor)
-
+    graph.l_nodes = closure([query.source], index.l_successors)
+    graph.l_arcs = {
+        (b, c) for b in graph.l_nodes for c in index.l_successors.get(b, ())
+    }
+    graph.e_arcs = {
+        (b, c) for b in graph.l_nodes for c in index.e_successors.get(b, ())
+    }
+    # G_R arcs are reversed R pairs: (b, c) in R gives the arc (c, b).
+    graph.r_nodes = closure(
+        {c for _b, c in graph.e_arcs}, index.r_predecessors
+    )
+    graph.r_arcs = {
+        (c, b) for c in graph.r_nodes for b in index.r_predecessors.get(c, ())
+    }
     return graph

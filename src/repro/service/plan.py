@@ -13,12 +13,15 @@ cached half:
 * one shared :class:`~repro.datalog.relation.Relation` per part, whose
   lazy hash indexes persist across batches — the first batch builds
   them, later batches reuse them;
-* memoized per-source magic-graph classifications (uncharged analysis,
-  used for adaptive method selection);
+* one base :class:`~repro.core.csl.CSLQuery` per pair-set version,
+  whose adjacency index (:mod:`repro.core.graph_index`) every
+  per-source analysis walks — :meth:`CompiledPlan.query_for` only swaps
+  the source in;
 * the :class:`~repro.analysis.static.StaticReport` of the program it
-  was compiled from, and per-source counting-safety certificates so the
-  service can refuse (or fall back from) a certifiably divergent
-  counting plan *before* any fixpoint starts;
+  was compiled from, and memoized per-source counting-safety
+  certificates and cost reports (uncharged analysis), so the service
+  can choose a method and refuse (or fall back from) a certifiably
+  divergent counting plan *before* any fixpoint starts;
 * the compiled join kernels (:class:`~repro.datalog.engine.CompiledProgram`)
   of the canonical program, so engine-level oracle runs and any
   semi-naive fallback amortize rule lowering across batches alongside
@@ -42,14 +45,20 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import replace
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..analysis.static.safety import (
     SafetyCertificate,
+    certify_counting_safety,
     certify_relation,
-    certify_source,
 )
-from ..core.classification import Classification, classify_nodes
+# Re-exported only for the benchmark's ``core.classification.classify``
+# probe: benchmarks/e2e/tracing.py resolves
+# ``repro.service.plan.classify_nodes`` at start-up.  Nothing in the
+# service calls it (the metric reads 0.0, "a layer that never ran"); a
+# later ``benchmark`` PR removes the probe and this line together.
+from ..core.classification import classify_nodes  # noqa: F401
 from ..core.csl import CSLInstance, CSLQuery, Pair
 from ..datalog.atom import Atom
 from ..datalog.database import Database
@@ -65,7 +74,8 @@ from .fingerprint import (
     program_fingerprint,
 )
 
-_CLASSIFICATION_MEMO_LIMIT = 256
+#: sources held by each per-source memo before it starts over
+_SOURCE_MEMO_LIMIT = 256
 
 #: zero-delta summary returned by :meth:`CompiledPlan.maintain` when the
 #: plan has nothing database-dependent to update
@@ -211,10 +221,7 @@ class CompiledPlan:
 
     def __init__(
         self,
-        left: FrozenSet[Pair],
-        exit_pairs: FrozenSet[Pair],
-        right: FrozenSet[Pair],
-        default_source,
+        query: CSLQuery,
         fingerprint: str,
         database_fp: str = "",
         db_version: int = 0,
@@ -228,13 +235,12 @@ class CompiledPlan:
         unoptimized_program: Optional[Program] = None,
         backend: str = "set",
     ):
-        # The pair sets are replaced atomically (whole new frozenset)
+        # The base query — the pair sets and, built on first use, their
+        # adjacency index — is replaced atomically (one new CSLQuery)
         # under _exec_lock by maintain(); readers see either the old or
-        # the new set, never a partial one.
-        self.left = frozenset(left)
-        self.exit = frozenset(exit_pairs)
-        self.right = frozenset(right)
-        self.default_source = default_source
+        # the new triple, and never an index older than its pair sets.
+        self._query = query
+        self.default_source = query.source
         self.fingerprint = fingerprint
         self.database_fp = database_fp
         self.db_version = db_version
@@ -272,10 +278,9 @@ class CompiledPlan:
         # for the lifetime of the plan.  The idle counter absorbs
         # charges outside any batch; ``attached`` swaps it out.
         self._idle_counter = CostCounter()
-        self.left_relation = Relation("l", 2, self.left, self._idle_counter)
-        self.exit_relation = Relation("e", 2, self.exit, self._idle_counter)
-        self.right_relation = Relation("r", 2, self.right, self._idle_counter)
-        self._classifications: Dict[object, Classification] = {}  # guarded-by: _memo_lock
+        self.left_relation = Relation("l", 2, query.left, self._idle_counter)
+        self.exit_relation = Relation("e", 2, query.exit, self._idle_counter)
+        self.right_relation = Relation("r", 2, query.right, self._idle_counter)
         self._cost_reports: Dict[object, object] = {}  # guarded-by: _memo_lock
         self._exec_lock = threading.Lock()
 
@@ -345,6 +350,7 @@ class CompiledPlan:
             report, part_deltas = self.maintainer.apply(inserts, deletes)
             pairs_added = 0
             pairs_removed = 0
+            changed: Dict[str, FrozenSet[Pair]] = {}
             for part, relation, attr in (
                 ("l", self.left_relation, "left"),
                 ("e", self.exit_relation, "exit"),
@@ -357,16 +363,15 @@ class CompiledPlan:
                 relation.discard_all(removed)
                 pairs_added += len(added)
                 pairs_removed += len(removed)
-                setattr(
-                    self,
-                    attr,
-                    frozenset((getattr(self, attr) | added) - removed),
+                changed[attr] = frozenset(
+                    (getattr(self._query, attr) | added) - removed
                 )
-            if pairs_added or pairs_removed:
-                # The pair-dependent memos are stale: classifications
-                # and safety certificates are graph analyses of L.
+            if changed:
+                # A new base query, so a new index; the pair-dependent
+                # memos are stale with the old one (safety certificates
+                # and cost reports are graph analyses of the pair sets).
+                self._query = replace(self._query, **changed)
                 with self._memo_lock:
-                    self._classifications.clear()
                     self._relation_certificate = None
                     self._source_certificates.clear()
                     self._cost_reports.clear()
@@ -393,8 +398,9 @@ class CompiledPlan:
         )
 
     def query_for(self, source) -> CSLQuery:
-        """A plain :class:`CSLQuery` for one source (oracles, analysis)."""
-        return CSLQuery(self.left, self.exit, self.right, source)
+        """A plain :class:`CSLQuery` for one source (oracles, analysis):
+        the plan's pair sets and their one adjacency index."""
+        return self._query.with_source(source)
 
     @property
     def kernels(self):
@@ -410,8 +416,7 @@ class CompiledPlan:
             if self._kernels is None:
                 from ..datalog.engine import CompiledProgram
 
-                program = self.query_for(self.default_source).to_program()
-                self._kernels = CompiledProgram(program)
+                self._kernels = CompiledProgram(self._query.to_program())
             return self._kernels
 
     def oracle_answers(self, source, counter: Optional[CostCounter] = None):
@@ -423,49 +428,44 @@ class CompiledPlan:
         ``p(source, Y)``.  Compilation cost is paid once per plan, not
         per call.
         """
-        from ..datalog.database import Database
-
-        kernels = self.kernels
-        database = Database(counter if counter is not None else CostCounter())
-        database.create("l", 2).add_all(self.left)
-        database.create("e", 2).add_all(self.exit)
-        database.create("r", 2).add_all(self.right)
-        kernels.run(database)
+        database = self._query.database(counter)
+        self.kernels.run(database)
         relation = database.relation_or_empty("p", 2)
         return frozenset(
             y for (_x, y) in relation.lookup((source, None))
         )
 
-    def classification_for(self, source) -> Classification:
-        """Memoized magic-graph classification from ``source`` (uncharged)."""
-        with self._memo_lock:
-            cached = self._classifications.get(source)
-            if cached is None:
-                if len(self._classifications) >= _CLASSIFICATION_MEMO_LIMIT:
-                    self._classifications.clear()
-                cached = classify_nodes(self.query_for(source))
-                self._classifications[source] = cached
-            return cached
+    def _memoized_locked(
+        self,
+        memo: Dict[object, Any],
+        source,
+        analyze: Callable[[CSLQuery], Any],
+    ):
+        """``analyze(query_for(source))`` through a per-source memo,
+        which starts over when it reaches its limit.  Call with
+        ``_memo_lock`` held: fill, evict and read are one atomic step."""
+        cached = memo.get(source)
+        if cached is None:
+            if len(memo) >= _SOURCE_MEMO_LIMIT:
+                memo.clear()
+            cached = memo[source] = analyze(self.query_for(source))
+        return cached
 
     # --- cost bounds ---------------------------------------------------
 
     def cost_report(self, source):
         """Memoized :class:`~repro.analysis.cost.CostReport` for one
-        bound source (uncharged graph analysis over the frozen pair
-        sets).  Cleared by :meth:`maintain` alongside the other
-        pair-dependent memos, so certified bounds always describe the
-        pair sets a batch actually executes against.
+        bound source (uncharged graph analysis over the plan's index).
+        Cleared by :meth:`maintain` alongside the other pair-dependent
+        memos, so certified bounds always describe the pair sets a batch
+        actually executes against.
         """
         from ..analysis.cost import analyze_cost_query
 
         with self._memo_lock:
-            cached = self._cost_reports.get(source)
-            if cached is None:
-                if len(self._cost_reports) >= _CLASSIFICATION_MEMO_LIMIT:
-                    self._cost_reports.clear()
-                cached = analyze_cost_query(self.query_for(source))
-                self._cost_reports[source] = cached
-            return cached
+            return self._memoized_locked(
+                self._cost_reports, source, analyze_cost_query
+            )
 
     def cost_certificate(self, source):
         """The per-source :class:`~repro.analysis.cost.CostCertificate`
@@ -485,14 +485,16 @@ class CompiledPlan:
         """
         with self._memo_lock:
             if self._relation_certificate is None:
-                self._relation_certificate = certify_relation(self.left)
+                self._relation_certificate = certify_relation(
+                    self._query.index
+                )
             return self._relation_certificate
 
     def counting_certificate(self, source) -> SafetyCertificate:
         """Counting-safety certificate for one bound source (memoized).
 
-        Pure graph analysis over the plan's frozen pair sets — no
-        relation probes, no cost charges, and no fixpoint.
+        Pure graph analysis over the plan's index — no relation probes,
+        no cost charges, and no fixpoint.
         """
         # Read the whole-relation certificate via its property *before*
         # taking _memo_lock — the property acquires the same
@@ -501,13 +503,9 @@ class CompiledPlan:
         if relation_cert.is_safe:
             return relation_cert
         with self._memo_lock:
-            cached = self._source_certificates.get(source)
-            if cached is None:
-                if len(self._source_certificates) >= _CLASSIFICATION_MEMO_LIMIT:
-                    self._source_certificates.clear()
-                cached = certify_source(self.left, source)
-                self._source_certificates[source] = cached
-            return cached
+            return self._memoized_locked(
+                self._source_certificates, source, certify_counting_safety
+            )
 
     # --- reporting ----------------------------------------------------
 
@@ -525,9 +523,9 @@ class CompiledPlan:
             "fingerprint": self.fingerprint,
             "database_fp": self.database_fp,
             "db_version": self.db_version,
-            "l_pairs": len(self.left),
-            "e_pairs": len(self.exit),
-            "r_pairs": len(self.right),
+            "l_pairs": len(self._query.left),
+            "e_pairs": len(self._query.exit),
+            "r_pairs": len(self._query.right),
             "default_source": self.default_source,
             "counting_safety": self.relation_certificate.verdict,
             "engine": self.engine,
@@ -553,8 +551,8 @@ class CompiledPlan:
     def __repr__(self):
         return (
             f"CompiledPlan({self.fingerprint}@v{self.db_version}, "
-            f"|L|={len(self.left)}, |E|={len(self.exit)}, "
-            f"|R|={len(self.right)})"
+            f"|L|={len(self._query.left)}, |E|={len(self._query.exit)}, "
+            f"|R|={len(self._query.right)})"
         )
 
 
@@ -636,10 +634,7 @@ def compile_program_plan(
         # with from_program's before we trust it under churn.
         maintainer = None
     return CompiledPlan(
-        query.left,
-        query.exit,
-        query.right,
-        default_source=query.source,
+        query,
         fingerprint=program_fingerprint(program),
         database_fp=database_fingerprint(database),
         db_version=db_version,
@@ -667,10 +662,7 @@ def compile_query_plan(query: CSLQuery, db_version: int = 0) -> CompiledPlan:
     started = time.perf_counter()
     kernels = CompiledProgram(query.to_program())
     return CompiledPlan(
-        query.left,
-        query.exit,
-        query.right,
-        default_source=query.source,
+        query,
         fingerprint=pairs_fingerprint(query.left, query.exit, query.right),
         db_version=db_version,
         static_report=analyze_query(query),

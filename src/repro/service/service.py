@@ -533,13 +533,14 @@ class SolverService:
 
         Counting re-derives per-source distances, so it only beats the
         shared fixpoint when there is nothing to share — a single goal —
-        and only terminates off cyclic magic graphs.  (Crossover data:
-        ``benchmarks/test_multi_source.py``.)
+        and only terminates off cyclic magic graphs, which is what the
+        plan's safety certificate decides (the counting gate in
+        :meth:`solve_batch` then reads the same memoized certificate).
+        (Crossover data: ``benchmarks/test_multi_source.py``.)
         """
         if len(sources) != 1:
             return "shared_magic"
-        classification = plan.classification_for(sources[0])
-        if classification.is_cyclic:
+        if plan.counting_certificate(sources[0]).is_unsafe:
             return "shared_magic"
         return "counting"
 

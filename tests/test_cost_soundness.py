@@ -20,6 +20,7 @@ from repro.core.methods import (
     all_method_coordinates,
     magic_counting,
     method_name,
+    plan_candidates,
 )
 from repro.core.reduced_sets import Mode, Strategy
 from repro.core.solver import adaptive_solve
@@ -90,10 +91,11 @@ class TestBoundSoundness:
         """The ranked pick's *certified* cost is minimal by construction;
         check the guarantee is about real bounds, not stale ones."""
         certificate = certify_cost(query)
+        ranked = {name for name, *_coordinates in plan_candidates()}
         certified = {
             method: entry.bound
             for method, entry in certificate.bounds.items()
-            if entry.bound is not None and method in RUNNERS
+            if entry.bound is not None and method in ranked
         }
         if not certified:
             return

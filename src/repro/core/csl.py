@@ -265,9 +265,9 @@ class CSLQuery:
 class CSLInstance:
     """Cost-instrumented relations for one evaluation run.
 
-    All engines read ``left``/``exit``/``right`` exclusively through
-    :meth:`Relation.lookup`, so ``counter`` accumulates the total
-    tuple-retrieval cost — the paper's cost unit.
+    All engines read ``left``/``exit``/``right`` only through the charged
+    reads of :class:`Relation` (``lookup``, ``probe_repeated``), so
+    ``counter`` accumulates the total tuple-retrieval cost — the paper's unit.
     """
 
     left: Relation

@@ -1,4 +1,4 @@
-"""The magic set method (Section 2), seminaive.
+"""The magic set method (Section 2), seminaive and set-at-a-time.
 
 The magic set ``MS`` is the set of values L-reachable from the source::
 
@@ -14,33 +14,73 @@ its full answer set::
     P_M(X, Y) :- MS(X), L(X, X1), P_M(X1, Y1), R(Y, Y1).
     Answer(Y) :- P_M(a, Y).
 
-The implementation drives the recursive rule *backwards* from each newly
-derived ``P_M`` fact (a worklist seminaive fixpoint): a new ``P_M(X1,
-Y1)`` joins with the ``L`` arcs entering ``X1`` (restricted to magic
-values) and the ``R`` pairs whose second column is ``Y1``.  Each ``P_M``
-fact is expanded exactly once, giving the Θ(m_L × m_R) behaviour of
-Table 1.
+The implementation drives the recursive rule *backwards* from the newly
+derived facts, a whole ``P_M(X1, ·)`` delta at a time: the delta joins
+with the ``L`` arcs entering ``X1`` (restricted to magic values) and the
+``R`` pairs ending in its ``Y1`` values.  Each ``P_M`` fact is expanded
+exactly once and charged the paper's nested loop (:func:`predecessor_join`),
+giving the Θ(m_L × m_R) behaviour of Table 1.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Container, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from .cost import AnswerResult
 from .csl import CSLInstance, CSLQuery
 
 
-def compute_magic_set(instance: CSLInstance) -> Set[object]:
-    """The seminaive ``MS`` fixpoint (each value expanded once)."""
-    magic: Set[object] = {instance.source}
-    frontier = [instance.source]
+def union_magic_set(instance: CSLInstance, sources: Iterable) -> Set[object]:
+    """The seminaive ``MS`` fixpoint from every source at once: one charged
+    sweep over ``L``, a value reachable from several sources expanded once."""
+    magic = set(sources)
+    frontier = list(magic)
+    successors = instance.left.probe_repeated
     while frontier:
-        value = frontier.pop()
-        for _b, successor in instance.left.lookup((value, None)):
-            if successor not in magic:
-                magic.add(successor)
-                frontier.append(successor)
+        fresh = {b for _a, b in successors((0,), (frontier.pop(),), 1)} - magic
+        magic |= fresh
+        frontier.extend(fresh)
     return magic
+
+
+def compute_magic_set(instance: CSLInstance) -> Set[object]:
+    """The magic set of the instance's own source."""
+    return union_magic_set(instance, (instance.source,))
+
+
+def predecessor_join(
+    instance: CSLInstance, guard: Container, delta: Dict[object, Set[object]]
+) -> Iterator[Tuple[object, Set[object]]]:
+    """``L(X, x1), R(Y, y1)`` under each batch of facts ``P_M(x1, ys)``.
+
+    Drains ``delta`` (``{x1: ys}``; the consumer may refill it between
+    steps — the semi-naive loop) and yields ``(x, image)``: each
+    L-predecessor of ``x1`` in ``guard`` with the non-empty R-image of
+    ``ys`` (shared: read, do not modify).  The *charge* is the paper's
+    nested loop — per fact the L arcs into ``x1`` and, once per guarded
+    predecessor, the R pairs ending in ``y1``: the Θ(m_L × m_R) product,
+    not a factored join — while the *read* is factored: L is charged on
+    the batch's one read, R is owed per ``y1`` and settled when ``delta``
+    runs dry (``docs/complexity_notes.md``: the sum is order-independent).
+    """
+    left, right = instance.left.probe_repeated, instance.right.probe_repeated
+    images: Dict[object, frozenset] = {}
+    owed: Dict[object, int] = {}
+    while delta:
+        x1, ys = delta.popitem()
+        preds = [x for x, _x1 in left((1,), (x1,), len(ys)) if x in guard]
+        if not preds:
+            continue
+        for y1 in ys - images.keys():
+            images[y1] = frozenset(y for y, _y1 in right((1,), (y1,), 0))
+        image: Set[object] = set()
+        for y1 in ys:
+            owed[y1] = owed.get(y1, 0) + len(preds)
+            image |= images[y1]
+        for x in preds if image else ():
+            yield x, image
+    for y1, times in owed.items():
+        right((1,), (y1,), times)
 
 
 def magic_fixpoint(
@@ -60,34 +100,21 @@ def magic_fixpoint(
 
     Returns ``P_M`` as ``{x: set of y}``.
     """
-    if exit_guard is None:
-        exit_guard = magic
-    if recursion_guard is None:
-        recursion_guard = magic
+    exit_guard = magic if exit_guard is None else exit_guard
+    recursion_guard = magic if recursion_guard is None else recursion_guard
+    # delta[x1]: the facts P_M(x1, ·) not yet expanded (each enters once).
     pm: Dict[object, Set[object]] = {}
-    worklist = []
-
-    def derive(x, y) -> None:
-        bucket = pm.setdefault(x, set())
-        if y not in bucket:
-            bucket.add(y)
-            worklist.append((x, y))
-
+    delta: Dict[object, Set[object]] = {}
     for x in exit_guard:
-        for _x, y in instance.exit.lookup((x, None)):
-            derive(x, y)
-
-    # Nested-loop join, as the paper's cost model assumes: the R pairs
-    # are re-retrieved for every qualifying L predecessor, which is what
-    # makes the method Θ(m_L × m_R).  (A factored join would be cheaper;
-    # the paper's analysis — and Table 1 — charges the product.)
-    while worklist:
-        x1, y1 = worklist.pop()
-        for x, _x1 in instance.left.lookup((None, x1)):
-            if x not in recursion_guard:
-                continue
-            for y, _y1 in instance.right.lookup((None, y1)):
-                derive(x, y)
+        ys = {y for _x, y in instance.exit.probe_repeated((0,), (x,), 1)}
+        if ys:
+            pm[x], delta[x] = ys, set(ys)
+    for x, image in predecessor_join(instance, recursion_guard, delta):
+        known = pm.setdefault(x, set())
+        fresh = image - known
+        if fresh:
+            known |= fresh
+            delta.setdefault(x, set()).update(fresh)
     return pm
 
 

@@ -28,26 +28,8 @@ from typing import Dict, FrozenSet, Iterable, List
 from ..datalog.relation import CostCounter
 from ..errors import UnsafeQueryError
 from .counting_method import counting_method
-from .csl import CSLInstance, CSLQuery
-from .magic_method import magic_fixpoint
-
-
-def union_magic_set(instance: CSLInstance, sources: Iterable) -> set:
-    """The union magic set: one charged reachability sweep over ``L``
-    seeded from every source at once.
-
-    Shared by :func:`multi_source_magic` and the batch solver service —
-    a value reachable from several sources is expanded exactly once.
-    """
-    magic = set(sources)
-    frontier = list(magic)
-    while frontier:
-        value = frontier.pop()
-        for _b, successor in instance.left.lookup((value, None)):
-            if successor not in magic:
-                magic.add(successor)
-                frontier.append(successor)
-    return magic
+from .csl import CSLQuery
+from .magic_method import magic_fixpoint, union_magic_set
 
 
 def multi_source_magic(
@@ -60,9 +42,7 @@ def multi_source_magic(
     used, and discarded, otherwise).
     """
     sources = list(sources)
-    counter = counter if counter is not None else CostCounter()
     instance = query.instance(counter)
-
     magic = union_magic_set(instance, sources)
     pm = magic_fixpoint(instance, magic)
     return {

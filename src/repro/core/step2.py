@@ -35,7 +35,7 @@ from typing import Dict, List, Set, Tuple
 
 from .csl import CSLInstance
 from .counting_method import descend_answers
-from .magic_method import magic_fixpoint
+from .magic_method import magic_fixpoint, predecessor_join
 from .reduced_sets import ReducedSets
 
 
@@ -91,24 +91,17 @@ def integrated_step2(instance: CSLInstance, reduced: ReducedSets):
     pc_levels = _seed_exit_from_rc(instance, reduced.rc)
 
     # ... and rule 3 transfers the magic part's results across the
-    # frontier: driven from each P_M fact, through the L arcs entering
-    # its node, into the indices RC holds for the predecessor.
+    # frontier: the same L-predecessor x R-predecessor join as rule 2,
+    # guarded by the values RC holds, into their indices.
     rc_by_value: Dict[object, List[int]] = {}
     for index, value in reduced.rc:
         rc_by_value.setdefault(value, []).append(index)
     transferred = 0
-    for x1, ys in pm.items():
-        for y1 in ys:
-            for x, _x1 in instance.left.lookup((None, x1)):
-                indices = rc_by_value.get(x)
-                if not indices:
-                    continue
-                for y, _y1 in instance.right.lookup((None, y1)):
-                    for index in indices:
-                        bucket = pc_levels.setdefault(index, set())
-                        if y not in bucket:
-                            bucket.add(y)
-                            transferred += 1
+    for x, image in predecessor_join(instance, rc_by_value, dict(pm)):
+        for index in rc_by_value[x]:
+            bucket = pc_levels.setdefault(index, set())
+            transferred += len(image - bucket)
+            bucket |= image
 
     # Rules 5 and 6.
     answers = descend_answers(instance, pc_levels)

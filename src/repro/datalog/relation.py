@@ -6,8 +6,11 @@ therefore instrument the storage layer itself.  Every probe of a relation
 charges one unit to the attached :class:`CostCounter`, plus one unit per
 tuple the probe yields.  All engines in this package — naive, seminaive,
 counting, magic, and all eight magic counting variants — read the database
-exclusively through this layer, so their measured costs are directly
-comparable and have the paper's asymptotic shape.
+exclusively through this layer's charged reads (:meth:`Relation.lookup`
+and :meth:`Relation.probe` per probe, :meth:`Relation.probe_repeated`
+for one read that stands for several identical probes), so their
+measured costs are directly comparable and have the paper's asymptotic
+shape.
 
 Physical storage lives behind :class:`StorageBackend`.  The default
 :class:`SetBackend` stores plain Python tuples of hashable values in a
@@ -268,8 +271,8 @@ class SetBackend(StorageBackend):
 class Relation:
     """A named relation: same-arity tuples behind a storage backend.
 
-    ``lookup(pattern)`` is the single read primitive: ``pattern`` is a
-    tuple whose bound positions carry values and whose free positions are
+    ``lookup(pattern)`` is the per-probe read: ``pattern`` is a tuple
+    whose bound positions carry values and whose free positions are
     ``None``.  Examples for a binary relation ``L``::
 
         L.lookup((b, None))   # all successors of b        (index on col 0)
@@ -278,7 +281,8 @@ class Relation:
         L.lookup((None, None))# full scan
 
     Every call charges the attached :class:`CostCounter` as described in
-    the module docstring.
+    the module docstring.  :meth:`probe_repeated` is the bulk read: the
+    same tuples fetched once, charged as a stated number of such probes.
     """
 
     __slots__ = ("name", "arity", "counter", "_backend", "_frozen", "_frozen_version")
@@ -394,6 +398,28 @@ class Relation:
                 yield tup
         finally:
             self.counter.charge_tuples(self.name, count)
+
+    def probe_repeated(
+        self, positions: Tuple[int, ...], key: Tuple, times: int
+    ) -> Tuple[Tuple, ...]:
+        """One physical read standing for ``times`` identical probes.
+
+        Returns the tuples whose ``positions`` columns equal ``key`` and
+        charges what ``times`` exhausted :meth:`probe` calls would:
+        ``times`` probes plus ``times * len(rows)`` tuples.  This is the
+        per-key form of :meth:`CostCounter.charge_probe_batch`'s
+        contract, for a set-at-a-time kernel whose cost model is a
+        nested loop re-retrieving the same tuples: the *charge* stays
+        the nested loop's, the *read* happens once.  ``times=0`` reads
+        without charging — the caller owes the probes and settles them
+        with a later call on the same key.
+        """
+        if times < 0:
+            raise ValueError(f"times must be non-negative, got {times}")
+        rows = tuple(self._backend.matches(positions, key))
+        self.counter.charge_probe_batch(self.name, times)
+        self.counter.charge_tuples(self.name, times * len(rows))
+        return rows
 
     def contains(self, tup: Tuple) -> bool:
         """Membership test, charged as one probe (plus one hit if found)."""

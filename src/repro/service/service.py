@@ -10,7 +10,7 @@ serving loop is a strict compile/execute split:
   ``(program fingerprint, database version)``;
 * **execute** — answer the whole batch on the cached plan, sharing the
   reachability sweep and the ``P_M`` fixpoint across sources
-  (:func:`~repro.core.multi_source.union_magic_set` +
+  (:func:`~repro.core.magic_method.union_magic_set` +
   :func:`~repro.core.magic_method.magic_fixpoint`), so a value
   reachable from many sources is expanded once per *batch*, not once
   per *goal*.
@@ -51,8 +51,7 @@ from ..core.counting_method import (
     seed_exit,
 )
 from ..core.csl import CSLQuery
-from ..core.magic_method import magic_fixpoint
-from ..core.multi_source import union_magic_set
+from ..core.magic_method import magic_fixpoint, union_magic_set
 from ..datalog.database import Database
 from ..datalog.program import Program
 from ..datalog.relation import CostCounter

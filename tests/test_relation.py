@@ -5,6 +5,9 @@ import pytest
 from repro.datalog.relation import CostCounter, Relation
 
 
+EDGES = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")]
+
+
 @pytest.fixture
 def counter():
     return CostCounter()
@@ -12,9 +15,7 @@ def counter():
 
 @pytest.fixture
 def edges(counter):
-    return Relation(
-        "edge", 2, [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")], counter
-    )
+    return Relation("edge", 2, EDGES, counter)
 
 
 class TestBasics:
@@ -171,6 +172,68 @@ class TestPartialConsumptionCharging:
     def test_full_consumption_total_unchanged(self, edges, counter):
         assert len(list(edges.lookup(("a", None)))) == 2
         assert counter.retrievals == 3  # 1 probe + 2 tuples, as before
+
+
+class TestProbeRepeated:
+    """``probe_repeated``: one read standing for ``times`` probes."""
+
+    @pytest.mark.parametrize("key", ["a", "c", "zzz"])
+    @pytest.mark.parametrize("times", [1, 2, 7])
+    def test_charges_like_that_many_exhausted_lookups(self, key, times):
+        bulk = Relation("edge", 2, EDGES)
+        loop = Relation("edge", 2, EDGES)
+        rows = bulk.probe_repeated((0,), (key,), times)
+        for _ in range(times):
+            assert sorted(loop.lookup((key, None))) == sorted(rows)
+        assert bulk.counter.snapshot() == loop.counter.snapshot()
+
+    def test_zero_times_reads_without_charging(self, edges, counter):
+        rows = edges.probe_repeated((0,), ("a",), 0)
+        assert set(rows) == {("a", "b"), ("a", "c")}
+        assert counter.snapshot() == CostCounter().snapshot()
+
+    def test_no_match_charges_probes_only(self, edges, counter):
+        assert edges.probe_repeated((1,), ("zzz",), 5) == ()
+        assert counter.snapshot() == {
+            "retrievals": 5, "probes": 5, "tuples": 0, "relation:edge": 5,
+        }
+
+    def test_negative_times_rejected(self, edges, counter):
+        with pytest.raises(ValueError):
+            edges.probe_repeated((0,), ("a",), -1)
+        assert counter.retrievals == 0
+
+    def test_rows_are_a_snapshot_not_the_index_bucket(self, edges):
+        rows = edges.probe_repeated((0,), ("a",), 1)
+        edges.add(("a", "q"))
+        assert len(rows) == 2
+        assert len(edges.probe_repeated((0,), ("a",), 1)) == 3
+
+    def test_charges_the_current_counter(self, edges, counter):
+        # CompiledPlan.attached swaps ``relation.counter`` per batch: the
+        # primitive must read the attribute at call time, not bind it.
+        edges.probe_repeated((0,), ("a",), 1)
+        swapped = CostCounter()
+        edges.counter = swapped
+        edges.probe_repeated((0,), ("a",), 2)
+        assert counter.retrievals == 3
+        assert swapped.retrievals == 6
+
+    def test_back_to_back_batches_report_independent_costs(self, cyclic_query):
+        # Regression guard for the served path: two batches on one
+        # cached plan each see only their own fixpoint's retrievals.
+        from repro.core.multi_source import multi_source_magic
+        from repro.service import SolverService
+
+        expected = CostCounter()
+        multi_source_magic(cyclic_query, ["a", "b"], expected)
+        service = SolverService()
+        first = service.solve_batch(cyclic_query, ["a", "b"])
+        second = service.solve_batch(cyclic_query, ["a", "b"])
+        assert second.cache_hit is True
+        assert first.cost is not second.cost
+        assert first.cost.snapshot() == expected.snapshot()
+        assert second.cost.snapshot() == expected.snapshot()
 
 
 class TestBulkInsert:

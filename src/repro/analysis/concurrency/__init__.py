@@ -10,7 +10,7 @@ a fixpoint: declarative annotations in the runtime modules
 AST-based analyzer that never imports the analyzed code, and a CI gate
 (``repro lint-py src/repro --fail-on error``).
 
-Pipeline (see :func:`registered_concurrency_passes`):
+Pipeline (see ``CONCURRENCY_PASSES.passes()``):
 
 * ``guarded-by`` — guarded attributes only under their declared lock,
   with interprocedural propagation through ``*_locked`` helpers;
@@ -34,13 +34,10 @@ One call runs everything::
 from .annotations import GuardedBy, LOOP_GUARD
 from .facts import CodebaseFacts
 from .framework import (
+    CONCURRENCY_PASSES,
     RULE_METADATA,
-    CodeDiagnostic,
-    ConcurrencyPass,
     ConcurrencyReport,
     iter_python_files,
-    register_concurrency_pass,
-    registered_concurrency_passes,
     run_concurrency_analysis,
 )
 from .model import ModuleModel, build_module_model
@@ -53,9 +50,8 @@ from . import hygiene as _hygiene  # noqa: F401
 from .lockorder import lock_graph_edges
 
 __all__ = [
-    "CodeDiagnostic",
+    "CONCURRENCY_PASSES",
     "CodebaseFacts",
-    "ConcurrencyPass",
     "ConcurrencyReport",
     "GuardedBy",
     "LOOP_GUARD",
@@ -64,7 +60,5 @@ __all__ = [
     "build_module_model",
     "iter_python_files",
     "lock_graph_edges",
-    "register_concurrency_pass",
-    "registered_concurrency_passes",
     "run_concurrency_analysis",
 ]

@@ -21,7 +21,6 @@ from typing import Callable, ClassVar, Dict, Iterable, List, Mapping, Optional
 
 from ...diagnostics import (
     Diagnostic,
-    Pass,
     PassRegistry,
     Report,
     run_passes,
@@ -69,14 +68,10 @@ RULE_METADATA: Dict[str, str] = {
 }
 
 
-#: Findings here always carry ``path``/``line``.
-CodeDiagnostic = Diagnostic
-ConcurrencyPass = Pass
+#: Findings of these passes always carry ``path``/``line``.
 CONCURRENCY_PASSES: PassRegistry[
     Callable[[CodebaseFacts], List[Diagnostic]]
 ] = PassRegistry("concurrency")
-register_concurrency_pass = CONCURRENCY_PASSES.register
-registered_concurrency_passes = CONCURRENCY_PASSES.passes
 
 
 @dataclass

@@ -24,7 +24,7 @@ from typing import List
 from ...diagnostics import Diagnostic
 from .annotations import LOOP_GUARD
 from .facts import CodebaseFacts
-from .framework import register_concurrency_pass
+from .framework import CONCURRENCY_PASSES
 from .model import ClassSummary, FunctionSummary, ModuleModel
 
 #: Methods where unguarded access is fine: the object is not yet (or no
@@ -94,7 +94,7 @@ def _check_method_guards(
             )
 
 
-@register_concurrency_pass(
+@CONCURRENCY_PASSES.register(
     "guarded-by",
     "guarded attributes accessed only under their declared lock",
 )
@@ -114,7 +114,7 @@ def check_guarded_by(facts: CodebaseFacts) -> List[Diagnostic]:
     return out
 
 
-@register_concurrency_pass(
+@CONCURRENCY_PASSES.register(
     "loop-confined",
     "@loop attributes never touched from thread-dispatched code",
 )
@@ -153,7 +153,7 @@ def check_loop_confined(facts: CodebaseFacts) -> List[Diagnostic]:
     return out
 
 
-@register_concurrency_pass(
+@CONCURRENCY_PASSES.register(
     "structured-acquisition",
     "locks acquired only via with statements",
 )

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 from ...diagnostics import Diagnostic
 from .facts import CodebaseFacts
-from .framework import register_concurrency_pass
+from .framework import CONCURRENCY_PASSES
 from .model import FunctionSummary, ModuleModel
 
 #: Exact dotted calls that block the calling thread.
@@ -124,7 +124,7 @@ def _check_function(
             )
 
 
-@register_concurrency_pass(
+@CONCURRENCY_PASSES.register(
     "asyncio-hygiene",
     "no blocking calls in async bodies; no await under a sync lock",
 )

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ...diagnostics import Diagnostic
 from .facts import CodebaseFacts, LockToken
-from .framework import register_concurrency_pass
+from .framework import CONCURRENCY_PASSES
 from .model import ClassSummary
 
 #: edge -> (path, line, human description), first witness wins.
@@ -211,7 +211,7 @@ def _witness_cycle(
         node = nxt
 
 
-@register_concurrency_pass(
+@CONCURRENCY_PASSES.register(
     "lock-order",
     "acquisition-graph cycles (deadlocks) and non-reentrant re-locks",
 )

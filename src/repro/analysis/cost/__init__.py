@@ -17,13 +17,11 @@ from .bounds import certify_cost
 from .certificate import CostCertificate, MethodBound
 from .domain import INF, Interval
 from .framework import (
+    COST_PASSES,
     RULE_METADATA,
     CostFacts,
-    CostPass,
     CostReport,
     analyze_cost_query,
-    register_pass,
-    registered_passes,
     run_cost_analysis,
 )
 from .stats import DEFAULT_NODE_BUDGET, RegionStatistics, collect_statistics
@@ -38,11 +36,9 @@ __all__ = [
     "MethodBound",
     "RULE_METADATA",
     "CostFacts",
-    "CostPass",
     "CostReport",
     "analyze_cost_query",
-    "register_pass",
-    "registered_passes",
+    "COST_PASSES",
     "run_cost_analysis",
     "DEFAULT_NODE_BUDGET",
     "RegionStatistics",

@@ -19,7 +19,6 @@ from ...datalog.database import Database
 from ...datalog.program import Program
 from ...diagnostics import (
     Diagnostic,
-    Pass,
     PassRegistry,
     Report,
     run_passes,
@@ -90,15 +89,12 @@ class CostFacts:
         return self._recommendation
 
 
-CostPass = Pass
 COST_PASSES: PassRegistry[Callable[[CostFacts], List[Diagnostic]]] = (
     PassRegistry("cost")
 )
-register_pass = COST_PASSES.register
-registered_passes = COST_PASSES.passes
 
 
-@register_pass("cost-applicability", "is there a CSL query to bound?")
+@COST_PASSES.register("cost-applicability", "is there a CSL query to bound?")
 def _pass_applicability(facts: CostFacts) -> List[Diagnostic]:
     if facts.query is not None:
         return []
@@ -112,7 +108,7 @@ def _pass_applicability(facts: CostFacts) -> List[Diagnostic]:
     ]
 
 
-@register_pass("cost-region", "budgeted region statistics and widening")
+@COST_PASSES.register("cost-region", "budgeted region statistics and widening")
 def _pass_region(facts: CostFacts) -> List[Diagnostic]:
     certificate = facts.certificate()
     if certificate is None or not certificate.widened:
@@ -127,7 +123,7 @@ def _pass_region(facts: CostFacts) -> List[Diagnostic]:
     ]
 
 
-@register_pass("cost-bounds", "closed-form per-method retrieval bounds")
+@COST_PASSES.register("cost-bounds", "closed-form per-method retrieval bounds")
 def _pass_bounds(facts: CostFacts) -> List[Diagnostic]:
     certificate = facts.certificate()
     if certificate is None:
@@ -148,7 +144,7 @@ def _pass_bounds(facts: CostFacts) -> List[Diagnostic]:
     return diagnostics
 
 
-@register_pass("cost-ranking", "bound-ranked plan choice vs heuristic")
+@COST_PASSES.register("cost-ranking", "bound-ranked plan choice vs heuristic")
 def _pass_ranking(facts: CostFacts) -> List[Diagnostic]:
     recommendation = facts.recommendation()
     if recommendation is None:

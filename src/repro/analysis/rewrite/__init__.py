@@ -17,14 +17,12 @@ compile time (see :func:`repro.service.plan.compile_program_plan`).
 
 from ..sarif import report_to_sarif
 from .framework import (
+    OPTIMIZER_PASSES,
     RULE_METADATA,
-    OptimizationPass,
     OptimizationReport,
     OptimizationTrace,
     TRACE_KINDS,
     optimize_program,
-    register_pass,
-    registered_passes,
 )
 
 # Importing the pass modules registers the pipeline.  Registration
@@ -40,13 +38,11 @@ from . import slicing as _slicing  # noqa: F401  (5) unused-argument slicing
 from . import boundedness as _boundedness  # noqa: F401  (6) bounded unfolding
 
 __all__ = [
-    "OptimizationPass",
+    "OPTIMIZER_PASSES",
     "OptimizationReport",
     "OptimizationTrace",
     "TRACE_KINDS",
     "RULE_METADATA",
     "optimize_program",
-    "register_pass",
-    "registered_passes",
     "report_to_sarif",
 ]

@@ -35,7 +35,7 @@ from ...datalog.database import Database
 from ...datalog.program import Program
 from ...datalog.rule import Rule
 from ...datalog.term import Variable
-from .framework import PassDelta, register_pass
+from .framework import OPTIMIZER_PASSES, PassDelta
 
 #: Unfold only genuinely shallow recursion; anything deeper keeps the
 #: (already efficient) semi-naive fixpoint.
@@ -243,7 +243,7 @@ def _unfold(
     return Program(survivors + new_rules, program.query), deltas
 
 
-@register_pass("boundedness", "delete or unfold certifiably bounded "
+@OPTIMIZER_PASSES.register("boundedness", "delete or unfold certifiably bounded "
                "recursion")
 def bound_recursion(
     program: Program, database: Optional[Database]

@@ -31,7 +31,7 @@ from ...datalog.database import Database
 from ...datalog.lint import goal_cone
 from ...datalog.program import Program
 from ...datalog.rule import Rule
-from .framework import PassDelta, register_pass
+from .framework import OPTIMIZER_PASSES, PassDelta
 
 
 def empty_predicates(program: Program, database: Database) -> Set[str]:
@@ -139,7 +139,7 @@ def _sweep_cone(program: Program) -> Tuple[Program, List[PassDelta]]:
     return Program(rules, program.query), deltas
 
 
-@register_pass("dead-rule-elimination", "drop rules outside the goal "
+@OPTIMIZER_PASSES.register("dead-rule-elimination", "drop rules outside the goal "
                "cone or reading provably-empty predicates")
 def eliminate_dead_rules(
     program: Program, database: Optional[Database]

@@ -29,7 +29,7 @@ from ...datalog.builtins import _ARITH_OPS, _COMPARISONS
 from ...datalog.database import Database
 from ...datalog.program import Program
 from ...datalog.rule import Rule
-from .framework import PassDelta, register_pass
+from .framework import OPTIMIZER_PASSES, PassDelta
 
 
 def _fold_rule(rule: Rule) -> Tuple[Optional[Rule], List[PassDelta]]:
@@ -122,7 +122,7 @@ def _decide(builtin: BuiltinAtom):
     return None
 
 
-@register_pass("constant-folding", "fold ground builtins; delete "
+@OPTIMIZER_PASSES.register("constant-folding", "fold ground builtins; delete "
                "statically-false rules")
 def fold_constants(
     program: Program, database: Optional[Database]

@@ -38,7 +38,7 @@ from typing import (
 from ...datalog.database import Database
 from ...datalog.program import Program
 from ...datalog.rule import Rule
-from ...diagnostics import Diagnostic, Pass, PassRegistry, Report
+from ...diagnostics import Diagnostic, PassRegistry, Report
 
 #: Every trace code the pipeline can emit, with SARIF descriptions.
 RULE_METADATA: Dict[str, str] = {
@@ -108,12 +108,9 @@ PassFunction = Callable[
 ]
 
 
-OptimizationPass = Pass
 #: Registration order *is* execution order; the package ``__init__``
 #: imports the pass modules in pipeline order.
 OPTIMIZER_PASSES: PassRegistry[PassFunction] = PassRegistry("optimizer")
-register_pass = OPTIMIZER_PASSES.register
-registered_passes = OPTIMIZER_PASSES.passes
 
 
 @dataclass

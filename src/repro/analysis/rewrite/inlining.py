@@ -39,7 +39,7 @@ from ...datalog.database import Database
 from ...datalog.program import Program
 from ...datalog.rule import Rule
 from ...datalog.surgery import replace_predicate_atoms
-from .framework import PassDelta, register_pass
+from .framework import OPTIMIZER_PASSES, PassDelta
 
 
 def _chain_candidate(program: Program, database: Database) -> Optional[Rule]:
@@ -70,7 +70,7 @@ def _chain_candidate(program: Program, database: Database) -> Optional[Rule]:
     return None
 
 
-@register_pass("chain-inlining", "inline single-literal copy rules "
+@OPTIMIZER_PASSES.register("chain-inlining", "inline single-literal copy rules "
                "into their consumers")
 def inline_chains(
     program: Program, database: Optional[Database]

@@ -30,7 +30,7 @@ from ...datalog.program import Program
 from ...datalog.rule import Rule
 from ...datalog.surgery import project_atom
 from ...datalog.term import Variable
-from .framework import PassDelta, register_pass
+from .framework import OPTIMIZER_PASSES, PassDelta
 
 
 def _occurrence_counts(rule: Rule) -> Dict[Variable, int]:
@@ -100,7 +100,7 @@ def _slice_candidate(
     return None
 
 
-@register_pass("argument-slicing", "project away argument positions no "
+@OPTIMIZER_PASSES.register("argument-slicing", "project away argument positions no "
                "consumer reads")
 def slice_arguments(
     program: Program, database: Optional[Database]

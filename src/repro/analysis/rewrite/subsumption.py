@@ -26,7 +26,7 @@ from ...datalog.database import Database
 from ...datalog.program import Program
 from ...datalog.rule import Rule
 from ...datalog.surgery import subsumes
-from .framework import PassDelta, register_pass
+from .framework import OPTIMIZER_PASSES, PassDelta
 
 
 def _drop_duplicate_literals(rule: Rule) -> Tuple[Rule, List[PassDelta]]:
@@ -51,7 +51,7 @@ def _drop_duplicate_literals(rule: Rule) -> Tuple[Rule, List[PassDelta]]:
     return Rule(rule.head, tuple(body)), deltas
 
 
-@register_pass("subsumption", "remove duplicate literals and "
+@OPTIMIZER_PASSES.register("subsumption", "remove duplicate literals and "
                "θ-subsumed rules")
 def remove_subsumed(
     program: Program, database: Optional[Database]

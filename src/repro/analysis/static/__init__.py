@@ -24,11 +24,9 @@ from .facts import ProgramFacts
 from ..sarif import SARIF_SCHEMA_URI, SARIF_VERSION, report_to_sarif
 from .framework import (
     RULE_METADATA,
-    AnalysisPass,
+    STATIC_PASSES,
     StaticReport,
     analyze_query,
-    register_pass,
-    registered_passes,
     run_static_analysis,
 )
 from .rewrite_check import (
@@ -48,12 +46,12 @@ from .safety import (
 )
 
 __all__ = [
-    "AnalysisPass",
     "MethodVerdict",
     "ProgramFacts",
     "RULE_METADATA",
     "SARIF_SCHEMA_URI",
     "SARIF_VERSION",
+    "STATIC_PASSES",
     "SafetyCertificate",
     "StaticReport",
     "Verdict",
@@ -67,8 +65,6 @@ __all__ = [
     "lint_rewrite_outputs",
     "method_admissibility",
     "recommended",
-    "register_pass",
-    "registered_passes",
     "report_to_sarif",
     "run_static_analysis",
     "verify_partition_conditions",

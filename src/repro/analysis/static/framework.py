@@ -24,7 +24,6 @@ from ...datalog.lint import LINT_PASSES
 from ...datalog.program import Program
 from ...diagnostics import (
     Diagnostic,
-    Pass,
     PassRegistry,
     Report,
     run_passes,
@@ -60,18 +59,15 @@ RULE_METADATA: Dict[str, str] = {
     "rewrite-unstrat": "A rewrite emitted an unstratifiable program.",
 }
 
-AnalysisPass = Pass
 STATIC_PASSES: PassRegistry[Callable[[ProgramFacts], List[Diagnostic]]] = (
     PassRegistry("analysis", LINT_PASSES)
 )
-register_pass = STATIC_PASSES.register
-registered_passes = STATIC_PASSES.passes
 
 
 # --- binding and shape passes ------------------------------------------
 
 
-@register_pass("goal-binding", "adornment dataflow from the query goal")
+@STATIC_PASSES.register("goal-binding", "adornment dataflow from the query goal")
 def _pass_goal_binding(facts: ProgramFacts) -> List[Diagnostic]:
     goal = facts.goal
     if goal is None:
@@ -89,7 +85,7 @@ def _pass_goal_binding(facts: ProgramFacts) -> List[Diagnostic]:
     return []
 
 
-@register_pass("csl-shape", "membership in the CSL class")
+@STATIC_PASSES.register("csl-shape", "membership in the CSL class")
 def _pass_csl_shape(facts: ProgramFacts) -> List[Diagnostic]:
     if facts.goal is None:
         return []
@@ -109,7 +105,7 @@ def _pass_csl_shape(facts: ProgramFacts) -> List[Diagnostic]:
 # --- the headline passes -----------------------------------------------
 
 
-@register_pass("counting-safety", "certify counting termination (SCC, no fixpoint)")
+@STATIC_PASSES.register("counting-safety", "certify counting termination (SCC, no fixpoint)")
 def _pass_counting_safety(facts: ProgramFacts) -> List[Diagnostic]:
     if facts.goal is None:
         return []
@@ -130,7 +126,7 @@ def _pass_counting_safety(facts: ProgramFacts) -> List[Diagnostic]:
     return []
 
 
-@register_pass("rewrite-verification", "Theorem 1/2 partition conditions "
+@STATIC_PASSES.register("rewrite-verification", "Theorem 1/2 partition conditions "
                "and structural rewrite linting")
 def _pass_rewrite_verification(facts: ProgramFacts) -> List[Diagnostic]:
     classification = facts.classification()

@@ -42,7 +42,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from ..server.client import SolverClient
-from ..server.protocol import encode_value
+from ..server.protocol import encode_rows
 from ..server.server import ServerThread
 from ..service import export_snapshot
 from ..service.service import SolverService
@@ -319,8 +319,14 @@ class WorkerFleet:
             "token": self.token,
             "epoch": epoch,
             "parent": parent,
-            "inserts": _encode_rows(inserts),
-            "deletes": _encode_rows(deletes),
+            "inserts": {
+                name: encode_rows(rows)
+                for name, rows in (inserts or {}).items()
+            },
+            "deletes": {
+                name: encode_rows(rows)
+                for name, rows in (deletes or {}).items()
+            },
         }
         stale: List[str] = []
         failed: List[str] = []
@@ -395,15 +401,6 @@ class WorkerFleet:
                 f"actives={len(self._actives)}, "
                 f"standbys={len(self._standbys)})"
             )
-
-
-def _encode_rows(deltas: Optional[Dict[str, List[Tuple]]]) -> Dict:
-    if not deltas:
-        return {}
-    return {
-        name: [[encode_value(value) for value in row] for row in rows]
-        for name, rows in deltas.items()
-    }
 
 
 def _spawn_process(snapshot_path: str, token: str):

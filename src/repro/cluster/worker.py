@@ -34,7 +34,7 @@ from typing import Dict, Optional
 
 from ..datalog.parser import parse_program
 from ..datalog.program import Program
-from ..server.protocol import ProtocolError, ReadOnlyError, decode_value
+from ..server.protocol import ProtocolError, ReadOnlyError, decode_rows
 from ..server.server import SolverServer, _mutation_fields
 from ..service import SolverService, import_snapshot, warm_plan_cache
 
@@ -163,8 +163,7 @@ def _delta_param(
     if not isinstance(raw, dict):
         raise ProtocolError(f"'{field}' must be an object of fact rows")
     return {
-        name: [tuple(decode_value(value) for value in row) for row in rows]
-        for name, rows in raw.items()
+        name: decode_rows(rows, f"{field}.{name}") for name, rows in raw.items()
     }
 
 

@@ -7,7 +7,6 @@ over cost-instrumented relations, and the two classical rewritings the
 magic counting methods combine — generalized magic sets and counting.
 """
 
-from .aggregates import aggregate, top_k
 from .atom import Atom, BuiltinAtom, Literal, atom, fact, var
 from .adornment import adorn_program, adornment_from_goal
 from .builtins import arithmetic, comparison
@@ -28,7 +27,6 @@ from .maintenance import MaintenanceReport, MaintenanceState, delete_and_maintai
 from .lint import Diagnostic, lint_program
 from .magic_rewrite import magic_rewrite
 from .parser import parse_atom, parse_program, parse_rule
-from .planner import optimize_program, optimize_rule
 from .program import Program
 from .provenance import ProofNode, Provenance, evaluate_with_provenance
 from .qsq import QSQEvaluator, qsq_answer_tuples
@@ -36,12 +34,6 @@ from .relation import CostCounter, Relation
 from .rule import Rule, rule
 from .stratify import stratify, strongly_connected_components
 from .supplementary import supplementary_magic_rewrite
-from .transform import (
-    eliminate_dead_rules,
-    rename_predicate,
-    unfold_all_views,
-    unfold_predicate,
-)
 from .term import Constant, Variable, make_term
 
 __all__ = [
@@ -69,7 +61,6 @@ __all__ = [
     "Variable",
     "adorn_program",
     "adornment_from_goal",
-    "aggregate",
     "analyze_linear",
     "answer_tuples",
     "arithmetic",
@@ -79,7 +70,6 @@ __all__ = [
     "compile_rule",
     "counting_rewrite",
     "delete_and_maintain",
-    "eliminate_dead_rules",
     "evaluate_with_provenance",
     "fact",
     "insert_and_maintain",
@@ -87,20 +77,14 @@ __all__ = [
     "magic_rewrite",
     "make_term",
     "naive_evaluate",
-    "optimize_program",
-    "optimize_rule",
     "parse_atom",
     "parse_program",
     "parse_rule",
     "qsq_answer_tuples",
-    "rename_predicate",
     "rule",
     "seminaive_evaluate",
     "stratify",
     "strongly_connected_components",
     "supplementary_magic_rewrite",
-    "top_k",
-    "unfold_all_views",
-    "unfold_predicate",
     "var",
 ]

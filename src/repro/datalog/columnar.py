@@ -375,12 +375,11 @@ class ColumnarBackend(StorageBackend):
         return True
 
     def add_new(self, tuples: Iterable[Tuple]) -> List[Tuple]:
-        fresh: List[Tuple] = []
-        for tup in tuples:
-            tup = self._check(tup)
-            if self.add(tup):
-                fresh.append(tup)
-        return fresh
+        # Arity-check the whole batch before storing any of it: callers
+        # journal what add_new returns, so a refused batch must leave
+        # nothing behind.
+        checked = [self._check(tup) for tup in tuples]
+        return [tup for tup in checked if self.add(tup)]
 
     def insert_batch(self, cols: Sequence, n: int) -> Tuple[Optional[List], int]:
         """Bulk insert of ``n`` id-rows; returns the fresh (new) rows as

@@ -24,10 +24,14 @@ totals (global and per relation), equal per-relation sums mean equal
 snapshots — the differential fuzz suite asserts exactly that across
 interpreter, compiled, and columnar runs.
 
-The fixpoint driver mirrors :meth:`CompiledProgram.run` round for round:
-same round-0 rule pass with per-rule flush, same ``Δ<pred>`` delta
-relations charged to the database counter, same within-round bucket
-dedupe against head and bucket, same iteration guard.
+The fixpoint driver (:func:`run_columnar`) is the one driver that is
+*not* the shared set-backed loop
+(:func:`repro.datalog.evaluation._run_strata`): it never materializes
+value tuples — a round's candidates stay packed row codes from kernel
+output to delta flush — so it keeps its own loop, round for round the
+same: round-0 rule pass with per-rule flush, ``Δ<pred>`` delta relations
+charged to the database counter, within-round bucket dedupe against head
+and bucket, iteration guard.
 """
 
 from __future__ import annotations
@@ -267,12 +271,11 @@ def _decode_rows(cols: Optional[List], n: int, symbols: SymbolTable) -> List[Tup
 def materialize_kernel_columnar(kernel, database: Database) -> List[Tuple]:
     """Run a standalone kernel (no delta) on a columnar database and
     decode the emitted rows back to value tuples."""
-    relations = [
-        database.relation_or_empty(predicate, arity)
-        for predicate, arity in kernel.relations
-    ]
     cols, n = execute_kernel_batch(
-        kernel, relations, database.symbols, database.columnar_vector
+        kernel,
+        kernel.resolve(database),
+        database.symbols,
+        database.columnar_vector,
     )
     return _decode_rows(cols, n, database.symbols)
 
@@ -296,43 +299,35 @@ def _concat_chunks(chunks: List[_Chunk], arity: int, vector: bool) -> _Chunk:
     return cols, total
 
 
-def _resolve(kernel, database: Database, delta: Optional[Relation] = None):
-    relations = []
-    delta_index = kernel.delta_index
-    for index, (predicate, arity) in enumerate(kernel.relations):
-        if delta is not None and index == delta_index:
-            relations.append(delta)
-        else:
-            relations.append(database.relation_or_empty(predicate, arity))
-    return relations
-
-
 def run_columnar(compiled, database: Database, max_iterations: int) -> Database:
     """Semi-naive fixpoint over compiled kernels, batched per round.
 
-    Mirrors :meth:`CompiledProgram.run` round for round; derived facts
-    land in ``database`` in place.
+    Its own driver rather than the shared set-backed loop because a
+    delta here is packed id codes flushed with ``append_unique``, never
+    a set of value tuples (see the module docstring); derived facts land
+    in ``database`` in place.
     """
     symbols = database.symbols
     vector = database.columnar_vector
     arities = compiled.arities
-    for stratum in compiled.strata:
-        for compiled_rule in stratum.rules:
-            head = compiled_rule.rule.head
+    for rules in compiled.strata:
+        predicates = sorted({rule.head.predicate for rule in rules})
+        for compiled_rule in rules:
+            head = compiled_rule.head
             database.relation_or_empty(head.predicate, head.arity)
 
-        deltas: Dict[str, List[_Chunk]] = {p: [] for p in stratum.predicates}
+        deltas: Dict[str, List[_Chunk]] = {p: [] for p in predicates}
 
         # Round 0: every rule once against the current database, with a
         # per-rule flush so later rules see earlier derivations.
-        for compiled_rule in stratum.rules:
-            head = compiled_rule.rule.head
+        for compiled_rule in rules:
+            head = compiled_rule.head
             head_relation = database.relation_or_empty(
                 head.predicate, head.arity
             )
             cols, n = execute_kernel_batch(
                 compiled_rule.base,
-                _resolve(compiled_rule.base, database),
+                compiled_rule.base.resolve(database),
                 symbols,
                 vector,
             )
@@ -347,7 +342,7 @@ def run_columnar(compiled, database: Database, max_iterations: int) -> Database:
             if iterations > max_iterations:
                 raise UnsafeQueryError(
                     f"seminaive fixpoint exceeded {max_iterations} "
-                    f"iterations on stratum {sorted(stratum.predicates)}"
+                    f"iterations on stratum {predicates}"
                 )
             delta_relations: Dict[str, Relation] = {}
             for predicate, chunks in deltas.items():
@@ -369,17 +364,15 @@ def run_columnar(compiled, database: Database, max_iterations: int) -> Database:
                     counter=database.counter,
                     backend=delta_backend,
                 )
-            next_deltas: Dict[str, List[_Chunk]] = {
-                p: [] for p in stratum.predicates
-            }
-            bucket_codes: Dict[str, set] = {p: set() for p in stratum.predicates}
+            next_deltas: Dict[str, List[_Chunk]] = {p: [] for p in predicates}
+            bucket_codes: Dict[str, set] = {p: set() for p in predicates}
             # Vector-mode buckets keep a sorted code array instead of a
             # Python set, so the dedupe below stays fully vectorized.
             bucket_sorted: Dict[str, Optional[object]] = {
-                p: None for p in stratum.predicates
+                p: None for p in predicates
             }
-            for compiled_rule in stratum.recursive_rules:
-                head = compiled_rule.rule.head
+            for compiled_rule in rules:
+                head = compiled_rule.head
                 head_relation = database.relation_or_empty(
                     head.predicate, head.arity
                 )
@@ -390,7 +383,7 @@ def run_columnar(compiled, database: Database, max_iterations: int) -> Database:
                     if delta is None:
                         continue
                     cols, n = execute_kernel_batch(
-                        kernel, _resolve(kernel, database, delta), symbols, vector
+                        kernel, kernel.resolve(database, delta), symbols, vector
                     )
                     if not n:
                         continue
@@ -453,9 +446,7 @@ def run_columnar(compiled, database: Database, max_iterations: int) -> Database:
                                 len(keep),
                             )
                         )
-            flushed: Dict[str, List[_Chunk]] = {
-                p: [] for p in stratum.predicates
-            }
+            flushed: Dict[str, List[_Chunk]] = {p: [] for p in predicates}
             for predicate, chunks in next_deltas.items():
                 if not chunks:
                     continue
@@ -475,8 +466,6 @@ def columnar_seminaive_evaluate(
     program,
     database: Database,
     max_iterations: int,
-    plan: str = "mirror",
-    compiled=None,
 ) -> Database:
     """Entry point used by :func:`repro.datalog.evaluation.seminaive_evaluate`.
 
@@ -487,6 +476,4 @@ def columnar_seminaive_evaluate(
 
     if database.backend != "columnar":
         database.to_columnar()
-    if compiled is None:
-        compiled = compile_program(program, database=database, plan=plan)
-    return run_columnar(compiled, database, max_iterations)
+    return run_columnar(compile_program(program), database, max_iterations)

@@ -14,32 +14,26 @@ and head construction are all precomputed; executing the kernel is a
 bare nested loop whose only per-tuple work is writing tuple fields into
 register slots.
 
-Two planning modes choose the join order:
+There is one join order: the kernels statically replay the
+interpreter's own scheduling
+(:func:`~repro.datalog.evaluation._ready_element_index`) over the delta
+variants :func:`~repro.datalog.evaluation._seminaive_strata` produces
+for every engine.  Because the kernels read EDB/IDB state exclusively
+through the charged storage primitives — :meth:`Relation.probe` (which
+*is* :meth:`Relation.lookup` with the pattern parsed at compile time
+instead of per call) and :meth:`Relation.contains` — a kernel issues
+*bit-for-bit the same probe sequence* as the interpreter: answers **and**
+:class:`CostCounter` snapshots are identical.  The paper's
+retrieval-cost accounting survives the compilation untouched.  A body's
+schedule is a static property fixed once at compile time, not a mode a
+caller picks (Stephan & Brass, arXiv 1405.5645).
 
-* ``"mirror"`` (default) — statically replay the interpreter's own
-  scheduling (:func:`~repro.datalog.evaluation._ready_element_index`),
-  including the semi-naive delta pinning of ``_PinnedFirstSource``.
-  Because the kernels read EDB/IDB state exclusively through the
-  charged storage primitives — :meth:`Relation.probe` (which *is*
-  :meth:`Relation.lookup` with the pattern parsed at compile time
-  instead of per call) and :meth:`Relation.contains` — a mirror-planned
-  kernel issues *bit-for-bit the same probe sequence* as the
-  interpreter: answers **and** :class:`CostCounter` snapshots are
-  identical.  The paper's retrieval-cost accounting survives the
-  compilation untouched.
-* ``"cost"`` — order each body once with the cost-based planner
-  (:mod:`repro.datalog.planner` statistics from the database the
-  program is compiled against).  Same answers, possibly fewer
-  retrievals; costs are then those of the *chosen* plan, so only use it
-  where the paper's cost model is not being measured against the
-  interpreter's join order.
-
-The semi-naive fixpoint driver (:meth:`CompiledProgram.run`) mirrors the
-interpreted driver round for round — same round-0 pass, same per-round
-delta relations (named ``Δ<pred>`` and charged to the same counter),
-same confirmation pass — so the two engines are interchangeable
-oracles.  The delta flush uses :meth:`Relation.add_new`, the bulk
-insertion path that maintains every lazy index in one pass.
+The semi-naive fixpoint driver is not mirrored but *shared*:
+:meth:`CompiledProgram.run` calls the interpreter's own
+:func:`~repro.datalog.evaluation._run_strata` — same round-0 pass, same
+per-round ``Δ<pred>`` delta relations, same :meth:`Relation.add_new`
+bulk flush — with :meth:`JoinKernel.run` in place of the interpreted
+rule evaluation.
 """
 
 from __future__ import annotations
@@ -49,24 +43,21 @@ import time
 import weakref
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import EvaluationError, UnsafeQueryError
-from .atom import Atom, BuiltinAtom, Literal
+from ..errors import EvaluationError
+from .atom import Atom, BuiltinAtom
 from .builtins import evaluate_builtin, output_variables
 from .database import Database
 from .evaluation import (
     DEFAULT_MAX_ITERATIONS,
     _arity_map,
     _ready_element_index,
+    _run_strata,
+    _seminaive_strata,
 )
-from .planner import order_body_elements, relation_sizes
 from .program import Program
 from .relation import Relation
 from .rule import Rule
 from .term import Constant, Variable
-
-PLAN_MIRROR = "mirror"
-PLAN_COST = "cost"
-PLAN_MODES = (PLAN_MIRROR, PLAN_COST)
 
 
 class _UnsafeTail:
@@ -142,14 +133,25 @@ class JoinKernel:
         """Run the kernel against resolved relations, appending to ``out``."""
         self._entry([None] * self.num_slots, relations, out)
 
-    def run(self, database: Database) -> List[Tuple]:
-        """Convenience: resolve relations from ``database`` and execute."""
+    def resolve(
+        self, database: Database, delta: Optional[Relation] = None
+    ) -> List[Relation]:
+        """The relations :meth:`execute` reads, in chain order; a given
+        ``delta`` stands in at ``delta_index`` and nowhere else."""
         relations = [
             database.relation_or_empty(predicate, arity)
             for predicate, arity in self.relations
         ]
+        if delta is not None:
+            relations[self.delta_index] = delta
+        return relations
+
+    def run(
+        self, database: Database, delta: Optional[Relation] = None
+    ) -> List[Tuple]:
+        """Resolve relations from ``database`` and execute."""
         out: List[Tuple] = []
-        self.execute(relations, out)
+        self.execute(self.resolve(database, delta), out)
         return out
 
     def __repr__(self):
@@ -181,8 +183,8 @@ def compile_kernel(
     ``elements`` must already be in execution order (see
     :func:`_static_schedule`); ``pinned_predicate`` marks the predicate
     whose *first* relation-consuming occurrence reads the semi-naive
-    delta — the static equivalent of the interpreter's
-    ``_PinnedFirstSource``.
+    delta — the occurrence :func:`~repro.datalog.evaluation._differentiate`
+    swapped to the front, which the interpreter binds to the delta.
     """
     slots: Dict[Variable, int] = {}
     bound: Set[Variable] = set()
@@ -439,242 +441,56 @@ def _build_chain(ops: List[Tuple]):
     return step
 
 
-def compile_rule(
-    rule: Rule,
-    plan: str = PLAN_MIRROR,
-    sizes: Optional[Dict[str, int]] = None,
-) -> JoinKernel:
+def compile_rule(rule: Rule) -> JoinKernel:
     """Compile a standalone rule body (no delta differentiation)."""
-    ordered = _plan_order(rule.body, plan, sizes)
-    return compile_kernel(rule, _static_schedule(ordered, set()))
-
-
-def _plan_order(elements, plan: str, sizes: Optional[Dict[str, int]]):
-    if plan == PLAN_MIRROR:
-        return list(elements)
-    return order_body_elements(elements, sizes or {})
-
-
-class CompiledRule:
-    """One rule's kernels: the base kernel plus per-position delta variants.
-
-    ``delta_variants`` holds ``(delta_predicate, kernel)`` per positive
-    occurrence of a stratum predicate, in body-position order — the same
-    order the interpreted driver differentiates them in.
-    """
-
-    __slots__ = ("rule", "base", "delta_variants")
-
-    def __init__(self, rule: Rule, base: JoinKernel, delta_variants):
-        self.rule = rule
-        self.base = base
-        self.delta_variants = tuple(delta_variants)
-
-    def __repr__(self):
-        return (
-            f"CompiledRule({self.rule.head}, "
-            f"deltas={len(self.delta_variants)})"
-        )
-
-
-class CompiledStratum:
-    """The compiled rules of one stratum, split like the interpreter."""
-
-    __slots__ = ("predicates", "rules", "recursive_rules")
-
-    def __init__(self, predicates, rules, recursive_rules):
-        self.predicates = frozenset(predicates)
-        self.rules = tuple(rules)
-        self.recursive_rules = tuple(recursive_rules)
+    return compile_kernel(rule, _static_schedule(rule.body, set()))
 
 
 class CompiledProgram:
     """A program lowered to join kernels, once per (program, stratum).
 
     Construction performs the whole compile phase: safety checking,
-    stratification, join-order planning, and kernel lowering for every
-    rule plus every semi-naive delta variant.  The result is immutable
-    and reusable across databases (``"mirror"`` plan) or tied to the
-    statistics of the database it was planned against (``"cost"`` plan);
-    :meth:`run` executes the semi-naive fixpoint against any database.
+    stratification, scheduling, and kernel lowering for every rule plus
+    every semi-naive delta variant.  The result is immutable, depends on
+    no database, and is reusable across them; :meth:`run` executes the
+    semi-naive fixpoint against any database.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        database: Optional[Database] = None,
-        plan: str = PLAN_MIRROR,
-    ):
-        if plan not in PLAN_MODES:
-            raise ValueError(
-                f"unknown plan mode {plan!r}; expected one of {PLAN_MODES}"
-            )
+    def __init__(self, program: Program):
         started = time.perf_counter()
         program.check_safety()
         self.program = program
-        self.plan = plan
         self.rules_signature = tuple(program.rules)
         self.arities = _arity_map(program)
-        sizes = (
-            relation_sizes(database)
-            if (plan == PLAN_COST and database is not None)
-            else None
+        #: per stratum, one :class:`SeminaiveRule` of kernels per rule
+        self.strata = _seminaive_strata(
+            program,
+            lambda rule, body, pinned: compile_kernel(
+                rule, _static_schedule(body, set()), pinned_predicate=pinned
+            ),
         )
-        self.strata: List[CompiledStratum] = []
-        kernel_count = 0
-        from .stratify import stratify
-
-        for stratum in stratify(program):
-            stratum_rules = [
-                r for r in program.rules if r.head.predicate in stratum
-            ]
-            compiled_rules = []
-            recursive_rules = []
-            for rule in stratum_rules:
-                ordered = _plan_order(rule.body, plan, sizes)
-                base = compile_kernel(rule, _static_schedule(ordered, set()))
-                kernel_count += 1
-                recursive_positions = [
-                    i
-                    for i, e in enumerate(rule.body)
-                    if isinstance(e, Literal)
-                    and not e.negated
-                    and e.predicate in stratum
-                ]
-                variants = []
-                for position in recursive_positions:
-                    body = list(rule.body)
-                    pinned = body[position]
-                    if plan == PLAN_MIRROR:
-                        # The interpreted driver swaps the delta
-                        # occurrence to the front and lets the scheduler
-                        # run on the swapped list; replay exactly that.
-                        body[0], body[position] = body[position], body[0]
-                        ordered_body = body
-                    else:
-                        rest = body[:position] + body[position + 1 :]
-                        ordered_body = [pinned] + order_body_elements(
-                            rest,
-                            sizes or {},
-                            bound=set(pinned.variables()),
-                        )
-                    kernel = compile_kernel(
-                        rule,
-                        _static_schedule(ordered_body, set()),
-                        pinned_predicate=pinned.predicate,
-                    )
-                    kernel_count += 1
-                    variants.append((pinned.predicate, kernel))
-                compiled = CompiledRule(rule, base, variants)
-                compiled_rules.append(compiled)
-                if variants:
-                    recursive_rules.append(compiled)
-            self.strata.append(
-                CompiledStratum(stratum, compiled_rules, recursive_rules)
-            )
-        self.kernel_count = kernel_count
+        self.kernel_count = sum(
+            1 + len(rule.delta_variants)
+            for rules in self.strata
+            for rule in rules
+        )
         self.compile_seconds = time.perf_counter() - started
-
-    # --- execution ----------------------------------------------------
-
-    def _resolve(self, kernel: JoinKernel, database: Database, delta=None):
-        relations = []
-        delta_index = kernel.delta_index
-        for index, (predicate, arity) in enumerate(kernel.relations):
-            if delta is not None and index == delta_index:
-                relations.append(delta)
-            else:
-                relations.append(database.relation_or_empty(predicate, arity))
-        return relations
 
     def run(
         self,
         database: Database,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
     ) -> Database:
-        """Semi-naive fixpoint over the compiled kernels.
-
-        Mirrors the interpreted driver round for round: derived facts
-        land in ``database`` in place and the database is returned for
-        chaining.
-        """
-        arities = self.arities
-        for stratum in self.strata:
-            for compiled in stratum.rules:
-                head = compiled.rule.head
-                database.relation_or_empty(head.predicate, head.arity)
-
-            deltas: Dict[str, Set[Tuple]] = {
-                p: set() for p in stratum.predicates
-            }
-
-            # Round 0: every rule once against the current database.
-            for compiled in stratum.rules:
-                head = compiled.rule.head
-                head_relation = database.relation_or_empty(
-                    head.predicate, head.arity
-                )
-                out: List[Tuple] = []
-                compiled.base.execute(
-                    self._resolve(compiled.base, database), out
-                )
-                for tup in out:
-                    if head_relation.add(tup):
-                        deltas[head.predicate].add(tup)
-
-            iterations = 0
-            while any(deltas.values()):
-                iterations += 1
-                if iterations > max_iterations:
-                    raise UnsafeQueryError(
-                        f"seminaive fixpoint exceeded {max_iterations} "
-                        f"iterations on stratum {sorted(stratum.predicates)}"
-                    )
-                delta_relations: Dict[str, Relation] = {}
-                for predicate, tuples in deltas.items():
-                    if not tuples:
-                        continue
-                    delta_relations[predicate] = Relation(
-                        f"Δ{predicate}",
-                        arities.get(predicate, len(next(iter(tuples)))),
-                        tuples,
-                        counter=database.counter,
-                    )
-                next_deltas: Dict[str, Set[Tuple]] = {
-                    p: set() for p in stratum.predicates
-                }
-                for compiled in stratum.recursive_rules:
-                    head = compiled.rule.head
-                    head_relation = database.relation_or_empty(
-                        head.predicate, head.arity
-                    )
-                    bucket = next_deltas[head.predicate]
-                    for delta_predicate, kernel in compiled.delta_variants:
-                        delta = delta_relations.get(delta_predicate)
-                        if delta is None:
-                            continue
-                        out = []
-                        kernel.execute(
-                            self._resolve(kernel, database, delta), out
-                        )
-                        for tup in out:
-                            if tup not in head_relation and tup not in bucket:
-                                bucket.add(tup)
-                for predicate, tuples in next_deltas.items():
-                    if not tuples:
-                        continue
-                    relation = database.relation_or_empty(
-                        predicate, arities.get(predicate, len(next(iter(tuples))))
-                    )
-                    # Bulk flush: one dedupe pass against the stored
-                    # tuples, every lazy index extended in one sweep.
-                    next_deltas[predicate] = set(relation.add_new(tuples))
-                deltas = next_deltas
-        return database
+        """Semi-naive fixpoint over the compiled kernels: the
+        interpreter's driver with :meth:`JoinKernel.run` as the rule
+        evaluation.  Derived facts land in ``database`` in place and the
+        database is returned for chaining."""
+        return _run_strata(
+            database, self.strata, JoinKernel.run, max_iterations
+        )
 
     def describe(self) -> Dict[str, object]:
         return {
-            "plan": self.plan,
             "strata": len(self.strata),
             "kernels": self.kernel_count,
             "compile_ms": self.compile_seconds * 1000.0,
@@ -682,16 +498,16 @@ class CompiledProgram:
 
     def __repr__(self):
         return (
-            f"CompiledProgram(plan={self.plan!r}, "
-            f"strata={len(self.strata)}, kernels={self.kernel_count})"
+            f"CompiledProgram(strata={len(self.strata)}, "
+            f"kernels={self.kernel_count})"
         )
 
 
 class _KernelCache:
-    """Process-wide memo of mirror-planned compiled programs.
+    """Process-wide memo of compiled programs.
 
-    Keyed by program identity (mirror plans are database-independent,
-    so one compilation serves every run of the same program object);
+    Keyed by program identity (kernels are database-independent, so one
+    compilation serves every run of the same program object);
     entries are revalidated against the program's current rule tuple so
     in-place mutation — ``Program.add_rule`` — can never serve stale
     kernels.  Shared across threads: the service layer compiles from
@@ -736,26 +552,16 @@ class _KernelCache:
 _kernel_cache = _KernelCache()
 
 
-def compile_program(
-    program: Program,
-    database: Optional[Database] = None,
-    plan: str = PLAN_MIRROR,
-) -> CompiledProgram:
-    """Compile ``program`` to join kernels, memoizing mirror plans.
+def compile_program(program: Program) -> CompiledProgram:
+    """Compile ``program`` to join kernels, memoized per program object.
 
-    Mirror-planned kernels are independent of any database, so repeated
-    fixpoints over the same :class:`Program` object (incremental
-    maintenance, batch serving, test oracles) pay for lowering once.
-    Cost-planned kernels embed the statistics of ``database`` and are
-    compiled fresh each call — cache them at the call site (the service
-    layer stores them on its :class:`~repro.service.plan.CompiledPlan`).
+    Kernels are independent of any database, so repeated fixpoints over
+    the same :class:`Program` object (incremental maintenance, batch
+    serving, test oracles) pay for lowering once.
     """
-    if plan == PLAN_MIRROR:
-        cached = _kernel_cache.get(program)
-        if cached is not None:
-            return cached
-    compiled = CompiledProgram(program, database=database, plan=plan)
-    if plan == PLAN_MIRROR:
+    compiled = _kernel_cache.get(program)
+    if compiled is None:
+        compiled = CompiledProgram(program)
         _kernel_cache.put(program, compiled)
     return compiled
 
@@ -764,24 +570,15 @@ def compiled_seminaive_evaluate(
     program: Program,
     database: Database,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    plan: str = PLAN_MIRROR,
-    compiled: Optional[CompiledProgram] = None,
 ) -> Database:
-    """Entry point used by :func:`repro.datalog.evaluation.seminaive_evaluate`.
-
-    ``compiled`` lets callers that already hold kernels (the serving
-    layer) skip the cache lookup entirely.
-    """
-    if compiled is None:
-        compiled = compile_program(program, database=database, plan=plan)
-    return compiled.run(database, max_iterations)
+    """Entry point used by :func:`repro.datalog.evaluation.seminaive_evaluate`."""
+    return compile_program(program).run(database, max_iterations)
 
 
 def materialize_conjunction(
     elements: Sequence,
     head_terms: Sequence,
     database: Database,
-    plan: str = PLAN_MIRROR,
 ) -> List[Tuple]:
     """Evaluate one conjunctive body and project ``head_terms`` rows.
 
@@ -791,7 +588,7 @@ def materialize_conjunction(
     exactly where the interpreted path would fail to ground the term.
     """
     head = Atom("$conjunction", tuple(head_terms))
-    kernel = compile_rule(Rule(head, tuple(elements)), plan=plan)
+    kernel = compile_rule(Rule(head, tuple(elements)))
     if database.backend == "columnar":
         # Same compiled ops, executed over column vectors: the CSL
         # materializer inherits the batch path on columnar databases

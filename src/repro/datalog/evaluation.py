@@ -11,16 +11,22 @@ database.  Two strategies are provided:
   within each recursive stratum, only rule instantiations that use at
   least one *new* fact (the delta) are re-derived.
 
-:func:`seminaive_evaluate` runs on one of two engines.  The default,
+:func:`seminaive_evaluate` runs on one of three engines.  The default,
 ``engine="compiled"``, lowers each rule once into a slot-based join
 kernel (:mod:`repro.datalog.engine`) and executes flat closure chains;
-``engine="interpreted"`` is the original tuple-at-a-time interpreter in
-this module, retained as the differential oracle next to
-:func:`naive_evaluate`.  In the compiled engine's default ``"mirror"``
-plan the two produce identical answers *and* identical
-:class:`~repro.datalog.relation.CostCounter` snapshots — the kernels
-replay the interpreter's join order and read state through the same
-charged :meth:`Relation.lookup`/:meth:`Relation.contains` primitives.
+``engine="columnar"`` runs the same kernels as batch joins
+(:mod:`repro.datalog.columnar_engine`); ``engine="interpreted"`` is the
+original tuple-at-a-time interpreter in this module, retained as the
+differential oracle next to :func:`naive_evaluate`.  All three produce
+identical answers *and* identical
+:class:`~repro.datalog.relation.CostCounter` snapshots: there is one
+rule-body scheduler (:func:`_ready_element_index`, replayed statically
+by the kernels), one delta differentiation (:func:`_differentiate`) and
+one set-backed delta-round loop (:func:`_run_delta_rounds`, shared by
+the interpreter, the compiled engine and
+:func:`~repro.datalog.incremental.insert_and_maintain`), and every read
+goes through the same charged
+:meth:`Relation.lookup`/:meth:`Relation.contains` primitives.
 
 Both accept ``max_iterations``: recursive programs over cyclic data can
 genuinely diverge when values grow without bound (this is exactly how
@@ -35,10 +41,20 @@ so that tests run as soon as their variables are bound (never before).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import EvaluationError, UnsafeQueryError
-from .atom import BuiltinAtom, Literal
+from .atom import Atom, BuiltinAtom, Literal
 from .builtins import evaluate_builtin, required_bound_variables
 from .database import Database
 from .program import Program
@@ -56,27 +72,6 @@ DEFAULT_MAX_ITERATIONS = 100_000
 # recursive-generator evaluator below, kept as the differential oracle.
 DEFAULT_ENGINE = "compiled"
 SEMINAIVE_ENGINES = ("compiled", "interpreted", "columnar")
-
-
-class _FactSource:
-    """Resolves body literals to relations during one rule evaluation.
-
-    ``overrides`` maps predicate names to replacement relations (used by
-    semi-naive evaluation to point one recursive literal at the delta).
-    """
-
-    __slots__ = ("database", "overrides", "arities")
-
-    def __init__(self, database: Database, arities: Dict[str, int], overrides=None):
-        self.database = database
-        self.arities = arities
-        self.overrides = overrides or {}
-
-    def relation_for(self, predicate: str, arity: int):
-        override = self.overrides.get(predicate)
-        if override is not None:
-            return override
-        return self.database.relation_or_empty(predicate, arity)
 
 
 def _ready_element_index(elements: List, bound: Set) -> int:
@@ -99,48 +94,81 @@ def _ready_element_index(elements: List, bound: Set) -> int:
     return first_positive
 
 
-def _evaluate_body(
-    elements: List, theta: Dict, source: _FactSource
-) -> Iterator[Dict]:
-    """Yield all substitutions satisfying the remaining body elements."""
-    if not elements:
+def _evaluate_body(items: List[Tuple], theta: Dict) -> Iterator[Dict]:
+    """Yield all substitutions satisfying the remaining body elements.
+
+    ``items`` pairs each body element with the reader that occurrence
+    must use (``None`` for builtins): anything with charged ``lookup``
+    and ``contains`` — a :class:`Relation`, or one of the maintenance
+    layer's views.  Binding readers per *occurrence*, not per predicate,
+    is what lets semi-naive evaluation point one recursive literal at
+    the delta while its siblings read the full relation, and lets the
+    telescoping delta rule read *old* state left of the pinned element
+    and *new* state right of it.
+    """
+    if not items:
         yield theta
         return
-    bound = set(theta)
-    index = _ready_element_index(elements, bound)
+    elements = [element for element, _reader in items]
+    index = _ready_element_index(elements, set(theta))
     if index < 0:
         raise EvaluationError(
             "no evaluable body element; rule is unsafe: "
             + ", ".join(str(e) for e in elements)
         )
-    element = elements[index]
-    rest = elements[:index] + elements[index + 1 :]
+    element, reader = items[index]
+    rest = items[:index] + items[index + 1 :]
 
     if isinstance(element, BuiltinAtom):
         for extended in evaluate_builtin(element, theta):
-            yield from _evaluate_body(rest, extended, source)
-        return
-
-    relation = source.relation_for(element.predicate, len(element.terms))
-    if element.negated:
-        pattern = lookup_pattern(element.terms, theta)
-        if any(value is None for value in pattern):
-            raise EvaluationError(f"negated literal {element} not ground")
-        if not relation.contains(pattern):
-            yield from _evaluate_body(rest, theta, source)
+            yield from _evaluate_body(rest, extended)
         return
 
     pattern = lookup_pattern(element.terms, theta)
-    for tup in relation.lookup(pattern):
+    if element.negated:
+        if any(value is None for value in pattern):
+            raise EvaluationError(f"negated literal {element} not ground")
+        if not reader.contains(pattern):
+            yield from _evaluate_body(rest, theta)
+        return
+
+    for tup in reader.lookup(pattern):
         extended = match_tuple(element.terms, tup, theta)
         if extended is not None:
-            yield from _evaluate_body(rest, extended, source)
+            yield from _evaluate_body(rest, extended)
 
 
-def evaluate_rule(rule: Rule, source: _FactSource) -> Iterator[Tuple]:
-    """Yield the head tuples derivable by one rule from ``source``."""
-    for theta in _evaluate_body(list(rule.body), {}, source):
-        yield ground_atom_tuple(rule.head, theta)
+def _database_items(body: Sequence, database: Database) -> List[Tuple]:
+    """Pair every body element with the database relation it reads."""
+    return [
+        (
+            element,
+            None
+            if isinstance(element, BuiltinAtom)
+            else database.relation_or_empty(element.predicate, len(element.terms)),
+        )
+        for element in body
+    ]
+
+
+def evaluate_rule(
+    rule: Rule, database: Database, delta: Optional[Relation] = None
+) -> List[Tuple]:
+    """The head tuples one rule derives from ``database``.
+
+    With ``delta``, the rule is a differentiated variant from
+    :func:`_differentiate`: its first body element reads the delta and
+    every other occurrence — of the same predicate included — the full
+    relation.  The result is materialized because the body may read the
+    very relation the caller is about to write the head tuples to.
+    """
+    items = _database_items(rule.body, database)
+    if delta is not None:
+        items[0] = (rule.body[0], delta)
+    return [
+        ground_atom_tuple(rule.head, theta)
+        for theta in _evaluate_body(items, {})
+    ]
 
 
 def _arity_map(program: Program) -> Dict[str, int]:
@@ -168,10 +196,7 @@ def naive_evaluate(
     also returned for chaining.
     """
     program.check_safety()
-    arities = _arity_map(program)
-    strata = stratify(program)
-    source = _FactSource(database, arities)
-    for stratum in strata:
+    for stratum in stratify(program):
         stratum_rules = [r for r in program.rules if r.head.predicate in stratum]
         for rule in stratum_rules:
             database.relation_or_empty(rule.head.predicate, rule.head.arity)
@@ -189,9 +214,169 @@ def naive_evaluate(
                 head_relation = database.relation_or_empty(
                     rule.head.predicate, rule.head.arity
                 )
-                for tup in list(evaluate_rule(rule, source)):
+                for tup in evaluate_rule(rule, database):
                     if head_relation.add(tup):
                         changed = True
+    return database
+
+
+class SeminaiveRule(NamedTuple):
+    """One rule as the semi-naive driver runs it.
+
+    ``base`` evaluates the whole body against the database (round 0);
+    ``delta_variants`` holds one ``(delta predicate, variant)`` per
+    positive occurrence of a stratum predicate, in body order.  What a
+    ``base``/variant *is* belongs to the engine: a :class:`Rule` for the
+    interpreter, a join kernel for the compiled engines.
+    """
+
+    head: Atom
+    base: object
+    delta_variants: Tuple[Tuple[str, object], ...]
+
+
+def _differentiate(rule: Rule, predicates) -> List[Tuple[str, List]]:
+    """The delta variants of one rule body.
+
+    One ``(predicate, body)`` per positive occurrence of a predicate in
+    ``predicates``, in body order, with that occurrence swapped to the
+    front: the scheduler then runs on the swapped list, and position 0
+    is the one occurrence that reads the delta.  Every engine
+    differentiates through this function, which is what keeps their
+    join orders — and so their retrieval counts — the same.
+    """
+    variants = []
+    for position, element in enumerate(rule.body):
+        if (
+            isinstance(element, Literal)
+            and not element.negated
+            and element.predicate in predicates
+        ):
+            body = list(rule.body)
+            body[0], body[position] = body[position], body[0]
+            variants.append((element.predicate, body))
+    return variants
+
+
+def _seminaive_strata(
+    program: Program, lower: Callable
+) -> List[Tuple[SeminaiveRule, ...]]:
+    """The program as the semi-naive driver runs it, stratum by stratum.
+
+    ``lower(rule, body, pinned)`` turns one body — the rule's own
+    (``pinned`` is ``None``) or a delta variant from
+    :func:`_differentiate` (``pinned`` names the delta predicate) — into
+    whatever the engine's ``run`` callable evaluates.  Stratification
+    and differentiation are thereby written once for every engine.
+    """
+    return [
+        tuple(
+            SeminaiveRule(
+                rule.head,
+                lower(rule, rule.body, None),
+                tuple(
+                    (predicate, lower(rule, body, predicate))
+                    for predicate, body in _differentiate(rule, stratum)
+                ),
+            )
+            for rule in program.rules
+            if rule.head.predicate in stratum
+        )
+        for stratum in stratify(program)
+    ]
+
+
+def _run_delta_rounds(
+    database: Database,
+    variants: Sequence[Tuple[Atom, str, object]],
+    deltas: Dict[str, Set[Tuple]],
+    run: Callable,
+    max_iterations: int,
+    derived: Optional[Dict[str, Set[Tuple]]] = None,
+) -> None:
+    """The set-backed semi-naive delta loop, written once.
+
+    ``deltas`` holds the facts new in the previous round (already
+    stored); each round wraps them in ``Δ<pred>`` relations charged to
+    the database counter and runs every ``(head, delta predicate,
+    variant)`` whose predicate has a delta through ``run(variant,
+    database, delta)``.  Only the pinned occurrence reads the delta;
+    other occurrences see the full relation, and set semantics absorbs
+    the duplicated derivations.  Candidates are deduplicated (uncharged)
+    against the head relation and the round's bucket, then flushed in
+    bulk.  ``derived``, when given, accumulates everything confirmed —
+    it is filled round by round, so it is exact even when a later round
+    raises.
+    """
+    iterations = 0
+    while any(deltas.values()):
+        iterations += 1
+        if iterations > max_iterations:
+            heads = sorted({head.predicate for head, _p, _v in variants})
+            raise UnsafeQueryError(
+                f"seminaive fixpoint exceeded {max_iterations} iterations "
+                f"deriving {heads}"
+            )
+        delta_relations = {
+            predicate: Relation(
+                f"Δ{predicate}",
+                len(next(iter(tuples))),
+                tuples,
+                counter=database.counter,
+            )
+            for predicate, tuples in deltas.items()
+            if tuples
+        }
+        buckets: Dict[str, Set[Tuple]] = {}
+        for head, delta_predicate, variant in variants:
+            delta = delta_relations.get(delta_predicate)
+            if delta is None:
+                continue
+            head_relation = database.relation_or_empty(head.predicate, head.arity)
+            bucket = buckets.setdefault(head.predicate, set())
+            for tup in run(variant, database, delta):
+                if tup not in head_relation and tup not in bucket:
+                    bucket.add(tup)
+        deltas = {}
+        for predicate, tuples in buckets.items():
+            # Bulk flush: one dedupe pass against the stored tuples,
+            # every lazy index extended in one sweep.
+            confirmed = set(database.relation(predicate).add_new(tuples))
+            deltas[predicate] = confirmed
+            if derived is not None and confirmed:
+                derived.setdefault(predicate, set()).update(confirmed)
+
+
+def _run_strata(
+    database: Database,
+    strata: Sequence[Sequence[SeminaiveRule]],
+    run: Callable,
+    max_iterations: int,
+) -> Database:
+    """Stratum by stratum: one round-0 pass, then the delta rounds.
+
+    ``run(base_or_variant, database, delta)`` returns the head tuples of
+    one rule evaluation as a list — :func:`evaluate_rule` for the
+    interpreter, :meth:`JoinKernel.run` for the compiled engine.  That
+    callable is the only thing the two engines do not share.
+    """
+    for rules in strata:
+        for rule in rules:
+            database.relation_or_empty(rule.head.predicate, rule.head.arity)
+        # Round 0: run every rule once against the current database (the
+        # recursive predicates may already hold facts seeded by callers).
+        deltas: Dict[str, Set[Tuple]] = {}
+        for rule in rules:
+            head_relation = database.relation(rule.head.predicate)
+            deltas.setdefault(rule.head.predicate, set()).update(
+                head_relation.add_new(run(rule.base, database, None))
+            )
+        variants = [
+            (rule.head, predicate, variant)
+            for rule in rules
+            for predicate, variant in rule.delta_variants
+        ]
+        _run_delta_rounds(database, variants, deltas, run, max_iterations)
     return database
 
 
@@ -200,7 +385,6 @@ def seminaive_evaluate(
     database: Database,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     engine: Optional[str] = None,
-    plan: Optional[str] = None,
 ) -> Database:
     """Semi-naive (differential) bottom-up fixpoint.
 
@@ -215,150 +399,29 @@ def seminaive_evaluate(
     database is converted in place), or ``"interpreted"`` (this
     module's tuple-at-a-time evaluator, the differential oracle).  When
     ``engine`` is omitted, a columnar-backed database routes to the
-    columnar engine and anything else to the compiled default.  ``plan``
-    is forwarded to the compiled/columnar engines: ``"mirror"``
-    (default) replays the interpreter's join order for bit-for-bit cost
-    parity, ``"cost"`` orders bodies once with the planner's statistics.
+    columnar engine and anything else to the compiled default.  There
+    is one join order — the interpreter's schedule, replayed statically
+    by the kernels — so all three charge identical retrievals.
     """
     if engine is None:
         engine = "columnar" if database.backend == "columnar" else DEFAULT_ENGINE
     if engine == "compiled":
         from .engine import compiled_seminaive_evaluate
 
-        return compiled_seminaive_evaluate(
-            program, database, max_iterations, plan=plan or "mirror"
-        )
+        return compiled_seminaive_evaluate(program, database, max_iterations)
     if engine == "columnar":
         from .columnar_engine import columnar_seminaive_evaluate
 
-        return columnar_seminaive_evaluate(
-            program, database, max_iterations, plan=plan or "mirror"
-        )
+        return columnar_seminaive_evaluate(program, database, max_iterations)
     if engine != "interpreted":
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {SEMINAIVE_ENGINES}"
         )
-    if plan is not None:
-        raise ValueError("plan selection requires engine='compiled'")
     program.check_safety()
-    arities = _arity_map(program)
-    strata = stratify(program)
-
-    for stratum in strata:
-        stratum_rules = [r for r in program.rules if r.head.predicate in stratum]
-        for rule in stratum_rules:
-            database.relation_or_empty(rule.head.predicate, rule.head.arity)
-
-        base_source = _FactSource(database, arities)
-        deltas: Dict[str, Set[Tuple]] = {p: set() for p in stratum}
-
-        # Round 0: run every rule once against the current database (the
-        # recursive predicates may already hold facts seeded by callers).
-        for rule in stratum_rules:
-            head_relation = database.relation_or_empty(
-                rule.head.predicate, rule.head.arity
-            )
-            for tup in list(evaluate_rule(rule, base_source)):
-                if head_relation.add(tup):
-                    deltas[rule.head.predicate].add(tup)
-
-        recursive_rules = [
-            r
-            for r in stratum_rules
-            if any(
-                isinstance(e, Literal) and not e.negated and e.predicate in stratum
-                for e in r.body
-            )
-        ]
-
-        iterations = 0
-        while any(deltas.values()):
-            iterations += 1
-            if iterations > max_iterations:
-                raise UnsafeQueryError(
-                    f"seminaive fixpoint exceeded {max_iterations} iterations "
-                    f"on stratum {sorted(stratum)}"
-                )
-            delta_relations = {}
-            for predicate, tuples in deltas.items():
-                if not tuples:
-                    continue
-                delta_relations[predicate] = Relation(
-                    f"Δ{predicate}",
-                    arities.get(predicate, len(next(iter(tuples)))),
-                    tuples,
-                    counter=database.counter,
-                )
-            next_deltas: Dict[str, Set[Tuple]] = {p: set() for p in stratum}
-            for rule in recursive_rules:
-                head_relation = database.relation_or_empty(
-                    rule.head.predicate, rule.head.arity
-                )
-                recursive_positions = [
-                    i
-                    for i, e in enumerate(rule.body)
-                    if isinstance(e, Literal)
-                    and not e.negated
-                    and e.predicate in stratum
-                ]
-                for position in recursive_positions:
-                    element = rule.body[position]
-                    delta = delta_relations.get(element.predicate)
-                    if delta is None:
-                        continue
-                    # Evaluate with only this occurrence pinned to the
-                    # delta.  Other occurrences see the full relation;
-                    # set semantics absorbs duplicated derivations.
-                    body = list(rule.body)
-                    body[0], body[position] = body[position], body[0]
-                    pinned = _PinnedFirstSource(
-                        _FactSource(database, arities), element.predicate, delta
-                    )
-                    for theta in _evaluate_body(body, {}, pinned):
-                        tup = ground_atom_tuple(rule.head, theta)
-                        if tup not in head_relation and tup not in next_deltas[
-                            rule.head.predicate
-                        ]:
-                            next_deltas[rule.head.predicate].add(tup)
-            for predicate, tuples in next_deltas.items():
-                if not tuples:
-                    continue
-                relation = database.relation_or_empty(
-                    predicate, arities.get(predicate, len(next(iter(tuples))))
-                )
-                confirmed = set()
-                for tup in tuples:
-                    if relation.add(tup):
-                        confirmed.add(tup)
-                next_deltas[predicate] = confirmed
-            deltas = next_deltas
-    return database
-
-
-class _PinnedFirstSource:
-    """A fact source that serves the delta for the first occurrence of a
-    predicate and the full relation for later ones.
-
-    The delta-differentiated body is reordered so the pinned occurrence
-    is element 0; subsequent occurrences of the same predicate must see
-    the full relation, so a plain override (which replaces *every*
-    occurrence) would under-derive.  This wrapper hands out the delta
-    exactly once.
-    """
-
-    __slots__ = ("inner", "predicate", "delta", "served")
-
-    def __init__(self, inner: _FactSource, predicate: str, delta):
-        self.inner = inner
-        self.predicate = predicate
-        self.delta = delta
-        self.served = False
-
-    def relation_for(self, predicate: str, arity: int):
-        if predicate == self.predicate and not self.served:
-            self.served = True
-            return self.delta
-        return self.inner.database.relation_or_empty(predicate, arity)
+    strata = _seminaive_strata(
+        program, lambda rule, body, _pinned: Rule(rule.head, body)
+    )
+    return _run_strata(database, strata, evaluate_rule, max_iterations)
 
 
 def answer_tuples(
@@ -371,7 +434,7 @@ def answer_tuples(
 
     ``engine`` is ``"naive"``, ``"seminaive"`` (the default compiled
     semi-naive engine), or explicitly ``"compiled"`` / ``"interpreted"``
-    to pick a semi-naive engine.  The goal may contain constants
+    / ``"columnar"`` to pick a semi-naive engine.  The goal may contain constants
     (selections) and variables (projected out positions keep their
     order).
     """

@@ -20,19 +20,18 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set, Tuple
 
-from ..errors import EvaluationError, UnsafeQueryError
-from .atom import BuiltinAtom, Literal
+from ..errors import EvaluationError
+from .atom import Literal
 from .database import Database
 from .evaluation import (
     DEFAULT_MAX_ITERATIONS,
     _arity_map,
-    _evaluate_body,
-    _FactSource,
-    _PinnedFirstSource,
+    _differentiate,
+    _run_delta_rounds,
+    evaluate_rule,
 )
 from .program import Program
-from .relation import Relation
-from .unify import ground_atom_tuple
+from .rule import Rule
 
 
 def _affected_predicates(program: Program, changed: Set[str]) -> Set[str]:
@@ -111,85 +110,39 @@ def insert_and_maintain(
                 )
         cleaned[predicate] = tuples
 
-    # Every add is journalled so a failure anywhere below restores the
-    # pre-call state (the propagation can raise UnsafeQueryError on the
-    # iteration budget, or EvaluationError from an unsafe rule body).
-    journal: List[Tuple[str, Tuple]] = []
+    # Every add is journalled — the EDB seeds in ``seeded``, what the
+    # delta rounds confirm in ``derived`` — so a failure anywhere below
+    # restores the pre-call state (the propagation can raise
+    # UnsafeQueryError on the iteration budget, or EvaluationError from
+    # an unsafe rule body).
+    seeded: Dict[str, Set[Tuple]] = {}
+    derived: Dict[str, Set[Tuple]] = {}
     try:
-        deltas: Dict[str, Set[Tuple]] = {}
         for predicate, tuples in cleaned.items():
             relation = database.relation_or_empty(predicate, len(tuples[0]))
-            fresh = set()
-            for tup in tuples:
-                if relation.add(tup):
-                    fresh.add(tup)
-                    journal.append((predicate, tup))
+            fresh = set(relation.add_new(tuples))
             if fresh:
-                deltas[predicate] = fresh
+                seeded[predicate] = fresh
 
-        affected = _affected_predicates(program, set(deltas))
+        affected = _affected_predicates(program, set(seeded))
         _check_no_negation_in(program, affected)
 
-        derived: Dict[str, Set[Tuple]] = {p: set() for p in affected}
-        rules = [r for r in program.rules if r.head.predicate in affected]
-        iterations = 0
-        while deltas:
-            iterations += 1
-            if iterations > max_iterations:
-                raise UnsafeQueryError(
-                    f"incremental maintenance exceeded {max_iterations} rounds"
-                )
-            delta_relations = {
-                predicate: Relation(
-                    f"Δ{predicate}",
-                    arities.get(predicate, len(next(iter(tuples)))),
-                    tuples,
-                    counter=database.counter,
-                )
-                for predicate, tuples in deltas.items()
-            }
-            next_deltas: Dict[str, Set[Tuple]] = {}
-            for rule in rules:
-                head_relation = database.relation_or_empty(
-                    rule.head.predicate, rule.head.arity
-                )
-                positions = [
-                    i
-                    for i, element in enumerate(rule.body)
-                    if isinstance(element, Literal)
-                    and not element.negated
-                    and element.predicate in delta_relations
-                ]
-                for position in positions:
-                    element = rule.body[position]
-                    body = list(rule.body)
-                    body[0], body[position] = body[position], body[0]
-                    pinned = _PinnedFirstSource(
-                        _FactSource(database, arities),
-                        element.predicate,
-                        delta_relations[element.predicate],
-                    )
-                    for theta in _evaluate_body(body, {}, pinned):
-                        tup = ground_atom_tuple(rule.head, theta)
-                        if tup not in head_relation:
-                            next_deltas.setdefault(
-                                rule.head.predicate, set()
-                            ).add(tup)
-            deltas = {}
-            for predicate, tuples in next_deltas.items():
-                relation = database.relation_or_empty(
-                    predicate, arities.get(predicate, len(next(iter(tuples))))
-                )
-                confirmed = set()
-                for tup in tuples:
-                    if relation.add(tup):
-                        confirmed.add(tup)
-                        journal.append((predicate, tup))
-                if confirmed:
-                    deltas[predicate] = confirmed
-                    derived.setdefault(predicate, set()).update(confirmed)
+        # The interpreter's delta loop, seeded with the EDB delta
+        # instead of a round-0 pass: any positive occurrence of a
+        # changed predicate is differentiated, whatever its stratum.
+        changed = affected | set(seeded)
+        variants = [
+            (rule.head, predicate, Rule(rule.head, body))
+            for rule in program.rules
+            if rule.head.predicate in affected
+            for predicate, body in _differentiate(rule, changed)
+        ]
+        _run_delta_rounds(
+            database, variants, seeded, evaluate_rule, max_iterations, derived
+        )
     except Exception:
-        for predicate, tup in reversed(journal):
-            database.relation(predicate).discard(tup)
+        for journal in (derived, seeded):
+            for predicate, tuples in journal.items():
+                database.relation(predicate).discard_all(tuples)
         raise
-    return {p: s for p, s in derived.items() if s}
+    return derived

@@ -47,13 +47,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import EvaluationError, MaintenanceError, UnsafeQueryError
 from .atom import BuiltinAtom, Literal
-from .builtins import evaluate_builtin
 from .database import Database
-from .evaluation import DEFAULT_MAX_ITERATIONS, _arity_map, _ready_element_index
+from .evaluation import DEFAULT_MAX_ITERATIONS, _arity_map, _evaluate_body
 from .program import Program
 from .rule import Rule
 from .stratify import stratify
-from .unify import ground_atom_tuple, lookup_pattern, match_tuple
+from .unify import ground_atom_tuple, match_tuple
 
 __all__ = [
     "MaintenanceReport",
@@ -135,46 +134,6 @@ class _SetView:
         if found:
             self.counter.charge_tuples(self.name, 1)
         return found
-
-
-def _evaluate_views(items: List[Tuple], theta: Dict) -> Iterator[Dict]:
-    """Like ``_evaluate_body`` but with a view attached per occurrence.
-
-    ``items`` pairs each body element with the view it must read
-    (``None`` for builtins).  The per-occurrence binding is what lets
-    the telescoping delta rule read *old* state left of the pinned
-    element and *new* state right of it.
-    """
-    if not items:
-        yield theta
-        return
-    elements = [element for element, _view in items]
-    index = _ready_element_index(elements, set(theta))
-    if index < 0:
-        raise EvaluationError(
-            "no evaluable body element; rule is unsafe: "
-            + ", ".join(str(e) for e in elements)
-        )
-    element, view = items[index]
-    rest = items[:index] + items[index + 1 :]
-
-    if isinstance(element, BuiltinAtom):
-        for extended in evaluate_builtin(element, theta):
-            yield from _evaluate_views(rest, extended)
-        return
-
-    pattern = lookup_pattern(element.terms, theta)
-    if element.negated:
-        if any(value is None for value in pattern):
-            raise EvaluationError(f"negated literal {element} not ground")
-        if not view.contains(pattern):
-            yield from _evaluate_views(rest, theta)
-        return
-
-    for tup in view.lookup(pattern):
-        extended = match_tuple(element.terms, tup, theta)
-        if extended is not None:
-            yield from _evaluate_views(rest, extended)
 
 
 @dataclass
@@ -282,7 +241,7 @@ class MaintenanceState:
                         (e, self._current_view_locked(e)) for e in rule.body
                     ]
                     per_head = counts[rule.head.predicate]
-                    for theta in _evaluate_views(items, {}):
+                    for theta in _evaluate_body(items, {}):
                         tup = ground_atom_tuple(rule.head, theta)
                         per_head[tup] = per_head.get(tup, 0) + 1
                 for predicate in stratum:
@@ -319,7 +278,7 @@ class MaintenanceState:
             # very sets the head writes to.
             derived = [
                 ground_atom_tuple(rule.head, theta)
-                for theta in _evaluate_views(items, {})
+                for theta in _evaluate_body(items, {})
             ]
             for tup in derived:
                 if tup not in model[rule.head.predicate]:
@@ -366,7 +325,7 @@ class MaintenanceState:
                             items.append((other, None))
                         else:
                             items.append((other, view_for(other)))
-                    for theta in _evaluate_views(items, {}):
+                    for theta in _evaluate_body(items, {}):
                         tup = ground_atom_tuple(rule.head, theta)
                         if tup not in model[rule.head.predicate]:
                             next_deltas[rule.head.predicate].add(tup)
@@ -596,7 +555,7 @@ class MaintenanceState:
                     theta0 = match_tuple(element.terms, tup, {})
                     if theta0 is None:
                         continue
-                    for theta in _evaluate_views(items, theta0):
+                    for theta in _evaluate_body(items, theta0):
                         head_tup = ground_atom_tuple(head, theta)
                         deltas[head_tup] = deltas.get(head_tup, 0) + sign
 
@@ -670,7 +629,7 @@ class MaintenanceState:
         def collect(rule: Rule, items: List[Tuple], theta0: Dict) -> None:
             head = rule.head
             head_relation = relation_of(head.predicate)
-            for theta in _evaluate_views(items, theta0):
+            for theta in _evaluate_body(items, theta0):
                 head_tup = ground_atom_tuple(head, theta)
                 if head_tup in over[head.predicate]:
                     continue
@@ -761,7 +720,7 @@ class MaintenanceState:
             # head writes to (self-joins within the stratum).
             derived = [
                 ground_atom_tuple(head, theta)
-                for theta in _evaluate_views(items, theta0)
+                for theta in _evaluate_body(items, theta0)
             ]
             for head_tup in derived:
                 if head_relation.add(head_tup):
@@ -836,7 +795,7 @@ class MaintenanceState:
             if theta0 is None:
                 continue
             items = [(e, self._current_view_locked(e)) for e in rule.body]
-            for _theta in _evaluate_views(items, theta0):
+            for _theta in _evaluate_body(items, theta0):
                 return True
         return False
 

@@ -22,9 +22,9 @@ from .atom import BuiltinAtom
 from .database import Database
 from .evaluation import (
     DEFAULT_MAX_ITERATIONS,
-    _evaluate_body,
-    _FactSource,
     _arity_map,
+    _database_items,
+    _evaluate_body,
 )
 from .program import Program
 from .rule import Rule
@@ -166,7 +166,6 @@ def evaluate_with_provenance(
     arities = _arity_map(program)
     idb = program.idb_predicates()
     derivations: Dict[Fact, Tuple[Rule, List]] = {}
-    source = _FactSource(database, arities)
 
     for stratum in stratify(program):
         stratum_rules = [r for r in program.rules if r.head.predicate in stratum]
@@ -186,7 +185,8 @@ def evaluate_with_provenance(
                 head_relation = database.relation_or_empty(
                     rule.head.predicate, rule.head.arity
                 )
-                for theta in list(_evaluate_body(list(rule.body), {}, source)):
+                items = _database_items(rule.body, database)
+                for theta in list(_evaluate_body(items, {})):
                     tup = ground_atom_tuple(rule.head, theta)
                     key = (rule.head.predicate, tup)
                     if tup in head_relation or key in derivations:

@@ -189,6 +189,9 @@ class SetBackend(StorageBackend):
         for tup in tuples:
             tup = tuple(tup)
             if len(tup) != arity:
+                # All or nothing: callers journal what add_new returns,
+                # so a refused batch must leave nothing behind.
+                stored.difference_update(fresh)
                 raise ValueError(
                     f"relation {self.name} has arity {arity}, got tuple {tup!r}"
                 )

@@ -48,6 +48,7 @@ from .protocol import (
     decode_answers,
     decode_value,
     encode_frame,
+    encode_rows,
     encode_value,
     error_from_payload,
 )
@@ -118,7 +119,7 @@ class _Operations:
         """Bulk insert; ``int``: the number of new facts."""
         return self._call(
             "add_facts",
-            {"name": name, "tuples": _encode_rows(tuples)},
+            {"name": name, "tuples": encode_rows(tuples)},
             lambda result: int(result["added"]),
         )
 
@@ -134,7 +135,7 @@ class _Operations:
         """Bulk delete; ``int``: the number of facts that were present."""
         return self._call(
             "remove_facts",
-            {"name": name, "tuples": _encode_rows(tuples)},
+            {"name": name, "tuples": encode_rows(tuples)},
             lambda result: int(result["removed"]),
         )
 
@@ -399,10 +400,6 @@ def _solve_params(source, method, deadline_ms, program) -> Dict[str, object]:
     if program is not None:
         params["program"] = program
     return params
-
-
-def _encode_rows(tuples: Iterable[Tuple]) -> List[List]:
-    return [[encode_value(v) for v in row] for row in tuples]
 
 
 # --- the HTTP operational surface ------------------------------------------

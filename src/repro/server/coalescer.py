@@ -207,11 +207,14 @@ class RequestCoalescer:
         ]
         if not entries:
             return
-        sources = list(dict.fromkeys(source for source, _future in entries))
-        self.batches += 1
-        self.coalesced += len(entries)
-        self.largest_batch = max(self.largest_batch, len(sources))
         try:
+            # Deduping hashes the sources: an unhashable one must fail
+            # this window's waiters like any execution error — raised
+            # outside the try it would kill the task and strand them.
+            sources = list(dict.fromkeys(source for source, _future in entries))
+            self.batches += 1
+            self.coalesced += len(entries)
+            self.largest_batch = max(self.largest_batch, len(sources))
             answers = await self._execute(group.key, sources)
         except Exception as exc:  # noqa: BLE001 - forwarded to every waiter
             for _source, future in entries:

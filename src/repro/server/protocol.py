@@ -242,9 +242,41 @@ def encode_value(value):
 
 
 def decode_value(value):
+    """Decode one wire value; a JSON object at any depth is refused.
+
+    No constant is a mapping, and letting one through hands the layers
+    below an unhashable "value" (the coalescer dedupes sources by
+    hashing them).  A top-level ``null`` still decodes to ``None`` —
+    callers read it as "field absent".
+    """
     if isinstance(value, list):
         return tuple(decode_value(item) for item in value)
+    if isinstance(value, dict):
+        raise ProtocolError(
+            "a value must be a JSON scalar or array, got an object"
+        )
     return value
+
+
+def encode_rows(rows: Iterable[Tuple]) -> List[List]:
+    """Fact rows as a JSON array of arrays."""
+    return [[encode_value(value) for value in row] for row in rows]
+
+
+def decode_rows(raw, field: str = "tuples") -> List[Tuple]:
+    """Fact rows off the wire; every row must be a JSON array.
+
+    A string row would otherwise be iterated into a tuple of its
+    characters and silently stored as a different fact.
+    """
+    if not isinstance(raw, list):
+        raise ProtocolError(f"'{field}' must be a list of rows")
+    for row in raw:
+        if not isinstance(row, list):
+            raise ProtocolError(
+                f"every row of '{field}' must be a JSON array, got {row!r}"
+            )
+    return [decode_value(row) for row in raw]
 
 
 def encode_answers(answers: FrozenSet) -> List:

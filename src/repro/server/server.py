@@ -43,6 +43,7 @@ from .protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
     decode_request,
+    decode_rows,
     decode_value,
     encode_answer_map,
     encode_answers,
@@ -492,10 +493,7 @@ def _fact_params(params: Dict[str, object]):
 
 def _rows_params(params: Dict[str, object]):
     name = _required_str(params, "name")
-    raw = params.get("tuples")
-    if not isinstance(raw, list):
-        raise ProtocolError("'tuples' must be a list of rows")
-    return name, [tuple(decode_value(v) for v in row) for row in raw]
+    return name, decode_rows(params.get("tuples"))
 
 
 def _mutation_fields(result) -> Dict[str, object]:

@@ -19,12 +19,12 @@ import pathlib
 import pytest
 
 from repro.analysis.concurrency import (
+    CONCURRENCY_PASSES,
     RULE_METADATA,
     CodebaseFacts,
     GuardedBy,
     build_module_model,
     lock_graph_edges,
-    registered_concurrency_passes,
     run_concurrency_analysis,
 )
 from repro.cli import main
@@ -220,7 +220,7 @@ class TestSelfAnalysis:
 
 class TestFramework:
     def test_default_pipeline_order(self):
-        names = [p.name for p in registered_concurrency_passes()]
+        names = [p.name for p in CONCURRENCY_PASSES.passes()]
         assert names == [
             "guarded-by",
             "loop-confined",

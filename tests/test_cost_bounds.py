@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.analysis.cost import (
+    COST_PASSES,
     INF,
     CostReport,
     Interval,
@@ -19,7 +20,6 @@ from repro.analysis.cost import (
     certify_cost,
     collect_statistics,
     interpret,
-    registered_passes,
     run_cost_analysis,
 )
 from repro.core.classification import classify_nodes
@@ -256,7 +256,7 @@ class TestPlanSelection:
 
 class TestReport:
     def test_pipeline_order(self):
-        assert [p.name for p in registered_passes()] == [
+        assert [p.name for p in COST_PASSES.passes()] == [
             "cost-applicability",
             "cost-region",
             "cost-bounds",

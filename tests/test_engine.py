@@ -5,9 +5,9 @@ The engine's contract has three parts, each pinned here:
 * correctness — compiled semi-naive evaluation derives the same model
   as the interpreter on recursion, stratified negation, builtins, and
   unsafe rules (which must fail identically);
-* cost parity — in mirror-plan mode the kernels issue bit-for-bit the
-  same probe sequence, so CostCounter snapshots (per-relation keys and
-  delta relations included) are equal;
+* cost parity — the kernels replay the interpreter's one join order and
+  issue bit-for-bit the same probe sequence, so CostCounter snapshots
+  (per-relation keys and delta relations included) are equal;
 * caching — kernels are compiled once per program object and never
   served stale after in-place mutation.
 """
@@ -222,53 +222,14 @@ class TestCompiledCorrectness:
         database = _edge_db(EDGES)
         with pytest.raises(ValueError):
             seminaive_evaluate(_path_program(), database, engine="vectorized")
-        with pytest.raises(ValueError):
-            seminaive_evaluate(
-                _path_program(), database, engine="interpreted", plan="mirror"
-            )
-        with pytest.raises(ValueError):
-            CompiledProgram(_path_program(), plan="greedy")
-
-
-class TestCostPlanMode:
-    def test_cost_plan_same_answers(self):
-        database = _edge_db(EDGES)
-        seminaive_evaluate(
-            _path_program(), database, engine="compiled", plan="cost"
-        )
-        reference = _edge_db(EDGES)
-        seminaive_evaluate(_path_program(), reference, engine="interpreted")
-        assert database.facts("path") == reference.facts("path")
-
-    def test_cost_plan_orders_selective_literal_first(self):
-        # Body written with the huge relation first; the cost plan joins
-        # the small relation first and saves retrievals against mirror.
-        def program():
-            return Program(
-                [
-                    Rule(
-                        Atom("hit", (X, Z)),
-                        [
-                            Literal(Atom("big", (X, Y))),
-                            Literal(Atom("small", (Y, Z))),
-                        ],
-                    )
-                ]
-            )
-
-        def database():
-            db = Database(CostCounter())
-            db.add_facts("big", [(f"b{i}", f"c{i}") for i in range(100)])
-            db.add_facts("small", [("c0", "d0")])
-            return db
-
-        mirror_db = database()
-        seminaive_evaluate(program(), mirror_db, engine="compiled")
-        cost_db = database()
-        compiled = CompiledProgram(program(), database=cost_db, plan="cost")
-        compiled.run(cost_db)
-        assert cost_db.facts("hit") == mirror_db.facts("hit") == {("b0", "d0")}
-        assert cost_db.counter.retrievals < mirror_db.counter.retrievals
+        # One join order: no entry point takes a plan mode (or a
+        # compile-time database to plan against) any more.
+        with pytest.raises(TypeError):
+            seminaive_evaluate(_path_program(), database, plan="cost")
+        with pytest.raises(TypeError):
+            CompiledProgram(_path_program(), database=database)
+        with pytest.raises(TypeError):
+            compile_program(_path_program(), plan="cost")
 
 
 class TestKernelCache:
@@ -296,7 +257,6 @@ class TestKernelCache:
     def test_compile_records_timing_and_counts(self):
         compiled = compile_program(_path_program())
         description = compiled.describe()
-        assert description["plan"] == "mirror"
         assert description["kernels"] == compiled.kernel_count >= 3
         assert description["compile_ms"] >= 0.0
 

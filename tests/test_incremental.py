@@ -155,6 +155,23 @@ class TestValidationAndRollback:
         assert snapshot(db) == before
 
 
+    def test_failed_bulk_flush_restores_state(self):
+        # One head predicate at two arities: the round's bucket mixes
+        # them, the bulk flush refuses it, and nothing — not the seeds,
+        # not the part of the bucket that fitted — may stay behind.
+        program = parse_program("p(X) :- e(X, Y). p(X, Y) :- e(X, Y), q(X).")
+        db = Database()
+        db.add_facts("e", [("a", "b")])
+        db.create("q", 1)
+        seminaive_evaluate(program, db)
+        before = snapshot(db)
+        with pytest.raises(ValueError, match="arity"):
+            insert_and_maintain(
+                program, db, {"e": [("c", "d")], "q": [("c",)]}
+            )
+        assert snapshot(db) == before
+
+
 class TestIncrementalCheaperThanRescratch:
     def test_cost_advantage_on_long_chain(self):
         base = [(i, i + 1) for i in range(120)]

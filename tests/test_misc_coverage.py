@@ -5,7 +5,7 @@ import pytest
 from repro.datalog.atom import Atom, Literal
 from repro.datalog.builtins import comparison
 from repro.datalog.database import Database
-from repro.datalog.evaluation import _evaluate_body, _FactSource
+from repro.datalog.evaluation import _evaluate_body
 from repro.datalog.relation import CostCounter, Relation
 from repro.datalog.rule import Rule
 from repro.errors import EvaluationError
@@ -36,19 +36,20 @@ class TestTernaryRelations:
 
 class TestBodyEvaluationErrors:
     def test_unsafe_leftover_builtin(self):
-        source = _FactSource(Database(), {})
+        items = [(comparison("<", "X", "Y"), None)]
         with pytest.raises(EvaluationError, match="unsafe"):
-            list(_evaluate_body([comparison("<", "X", "Y")], {}, source))
+            list(_evaluate_body(items, {}))
 
     def test_unbound_negation_reported_unsafe(self):
         # A negated literal whose variable nothing binds never becomes
-        # evaluable: the scheduler reports the rule as unsafe.
-        db = Database()
-        db.add_facts("q", [(1,)])
-        source = _FactSource(db, {"q": 1})
-        body = [Literal(Atom("q", ("X",)), negated=True)]
+        # evaluable: the scheduler reports the rule as unsafe without
+        # ever probing the (non-ground) pattern.
+        counter = CostCounter()
+        reader = Relation("q", 1, [(1,)], counter)
+        items = [(Literal(Atom("q", ("X",)), negated=True), reader)]
         with pytest.raises(EvaluationError, match="unsafe"):
-            list(_evaluate_body(body, {}, source))
+            list(_evaluate_body(items, {}))
+        assert counter.retrievals == 0
 
 
 class TestReprs:

@@ -14,10 +14,10 @@ import pathlib
 import pytest
 
 from repro.analysis.rewrite import (
+    OPTIMIZER_PASSES,
     RULE_METADATA,
     TRACE_KINDS,
     optimize_program,
-    registered_passes,
 )
 from repro.datalog.database import Database
 from repro.datalog.evaluation import answer_tuples
@@ -59,7 +59,7 @@ def rule_lines(program: Program):
 
 class TestFramework:
     def test_default_pipeline_order(self):
-        assert [p.name for p in registered_passes()] == PIPELINE
+        assert [p.name for p in OPTIMIZER_PASSES.passes()] == PIPELINE
 
     def test_unknown_pass_raises(self):
         program, database = load_text("p(X) :- e(X, Y). ?- p(X).")

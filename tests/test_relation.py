@@ -262,6 +262,21 @@ class TestBulkInsert:
         with pytest.raises(ValueError):
             edges.add_new([("a", "b", "c")])
 
+    @pytest.mark.parametrize("backend", ["set", "columnar"])
+    def test_add_new_refused_batch_leaves_nothing_behind(self, backend):
+        # Callers journal what add_new returns (insert_and_maintain's
+        # rollback), so an arity error mid-batch must not strand the
+        # tuples stored before it — in the set or in a lazy index.
+        from repro.datalog.database import Database
+
+        relation = Database(backend=backend).create("r", 2)
+        relation.add(("a", "b"))
+        assert len(list(relation.lookup(("n", None)))) == 0  # build index
+        with pytest.raises(ValueError):
+            relation.add_new([("n", "m"), ("a", "b"), ("x", "y", "z")])
+        assert relation.as_set() == {("a", "b")}
+        assert list(relation.lookup(("n", None))) == []
+
     def test_add_new_accepts_generators(self, edges):
         fresh = edges.add_new((pair for pair in [("g", "h")]))
         assert fresh == [("g", "h")]

@@ -492,6 +492,40 @@ class TestMalformedFrames:
                 handle.close()
                 sock.close()
 
+    def test_malformed_solve_does_not_wedge_its_window(self):
+        """A ``solve`` whose source is a JSON object used to reach the
+        coalescer and kill the window's batch task: a well-formed solve
+        from another connection that shared the window never got an
+        answer.  Now the first is a ``bad_request`` at the edge and its
+        neighbour is served."""
+
+        async def main():
+            server = make_server(window_ms=100)
+            await server.start()
+            try:
+                async with await AsyncSolverClient.connect(
+                    port=server.port
+                ) as bad, await AsyncSolverClient.connect(
+                    port=server.port
+                ) as good:
+                    refused, answers = await asyncio.wait_for(
+                        asyncio.gather(
+                            bad.solve({"x": 1}),
+                            good.solve("c0"),
+                            return_exceptions=True,
+                        ),
+                        timeout=10,
+                    )
+                assert isinstance(refused, ProtocolError), refused
+                assert answers == ground_truth("c0")
+                stats = server.coalescer.stats()
+                assert stats["pending"] == 0
+                assert stats["open_windows"] == 0
+            finally:
+                await server.stop()
+
+        asyncio.run(main())
+
     def test_cluster_ops_rejected_by_plain_server(self):
         """The cluster control ops are valid protocol (decode passes)
         but a plain ``SolverServer`` answers them with a structured

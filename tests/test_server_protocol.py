@@ -16,10 +16,12 @@ from repro.server.protocol import (
     decode_answer_map,
     decode_answers,
     decode_request,
+    decode_rows,
     decode_value,
     encode_answer_map,
     encode_answers,
     encode_frame,
+    encode_rows,
     encode_value,
     error_for_exception,
     error_from_payload,
@@ -87,6 +89,26 @@ class TestValueEncoding:
         assert encoded == ["a", 1, ["nested", 2]]
         assert decode_value(encoded) == value
 
+    def test_object_refused_at_any_depth(self):
+        # No constant is a mapping; a dict reaching the coalescer is an
+        # unhashable "source".  Top-level null still means "absent".
+        for bad in ({"x": 1}, [{"x": 1}], ["a", ["b", {}]]):
+            with pytest.raises(ProtocolError, match="object"):
+                decode_value(bad)
+        assert decode_value(None) is None
+
+    def test_rows_round_trip(self):
+        rows = [("a", 1), (("x", 2), "b")]
+        assert decode_rows(encode_rows(rows)) == rows
+        assert decode_rows([]) == []
+
+    @pytest.mark.parametrize(
+        "bad", ["ab", ["ab"], [7], [None], [["a", "b"], "cd"], {"a": 1}, None]
+    )
+    def test_rows_must_be_arrays_of_arrays(self, bad):
+        with pytest.raises(ProtocolError, match="tuples"):
+            decode_rows(bad)
+
     def test_answers_round_trip_sorted(self):
         answers = frozenset({"b", "a", 3})
         encoded = encode_answers(answers)
@@ -121,6 +143,61 @@ class TestErrorMapping:
         assert error_for_exception(UnsafeQueryError("x"))[0] == "unsafe_query"
         assert error_for_exception(EvaluationError("x"))[0] == "bad_request"
         assert error_for_exception(RuntimeError("x"))[0] == "internal"
+
+
+class TestMalformedRowsLeaveTheDatabaseAlone:
+    """A string row used to be iterated into a tuple of its characters
+    (``"ab"`` stored the fact ``(a, b)``); rows that are not JSON arrays
+    are now a ``bad_request`` and nothing is stored or deleted."""
+
+    BAD_ROWS = ["ab", ["ab"], [7], [["a", "b"], "cd"]]
+
+    @staticmethod
+    def _refused(server, request):
+        database = server.service.database
+        before = {name: database.facts(name) for name in database.names()}
+        version = server.service.db_version
+        with pytest.raises(ProtocolError) as caught:
+            run(server._dispatch(request))
+        assert error_for_exception(caught.value)[0] == "bad_request"
+        assert {
+            name: database.facts(name) for name in database.names()
+        } == before
+        assert server.service.db_version == version
+
+    @staticmethod
+    def _service():
+        from repro.datalog.database import Database
+        from repro.service import SolverService
+
+        database = Database()
+        database.add_facts("l", [("a", "b"), ("c", "d")])
+        return SolverService(database)
+
+    @pytest.mark.parametrize("op", ["add_facts", "remove_facts"])
+    @pytest.mark.parametrize("rows", BAD_ROWS)
+    def test_mutation_ops_refuse_malformed_rows(self, op, rows):
+        from repro.server import SolverServer
+
+        self._refused(
+            SolverServer(self._service()),
+            {"op": op, "params": {"name": "l", "tuples": rows}},
+        )
+
+    @pytest.mark.parametrize("field", ["inserts", "deletes"])
+    @pytest.mark.parametrize("rows", BAD_ROWS)
+    def test_apply_delta_refuses_malformed_rows(self, field, rows):
+        from repro.cluster.worker import ClusterWorkerServer
+
+        self._refused(
+            ClusterWorkerServer(self._service(), token="t"),
+            {
+                "op": "apply_delta",
+                "params": {
+                    "token": "t", "parent": 0, "epoch": 1, field: {"l": rows},
+                },
+            },
+        )
 
 
 async def _echo_execute(key, sources):
@@ -242,6 +319,27 @@ class TestCoalescer:
             )
             assert all(isinstance(r, EvaluationError) for r in results)
             assert coalescer.pending == 0
+
+        run(main())
+
+    def test_unhashable_source_fails_its_window_not_the_task(self):
+        """Deduping hashes the sources; an unhashable one used to raise
+        outside the ``try`` — the batch task died, no future of the
+        window was ever resolved and the slots leaked."""
+
+        async def main():
+            coalescer = RequestCoalescer(_echo_execute, window=0.02)
+            results = await asyncio.wait_for(
+                asyncio.gather(
+                    coalescer.submit("k", {"x": 1}),
+                    coalescer.submit("k", "b"),
+                    return_exceptions=True,
+                ),
+                timeout=5,
+            )
+            assert all(isinstance(r, TypeError) for r in results)
+            assert coalescer.pending == 0
+            assert coalescer.stats()["open_windows"] == 0
 
         run(main())
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from repro.analysis.static import (
     ProgramFacts,
+    STATIC_PASSES,
     StaticReport,
     Verdict,
     analyze_query,
@@ -17,7 +18,6 @@ from repro.analysis.static import (
     expected_reduced_sets,
     find_l_cycle,
     method_admissibility,
-    registered_passes,
     run_static_analysis,
     verify_partition_conditions,
 )
@@ -259,7 +259,7 @@ class TestProgramLevel:
 
 class TestFramework:
     def test_default_pipeline_order(self):
-        names = [p.name for p in registered_passes()]
+        names = [p.name for p in STATIC_PASSES.passes()]
         assert names[:6] == [
             "rule-safety",
             "stratification",

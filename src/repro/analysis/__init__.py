@@ -15,7 +15,7 @@ from ..core.complexity import (
 )
 from .cost import CostCertificate, CostReport, certify_cost, run_cost_analysis
 from .dot import magic_graph_to_dot, query_graph_to_dot
-from .runner import ALL_METHODS, Measurement, measure, run_method, sweep
+from .runner import ALL_METHODS, Measurement, measure, sweep
 from .static import SafetyCertificate, StaticReport, run_static_analysis
 from .sweeps import CostSeries, cost_series, find_crossover
 from .tables import render_ratio_sweep, render_table
@@ -42,6 +42,5 @@ __all__ = [
     "predicted_cost",
     "render_ratio_sweep",
     "render_table",
-    "run_method",
     "sweep",
 ]

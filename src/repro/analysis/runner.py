@@ -1,10 +1,11 @@
 """Measurement harness: run every method on an instance, collect costs.
 
 This is the engine behind the benchmark suite and the EXPERIMENTS.md
-tables: it evaluates a query with all ten methods (two classic, eight
-magic counting), records the tuple-retrieval cost of each, checks that
-every safe method returned the same answer set, and pairs measurements
-with the Θ-predictions of :mod:`repro.core.complexity`.
+tables: it evaluates a query with the methods of
+:data:`repro.core.methods.METHODS`, records the tuple-retrieval cost of
+each, checks that every safe method returned the same answer set, and
+pairs measurements with the Θ-predictions of
+:mod:`repro.core.complexity`.
 """
 
 from __future__ import annotations
@@ -14,56 +15,18 @@ from typing import Dict, List, Optional
 
 from ..core.classification import MagicGraphClass
 from ..core.complexity import GraphStatistics, compute_statistics, predicted_cost
-from ..core.counting_method import counting_method, extended_counting_method
 from ..core.csl import CSLQuery
-from ..core.hn_method import hn_method
-from ..core.magic_method import magic_set_method
-from ..core.methods import magic_counting
-from ..core.reduced_sets import Mode, Strategy
-from ..core.solver import fact2_answer
+from ..core.methods import METHODS
+from ..core.solver import fact2_answer, solve
 from ..errors import UnsafeQueryError
 
+#: The columns of the all-method tables: every row that is ranked or
+#: safe on every input.  That leaves out exactly the Henschen-Naqvi
+#: baseline, which ``benchmarks/test_ablation_hn_baseline.py`` measures
+#: on its own.
 ALL_METHODS = [
-    "counting",
-    "extended_counting",
-    "magic_set",
-    "mc_basic_independent",
-    "mc_basic_integrated",
-    "mc_single_independent",
-    "mc_single_integrated",
-    "mc_multiple_independent",
-    "mc_multiple_integrated",
-    "mc_recurring_independent",
-    "mc_recurring_integrated",
-    "mc_recurring_independent_scc",
-    "mc_recurring_integrated_scc",
+    row.name for row in METHODS.values() if row.ranked or not row.needs_acyclic
 ]
-
-_STRATEGIES = {
-    "basic": Strategy.BASIC,
-    "single": Strategy.SINGLE,
-    "multiple": Strategy.MULTIPLE,
-    "recurring": Strategy.RECURRING,
-}
-
-
-def run_method(query: CSLQuery, method: str):
-    """Run one named method; returns an AnswerResult or raises."""
-    if method == "counting":
-        return counting_method(query)
-    if method == "extended_counting":
-        return extended_counting_method(query)
-    if method == "magic_set":
-        return magic_set_method(query)
-    if method == "henschen_naqvi":
-        return hn_method(query)
-    if method.startswith("mc_"):
-        parts = method.split("_")
-        strategy = _STRATEGIES[parts[1]]
-        mode = Mode.INTEGRATED if parts[2] == "integrated" else Mode.INDEPENDENT
-        scc = method.endswith("_scc")
-        return magic_counting(query, strategy, mode, scc_step1=scc)
-    raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass
@@ -104,7 +67,7 @@ def measure(query: CSLQuery, methods: Optional[List[str]] = None) -> Measurement
     measurement.answers = oracle
     for method in methods:
         try:
-            result = run_method(query, method)
+            result = solve(query, method)
         except UnsafeQueryError:
             measurement.costs[method] = None
             measurement.predictions[method] = predicted_cost(method, stats)

@@ -3,7 +3,9 @@
 Couples the counting-safety certificate with the paper's termination
 results to report, per goal, which of the twelve evaluation methods
 (counting, extended counting, magic set, Henschen-Naqvi, and the eight
-magic counting methods) are statically admissible:
+magic counting methods — every :data:`~repro.core.methods.METHODS` row
+but the SCC Step-1 variants, which terminate exactly when their
+paper-literal twins do) are statically admissible:
 
 * the pure **counting** method and **Henschen-Naqvi** terminate exactly
   when the certified magic graph is acyclic — their admissibility *is*
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ...core.classification import Classification
-from ...core.methods import all_method_coordinates, method_name, recommended_plan
+from ...core.methods import METHODS, Method, recommended_plan
 from .safety import SafetyCertificate, Verdict
 
 
@@ -45,44 +47,42 @@ class MethodVerdict:
         return f"{self.method}: {state} ({self.reason})"
 
 
-def _cycle_dependent(certificate: SafetyCertificate, method: str, why: str):
+#: Why a method outside the Strategy × Mode family does (``True``
+#: verdict) or, on a certified cyclic magic graph, does not terminate.
+_TERMINATION = {
+    "counting": "diverges on the certified cyclic magic graph",
+    "extended_counting":
+        "truncated at n_L x n_R levels; terminates on every input",
+    "magic_set": "saturates a finite magic set; terminates on every input",
+    "henschen_naqvi":
+        "enumerates unboundedly many L-paths on a cyclic magic graph",
+}
+
+
+def _verdict(certificate: SafetyCertificate, row: Method) -> MethodVerdict:
+    if row.strategy is not None:
+        return MethodVerdict(
+            row.name, True, "safe on every input (Proposition 3)"
+        )
+    why = _TERMINATION[row.name]
+    if not row.needs_acyclic:
+        return MethodVerdict(row.name, True, why)
     if certificate.verdict == Verdict.SAFE:
-        return MethodVerdict(method, True, "certified acyclic magic graph")
+        return MethodVerdict(row.name, True, "certified acyclic magic graph")
     if certificate.verdict == Verdict.UNSAFE:
-        return MethodVerdict(method, False, why)
-    return MethodVerdict(method, None, certificate.reason)
+        return MethodVerdict(row.name, False, why)
+    return MethodVerdict(row.name, None, certificate.reason)
 
 
 def method_admissibility(
     certificate: SafetyCertificate,
 ) -> List[MethodVerdict]:
     """Admissibility of every method under ``certificate``."""
-    verdicts = [
-        _cycle_dependent(
-            certificate, "counting",
-            "diverges on the certified cyclic magic graph",
-        ),
-        MethodVerdict(
-            "extended_counting", True,
-            "truncated at n_L x n_R levels; terminates on every input",
-        ),
-        MethodVerdict(
-            "magic_set", True,
-            "saturates a finite magic set; terminates on every input",
-        ),
-        _cycle_dependent(
-            certificate, "henschen_naqvi",
-            "enumerates unboundedly many L-paths on a cyclic magic graph",
-        ),
+    return [
+        _verdict(certificate, row)
+        for row in METHODS.values()
+        if not row.scc_step1
     ]
-    for strategy, mode in all_method_coordinates():
-        verdicts.append(
-            MethodVerdict(
-                method_name(strategy, mode), True,
-                "safe on every input (Proposition 3)",
-            )
-        )
-    return verdicts
 
 
 def recommended(
@@ -92,4 +92,4 @@ def recommended(
     """The method the adaptive policy would select, when decidable."""
     if classification is None:
         return "magic_set" if certificate.verdict == Verdict.UNKNOWN else None
-    return recommended_plan(classification)[0]
+    return recommended_plan(classification).method

@@ -31,7 +31,7 @@ from .core.complexity import all_method_predictions, compute_statistics
 from .core.csl import CSLQuery
 from .core.program_rewrite import magic_counting_program
 from .core.reduced_sets import Mode, Strategy
-from .core.solver import solve
+from .core.solver import SOLVE_METHODS, solve
 from .core.step1 import compute_reduced_sets
 from .datalog.counting_rewrite import counting_rewrite
 from .datalog.database import Database
@@ -348,7 +348,7 @@ def cmd_analyze(args) -> int:
     print("predicted costs (paper's Θ-expressions, tuple retrievals):")
     for method, predicted in all_method_predictions(stats).items():
         cell = "unsafe" if predicted is None else str(predicted)
-        print(f"  {method:26s} {cell}")
+        print(f"  {method:30s} {cell}")
     from .analysis.static import (
         certify_counting_safety,
         method_admissibility,
@@ -582,8 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub_solve.add_argument(
         "--method",
         default="auto",
-        choices=["auto", "adaptive", "counting", "extended_counting",
-                 "magic_set", "henschen_naqvi", "magic_counting", "naive"],
+        choices=SOLVE_METHODS,
     )
     sub_solve.add_argument("--strategy", default="multiple",
                            choices=sorted(_STRATEGIES))

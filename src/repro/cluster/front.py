@@ -74,11 +74,7 @@ class ClusterFront(SolverServer):
         loop = asyncio.get_running_loop()
         fleet = self.fleet
         service = self.service
-        text = (
-            self._program_texts.get(self._default_key)
-            if self._default_key is not None
-            else None
-        )
+        text = None if self._default is None else self._default.text
         self._snapshot_text = text
         workers, standbys = self.workers, self.standbys
         await loop.run_in_executor(
@@ -144,8 +140,8 @@ class ClusterFront(SolverServer):
     # --- reads: shard, fan out, re-route on failure ---------------------
 
     async def _execute_batch(self, key, sources):
-        program_key, method = key
-        text = self._program_texts.get(program_key)
+        served, method = key
+        text = served.text
         answers: Dict[object, frozenset] = {}
         remaining = list(sources)
         for attempt in (0, 1):

@@ -123,22 +123,6 @@ class ClusterWorkerServer(SolverServer):
             "db_version": snapshot.service.db_version,
         }
 
-    # --- solves pin the service they started on ------------------------
-
-    async def _execute_batch(self, key, sources):
-        program_key, method = key
-        program = self._programs[program_key]
-        # Bind the CURRENT service before handing off: a load_snapshot
-        # that lands mid-execution must not switch a running batch to
-        # the new state halfway through.
-        service = self.service
-        loop = asyncio.get_running_loop()
-        result = await loop.run_in_executor(
-            self._executor,
-            lambda: service.solve_batch(program, sources, method=method),
-        )
-        return result.answers
-
     # --- reporting ------------------------------------------------------
 
     def health_payload(self) -> Dict[str, object]:

@@ -27,7 +27,7 @@ from .hierarchy import (
 from .graph_index import GraphIndex
 from .hn_method import hn_method
 from .magic_method import magic_set_method
-from .methods import all_method_coordinates, magic_counting, method_name
+from .methods import METHODS, all_method_coordinates, magic_counting, method_name
 from .multi_source import (
     multi_source_counting,
     multi_source_magic,
@@ -71,6 +71,7 @@ __all__ = [
     "GraphIndex",
     "GraphStatistics",
     "HIERARCHY_RELATIONS",
+    "METHODS",
     "MagicGraphClass",
     "Mode",
     "NodeClass",

@@ -45,7 +45,9 @@ from .classification import (
 )
 from .csl import CSLQuery
 from .graph_index import closure
+from .methods import METHODS
 from .query_graph import QueryGraph, build_query_graph
+from .reduced_sets import Mode, Strategy
 
 
 def _reaches_target(graph: QueryGraph, targets: Set[object]) -> Set[object]:
@@ -170,85 +172,59 @@ def _regular(stats: GraphStatistics) -> int:
 def predicted_cost(method: str, stats: GraphStatistics) -> Optional[int]:
     """Evaluate the paper's Θ-expression for ``method`` on ``stats``.
 
-    Returns ``None`` when the method is unsafe for the graph class
-    (counting on cyclic graphs — the "unsafe" cell of Table 1).
-    Methods: ``counting``, ``extended_counting``, ``magic_set``,
-    ``mc_basic`` (both modes), ``mc_single_independent``,
-    ``mc_single_integrated``, ``mc_multiple_independent``,
-    ``mc_multiple_integrated``, ``mc_recurring_independent``,
-    ``mc_recurring_integrated``.
+    ``method`` is a name of :data:`repro.core.methods.METHODS`.  Returns
+    ``None`` when the method is unsafe for the graph class (counting on
+    cyclic graphs — the "unsafe" cell of Table 1).
     """
+    row = METHODS.get(method)
+    if row is None:
+        raise ValueError(f"unknown method {method!r}")
     regular = stats.graph_class is MagicGraphClass.REGULAR
     cyclic = stats.graph_class is MagicGraphClass.CYCLIC
     m_l, m_r, n_l = stats.m_l, stats.m_r, stats.n_l
 
-    if method == "counting":
-        if cyclic:
+    if row.strategy is None:
+        if cyclic and row.needs_acyclic:
             return None
-        if regular:
-            return _regular(stats)
-        return n_l * m_l + n_l * m_r
-    if method == "extended_counting":
-        # The [MPS] footnote quotes Θ(m × n³); our reconstruction caps
-        # the fixpoint at n_L × n_R levels.
-        if cyclic:
-            return n_l * stats.n_r * (m_l + m_r)
-        return predicted_cost("counting", stats)
-    if method == "magic_set":
-        return m_l + m_l * m_r
-    if method == "henschen_naqvi":
-        # Re-walks the R side per level: Σ_k k·m_R ≤ n_L² m_R.
-        if cyclic:
-            return None
-        return m_l + n_l * n_l * m_r
-    if method in ("mc_basic", "mc_basic_independent", "mc_basic_integrated"):
-        if regular:
-            return _regular(stats)
-        return m_l + m_l * m_r
-    if regular and method.startswith("mc_"):
+        if method == "counting":
+            if regular:
+                return _regular(stats)
+            return n_l * m_l + n_l * m_r
+        if method == "extended_counting":
+            # The [MPS] footnote quotes Θ(m × n³); our reconstruction
+            # caps the fixpoint at n_L × n_R levels.
+            if cyclic:
+                return n_l * stats.n_r * (m_l + m_r)
+            return predicted_cost("counting", stats)
+        if method == "magic_set":
+            return m_l + m_l * m_r
+        if method == "henschen_naqvi":
+            # Re-walks the R side per level: Σ_k k·m_R ≤ n_L² m_R.
+            return m_l + n_l * n_l * m_r
+        raise ValueError(f"no Θ-expression recorded for {method!r}")
+
+    # A magic counting method; the modes differ only in the arcs the
+    # magic term excludes (module docstring).
+    if regular:
         return _regular(stats)
-    if method == "mc_single_independent":
-        return m_l + (m_l - stats.m_j_hat) * m_r + stats.n_x * m_r
-    if method == "mc_single_integrated":
-        return m_l + (m_l - stats.m_x) * m_r + stats.n_x * m_r
-    if method == "mc_multiple_independent":
-        return m_l + (m_l - stats.m_i_hat) * m_r + stats.n_s * m_r
-    if method == "mc_multiple_integrated":
-        return m_l + (m_l - stats.m_s) * m_r + stats.n_s * m_r
-    if method == "mc_recurring_independent":
-        if not cyclic:
-            return n_l * m_l + n_l * m_r
-        return n_l * m_l + (m_l - stats.m_m_hat) * m_r + stats.n_m * m_r
-    if method == "mc_recurring_integrated":
-        if not cyclic:
-            return n_l * m_l + n_l * m_r
-        return n_l * m_l + (m_l - stats.m_m) * m_r + stats.n_m * m_r
-    if method in ("mc_recurring_independent_scc", "mc_recurring_integrated_scc"):
-        # Smarter Step 1: O(m_L + n_m × m_m) instead of n_L × m_L.
-        step1 = m_l + stats.n_m * stats.m_m
-        if not cyclic:
-            return step1 + n_l * m_r
-        magic_arcs = m_l - (
-            stats.m_m if method.endswith("integrated_scc") else stats.m_m_hat
-        )
-        return step1 + magic_arcs * m_r + stats.n_m * m_r
-    raise ValueError(f"unknown method {method!r}")
-
-
-def table1_predictions(stats: GraphStatistics) -> Dict[str, Optional[int]]:
-    """Predicted costs of Table 1 (counting vs. magic set)."""
-    return {
-        "counting": predicted_cost("counting", stats),
-        "magic_set": predicted_cost("magic_set", stats),
-    }
+    independent = row.mode is Mode.INDEPENDENT
+    if row.strategy is Strategy.BASIC:
+        return m_l + m_l * m_r
+    if row.strategy is Strategy.SINGLE:
+        excluded = stats.m_j_hat if independent else stats.m_x
+        return m_l + (m_l - excluded) * m_r + stats.n_x * m_r
+    if row.strategy is Strategy.MULTIPLE:
+        excluded = stats.m_i_hat if independent else stats.m_s
+        return m_l + (m_l - excluded) * m_r + stats.n_s * m_r
+    # Recurring.  The smarter SCC Step 1 pays O(m_L + n_m × m_m) instead
+    # of n_L × m_L.
+    step1 = m_l + stats.n_m * stats.m_m if row.scc_step1 else n_l * m_l
+    if not cyclic:
+        return step1 + n_l * m_r
+    excluded = stats.m_m_hat if independent else stats.m_m
+    return step1 + (m_l - excluded) * m_r + stats.n_m * m_r
 
 
 def all_method_predictions(stats: GraphStatistics) -> Dict[str, Optional[int]]:
-    """Predicted costs for every method, Tables 1-5 combined."""
-    methods = [
-        "counting", "extended_counting", "magic_set", "mc_basic",
-        "mc_single_independent", "mc_single_integrated",
-        "mc_multiple_independent", "mc_multiple_integrated",
-        "mc_recurring_independent", "mc_recurring_integrated",
-    ]
-    return {method: predicted_cost(method, stats) for method in methods}
+    """Predicted costs for every method of the table, Tables 1-5 combined."""
+    return {method: predicted_cost(method, stats) for method in METHODS}

@@ -32,7 +32,7 @@ level is therefore complete, and safe on every input.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..errors import UnsafeQueryError
 from .cost import AnswerResult
@@ -41,16 +41,15 @@ from .query_graph import build_query_graph
 
 
 def compute_counting_set(
-    instance: CSLInstance,
-    max_level: Optional[int] = None,
-    detect_divergence: bool = True,
+    instance: CSLInstance, max_level: Optional[int] = None
 ) -> Dict[int, Set[object]]:
     """The ``CS`` fixpoint, level by level.
 
     Returns ``{index: set of values}``.  When ``max_level`` is given the
     fixpoint is truncated there (used by the extended method); otherwise
-    divergence detection (if enabled) raises :class:`UnsafeQueryError`
-    on cyclic magic graphs.
+    divergence detection raises :class:`UnsafeQueryError` on cyclic
+    magic graphs — an untruncated run that did not detect would only
+    loop forever there, so "detect unless truncated" is not a choice.
     """
     levels: Dict[int, Set[object]] = {0: {instance.source}}
     seen: Set[object] = {instance.source}
@@ -78,7 +77,7 @@ def compute_counting_set(
             break
         levels[level] = next_frontier
         frontier = next_frontier
-        if detect_divergence and max_level is None:
+        if max_level is None:
             frontier_key = frozenset(frontier)
             if frontier_key in seen_frontiers:
                 raise UnsafeQueryError(
@@ -123,22 +122,35 @@ def descend_answers(
 
 
 def seed_exit(
-    instance: CSLInstance, cs_levels: Dict[int, Set[object]]
+    instance: CSLInstance, pairs: Iterable[Tuple[int, object]]
 ) -> Dict[int, Set[object]]:
-    """Apply ``P_C(J, Y) :- CS(J, X), E(X, Y)``."""
+    """Apply ``P_C(J, Y) :- CS(J, X), E(X, Y)`` to ``(index, value)``
+    pairs — the counting set's, or a reduced counting set ``RC`` (rule 1
+    of Section 4, rule 4 of Section 5).  One exit probe per pair."""
     pc_levels: Dict[int, Set[object]] = {}
-    for level, values in cs_levels.items():
-        for value in values:
-            for _x, y in instance.exit.lookup((value, None)):
-                pc_levels.setdefault(level, set()).add(y)
+    for index, value in pairs:
+        for _x, y in instance.exit.lookup((value, None)):
+            pc_levels.setdefault(index, set()).add(y)
     return pc_levels
 
 
+def counting_answers(instance: CSLInstance, max_level: Optional[int] = None):
+    """The whole counting pipeline on one instance: the ``CS`` fixpoint,
+    the exit seeding, the descent.  Returns ``(answers, cs_levels)``."""
+    cs_levels = compute_counting_set(instance, max_level)
+    pc_levels = seed_exit(
+        instance,
+        (
+            (level, value)
+            for level, values in cs_levels.items()
+            for value in values
+        ),
+    )
+    return descend_answers(instance, pc_levels), cs_levels
+
+
 def counting_method(
-    query: CSLQuery,
-    counter=None,
-    detect_divergence: bool = True,
-    max_level: Optional[int] = None,
+    query: CSLQuery, counter=None, max_level: Optional[int] = None
 ) -> AnswerResult:
     """Evaluate ``query`` with the pure counting method.
 
@@ -146,11 +158,7 @@ def counting_method(
     ``max_level`` truncation is forced, which sacrifices completeness).
     """
     instance = query.instance(counter)
-    cs_levels = compute_counting_set(
-        instance, max_level=max_level, detect_divergence=detect_divergence
-    )
-    pc_levels = seed_exit(instance, cs_levels)
-    answers = descend_answers(instance, pc_levels)
+    answers, cs_levels = counting_answers(instance, max_level)
     return AnswerResult(
         answers=frozenset(answers),
         method="counting",
@@ -173,11 +181,7 @@ def extended_counting_method(query: CSLQuery, counter=None) -> AnswerResult:
     graph = build_query_graph(query)
     cap = max(1, graph.n_l * max(1, graph.n_r))
     instance = query.instance(counter)
-    cs_levels = compute_counting_set(
-        instance, max_level=cap, detect_divergence=False
-    )
-    pc_levels = seed_exit(instance, cs_levels)
-    answers = descend_answers(instance, pc_levels)
+    answers, cs_levels = counting_answers(instance, cap)
     return AnswerResult(
         answers=frozenset(answers),
         method="extended_counting",

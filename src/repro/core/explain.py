@@ -77,7 +77,7 @@ def explain_evaluation(query: CSLQuery, max_level_rows: int = 12) -> str:
     lines.append("== predicted costs (tuple retrievals) ==")
     for method, predicted in all_method_predictions(stats).items():
         cell = "unsafe" if predicted is None else str(predicted)
-        lines.append(f"{method:26s} {cell}")
+        lines.append(f"{method:30s} {cell}")
     lines.append("")
 
     chosen = adaptive_solve(query)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
 from .classification import MagicGraphClass
+from .methods import METHODS
 
 _R = MagicGraphClass.REGULAR
 _A = MagicGraphClass.ACYCLIC
@@ -84,17 +85,11 @@ HIERARCHY_RELATIONS: List[DominanceRelation] = [
                       frozenset({_A, _C}), True, "Conclusion"),
 ]
 
-# On regular graphs every method coincides with the counting method.
+# On regular graphs every method of Figure 3 coincides with the counting
+# method: the ranked rows, less the SCC Step-1 variants (same RC/RM as
+# their paper-literal twins, so not a second point of the lattice).
 REGULAR_EQUIVALENCE_GROUP: List[str] = [
-    "counting",
-    "mc_basic_independent",
-    "mc_basic_integrated",
-    "mc_single_independent",
-    "mc_single_integrated",
-    "mc_multiple_independent",
-    "mc_multiple_integrated",
-    "mc_recurring_independent",
-    "mc_recurring_integrated",
+    row.name for row in METHODS.values() if row.ranked and not row.scc_step1
 ]
 
 

@@ -32,10 +32,7 @@ from .csl import CSLQuery
 
 
 def hn_method(
-    query: CSLQuery,
-    counter=None,
-    detect_divergence: bool = True,
-    max_level: Optional[int] = None,
+    query: CSLQuery, counter=None, max_level: Optional[int] = None
 ) -> AnswerResult:
     """Evaluate ``query`` with the iterative [HN] strategy.
 
@@ -76,7 +73,7 @@ def hn_method(
                 seen.add(successor)
         level += 1
         frontier = next_frontier
-        if detect_divergence and max_level is None and level > len(seen):
+        if max_level is None and level > len(seen):
             raise UnsafeQueryError(
                 "the [HN] iterative method is unsafe: the magic graph is "
                 f"cyclic (frontier alive at level {level} with only "

@@ -1,4 +1,12 @@
-"""The eight magic counting methods: Strategy × Mode dispatch.
+"""The method table, and the Strategy × Mode dispatch behind eight rows.
+
+:data:`METHODS` is the one place that says which evaluation methods
+exist: the counting and magic set methods, the [MPS] and [HN]
+reconstructions, the eight magic counting methods addressed by two
+coordinates (Sections 4-9, Figure 3) and the two SCC Step-1 variants.
+Everything that names, runs, ranks or lists methods — ``solve``, the
+adaptive policy, the measurement harness, the Θ-predictions, the static
+admissibility advisory, the CLI and the REPL — reads it.
 
 ``magic_counting(query, strategy, mode)`` runs Step 1 (the chosen
 reduced-set computation) followed by Step 2 (independent or integrated
@@ -11,10 +19,14 @@ per-step diagnostics.  All eight methods are safe on every input
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from .cost import AnswerResult
+from .counting_method import counting_method, extended_counting_method
 from .csl import CSLQuery
+from .hn_method import hn_method
+from .magic_method import magic_set_method
 from .reduced_sets import Mode, Strategy
 from .step1 import compute_reduced_sets
 from .step2 import independent_step2, integrated_step2
@@ -122,17 +134,59 @@ def method_program(
     return report.program, report
 
 
+@dataclass(frozen=True)
+class Method:
+    """One row of :data:`METHODS`.
+
+    ``run(query, counter=None)`` evaluates the query.  ``strategy`` and
+    ``mode`` are the two coordinates of a magic counting method (None
+    for the four others) and ``scc_step1`` marks the linear-time Step-1
+    variant.  ``needs_acyclic``: the method terminates only on an
+    acyclic magic graph and raises :class:`~repro.errors.
+    UnsafeQueryError` otherwise.  ``ranked``: a candidate of
+    :func:`recommended_plan` — the others run only when asked for by
+    name.
+    """
+
+    name: str
+    run: Callable[..., AnswerResult]
+    strategy: Optional[Strategy] = None
+    mode: Optional[Mode] = None
+    scc_step1: bool = False
+    needs_acyclic: bool = False
+    ranked: bool = False
+
+
+def _hybrid(strategy: Strategy, mode: Mode, scc_step1: bool = False) -> Method:
+    run = partial(
+        magic_counting, strategy=strategy, mode=mode, scc_step1=scc_step1
+    )
+    name = method_name(strategy, mode, scc_step1)
+    return Method(name, run, strategy, mode, scc_step1, ranked=True)
+
+
+#: Every evaluation method, in the order every table, certificate and
+#: ranking lists them (the order also breaks exact bound ties in
+#: :func:`recommended_plan`, after the heuristic choice).
+METHODS: Dict[str, Method] = {
+    row.name: row
+    for row in (
+        Method("counting", counting_method, needs_acyclic=True, ranked=True),
+        Method("extended_counting", extended_counting_method),
+        Method("magic_set", magic_set_method),
+        Method("henschen_naqvi", hn_method, needs_acyclic=True),
+        *(_hybrid(strategy, mode) for strategy in Strategy for mode in Mode),
+        *(_hybrid(Strategy.RECURRING, mode, True) for mode in Mode),
+    )
+}
+
+
 def all_method_coordinates():
     """The eight (strategy, mode) pairs, in the paper's order."""
     return [
-        (strategy, mode)
-        for strategy in (
-            Strategy.BASIC,
-            Strategy.SINGLE,
-            Strategy.MULTIPLE,
-            Strategy.RECURRING,
-        )
-        for mode in (Mode.INDEPENDENT, Mode.INTEGRATED)
+        (row.strategy, row.mode)
+        for row in METHODS.values()
+        if row.strategy is not None and not row.scc_step1
     ]
 
 
@@ -140,88 +194,44 @@ def all_method_coordinates():
 class PlanRecommendation:
     """One method choice, with the *why* attached.
 
-    Unpacks like the historical 4-tuple (``name, strategy, mode,
-    scc_step1 = recommended_plan(...)`` keeps working), but carries
-    provenance — ``"heuristic"`` for the regime policy, ``"certified-
-    bound"`` when a cost certificate ranked the candidates, and
-    ``"heuristic-fallback"`` when a certificate was offered but
-    abstained on every candidate — plus a ranked candidate table in
-    ``details["ranking"]``.
+    ``method`` names a :data:`METHODS` row; ``provenance`` is
+    ``"heuristic"`` for the regime policy, ``"certified-bound"`` when a
+    cost certificate ranked the candidates, and ``"heuristic-fallback"``
+    when a certificate was offered but abstained on every candidate —
+    plus a ranked candidate table in ``details["ranking"]``.
     """
 
     method: str
-    strategy: Optional[Strategy]
-    mode: Optional[Mode]
-    scc_step1: bool
     provenance: str = "heuristic"
     details: Dict[str, object] = field(default_factory=dict)
 
-    def __iter__(self):
-        return iter((self.method, self.strategy, self.mode, self.scc_step1))
 
-    def __getitem__(self, index):
-        return (self.method, self.strategy, self.mode, self.scc_step1)[index]
-
-    def __len__(self) -> int:
-        return 4
-
-
-def plan_candidates() -> List[Tuple[str, Optional[Strategy], Optional[Mode], bool]]:
-    """Every plan the ranking considers, in preference order (the order
-    breaks exact bound ties after the heuristic choice).  The
-    ``extended_counting`` and ``magic_set`` methods are certified too but
-    never ranked: they run only when asked for by name."""
-    candidates: List[Tuple[str, Optional[Strategy], Optional[Mode], bool]] = [
-        ("counting", None, None, False)
-    ]
-    for strategy, mode in all_method_coordinates():
-        candidates.append((method_name(strategy, mode), strategy, mode, False))
-    for mode in (Mode.INDEPENDENT, Mode.INTEGRATED):
-        candidates.append(
-            (
-                method_name(Strategy.RECURRING, mode, scc_step1=True),
-                Strategy.RECURRING,
-                mode,
-                True,
-            )
-        )
-    return candidates
+def plan_candidates() -> List[Method]:
+    """Every plan the ranking considers, in preference order: the
+    ``ranked`` rows.  The ``extended_counting``, ``magic_set`` and
+    ``henschen_naqvi`` methods are certified too but never ranked: they
+    run only when asked for by name."""
+    return [row for row in METHODS.values() if row.ranked]
 
 
 def _heuristic_plan(classification) -> PlanRecommendation:
     if classification.is_regular:
-        choice: Tuple[str, Optional[Strategy], Optional[Mode], bool] = (
-            "counting", None, None, False,
-        )
+        name = "counting"
         reason = "regular magic graph: pure counting is unbeatable there"
     elif not classification.is_cyclic:
-        choice = (
-            method_name(Strategy.MULTIPLE, Mode.INTEGRATED),
-            Strategy.MULTIPLE,
-            Mode.INTEGRATED,
-            False,
-        )
+        name = method_name(Strategy.MULTIPLE, Mode.INTEGRATED)
         reason = (
             "acyclic non-regular: the integrated multiple method is the "
             "best measured all-rounder without recurring Step-1 overhead"
         )
     else:
-        choice = (
-            method_name(Strategy.RECURRING, Mode.INTEGRATED, scc_step1=True),
-            Strategy.RECURRING,
-            Mode.INTEGRATED,
-            True,
-        )
+        name = method_name(Strategy.RECURRING, Mode.INTEGRATED, scc_step1=True)
         reason = (
             "cyclic: the integrated recurring method with the linear-time "
             "SCC Step 1"
         )
-    name, strategy, mode, scc = choice
     return PlanRecommendation(
         method=name,
-        strategy=strategy,
-        mode=mode,
-        scc_step1=scc,
         provenance="heuristic",
         details={"reason": reason, "heuristic": name},
     )
@@ -231,11 +241,9 @@ def recommended_plan(classification, cost_certificate=None):
     """The selection policy: certified bounds first, regime heuristics
     as the fallback.
 
-    Returns a :class:`PlanRecommendation` (unpacks as the historical
-    ``(method_name, strategy, mode, scc_step1)`` tuple; ``strategy``
-    and ``mode`` are None for the pure counting method).  This is the
-    single source of truth shared by :func:`repro.core.solver.
-    adaptive_solve` and the static method-admissibility advisory.
+    Returns a :class:`PlanRecommendation` naming a :data:`METHODS` row.
+    This is the single source of truth shared by :func:`repro.core.
+    solver.adaptive_solve` and the static method-admissibility advisory.
 
     Without a certificate the regime policy applies: **regular** — the
     pure counting method; **acyclic non-regular** — the integrated
@@ -254,12 +262,11 @@ def recommended_plan(classification, cost_certificate=None):
     if cost_certificate is None:
         return heuristic
 
-    candidates = plan_candidates()
     ranking: List[Dict[str, object]] = []
-    best: Optional[Tuple[str, Optional[Strategy], Optional[Mode], bool]] = None
+    best: Optional[str] = None
     best_bound: Optional[int] = None
-    for candidate in candidates:
-        name = candidate[0]
+    for candidate in plan_candidates():
+        name = candidate.name
         bound = cost_certificate.bound_for(name)
         entry = cost_certificate.bounds.get(name)
         ranking.append(
@@ -281,7 +288,7 @@ def recommended_plan(classification, cost_certificate=None):
             and name == heuristic.method
         )
         if improves or ties_to_heuristic:
-            best, best_bound = candidate, bound
+            best, best_bound = name, bound
 
     ranking.sort(
         key=lambda row: (
@@ -302,29 +309,20 @@ def recommended_plan(classification, cost_certificate=None):
         )
         return PlanRecommendation(
             method=heuristic.method,
-            strategy=heuristic.strategy,
-            mode=heuristic.mode,
-            scc_step1=heuristic.scc_step1,
             provenance="heuristic-fallback",
             details=details,
         )
-    name, strategy, mode, scc = best
     for row in ranking:
-        if row["method"] == name:
+        if row["method"] == best:
             row["selected"] = True
             break
     details["reason"] = (
         f"smallest certified retrieval bound ({best_bound}); "
         f"heuristic would pick {heuristic.method}"
-        if name != heuristic.method
+        if best != heuristic.method
         else f"smallest certified retrieval bound ({best_bound}), "
         "agreeing with the regime heuristic"
     )
     return PlanRecommendation(
-        method=name,
-        strategy=strategy,
-        mode=mode,
-        scc_step1=scc,
-        provenance="certified-bound",
-        details=details,
+        method=best, provenance="certified-bound", details=details
     )

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List
 
 from ..datalog.relation import CostCounter
-from ..errors import UnsafeQueryError
 from .counting_method import counting_method
 from .csl import CSLQuery
 from .magic_method import magic_fixpoint, union_magic_set
@@ -51,10 +50,7 @@ def multi_source_magic(
 
 
 def multi_source_counting(
-    query: CSLQuery,
-    sources: Iterable,
-    counter: CostCounter = None,
-    detect_divergence: bool = True,
+    query: CSLQuery, sources: Iterable, counter: CostCounter = None
 ) -> Dict[object, FrozenSet]:
     """Independent counting runs, one per source, on a shared counter.
 
@@ -64,11 +60,7 @@ def multi_source_counting(
     counter = counter if counter is not None else CostCounter()
     answers: Dict[object, FrozenSet] = {}
     for source in sources:
-        result = counting_method(
-            query.with_source(source),
-            counter=counter,
-            detect_divergence=detect_divergence,
-        )
+        result = counting_method(query.with_source(source), counter=counter)
         answers[source] = result.answers
     return answers
 

@@ -18,18 +18,18 @@ from typing import Optional
 from ..errors import EvaluationError
 from .cost import AnswerResult
 from .csl import CSLQuery
-from .counting_method import counting_method, extended_counting_method
-from .hn_method import hn_method
-from .magic_method import magic_set_method
-from .methods import magic_counting
+from .methods import METHODS, magic_counting, method_name, recommended_plan
 from .reduced_sets import Mode, Strategy
 
-_NAMED_METHODS = {
-    "counting": counting_method,
-    "extended_counting": extended_counting_method,
-    "magic_set": magic_set_method,
-    "henschen_naqvi": hn_method,
-}
+#: What ``"auto"`` runs: always safe, coincides with the counting method
+#: on regular graphs, and sits at the top of the paper's efficiency
+#: hierarchy (Figure 3).
+AUTO_METHOD = method_name(Strategy.RECURRING, Mode.INTEGRATED, scc_step1=True)
+
+#: Every name :func:`solve` accepts: the table plus its four spellings
+#: that are not rows (the CLI's ``--method`` choices and the REPL's
+#: ``.method`` list).
+SOLVE_METHODS = ("auto", "adaptive", *METHODS, "magic_counting", "naive")
 
 
 def solve(
@@ -41,28 +41,19 @@ def solve(
 ) -> AnswerResult:
     """Answer a CSL query.
 
-    ``method`` selects the algorithm:
+    ``method`` is any name of :data:`repro.core.methods.METHODS` —
+    ``"counting"`` (raises :class:`UnsafeQueryError` on cyclic magic
+    graphs), ``"extended_counting"`` (the cyclic-safe [MPS] extension),
+    ``"magic_set"``, ``"henschen_naqvi"``, the eight
+    ``"mc_<strategy>_<mode>"`` and the two ``"…_scc"`` — or one of
 
-    * ``"auto"`` (default) — the integrated recurring magic counting
-      method with the linear-time SCC Step 1: always safe, coincides
-      with the counting method on regular graphs, and sits at the top of
-      the paper's efficiency hierarchy (Figure 3);
-    * ``"counting"`` — the pure counting method (raises
-      :class:`UnsafeQueryError` on cyclic magic graphs);
-    * ``"extended_counting"`` — the cyclic-safe [MPS] extension;
-    * ``"magic_set"`` — the pure magic set method;
-    * ``"magic_counting"`` — the method selected by ``strategy``/``mode``
-      (defaults: MULTIPLE, INTEGRATED);
+    * ``"auto"`` (default) — an alias for the integrated recurring magic
+      counting method with the linear-time SCC Step 1;
+    * ``"adaptive"`` — :func:`adaptive_solve`;
+    * ``"magic_counting"`` — the coordinate spelling: the method
+      selected by ``strategy``/``mode`` (defaults: MULTIPLE, INTEGRATED);
     * ``"naive"`` — the reference oracle (no binding propagation at all).
     """
-    if method == "auto":
-        return magic_counting(
-            query,
-            strategy=Strategy.RECURRING,
-            mode=Mode.INTEGRATED,
-            counter=counter,
-            scc_step1=True,
-        )
     if method == "adaptive":
         return adaptive_solve(query, counter=counter)
     if method == "magic_counting":
@@ -74,10 +65,10 @@ def solve(
         )
     if method == "naive":
         return naive_answer(query, counter=counter)
-    runner = _NAMED_METHODS.get(method)
-    if runner is None:
+    row = METHODS.get(AUTO_METHOD if method == "auto" else method)
+    if row is None:
         raise EvaluationError(f"unknown method {method!r}")
-    return runner(query, counter=counter)
+    return row.run(query, counter=counter)
 
 
 def solve_program(program, database, method: str = "auto",
@@ -113,7 +104,6 @@ def adaptive_solve(
     table land in the result's ``details["plan"]``.
     """
     from .classification import classify_nodes
-    from .methods import recommended_plan
 
     classification = classify_nodes(query)
     certificate = None
@@ -124,21 +114,13 @@ def adaptive_solve(
     recommendation = recommended_plan(
         classification, cost_certificate=certificate
     )
-    name, strategy, mode, scc_step1 = recommendation
-    if name == "counting":
-        result = counting_method(query, counter=counter)
-    elif name in _NAMED_METHODS:
-        result = _NAMED_METHODS[name](query, counter=counter)
-    else:
-        result = magic_counting(
-            query, strategy, mode, counter=counter, scc_step1=scc_step1
-        )
+    result = METHODS[recommendation.method].run(query, counter=counter)
     if cost_bounds:
         result.details["plan"] = {
             "provenance": recommendation.provenance,
             "bound": None
             if certificate is None
-            else certificate.bound_for(name),
+            else certificate.bound_for(recommendation.method),
             "ranking": recommendation.details.get("ranking"),
         }
     return result

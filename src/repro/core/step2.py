@@ -31,29 +31,18 @@ counting part.  Correctness requires ``(0, a) ∈ RC`` (Theorem 2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List
 
 from .csl import CSLInstance
-from .counting_method import descend_answers
+from .counting_method import descend_answers, seed_exit
 from .magic_method import magic_fixpoint, predecessor_join
 from .reduced_sets import ReducedSets
-
-
-def _seed_exit_from_rc(
-    instance: CSLInstance, rc: Set[Tuple[int, object]]
-) -> Dict[int, Set[object]]:
-    """Rule ``P_C(J, Y) :- RC(J, X), E(X, Y)``."""
-    pc_levels: Dict[int, Set[object]] = {}
-    for index, value in rc:
-        for _x, y in instance.exit.lookup((value, None)):
-            pc_levels.setdefault(index, set()).add(y)
-    return pc_levels
 
 
 def independent_step2(instance: CSLInstance, reduced: ReducedSets):
     """Run the independent modified rules; returns (answers, details)."""
     # Counting part: rules 1, 2, 5.
-    pc_levels = _seed_exit_from_rc(instance, reduced.rc)
+    pc_levels = seed_exit(instance, reduced.rc)
     counting_answers = descend_answers(instance, pc_levels)
 
     # Magic part: rules 3, 4, 6 — exit restricted to RM, recursion over MS.
@@ -88,7 +77,7 @@ def integrated_step2(instance: CSLInstance, reduced: ReducedSets):
     )
 
     # Counting part: rule 4 seeds from E ...
-    pc_levels = _seed_exit_from_rc(instance, reduced.rc)
+    pc_levels = seed_exit(instance, reduced.rc)
 
     # ... and rule 3 transfers the magic part's results across the
     # frontier: the same L-predecessor x R-predecessor join as rule 2,

@@ -24,23 +24,18 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .core.csl import CSLQuery
-from .core.solver import solve
+from .core.solver import SOLVE_METHODS, solve
 from .datalog.database import Database
 from .datalog.evaluation import answer_tuples
 from .datalog.parser import parse_program
 from .datalog.program import Program
 from .errors import NotCSLError, ReproError
 
-_METHODS = (
-    "auto", "adaptive", "counting", "extended_counting", "magic_set",
-    "henschen_naqvi", "magic_counting", "naive",
-)
-
 _HELP = """\
 Enter facts (p(a, b).), rules (p(X) :- q(X).), or queries (?- p(a, Y).).
 Dot commands:
   .method NAME     evaluation method for CSL queries (default: auto)
-                   one of: """ + ", ".join(_METHODS) + """
+                   one of: """ + ", ".join(SOLVE_METHODS) + """
   .analyze GOAL    magic-graph diagnosis for a goal, e.g. .analyze sg(a, Y)
   .plan GOAL       full EXPLAIN: counting set, reduced sets, predictions
   .explain FACT    proof tree for a ground fact, e.g. .explain sg(a, b)
@@ -152,9 +147,9 @@ class Repl:
         if command == ".help":
             return _HELP.splitlines()
         if command == ".method":
-            if argument not in _METHODS:
+            if argument not in SOLVE_METHODS:
                 return [f"unknown method {argument!r}; "
-                        f"choose from: {', '.join(_METHODS)}"]
+                        f"choose from: {', '.join(SOLVE_METHODS)}"]
             self.method = argument
             return [f"method = {argument}"]
         if command == ".rules":

@@ -215,15 +215,36 @@ class RequestCoalescer:
             self.batches += 1
             self.coalesced += len(entries)
             self.largest_batch = max(self.largest_batch, len(sources))
-            answers = await self._execute(group.key, sources)
+            by_source = await self._outcomes(group.key, sources)
+            outcomes = [by_source[source] for source, _future in entries]
         except Exception as exc:  # noqa: BLE001 - forwarded to every waiter
-            for _source, future in entries:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        for source, future in entries:
-            if not future.done():
-                future.set_result(answers.get(source, frozenset()))
+            outcomes = [exc] * len(entries)
+        for (source, future), outcome in zip(entries, outcomes):
+            if future.done():
+                continue
+            if isinstance(outcome, BaseException):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome.get(source, frozenset()))
+
+    async def _outcomes(self, key, sources: List) -> Dict[object, object]:
+        """``{source: the answer map of the batch that served it, or the
+        exception its waiters are owed}`` for one window's sources."""
+        try:
+            return dict.fromkeys(sources, await self._execute(key, sources))
+        except Exception as exc:  # noqa: BLE001 - forwarded to the waiters
+            if len(sources) == 1:
+                return {sources[0]: exc}
+        # A window mixes callers, and a batch fails as a whole (one
+        # certified-unsafe counting source refuses all of it): rerun each
+        # source as its own batch, so a waiter gets its own answer or its
+        # own error, never a neighbour's.
+        self.batches += len(sources)
+        alone = await asyncio.gather(
+            *(self._execute(key, [source]) for source in sources),
+            return_exceptions=True,
+        )
+        return dict(zip(sources, alone))
 
     # --- shutdown -------------------------------------------------------
 

@@ -31,6 +31,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from ..datalog.parser import parse_program
@@ -55,6 +56,24 @@ from .protocol import (
 )
 
 _PROGRAM_CACHE_LIMIT = 64
+
+
+@dataclass(frozen=True)
+class ServedProgram:
+    """A resolved program, as a coalescing window is keyed by it.
+
+    Equality and hash are the ``key``'s, so requests for one program
+    share a window; the window executes the ``program`` (and a cluster
+    front forwards the ``text``) it was admitted with — nothing is
+    looked up again at flush time, when the parse cache may have moved
+    on.
+    """
+
+    key: str
+    program: Program = field(compare=False)
+    #: Source text — what the cluster front forwards to workers so both
+    #: sides agree on the key for one program.
+    text: str = field(compare=False)
 
 
 class SolverServer:
@@ -91,15 +110,13 @@ class SolverServer:
             max_batch=max_batch,
             max_pending=max_pending,
         )
-        self._programs: Dict[str, Program] = {}  # guarded-by: @loop
-        #: Source text per program key — what the cluster front forwards
-        #: to workers so both sides agree on the key for one program.
-        self._program_texts: Dict[str, str] = {}  # guarded-by: @loop
-        self._default_key: Optional[str] = None  # guarded-by: @loop
+        #: Parse cache of wire programs; dropping an entry is always safe.
+        self._programs: Dict[str, ServedProgram] = {}  # guarded-by: @loop
+        self._default: Optional[ServedProgram] = None
         if program is not None:
-            self._default_key = target_fingerprint(program)
-            self._programs[self._default_key] = program
-            self._program_texts[self._default_key] = str(program)
+            self._default = ServedProgram(
+                target_fingerprint(program), program, str(program)
+            )
         self._executor = ThreadPoolExecutor(
             max_workers=executor_workers, thread_name_prefix="repro-batch"
         )
@@ -325,29 +342,31 @@ class SolverServer:
         return self.service.mutate(inserts=inserts, deletes=deletes)
 
     async def _solve(self, params: Dict[str, object]):
-        key, program, method, deadline = self._serve_params(params)
+        served, method, deadline = self._serve_params(params)
         source = decode_value(params.get("source"))
         if source is None:
-            source = _target_source(program)
+            source = _target_source(served.program)
         if source is None:
             raise ProtocolError(
                 "solve needs a 'source' (the program goal has no bound "
                 "constant to default to)"
             )
-        answers = await self.coalescer.submit((key, method), source, deadline)
+        answers = await self.coalescer.submit(
+            (served, method), source, deadline
+        )
         return {
             "source": encode_value(source),
             "answers": encode_answers(answers),
         }
 
     async def _solve_batch(self, params: Dict[str, object]):
-        key, _program, method, deadline = self._serve_params(params)
+        served, method, deadline = self._serve_params(params)
         raw = params.get("sources")
         if not isinstance(raw, list) or not raw:
             raise ProtocolError("'sources' must be a non-empty list")
         sources = [decode_value(source) for source in raw]
         answers = await self.coalescer.submit_batch(
-            (key, method), sources, deadline
+            (served, method), sources, deadline
         )
         return {"answers": encode_answer_map(answers)}
 
@@ -364,49 +383,42 @@ class SolverServer:
             if not isinstance(deadline_ms, (int, float)):
                 raise ProtocolError("'deadline_ms' must be a number")
             deadline = deadline_ms / 1000.0
-        key, program = self._resolve_program(params.get("program"))
-        return key, program, method, deadline
+        return self._resolve_program(params.get("program")), method, deadline
 
-    def _resolve_program(self, text):
+    def _resolve_program(self, text) -> ServedProgram:
         if text is None:
-            if self._default_key is None:
+            if self._default is None:
                 raise ProtocolError(
                     "server has no default program; pass 'program' text"
                 )
-            return self._default_key, self._programs[self._default_key]
+            return self._default
         if not isinstance(text, str):
             raise ProtocolError("'program' must be Datalog source text")
         key = f"wire:{hash_text(text)}"
-        program = self._programs.get(key)
-        if program is None:
-            program = _parse_wire_program(text)
+        served = self._programs.get(key)
+        if served is None:
+            served = ServedProgram(key, _parse_wire_program(text), text)
             if len(self._programs) >= _PROGRAM_CACHE_LIMIT:
-                # Keep the default program; everything else can reparse.
-                default = (
-                    None
-                    if self._default_key is None
-                    else self._programs[self._default_key]
-                )
+                # Everything here can reparse, and an open window holds
+                # its own entry, not this cache's.
                 self._programs.clear()
-                self._program_texts.clear()
-                if default is not None:
-                    self._programs[self._default_key] = default
-                    self._program_texts[self._default_key] = str(default)
-            self._programs[key] = program
-            self._program_texts[key] = text
-        return key, program
+            self._programs[key] = served
+        return served
 
     # --- execution ------------------------------------------------------
 
     async def _execute_batch(self, key, sources):
         """The coalescer's execute hook: one solve_batch per flush, run
         on the worker pool so the event loop stays responsive."""
-        program_key, method = key
-        program = self._programs[program_key]
+        served, method = key
+        # Bind the CURRENT service before handing off: a cluster
+        # worker's load_snapshot that lands mid-execution must not
+        # switch a running batch to the new state halfway through.
+        service = self.service
         loop = asyncio.get_running_loop()
         result = await loop.run_in_executor(
             self._executor,
-            lambda: self.service.solve_batch(program, sources, method=method),
+            lambda: service.solve_batch(served.program, sources, method=method),
         )
         return result.answers
 

@@ -123,7 +123,6 @@ class BatchMetrics:
         self.phases: List[Tuple[str, Dict[str, int], float]] = []
         self._last = counter.snapshot()
         self._last_time = time.perf_counter()
-        self._engine: str = ""
         self._compile_ms: float = 0.0
         self._backend: str = ""
         self._plan_bytes: int = 0
@@ -131,18 +130,12 @@ class BatchMetrics:
         self._predicted_bound: Optional[int] = None
         self._optimization: Optional[Dict[str, object]] = None
 
-    def record_engine(
-        self,
-        engine: str,
-        compile_seconds: float = 0.0,
-        backend: str = "",
-        plan_bytes: int = 0,
+    def record_plan(
+        self, compile_seconds: float, backend: str, plan_bytes: int
     ) -> None:
-        """Record which evaluation engine served the batch, what its
-        (amortized) plan compilation cost was in wall-clock seconds,
-        the storage backend the plan was compiled against, and the
-        plan's estimated resident bytes (pair tuples plus indexes)."""
-        self._engine = engine
+        """Record the serving plan's (amortized) compilation cost in
+        wall-clock seconds, the storage backend it was compiled against,
+        and its estimated resident bytes (pair tuples plus indexes)."""
         self._compile_ms = compile_seconds * 1000.0
         self._backend = backend
         self._plan_bytes = plan_bytes
@@ -197,12 +190,10 @@ class BatchMetrics:
             report[f"duration_ms:{phase}"] = duration_ms
             total_ms += duration_ms
         report["duration_ms"] = total_ms
-        if self._engine:
-            report["engine"] = self._engine
+        if self._backend:
             report["compile_ms"] = self._compile_ms
-            if self._backend:
-                report["backend"] = self._backend
-                report["plan_bytes"] = self._plan_bytes
+            report["backend"] = self._backend
+            report["plan_bytes"] = self._plan_bytes
         if self._optimization is not None:
             report["rules_removed"] = self._optimization.get(
                 "rules_removed", 0

@@ -17,15 +17,10 @@ cached half:
   whose adjacency index (:mod:`repro.core.graph_index`) every
   per-source analysis walks — :meth:`CompiledPlan.query_for` only swaps
   the source in;
-* the :class:`~repro.analysis.static.StaticReport` of the program it
-  was compiled from, and memoized per-source counting-safety
-  certificates and cost reports (uncharged analysis), so the service
-  can choose a method and refuse (or fall back from) a certifiably
-  divergent counting plan *before* any fixpoint starts;
-* the compiled join kernels (:class:`~repro.datalog.engine.CompiledProgram`)
-  of the canonical program, so engine-level oracle runs and any
-  semi-naive fallback amortize rule lowering across batches alongside
-  the pair sets.
+* memoized per-source counting-safety certificates and cost reports
+  (uncharged analysis), so the service can choose a method and refuse
+  (or fall back from) a certifiably divergent counting plan *before*
+  any fixpoint starts.
 
 Plans used to be immutable with respect to the database state they
 were compiled from — the owning :class:`SolverService` discarded them
@@ -225,10 +220,7 @@ class CompiledPlan:
         fingerprint: str,
         database_fp: str = "",
         db_version: int = 0,
-        static_report=None,
-        kernels=None,
         compile_seconds: float = 0.0,
-        engine: str = "compiled",
         maintainer: Optional[PlanMaintainer] = None,
         database_dependent: bool = True,
         optimization=None,
@@ -244,9 +236,7 @@ class CompiledPlan:
         self.fingerprint = fingerprint
         self.database_fp = database_fp
         self.db_version = db_version
-        self.static_report = static_report
         self.compile_seconds = compile_seconds
-        self.engine = engine
         # Storage backend of the database this plan was compiled from
         # ("set" or "columnar") — recorded for observability; the shared
         # pair relations themselves are always set-backed.
@@ -269,9 +259,6 @@ class CompiledPlan:
         # The memo caches are filled lazily from whichever worker thread
         # first asks; _memo_lock keeps fill/evict/read atomic.
         self._memo_lock = threading.Lock()
-        # Join kernels of the canonical program, lowered once at plan
-        # compile time (built lazily when not handed in).
-        self._kernels = kernels  # guarded-by: _memo_lock
         self._relation_certificate: Optional[SafetyCertificate] = None  # guarded-by: _memo_lock
         self._source_certificates: Dict[object, SafetyCertificate] = {}  # guarded-by: _memo_lock
         # Shared relations: indexes built lazily on first use persist
@@ -402,39 +389,6 @@ class CompiledPlan:
         the plan's pair sets and their one adjacency index."""
         return self._query.with_source(source)
 
-    @property
-    def kernels(self):
-        """Join kernels of the canonical program (lazy, cached).
-
-        A :class:`~repro.datalog.engine.CompiledProgram` lowering the
-        canonical ``p``/``l``/``e``/``r`` rules once for the lifetime of
-        the plan — every engine-level run against this plan's pair sets
-        (oracle verification, semi-naive fallback) reuses it instead of
-        re-compiling per call.
-        """
-        with self._memo_lock:
-            if self._kernels is None:
-                from ..datalog.engine import CompiledProgram
-
-                self._kernels = CompiledProgram(self._query.to_program())
-            return self._kernels
-
-    def oracle_answers(self, source, counter: Optional[CostCounter] = None):
-        """Answers for one source via the cached semi-naive kernels.
-
-        The differential oracle next to the flat CSL methods: evaluates
-        the canonical program bottom-up with the compiled engine on a
-        fresh database built from the plan's pair sets, then selects
-        ``p(source, Y)``.  Compilation cost is paid once per plan, not
-        per call.
-        """
-        database = self._query.database(counter)
-        self.kernels.run(database)
-        relation = database.relation_or_empty("p", 2)
-        return frozenset(
-            y for (_x, y) in relation.lookup((source, None))
-        )
-
     def _memoized_locked(
         self,
         memo: Dict[object, Any],
@@ -528,7 +482,6 @@ class CompiledPlan:
             "r_pairs": len(self._query.right),
             "default_source": self.default_source,
             "counting_safety": self.relation_certificate.verdict,
-            "engine": self.engine,
             "backend": self.backend,
             "memory_bytes": self.memory_bytes(),
             "compile_ms": self.compile_seconds * 1000.0,
@@ -596,18 +549,11 @@ def compile_program_plan(
     conjunctions are evaluated here, once, rather than per goal.
     Raises :class:`~repro.errors.NotCSLError` outside the class.
 
-    The compiled plan carries the full static-analysis report of the
-    source program (lint, counting-safety certification, rewrite
-    verification, method admissibility); the already-materialized query
-    is handed to the analyzer so nothing is recognized twice.  With
-    ``optimize`` (the default) it additionally runs the program
+    With ``optimize`` (the default) it additionally runs the program
     optimizer (:mod:`repro.analysis.rewrite`) and attaches the verified
     :class:`~repro.analysis.rewrite.OptimizationReport`, keeping the
     unoptimized program on the plan as the differential oracle.
     """
-    from ..analysis.static import run_static_analysis
-    from ..datalog.engine import CompiledProgram
-
     started = time.perf_counter()
     analysis = analyze_linear(program)
     query = CSLQuery.from_program(
@@ -616,7 +562,6 @@ def compile_program_plan(
     optimization = (
         _verified_optimization(program, database, query) if optimize else None
     )
-    kernels = CompiledProgram(query.to_program())
     maintainer: Optional[PlanMaintainer] = None
     try:
         maintainer = PlanMaintainer(program, analysis, database)
@@ -638,10 +583,6 @@ def compile_program_plan(
         fingerprint=program_fingerprint(program),
         database_fp=database_fingerprint(database),
         db_version=db_version,
-        static_report=run_static_analysis(
-            program, database, csl_query=query
-        ),
-        kernels=kernels,
         compile_seconds=time.perf_counter() - started,
         maintainer=maintainer,
         optimization=optimization,
@@ -651,22 +592,12 @@ def compile_program_plan(
 
 
 def compile_query_plan(query: CSLQuery, db_version: int = 0) -> CompiledPlan:
-    """Compile a plan directly from a :class:`CSLQuery` instance.
-
-    With no Datalog source to lint, the attached report holds the
-    graph-level analyses only (safety certificate, admissibility).
-    """
-    from ..analysis.static import analyze_query
-    from ..datalog.engine import CompiledProgram
-
+    """Compile a plan directly from a :class:`CSLQuery` instance."""
     started = time.perf_counter()
-    kernels = CompiledProgram(query.to_program())
     return CompiledPlan(
         query,
         fingerprint=pairs_fingerprint(query.left, query.exit, query.right),
         db_version=db_version,
-        static_report=analyze_query(query),
-        kernels=kernels,
         compile_seconds=time.perf_counter() - started,
         database_dependent=False,
     )

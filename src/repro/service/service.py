@@ -45,11 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from ..core.cost import AnswerResult
-from ..core.counting_method import (
-    compute_counting_set,
-    descend_answers,
-    seed_exit,
-)
+from ..core.counting_method import counting_answers
 from ..core.csl import CSLQuery
 from ..core.magic_method import magic_fixpoint, union_magic_set
 from ..datalog.database import Database
@@ -427,11 +423,8 @@ class SolverService:
             predicted = self._predicted_bound(plan, chosen, source_list)
             counter = CostCounter()
             metrics = BatchMetrics(counter)
-            metrics.record_engine(
-                plan.engine,
-                plan.compile_seconds,
-                backend=plan.backend,
-                plan_bytes=plan.memory_bytes(),
+            metrics.record_plan(
+                plan.compile_seconds, plan.backend, plan.memory_bytes()
             )
             if plan.optimization is not None and plan.optimization.changed:
                 metrics.record_optimization(plan.optimization.summary())
@@ -608,10 +601,8 @@ def _execute_counting(
     answers: Dict[object, FrozenSet] = {}
     cs_pairs = 0
     for source in sources:
-        instance = plan.instance(source, counter)
-        cs_levels = compute_counting_set(instance)
-        pc_levels = seed_exit(instance, cs_levels)
-        answers[source] = frozenset(descend_answers(instance, pc_levels))
+        found, cs_levels = counting_answers(plan.instance(source, counter))
+        answers[source] = frozenset(found)
         cs_pairs += sum(len(values) for values in cs_levels.values())
     metrics.mark("counting")
     return answers, {"cs_pairs": cs_pairs}

@@ -64,6 +64,15 @@ def samegen_query():
 
 
 @pytest.fixture
+def acyclic_query():
+    """A small acyclic, non-regular instance (``c`` at distances 1 and 2)."""
+    left = {("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")}
+    exit_pairs = {("d", "u"), ("c", "v"), ("a", "t")}
+    right = {("w", "u"), ("z", "w"), ("y", "z"), ("x", "v"), ("s", "x")}
+    return CSLQuery(left, exit_pairs, right, "a")
+
+
+@pytest.fixture
 def cyclic_query():
     """A small instance with a cyclic magic graph."""
     left = {("a", "b"), ("b", "c"), ("c", "a"), ("b", "d")}

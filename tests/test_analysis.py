@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.analysis.runner import ALL_METHODS, Measurement, measure, run_method, sweep
+from repro.analysis.runner import ALL_METHODS, Measurement, measure, sweep
 from repro.analysis.tables import format_cell, render_ratio_sweep, render_table
-from repro.core.solver import fact2_answer
+from repro.core.solver import fact2_answer, solve
+from repro.errors import EvaluationError
 from repro.workloads.generators import cyclic_workload, regular_workload
 
 
@@ -12,12 +13,12 @@ class TestRunMethod:
     def test_every_named_method_runs(self, samegen_query):
         oracle = fact2_answer(samegen_query)
         for method in ALL_METHODS:
-            result = run_method(samegen_query, method)
+            result = solve(samegen_query, method)
             assert result.answers == oracle, method
 
     def test_unknown_method(self, samegen_query):
-        with pytest.raises(ValueError):
-            run_method(samegen_query, "astrology")
+        with pytest.raises(EvaluationError):
+            solve(samegen_query, "astrology")
 
 
 class TestMeasure:
@@ -61,7 +62,7 @@ class TestHarnessIntegrity:
                 cost=CostCounter(),
             )
 
-        monkeypatch.setattr(runner_module, "run_method", lying_method)
+        monkeypatch.setattr(runner_module, "solve", lying_method)
         with pytest.raises(AssertionError):
             runner_module.measure(samegen_query, methods=["magic_set"])
 

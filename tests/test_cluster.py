@@ -21,7 +21,15 @@ from repro.server import (
 )
 from repro.service import SolverService
 
-from .test_server_e2e import QUERY, SOURCES, ground_truth
+from .test_server_e2e import (
+    QUERY,
+    SG_DEFAULT,
+    SG_WIRE_TEXTS,
+    SOURCES,
+    ground_truth,
+    sg_service,
+    solve_every_wire_program,
+)
 
 
 def make_front(**kwargs):
@@ -61,6 +69,17 @@ class TestClusterServing:
                 await front.stop()
 
         run(main())
+
+    def test_a_window_forwards_the_program_it_was_admitted_with(self):
+        # Regression: 70 texts overflow the front's 64-entry parse cache
+        # while their windows are still open; a flush used to look the
+        # text up again by key, find nothing, and have the worker solve
+        # the DEFAULT program — {y0}, served with ok: true.
+        front = ClusterFront(
+            sg_service(), program=SG_DEFAULT, workers=1, backend="thread"
+        )
+        outcomes = run(solve_every_wire_program(front))
+        assert outcomes == [frozenset({"z0"})] * len(SG_WIRE_TEXTS)
 
     def test_shards_actually_spread_across_workers(self):
         async def main():

@@ -9,6 +9,7 @@ from repro.core.complexity import (
     predicted_cost,
 )
 from repro.core.csl import CSLQuery
+from repro.core.methods import METHODS
 from repro.workloads.figures import figure2_query
 
 
@@ -77,7 +78,8 @@ class TestPredictedCost:
         values = {
             predicted_cost(m, stats)
             for m in (
-                "mc_basic",
+                "mc_basic_independent",
+                "mc_basic_integrated",
                 "mc_single_independent",
                 "mc_single_integrated",
                 "mc_multiple_independent",
@@ -103,7 +105,7 @@ class TestPredictedCost:
         from repro.workloads.generators import acyclic_workload
 
         stats = compute_statistics(acyclic_workload(scale=3, seed=7))
-        basic = predicted_cost("mc_basic", stats)
+        basic = predicted_cost("mc_basic_integrated", stats)
         single = predicted_cost("mc_single_integrated", stats)
         multiple = predicted_cost("mc_multiple_integrated", stats)
         assert multiple <= 1.1 * single
@@ -116,12 +118,10 @@ class TestPredictedCost:
 
     def test_all_method_predictions_covers_everything(self):
         predictions = all_method_predictions(compute_statistics(figure2_query()))
-        assert predictions["counting"] is None  # cyclic
-        assert all(
-            value is not None
-            for method, value in predictions.items()
-            if method != "counting"
-        )
+        assert list(predictions) == list(METHODS)
+        for method, value in predictions.items():
+            # cyclic: "unsafe" exactly for the methods that need acyclicity
+            assert (value is None) == METHODS[method].needs_acyclic, method
 
     def test_extended_counting_on_cyclic(self):
         stats = compute_statistics(figure2_query())

@@ -178,8 +178,9 @@ class TestSelfAnalysis:
         # maintenance/plan-maintainer guards plus the repro.cluster
         # fleet/front annotations and the optimizer metrics counters
         # (ServiceMetrics.optimized_compiles and friends), not just the
-        # original serving-stack ones.
-        assert self_report.guarded_attributes >= 88
+        # original serving-stack ones.  (88 before CompiledPlan._kernels
+        # and SolverServer._program_texts/_default_key were removed.)
+        assert self_report.guarded_attributes >= 85
 
     def test_optimizer_package_is_inside_the_gate(self, self_report):
         # The analysis.rewrite package ships pure functions (no locks),

@@ -24,7 +24,9 @@ from repro.analysis.cost import (
 )
 from repro.core.classification import classify_nodes
 from repro.core.csl import CSLQuery
+from repro.core.counting_method import counting_method
 from repro.core.methods import (
+    METHODS,
     PlanRecommendation,
     plan_candidates,
     recommended_plan,
@@ -229,14 +231,13 @@ class TestPlanSelection:
         assert plan.details["heuristic"] == "mc_recurring_integrated_scc"
         assert "13" in plan.details["reason"]
 
-    def test_unpacks_as_the_historical_tuple(self):
+    def test_names_a_table_entry(self):
         plan = recommended_plan(classify_nodes(CHAIN))
-        name, strategy, mode, scc = plan
-        assert (name, strategy, mode, scc) == ("counting", None, None, False)
+        assert METHODS[plan.method].run is counting_method
         assert plan.provenance == "heuristic"
 
     def test_candidates_cover_every_executable_plan(self):
-        names = [c[0] for c in plan_candidates()]
+        names = [c.name for c in plan_candidates()]
         assert names[0] == "counting"
         assert len(names) == 11
         assert "mc_recurring_integrated_scc" in names

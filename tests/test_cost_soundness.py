@@ -91,7 +91,7 @@ class TestBoundSoundness:
         """The ranked pick's *certified* cost is minimal by construction;
         check the guarantee is about real bounds, not stale ones."""
         certificate = certify_cost(query)
-        ranked = {name for name, *_coordinates in plan_candidates()}
+        ranked = {row.name for row in plan_candidates()}
         certified = {
             method: entry.bound
             for method, entry in certificate.bounds.items()

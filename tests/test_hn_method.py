@@ -21,7 +21,7 @@ class TestCorrectness:
             hn_method(cyclic_query)
 
     def test_truncation_escape_hatch(self, cyclic_query):
-        result = hn_method(cyclic_query, detect_divergence=False, max_level=40)
+        result = hn_method(cyclic_query, max_level=40)
         assert result.answers == fact2_answer(cyclic_query)
 
     def test_exposed_via_solve(self, samegen_query):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.counting_method import descend_answers
+from repro.core.counting_method import descend_answers, seed_exit
 from repro.core.csl import CSLInstance, CSLQuery
 from repro.core.magic_method import (
     compute_magic_set,
@@ -27,7 +27,7 @@ from repro.core.magic_method import (
 from repro.core.multi_source import union_magic_set as exported_union
 from repro.core.reduced_sets import Strategy
 from repro.core.step1 import compute_reduced_sets
-from repro.core.step2 import _seed_exit_from_rc, integrated_step2
+from repro.core.step2 import integrated_step2
 from repro.datalog.columnar import ColumnarBackend, SymbolTable
 from repro.datalog.relation import CostCounter, Relation
 
@@ -92,7 +92,7 @@ def oracle_integrated_step2(instance: CSLInstance, reduced):
         exit_guard=reduced.rm,
         recursion_guard=reduced.rm,
     )
-    pc_levels = _seed_exit_from_rc(instance, reduced.rc)
+    pc_levels = seed_exit(instance, reduced.rc)
     rc_by_value: Dict[object, List[int]] = {}
     for index, value in reduced.rc:
         rc_by_value.setdefault(value, []).append(index)

@@ -1,0 +1,128 @@
+"""The method table is the one list of methods: every consumer agrees.
+
+``repro.core.methods.METHODS`` names the fourteen evaluation methods;
+``solve``, the cost certificates, the Θ-predictions, the Figure 3 arcs,
+the admissibility advisory, the harness columns, the CLI and the REPL
+must all be keyed by it.  A method added to the table without a runner
+that answers, a certified bound or a Θ-prediction fails here.
+"""
+
+import pytest
+
+from repro.analysis.cost import certify_cost
+from repro.analysis.runner import ALL_METHODS
+from repro.analysis.static import certify_counting_safety, method_admissibility
+from repro.cli import build_parser
+from repro.core.classification import classify_nodes
+from repro.core.complexity import all_method_predictions, compute_statistics
+from repro.core.counting_method import counting_method
+from repro.core.hierarchy import HIERARCHY_RELATIONS, REGULAR_EQUIVALENCE_GROUP
+from repro.core.hn_method import hn_method
+from repro.core.methods import METHODS, method_name, plan_candidates
+from repro.core.solver import SOLVE_METHODS, fact2_answer, solve
+from repro.errors import UnsafeQueryError
+from repro.repl import Repl
+
+EXTRA_SPELLINGS = {"auto", "adaptive", "magic_counting", "naive"}
+
+
+@pytest.fixture(params=["samegen_query", "acyclic_query", "cyclic_query"])
+def query(request):
+    return request.getfixturevalue(request.param)
+
+
+def test_the_fixtures_cover_the_three_graph_classes(
+    samegen_query, acyclic_query, cyclic_query
+):
+    classes = [
+        classify_nodes(q).graph_class.value
+        for q in (samegen_query, acyclic_query, cyclic_query)
+    ]
+    assert classes == ["regular", "acyclic", "cyclic"]
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_solve_runs_every_table_name(query, name):
+    unsafe = METHODS[name].needs_acyclic and classify_nodes(query).is_cyclic
+    if unsafe:
+        with pytest.raises(UnsafeQueryError):
+            solve(query, name)
+        return
+    result = solve(query, name)
+    assert result.answers == fact2_answer(query)
+    assert result.method == name
+
+
+def test_auto_is_an_alias_for_a_table_row(query):
+    result = solve(query)
+    assert result.method == "mc_recurring_integrated_scc"
+    assert result.cost.snapshot() == solve(query, result.method).cost.snapshot()
+
+
+def test_table_order_and_coordinates():
+    names = list(METHODS)
+    assert len(names) == 14
+    assert names[:4] == [
+        "counting", "extended_counting", "magic_set", "henschen_naqvi",
+    ]
+    hybrids = [row for row in METHODS.values() if row.strategy is not None]
+    assert [row.name for row in hybrids] == names[4:]
+    for row in hybrids:
+        assert method_name(row.strategy, row.mode, row.scc_step1) == row.name
+    assert all(name == row.name for name, row in METHODS.items())
+
+
+def test_certificates_and_predictions_are_keyed_by_the_table(query):
+    assert list(certify_cost(query).bounds) == list(METHODS)
+    predictions = all_method_predictions(compute_statistics(query))
+    assert list(predictions) == list(METHODS)
+
+
+def test_every_derived_list_is_a_filter_of_the_table():
+    arcs = {r.better for r in HIERARCHY_RELATIONS} | {
+        r.worse for r in HIERARCHY_RELATIONS
+    }
+    assert arcs <= set(METHODS)
+    ranked = [row.name for row in plan_candidates()]
+    assert ranked == [n for n in METHODS if n not in (
+        "extended_counting", "magic_set", "henschen_naqvi")]
+    assert ALL_METHODS == [n for n in METHODS if n != "henschen_naqvi"]
+    assert REGULAR_EQUIVALENCE_GROUP == [
+        n for n in ranked if not n.endswith("_scc")
+    ]
+
+
+def test_admissibility_lists_the_table_less_the_scc_variants(cyclic_query):
+    verdicts = method_admissibility(certify_counting_safety(cyclic_query))
+    assert [v.method for v in verdicts] == [
+        n for n in METHODS if not n.endswith("_scc")
+    ]
+    for verdict in verdicts:
+        # the certificate says cyclic: inadmissible exactly when the
+        # table says the method needs an acyclic magic graph
+        assert verdict.admissible is not METHODS[verdict.method].needs_acyclic
+
+
+def test_cli_and_repl_offer_the_table_plus_four_spellings():
+    assert set(SOLVE_METHODS) == set(METHODS) | EXTRA_SPELLINGS
+    assert len(SOLVE_METHODS) == len(METHODS) + len(EXTRA_SPELLINGS)
+    (subparsers,) = (
+        a for a in build_parser()._actions if hasattr(a, "choices") and a.choices
+    )
+    (option,) = (
+        a for a in subparsers.choices["solve"]._actions if a.dest == "method"
+    )
+    assert list(option.choices) == list(SOLVE_METHODS)
+    repl = Repl()
+    (line,) = repl.execute(".method astrology")
+    assert line.endswith("choose from: " + ", ".join(SOLVE_METHODS))
+    for name in SOLVE_METHODS:
+        assert repl.execute(f".method {name}") == [f"method = {name}"]
+
+
+@pytest.mark.parametrize("method", [counting_method, hn_method])
+def test_divergence_detection_is_not_a_callers_choice(method, cyclic_query):
+    with pytest.raises(TypeError):
+        method(cyclic_query, detect_divergence=False)
+    with pytest.raises(UnsafeQueryError):
+        method(cyclic_query)

@@ -36,9 +36,7 @@ class TestCountingMethod:
             counting_method(cyclic_query)
 
     def test_divergence_check_can_be_disabled_with_cap(self, cyclic_query):
-        result = counting_method(
-            cyclic_query, detect_divergence=False, max_level=50
-        )
+        result = counting_method(cyclic_query, max_level=50)
         # Truncated run is safe but the cap must be generous enough; at
         # 50 levels on a 4-node graph it is complete here.
         assert result.answers == fact2_answer(cyclic_query)
@@ -66,7 +64,10 @@ class TestCountingMethod:
         # corrupting any cached/shared level sets on a second descent.
         instance = samegen_query.instance()
         cs_levels = compute_counting_set(instance)
-        pc_levels = seed_exit(instance, cs_levels)
+        pc_levels = seed_exit(
+            instance,
+            [(level, v) for level, values in cs_levels.items() for v in values],
+        )
         snapshot = {level: set(values) for level, values in pc_levels.items()}
         first = descend_answers(instance, pc_levels)
         assert pc_levels == snapshot

@@ -18,12 +18,15 @@ import pytest
 
 from repro.core.csl import CSLQuery
 from repro.core.solver import solve
+from repro.datalog.database import Database
+from repro.datalog.parser import parse_program
 from repro.datalog.relation import CostCounter
 from repro.server import (
     AsyncSolverClient,
     DeadlineExceededError,
     OverloadedError,
     ProtocolError,
+    ServerError,
     ServerThread,
     SolverClient,
     SolverServer,
@@ -65,6 +68,45 @@ def independent_retrievals(sources):
 def make_server(**kwargs):
     service = SolverService(QUERY.database())
     return SolverServer(service, program=QUERY.to_program(), **kwargs)
+
+
+# Same-generation over two exit relations: from ``a`` the default
+# program (exit ``flat``) answers {y0} and every wire program (exit
+# ``flat2``) answers {z0}; ``c`` sits on an ``up`` 2-cycle.
+_SG_RULES = (
+    "sg(X, Y) :- {exit}(X, Y).\n"
+    "sg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y, Y1).\n"
+)
+SG_DEFAULT = parse_program(_SG_RULES.format(exit="flat") + "?- sg(a, Y).")
+#: More distinct program texts (they differ by one unused rule) than
+#: the server's parsed-program cache holds.
+SG_WIRE_TEXTS = [
+    _SG_RULES.format(exit="flat2")
+    + f"unused{i}(X) :- flat2(X, X).\n?- sg(a, Y)."
+    for i in range(70)
+]
+
+
+def sg_service():
+    database = Database()
+    database.add_facts("up", [("a", "m"), ("c", "d"), ("d", "c")])
+    database.add_facts("flat", [("m", "f"), ("c", "f")])
+    database.add_facts("flat2", [("m", "g")])
+    database.add_facts("down", [("y0", "f"), ("z0", "g")])
+    return SolverService(database)
+
+
+async def solve_every_wire_program(server):
+    """One client, every wire text in flight at once; the outcomes."""
+    await server.start()
+    try:
+        async with await AsyncSolverClient.connect(port=server.port) as client:
+            return await asyncio.gather(
+                *(client.solve("a", program=text) for text in SG_WIRE_TEXTS),
+                return_exceptions=True,
+            )
+    finally:
+        await server.stop()
 
 
 class TestAcceptance:
@@ -367,6 +409,49 @@ class TestSyncClient:
                     client.solve("c0", deadline_ms=0)
                 # The connection survives a structured error.
                 assert client.solve("c0") == ground_truth("c0")
+
+
+class TestWindowIsolation:
+    def test_a_window_executes_the_program_it_was_admitted_with(self):
+        # Regression: 70 texts overflow the 64-entry parse cache while
+        # their windows are still open; a flush used to look its program
+        # up again by key and fail with bad_request.
+        server = SolverServer(sg_service(), program=SG_DEFAULT)
+        outcomes = asyncio.run(solve_every_wire_program(server))
+        assert outcomes == [frozenset({"z0"})] * len(SG_WIRE_TEXTS)
+        assert server.errors == 0
+
+    def test_an_unsafe_source_fails_only_its_own_waiters(self):
+        # Regression: a coalesced counting batch is refused as a whole
+        # when any source is certified unsafe, and every waiter in the
+        # window used to get that refusal — for a source it never sent.
+        async def main():
+            server = SolverServer(
+                sg_service(), program=SG_DEFAULT, window_ms=100
+            )
+            await server.start()
+            try:
+                async with await AsyncSolverClient.connect(
+                    port=server.port
+                ) as one, await AsyncSolverClient.connect(
+                    port=server.port
+                ) as two:
+                    safe, unsafe = await asyncio.gather(
+                        one.solve("a", method="counting"),
+                        two.solve("c", method="counting"),
+                        return_exceptions=True,
+                    )
+                assert server.coalescer.coalesced == 2  # one window
+                assert safe == frozenset({"y0"})
+                assert isinstance(unsafe, ServerError)
+                assert unsafe.code == "unsafe_query"
+                assert "'c'" in str(unsafe)
+                stats = server.coalescer.stats()
+                assert stats["pending"] == 0 and stats["open_windows"] == 0
+            finally:
+                await server.stop()
+
+        asyncio.run(main())
 
 
 class TestDeadlines:

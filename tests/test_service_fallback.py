@@ -12,7 +12,7 @@ instead of the expected refusal/fallback.
 import pytest
 
 import repro.service.service as service_module
-from repro.analysis.static import StaticReport, Verdict
+from repro.analysis.static import Verdict
 from repro.core.csl import CSLQuery
 from repro.core.solver import fact2_answer
 from repro.errors import UnsafeQueryError
@@ -37,7 +37,7 @@ def no_counting_fixpoint(monkeypatch):
             "counting fixpoint started on a certified-unsafe goal"
         )
 
-    monkeypatch.setattr(service_module, "compute_counting_set", bomb)
+    monkeypatch.setattr(service_module, "counting_answers", bomb)
 
 
 class TestRefusal:
@@ -112,20 +112,6 @@ class TestFallback:
 
 
 class TestPlanReports:
-    def test_query_plan_carries_static_report(self, cyclic_query):
-        service = SolverService(cyclic_query.database())
-        plan, _ = service._plan_for(cyclic_query)
-        assert isinstance(plan.static_report, StaticReport)
-        assert plan.static_report.certificate.verdict == Verdict.UNSAFE
-        assert plan.static_report.graph_class == "cyclic"
-
-    def test_program_plan_carries_static_report(self, samegen_query):
-        program = samegen_query.to_program()
-        service = SolverService(samegen_query.database())
-        plan, _ = service._plan_for(program)
-        assert isinstance(plan.static_report, StaticReport)
-        assert plan.static_report.certificate.verdict == Verdict.SAFE
-
     def test_describe_includes_counting_safety(self, cyclic_query):
         service = SolverService(cyclic_query.database())
         plan, _ = service._plan_for(cyclic_query)

@@ -387,10 +387,9 @@ class TestAdmissibility:
 
     def test_recommendation_matches_adaptive_policy(self, cyclic_query):
         classification = classify_nodes(cyclic_query)
-        name, strategy, mode, scc = recommended_plan(classification)
+        name = recommended_plan(classification).method
         report = analyze_query(cyclic_query)
         assert report.recommended_method == name == "mc_recurring_integrated_scc"
-        assert scc is True
 
 
 class TestCallPatterns:

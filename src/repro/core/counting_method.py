@@ -32,29 +32,30 @@ level is therefore complete, and safe on every input.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from ..errors import UnsafeQueryError
 from .cost import AnswerResult
-from .csl import CSLInstance, CSLQuery
+from .csl import CSLInstance, CSLQuery, frontier_step
 from .query_graph import build_query_graph
 
 
-def compute_counting_set(
-    instance: CSLInstance, max_level: Optional[int] = None
-) -> Dict[int, Set[object]]:
-    """The ``CS`` fixpoint, level by level.
+def level_frontiers(
+    instance: CSLInstance,
+    max_level: Optional[int] = None,
+    method: str = "counting method",
+) -> Iterator[Set[object]]:
+    """The L-side level walk: yields the frontier ``L^k(source)`` for
+    ``k = 0, 1, ...`` until it drains.
 
-    Returns ``{index: set of values}``.  When ``max_level`` is given the
-    fixpoint is truncated there (used by the extended method); otherwise
-    divergence detection raises :class:`UnsafeQueryError` on cyclic
-    magic graphs — an untruncated run that did not detect would only
-    loop forever there, so "detect unless truncated" is not a choice.
+    When ``max_level`` is given the walk is truncated there (used by the
+    extended method); otherwise divergence detection raises
+    :class:`UnsafeQueryError` (naming ``method``) on cyclic magic graphs
+    — an untruncated walk that did not detect would only loop forever
+    there, so "detect unless truncated" is not a choice.
     """
-    levels: Dict[int, Set[object]] = {0: {instance.source}}
-    seen: Set[object] = {instance.source}
-    level = 0
-    frontier = {instance.source}
+    frontier: Set[object] = {instance.source}
+    seen = set(frontier)
     # Divergence witness: the frontier at level k+1 is a function of the
     # frontier at level k alone, so a repeated frontier set makes the
     # sequence periodic — the fixpoint can never drain.  On an acyclic
@@ -64,24 +65,19 @@ def compute_counting_set(
     # earlier than the coarse ``level > |seen|`` bound, which can lag by
     # up to n levels on wide graphs).
     seen_frontiers: Set[frozenset] = {frozenset(frontier)}
+    level = 0
     while frontier:
+        yield frontier
         if max_level is not None and level >= max_level:
-            break
-        next_frontier: Set[object] = set()
-        for value in frontier:
-            for _b, successor in instance.left.lookup((value, None)):
-                next_frontier.add(successor)
-                seen.add(successor)
+            return
+        frontier = frontier_step(instance.left, 0, frontier)
+        seen |= frontier
         level += 1
-        if not next_frontier:
-            break
-        levels[level] = next_frontier
-        frontier = next_frontier
-        if max_level is None:
+        if max_level is None and frontier:
             frontier_key = frozenset(frontier)
             if frontier_key in seen_frontiers:
                 raise UnsafeQueryError(
-                    "counting method is unsafe: the magic graph is cyclic "
+                    f"{method} is unsafe: the magic graph is cyclic "
                     f"(frontier set repeated at level {level}; the CS "
                     "fixpoint is periodic and would grow forever)"
                 )
@@ -90,11 +86,18 @@ def compute_counting_set(
                 # Backstop: a walk longer than the number of distinct
                 # values repeats a value, which also proves a cycle.
                 raise UnsafeQueryError(
-                    "counting method is unsafe: the magic graph is cyclic "
+                    f"{method} is unsafe: the magic graph is cyclic "
                     f"(frontier still alive at level {level} with only "
                     f"{len(seen)} distinct values)"
                 )
-    return levels
+
+
+def compute_counting_set(
+    instance: CSLInstance, max_level: Optional[int] = None
+) -> Dict[int, Set[object]]:
+    """The ``CS`` fixpoint, level by level: ``{index: set of values}``
+    (truncation and divergence as for :func:`level_frontiers`)."""
+    return dict(enumerate(level_frontiers(instance, max_level)))
 
 
 def descend_answers(
@@ -112,12 +115,10 @@ def descend_answers(
     working = {level: set(values) for level, values in pc_levels.items()}
     for level in range(max(working), 0, -1):
         current = working.get(level)
-        if not current:
-            continue
-        below = working.setdefault(level - 1, set())
-        for y1 in current:
-            for y, _y1 in instance.right.lookup((None, y1)):
-                below.add(y)
+        if current:
+            working.setdefault(level - 1, set()).update(
+                frontier_step(instance.right, 1, current)
+            )
     return working.get(0, set())
 
 
@@ -127,10 +128,12 @@ def seed_exit(
     """Apply ``P_C(J, Y) :- CS(J, X), E(X, Y)`` to ``(index, value)``
     pairs — the counting set's, or a reduced counting set ``RC`` (rule 1
     of Section 4, rule 4 of Section 5).  One exit probe per pair."""
+    pairs = list(pairs)
+    exits = instance.exit.probe_many((0,), [(value,) for _index, value in pairs])
     pc_levels: Dict[int, Set[object]] = {}
-    for index, value in pairs:
-        for _x, y in instance.exit.lookup((value, None)):
-            pc_levels.setdefault(index, set()).add(y)
+    for (index, _value), rows in zip(pairs, exits):
+        if rows:
+            pc_levels.setdefault(index, set()).update(y for _x, y in rows)
     return pc_levels
 
 

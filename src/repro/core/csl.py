@@ -266,7 +266,7 @@ class CSLInstance:
     """Cost-instrumented relations for one evaluation run.
 
     All engines read ``left``/``exit``/``right`` only through the charged
-    reads of :class:`Relation` (``lookup``, ``probe_repeated``), so
+    bulk reads of :class:`Relation` (``probe_many``, ``probe_repeated``), so
     ``counter`` accumulates the total tuple-retrieval cost — the paper's unit.
     """
 
@@ -275,3 +275,16 @@ class CSLInstance:
     right: Relation
     source: object
     counter: CostCounter = field(default_factory=CostCounter)
+
+
+def frontier_step(relation: Relation, position: int, frontier: Iterable) -> Set[object]:
+    """The image of ``frontier`` through a binary ``relation``: the other
+    column of every tuple whose ``position`` column holds a frontier
+    value (0: successors, 1: predecessors).  One bulk read, charged one
+    probe plus the degree per frontier value — what a loop of per-value
+    lookups pays in any order (``docs/complexity_notes.md``)."""
+    rows_per_value = relation.probe_many(
+        (position,), [(value,) for value in frontier]
+    )
+    other = 1 - position
+    return {row[other] for rows in rows_per_value for row in rows}

@@ -18,17 +18,17 @@ descended once), while [HN] re-walks the R side from scratch for each
 deep graphs [HN] pays a quadratic Σ_k k·m_R — the ablation benchmark
 makes this crossover visible.
 
-Like the counting method, [HN] is unsafe on cyclic magic graphs; the
-same divergence detection applies.
+Like the counting method, [HN] is unsafe on cyclic magic graphs; both
+consume one L-side level walk, so the same divergence detection applies.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Set
 
-from ..errors import UnsafeQueryError
 from .cost import AnswerResult
-from .csl import CSLQuery
+from .counting_method import level_frontiers
+from .csl import CSLQuery, frontier_step
 
 
 def hn_method(
@@ -41,47 +41,23 @@ def hn_method(
     """
     instance = query.instance(counter)
     answers: Set[object] = set()
-    frontier: Set[object] = {instance.source}
-    seen: Set[object] = {instance.source}
-    level = 0
-    levels_processed = 0
-    while frontier:
+    levels = 0
+    # Up: L^k(source), one level per step.
+    for frontier in level_frontiers(
+        instance, max_level, "the [HN] iterative method"
+    ):
         # Across: E(frontier).
-        current: Set[object] = set()
-        for value in frontier:
-            for _x, y in instance.exit.lookup((value, None)):
-                current.add(y)
+        current = frontier_step(instance.exit, 0, frontier)
         # Down: R applied k times, recomputed from scratch at each level.
-        for _ in range(level):
+        for _ in range(levels):
             if not current:
                 break
-            next_down: Set[object] = set()
-            for y1 in current:
-                for y, _y1 in instance.right.lookup((None, y1)):
-                    next_down.add(y)
-            current = next_down
+            current = frontier_step(instance.right, 1, current)
         answers |= current
-        levels_processed += 1
-
-        # Up: L(frontier).
-        if max_level is not None and level >= max_level:
-            break
-        next_frontier: Set[object] = set()
-        for value in frontier:
-            for _b, successor in instance.left.lookup((value, None)):
-                next_frontier.add(successor)
-                seen.add(successor)
-        level += 1
-        frontier = next_frontier
-        if max_level is None and level > len(seen):
-            raise UnsafeQueryError(
-                "the [HN] iterative method is unsafe: the magic graph is "
-                f"cyclic (frontier alive at level {level} with only "
-                f"{len(seen)} distinct values)"
-            )
+        levels += 1
     return AnswerResult(
         answers=frozenset(answers),
         method="henschen_naqvi",
         cost=instance.counter,
-        details={"levels": levels_processed},
+        details={"levels": levels},
     )

@@ -27,19 +27,16 @@ from __future__ import annotations
 from typing import Container, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from .cost import AnswerResult
-from .csl import CSLInstance, CSLQuery
+from .csl import CSLInstance, CSLQuery, frontier_step
 
 
 def union_magic_set(instance: CSLInstance, sources: Iterable) -> Set[object]:
     """The seminaive ``MS`` fixpoint from every source at once: one charged
     sweep over ``L``, a value reachable from several sources expanded once."""
-    magic = set(sources)
-    frontier = list(magic)
-    successors = instance.left.probe_repeated
+    magic = frontier = set(sources)
     while frontier:
-        fresh = {b for _a, b in successors((0,), (frontier.pop(),), 1)} - magic
-        magic |= fresh
-        frontier.extend(fresh)
+        frontier = frontier_step(instance.left, 0, frontier) - magic
+        magic |= frontier
     return magic
 
 
@@ -105,9 +102,10 @@ def magic_fixpoint(
     # delta[x1]: the facts P_M(x1, ·) not yet expanded (each enters once).
     pm: Dict[object, Set[object]] = {}
     delta: Dict[object, Set[object]] = {}
-    for x in exit_guard:
-        ys = {y for _x, y in instance.exit.probe_repeated((0,), (x,), 1)}
-        if ys:
+    exits = instance.exit.probe_many((0,), [(x,) for x in exit_guard])
+    for x, rows in zip(exit_guard, exits):
+        if rows:
+            ys = {y for _x, y in rows}
             pm[x], delta[x] = ys, set(ys)
     for x, image in predecessor_join(instance, recursion_guard, delta):
         known = pm.setdefault(x, set())

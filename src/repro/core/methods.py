@@ -64,8 +64,10 @@ def magic_counting(
         Costs an extra pass over the graph; off by default.
     """
     instance = query.instance(counter)
+    # A caller's counter may already carry charges: report differences.
+    retrievals_on_entry = instance.counter.retrievals
     reduced = compute_reduced_sets(instance, strategy, scc_variant=scc_step1)
-    step1_retrievals = instance.counter.retrievals
+    retrievals_after_step1 = instance.counter.retrievals
     if mode is Mode.INTEGRATED:
         reduced.ensure_source_pair(instance.source)
     if verify_conditions:
@@ -88,8 +90,8 @@ def magic_counting(
         "rm_size": len(reduced.rm),
         "ms_size": len(reduced.ms),
         "reduced_sets": reduced,
-        "step1_retrievals": step1_retrievals,
-        "step2_retrievals": instance.counter.retrievals - step1_retrievals,
+        "step1_retrievals": retrievals_after_step1 - retrievals_on_entry,
+        "step2_retrievals": instance.counter.retrievals - retrievals_after_step1,
     }
     details.update(step2_details)
     return AnswerResult(

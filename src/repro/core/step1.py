@@ -18,16 +18,16 @@ finer split of the magic set:
   algorithm and propagates index sets only through the non-recurring
   DAG — :func:`recurring_step1_scc`.
 
-Every function reads the ``L`` relation through the charged lookup
-interface, so Step-1 costs land in the same counter as Step 2.
+Every function reads the ``L`` relation through the charged bulk reads,
+a frontier at a time, so Step-1 costs land in the same counter as Step 2.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from ..datalog.stratify import strongly_connected_components
-from .csl import CSLInstance
+from .csl import CSLInstance, frontier_step
 from .reduced_sets import ReducedSets, Strategy
 
 
@@ -40,20 +40,16 @@ def _basic_fixpoint(instance: CSLInstance):
     """
     first: Dict[object, int] = {instance.source: 0}
     duplicated: Set[object] = set()
-    frontier = [instance.source]
+    frontier: Set[object] = {instance.source}
     level = 0
     while frontier:
         level += 1
-        next_frontier: List[object] = []
-        for value in frontier:
-            for _b, successor in instance.left.lookup((value, None)):
-                if successor in first:
-                    if first[successor] != level:
-                        duplicated.add(successor)
-                else:
-                    first[successor] = level
-                    next_frontier.append(successor)
-        frontier = next_frontier
+        reached = frontier_step(instance.left, 0, frontier)
+        # A value this level reaches for the first time may be reached
+        # again within the level: one tuple, not a duplicate.
+        duplicated |= reached & first.keys()
+        frontier = reached - first.keys()
+        first.update(dict.fromkeys(frontier, level))
     return first, duplicated
 
 
@@ -112,20 +108,12 @@ def multiple_step1(instance: CSLInstance) -> ReducedSets:
     level = 0
     while frontier:
         level += 1
-        next_frontier: Set[object] = set()
-        for value in frontier:
-            for _b, successor in instance.left.lookup((value, None)):
-                if successor in second:
-                    continue  # the not(MS(_, 2, X1)) guard
-                if successor in first:
-                    if first[successor] == level:
-                        continue  # same-level re-derivation: one tuple
-                    second[successor] = level
-                    next_frontier.add(successor)
-                else:
-                    first[successor] = level
-                    next_frontier.add(successor)
-        frontier = next_frontier
+        # The not(MS(_, 2, X1)) guard; whatever else the level reaches
+        # gains exactly one tuple (same-level re-derivations are that
+        # same tuple) and generates.
+        frontier = frontier_step(instance.left, 0, frontier) - second.keys()
+        second.update(dict.fromkeys(frontier & first.keys(), level))
+        first.update(dict.fromkeys(frontier - first.keys(), level))
     ms = set(first)
     rm = set(second)
     rc = {(index, value) for value, index in first.items() if value not in rm}
@@ -147,15 +135,12 @@ def recurring_step1(instance: CSLInstance) -> ReducedSets:
     frontier: Set[object] = {instance.source}
     level = 0
     while frontier and level < 2 * len(indices) - 1:
-        next_frontier: Set[object] = set()
-        for value in frontier:
-            for _b, successor in instance.left.lookup((value, None)):
-                bucket = indices.setdefault(successor, set())
-                if level + 1 not in bucket:
-                    bucket.add(level + 1)
-                    next_frontier.add(successor)
         level += 1
-        frontier = next_frontier
+        # Levels only grow, so ``level`` is new to every value reached:
+        # the next frontier is the whole image.
+        frontier = frontier_step(instance.left, 0, frontier)
+        for value in frontier:
+            indices.setdefault(value, set()).add(level)
     cardinality = len(indices)
     rm = {value for value, bucket in indices.items() if max(bucket) >= cardinality}
     rc = {
@@ -182,21 +167,16 @@ def recurring_step1_scc(instance: CSLInstance) -> ReducedSets:
        through the residual DAG, re-probing ``L`` once per (node, index)
        pair — Θ(Σ|I_b| · outdeg) = O(n_m × m_m) retrievals.
     """
-    adjacency: Dict[object, List[object]] = {}
-    order: List[object] = []
-    stack = [instance.source]
-    seen = {instance.source}
-    while stack:
-        value = stack.pop()
-        order.append(value)
-        successors = [s for _b, s in instance.left.lookup((value, None))]
-        adjacency[value] = successors
-        for successor in successors:
-            if successor not in seen:
-                seen.add(successor)
-                stack.append(successor)
-
-    successor_sets = {value: set(successors) for value, successors in adjacency.items()}
+    successor_sets: Dict[object, Set[object]] = {}
+    frontier: Set[object] = {instance.source}
+    while frontier:
+        loaded = instance.left.probe_many((0,), [(value,) for value in frontier])
+        reached: Set[object] = set()
+        for value, rows in zip(frontier, loaded):
+            successor_sets[value] = {successor for _b, successor in rows}
+            reached |= successor_sets[value]
+        frontier = reached - successor_sets.keys()
+    seen = set(successor_sets)
     components = strongly_connected_components(
         sorted(seen, key=repr), successor_sets
     )
@@ -226,12 +206,14 @@ def recurring_step1_scc(instance: CSLInstance) -> ReducedSets:
         value = component[0]
         if value not in finite_nodes:
             continue
-        for index in sorted(indices[value]):
-            # One charged probe per (node, index) pair: the smarter
-            # implementation still pays n_m × m_m for multiple nodes.
-            for _b, successor in instance.left.lookup((value, None)):
-                if successor in indices:
-                    indices[successor].add(index + 1)
+        # One charged probe per (node, index) pair: the smarter
+        # implementation still pays n_m × m_m for multiple nodes.
+        shifted = {index + 1 for index in indices[value]}
+        for _b, successor in instance.left.probe_repeated(
+            (0,), (value,), len(shifted)
+        ):
+            if successor in indices:
+                indices[successor] |= shifted
 
     rm = set(recurring)
     rc = {

@@ -8,9 +8,10 @@ tuple the probe yields.  All engines in this package — naive, seminaive,
 counting, magic, and all eight magic counting variants — read the database
 exclusively through this layer's charged reads (:meth:`Relation.lookup`
 and :meth:`Relation.probe` per probe, :meth:`Relation.probe_repeated`
-for one read that stands for several identical probes), so their
-measured costs are directly comparable and have the paper's asymptotic
-shape.
+for one read that stands for several identical probes,
+:meth:`Relation.probe_many` for one read that stands for one probe per
+key), so their measured costs are directly comparable and have the
+paper's asymptotic shape.
 
 Physical storage lives behind :class:`StorageBackend`.  The default
 :class:`SetBackend` stores plain Python tuples of hashable values in a
@@ -24,7 +25,8 @@ retrieval counts backend-independent by construction.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 
 class CostCounter:
@@ -127,6 +129,12 @@ class StorageBackend:
         """Uncharged: tuples whose ``positions`` columns equal ``key``."""
         raise NotImplementedError
 
+    def matches_many(
+        self, positions: Tuple[int, ...], keys: Iterable[Tuple]
+    ) -> List[Iterable[Tuple]]:
+        """Uncharged: :meth:`matches` for each of ``keys``, in order."""
+        return [self.matches(positions, key) for key in keys]
+
     def contains(self, tup: Tuple) -> bool:
         raise NotImplementedError
 
@@ -156,6 +164,15 @@ class StorageBackend:
         return tup
 
 
+def _key_reader(positions: Tuple[int, ...]) -> Callable[[Tuple], Tuple]:
+    """``tup -> key``: the ``positions`` columns of a tuple as the tuple an
+    index is keyed by, chosen once per index instead of per tuple."""
+    if len(positions) == 1:
+        # A one-column key is still a tuple: the slice ``tup[p:p + 1]``.
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
 class SetBackend(StorageBackend):
     """The classic store: a set of tuples plus lazy hash indexes."""
 
@@ -168,17 +185,20 @@ class SetBackend(StorageBackend):
         self.arity = arity
         self.version = 0
         self._tuples: set = set()
-        # positions (sorted tuple of bound column indexes) -> key -> tuples
-        self._indexes: Dict[Tuple[int, ...], Dict[Tuple, List[Tuple]]] = {}
+        # positions (sorted tuple of bound column indexes) ->
+        # (key reader, key -> tuples)
+        self._indexes: Dict[
+            Tuple[int, ...],
+            Tuple[Callable[[Tuple], Tuple], Dict[Tuple, List[Tuple]]],
+        ] = {}
 
     def add(self, tup: Tuple) -> bool:
         tup = self._check(tup)
         if tup in self._tuples:
             return False
         self._tuples.add(tup)
-        for positions, index in self._indexes.items():
-            key = tuple(tup[i] for i in positions)
-            index.setdefault(key, []).append(tup)
+        for key_of, index in self._indexes.values():
+            index.setdefault(key_of(tup), []).append(tup)
         self.version += 1
         return True
 
@@ -200,10 +220,9 @@ class SetBackend(StorageBackend):
             stored.add(tup)
             fresh.append(tup)
         if fresh:
-            for positions, index in self._indexes.items():
+            for key_of, index in self._indexes.values():
                 for tup in fresh:
-                    key = tuple(tup[i] for i in positions)
-                    index.setdefault(key, []).append(tup)
+                    index.setdefault(key_of(tup), []).append(tup)
             self.version += 1
         return fresh
 
@@ -212,8 +231,8 @@ class SetBackend(StorageBackend):
         if tup not in self._tuples:
             return False
         self._tuples.discard(tup)
-        for positions, index in self._indexes.items():
-            key = tuple(tup[i] for i in positions)
+        for key_of, index in self._indexes.values():
+            key = key_of(tup)
             bucket = index.get(key)
             if bucket is not None:
                 try:
@@ -226,14 +245,14 @@ class SetBackend(StorageBackend):
         return True
 
     def _index_for(self, positions: Tuple[int, ...]) -> Dict[Tuple, List[Tuple]]:
-        index = self._indexes.get(positions)
-        if index is None:
-            index = {}
+        entry = self._indexes.get(positions)
+        if entry is None:
+            key_of = _key_reader(positions)
+            index: Dict[Tuple, List[Tuple]] = {}
             for tup in self._tuples:
-                key = tuple(tup[i] for i in positions)
-                index.setdefault(key, []).append(tup)
-            self._indexes[positions] = index
-        return index
+                index.setdefault(key_of(tup), []).append(tup)
+            entry = self._indexes[positions] = (key_of, index)
+        return entry[1]
 
     def matches(self, positions: Tuple[int, ...], key: Tuple) -> Iterable[Tuple]:
         if not positions:
@@ -242,6 +261,14 @@ class SetBackend(StorageBackend):
             tup = tuple(key)
             return (tup,) if tup in self._tuples else ()
         return self._index_for(positions).get(key, ())
+
+    def matches_many(
+        self, positions: Tuple[int, ...], keys: Iterable[Tuple]
+    ) -> List[Iterable[Tuple]]:
+        if not positions or len(positions) == self.arity:
+            return super().matches_many(positions, keys)
+        bucket = self._index_for(positions).get
+        return [bucket(key, ()) for key in keys]
 
     def contains(self, tup: Tuple) -> bool:
         return tuple(tup) in self._tuples
@@ -266,7 +293,7 @@ class SetBackend(StorageBackend):
         # 56 bytes + 8 per slot, set/dict entries roughly 64 each.
         n = len(self._tuples)
         total = 64 + n * (56 + 8 * self.arity) + n * 64
-        for index in self._indexes.values():
+        for _key_of, index in self._indexes.values():
             total += 64 * len(index) + 8 * n
         return total
 
@@ -284,8 +311,9 @@ class Relation:
         L.lookup((None, None))# full scan
 
     Every call charges the attached :class:`CostCounter` as described in
-    the module docstring.  :meth:`probe_repeated` is the bulk read: the
-    same tuples fetched once, charged as a stated number of such probes.
+    the module docstring.  The bulk reads fetch once and charge what the
+    probes they stand for would: :meth:`probe_repeated` a stated number
+    of probes of one key, :meth:`probe_many` one probe of each key.
     """
 
     __slots__ = ("name", "arity", "counter", "_backend", "_frozen", "_frozen_version")
@@ -422,6 +450,27 @@ class Relation:
         rows = tuple(self._backend.matches(positions, key))
         self.counter.charge_probe_batch(self.name, times)
         self.counter.charge_tuples(self.name, times * len(rows))
+        return rows
+
+    def probe_many(
+        self, positions: Tuple[int, ...], keys: Iterable[Tuple]
+    ) -> List[Tuple[Tuple, ...]]:
+        """One physical read standing for one probe per key.
+
+        Returns, for each of ``keys`` in order, the tuples whose
+        ``positions`` columns equal it, and charges what one exhausted
+        :meth:`probe` per key would: ``len(keys)`` probes (an absent key
+        still costs its probe, a repeated key is charged each time) plus
+        every matched tuple.  This is the per-frontier form of
+        :meth:`CostCounter.charge_probe_batch`'s contract, for a
+        level-synchronous kernel that expands a whole frontier at once.
+        """
+        rows = [
+            tuple(matched)
+            for matched in self._backend.matches_many(positions, keys)
+        ]
+        self.counter.charge_probe_batch(self.name, len(rows))
+        self.counter.charge_tuples(self.name, sum(map(len, rows)))
         return rows
 
     def contains(self, tup: Tuple) -> bool:

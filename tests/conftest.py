@@ -9,7 +9,9 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from repro.core.csl import CSLQuery
+from repro.core.csl import CSLInstance, CSLQuery
+from repro.datalog.columnar import ColumnarBackend, SymbolTable
+from repro.datalog.relation import CostCounter, Relation
 
 # --- hypothesis strategies -------------------------------------------------
 
@@ -51,6 +53,47 @@ def acyclic_csl_queries(draw, max_l=14, max_e=6, max_r=14):
     exit_pairs = draw(_pairs(_L_VALUES, _R_VALUES, max_e))
     right = draw(_pairs(_R_VALUES, _R_VALUES, max_r))
     return CSLQuery(left, exit_pairs, right, "x0")
+
+
+# --- instances for the kernel-vs-oracle differential suites -----------------
+
+#: ``columnar`` follows the environment (numpy, or the ``array`` fallback
+#: under ``REPRO_COLUMNAR_FALLBACK=1`` — CI runs those suites both ways);
+#: ``columnar-array`` forces the fallback in every run.
+BACKENDS = ["set", "columnar", "columnar-array"]
+
+SOURCES = [f"x{i}" for i in range(7)] + ["outside"]
+
+
+@st.composite
+def sourced_queries(draw):
+    """The small CSL instances above — free L (cycles, self-loops) or
+    acyclic L, E and R possibly empty — asked from any value, including
+    one that occurs nowhere in L."""
+    query = draw(st.one_of(csl_queries(), acyclic_csl_queries()))
+    return query.with_source(draw(st.sampled_from(SOURCES)))
+
+
+def make_instance(query: CSLQuery, backend: str, counter=None) -> CSLInstance:
+    """A fresh instance of ``query`` on ``backend`` (own counter unless
+    one is given)."""
+    counter = counter if counter is not None else CostCounter()
+    symbols = SymbolTable()
+
+    def relation(name, pairs):
+        if backend == "set":
+            return Relation(name, 2, pairs, counter)
+        vector = False if backend == "columnar-array" else None
+        storage = ColumnarBackend(name, 2, symbols, vector=vector)
+        return Relation(name, 2, pairs, counter, backend=storage)
+
+    return CSLInstance(
+        left=relation("l", query.left),
+        exit=relation("e", query.exit),
+        right=relation("r", query.right),
+        source=query.source,
+        counter=counter,
+    )
 
 
 # --- fixtures ---------------------------------------------------------------

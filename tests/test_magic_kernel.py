@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.counting_method import descend_answers, seed_exit
-from repro.core.csl import CSLInstance, CSLQuery
+from repro.core.csl import CSLInstance
 from repro.core.magic_method import (
     compute_magic_set,
     magic_fixpoint,
@@ -28,10 +28,8 @@ from repro.core.multi_source import union_magic_set as exported_union
 from repro.core.reduced_sets import Strategy
 from repro.core.step1 import compute_reduced_sets
 from repro.core.step2 import integrated_step2
-from repro.datalog.columnar import ColumnarBackend, SymbolTable
-from repro.datalog.relation import CostCounter, Relation
 
-from .conftest import acyclic_csl_queries, csl_queries
+from .conftest import BACKENDS, SOURCES, make_instance, sourced_queries
 
 # --- the oracles: the parent commit's per-tuple loops, verbatim -------------
 
@@ -119,43 +117,6 @@ def oracle_integrated_step2(instance: CSLInstance, reduced):
 
 # --- instances ---------------------------------------------------------------
 
-#: ``columnar`` follows the environment (numpy, or the ``array`` fallback
-#: under ``REPRO_COLUMNAR_FALLBACK=1`` — CI runs this file both ways);
-#: ``columnar-array`` forces the fallback in every run.
-BACKENDS = ["set", "columnar", "columnar-array"]
-
-_SOURCES = [f"x{i}" for i in range(7)] + ["outside"]
-
-
-@st.composite
-def sourced_queries(draw):
-    """conftest's small CSL instances — free L (cycles, self-loops) or
-    acyclic L, E and R possibly empty — asked from any value, including
-    one that occurs nowhere in L."""
-    query = draw(st.one_of(csl_queries(), acyclic_csl_queries()))
-    return query.with_source(draw(st.sampled_from(_SOURCES)))
-
-
-def make_instance(query: CSLQuery, backend: str) -> CSLInstance:
-    """A fresh instance (own counter) of ``query`` on ``backend``."""
-    counter = CostCounter()
-    symbols = SymbolTable()
-
-    def relation(name, pairs):
-        if backend == "set":
-            return Relation(name, 2, pairs, counter)
-        vector = False if backend == "columnar-array" else None
-        storage = ColumnarBackend(name, 2, symbols, vector=vector)
-        return Relation(name, 2, pairs, counter, backend=storage)
-
-    return CSLInstance(
-        left=relation("l", query.left),
-        exit=relation("e", query.exit),
-        right=relation("r", query.right),
-        source=query.source,
-        counter=counter,
-    )
-
 
 def guards(reduced, combination: str):
     """``(exit_guard, recursion_guard)`` the way Step 2 passes them."""
@@ -200,7 +161,7 @@ def test_empty_exit_guard_gives_empty_pm_and_no_charge(backend, query):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=60, deadline=None)
-@given(query=sourced_queries(), extra=st.sets(st.sampled_from(_SOURCES), max_size=3))
+@given(query=sourced_queries(), extra=st.sets(st.sampled_from(SOURCES), max_size=3))
 def test_reachability_sweep_matches_per_tuple_oracle(backend, query, extra):
     sources = [query.source, *sorted(extra)]
     kernel = make_instance(query, backend)

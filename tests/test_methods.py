@@ -145,6 +145,20 @@ class TestMagicCountingMethods:
         assert result.details["strategy"] == "multiple"
         assert result.details["rm_size"] >= 1
 
+    def test_step_retrievals_are_per_run_on_a_shared_counter(self, acyclic_query):
+        # A caller's counter may already carry charges (two solves on one
+        # CostCounter): both steps report differences, not absolutes.
+        from repro.datalog.relation import CostCounter
+
+        counter = CostCounter()
+        first = magic_counting(acyclic_query, counter=counter).details
+        spent = counter.retrievals
+        second = magic_counting(acyclic_query, counter=counter).details
+        assert first["step1_retrievals"] + first["step2_retrievals"] == spent
+        assert second["step1_retrievals"] == first["step1_retrievals"]
+        assert second["step2_retrievals"] == first["step2_retrievals"]
+        assert counter.retrievals == 2 * spent
+
     @settings(max_examples=100, deadline=None)
     @given(csl_queries())
     def test_all_methods_equal_oracle(self, query):

@@ -236,6 +236,100 @@ class TestProbeRepeated:
         assert second.cost.snapshot() == expected.snapshot()
 
 
+class TestProbeMany:
+    """``probe_many``: one read standing for one probe per key."""
+
+    @staticmethod
+    def relation(backend):
+        from repro.datalog.database import Database
+
+        relation = Database(backend=backend).create("edge", 2)
+        relation.add_all(EDGES)
+        return relation
+
+    @pytest.mark.parametrize("backend", ["set", "columnar"])
+    @pytest.mark.parametrize(
+        "positions, values",
+        [
+            ((0,), ["a", "c"]),
+            ((0,), ["zzz"]),  # an absent key still costs its probe
+            ((1,), ["c", "zzz", "c", "a"]),  # a repeated key is charged each time
+        ],
+    )
+    def test_charges_like_one_exhausted_lookup_per_key(
+        self, backend, positions, values
+    ):
+        bulk, loop = self.relation(backend), self.relation(backend)
+        rows = bulk.probe_many(positions, [(value,) for value in values])
+        assert len(rows) == len(values)
+        for value, matched in zip(values, rows):
+            pattern = (value, None) if positions == (0,) else (None, value)
+            assert sorted(loop.lookup(pattern)) == sorted(matched)
+        assert bulk.counter.snapshot() == loop.counter.snapshot()
+
+    @pytest.mark.parametrize("backend", ["set", "columnar"])
+    def test_no_keys_no_rows_no_charge(self, backend):
+        relation = self.relation(backend)
+        assert relation.probe_many((0,), []) == []
+        assert relation.counter.snapshot() == CostCounter().snapshot()
+
+    def test_rows_are_snapshots_not_index_buckets(self, edges):
+        (rows,) = edges.probe_many((0,), [("a",)])
+        edges.add(("a", "q"))
+        assert len(rows) == 2
+        assert len(edges.probe_many((0,), [("a",)])[0]) == 3
+
+    def test_charges_the_current_counter(self, edges, counter):
+        # CompiledPlan.attached swaps ``relation.counter`` per batch: the
+        # primitive must read the attribute at call time, not bind it.
+        edges.probe_many((0,), [("a",)])
+        swapped = CostCounter()
+        edges.counter = swapped
+        edges.probe_many((0,), [("a",), ("b",)])
+        assert counter.retrievals == 3
+        assert swapped.retrievals == 5
+
+
+class TestKeyReader:
+    """Lazy indexes are built and kept exact through one key reader each."""
+
+    def test_index_on_two_of_three_columns_follows_mutations(self):
+        triples = Relation(
+            "t", 3, [("a", 1, "x"), ("a", 2, "x"), ("a", 3, "y"), ("b", 1, "x")]
+        )
+
+        def a_x():
+            return set(triples.probe((0, 2), ("a", "x")))
+
+        assert a_x() == {("a", 1, "x"), ("a", 2, "x")}  # builds the index
+        triples.add(("a", 4, "x"))
+        triples.add(("c", 4, "x"))
+        assert a_x() == {("a", 1, "x"), ("a", 2, "x"), ("a", 4, "x")}
+        assert triples.add_new([("a", 5, "x"), ("a", 1, "x"), ("a", 5, "z")]) == [
+            ("a", 5, "x"), ("a", 5, "z"),
+        ]
+        assert len(a_x()) == 4
+        assert triples.discard(("a", 1, "x")) and not triples.discard(("a", 9, "x"))
+        assert a_x() == {("a", 2, "x"), ("a", 4, "x"), ("a", 5, "x")}
+        for tup in list(a_x()):
+            triples.discard(tup)
+        assert a_x() == set()
+        assert triples.probe_many((0, 2), [("a", "z"), ("c", "x"), ("a", "x")]) == [
+            (("a", 5, "z"),), (("c", 4, "x"),), (),
+        ]
+
+
+    def test_indexed_relation_pickles(self, edges):
+        # The key readers are stored with the indexes: no lambdas there.
+        import pickle
+
+        assert len(edges.probe_many((0,), [("a",)])[0]) == 2  # builds the index
+        twin = pickle.loads(pickle.dumps(edges))
+        twin.add(("a", "q"))
+        assert len(twin.probe_many((0,), [("a",)])[0]) == 3
+        assert len(edges.probe_many((0,), [("a",)])[0]) == 2
+
+
 class TestBulkInsert:
     """Relation.add_all / add_new: the one-pass bulk path."""
 

@@ -24,7 +24,7 @@ import pathlib
 import pytest
 
 from repro.analysis.rewrite import optimize_program
-from repro.core.methods import method_program
+from repro.core.program_rewrite import method_program
 from repro.core.reduced_sets import Mode, Strategy
 from repro.datalog.evaluation import answer_tuples
 from repro.datalog.magic_rewrite import magic_rewrite

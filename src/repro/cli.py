@@ -32,7 +32,7 @@ from .core.csl import CSLQuery
 from .core.program_rewrite import magic_counting_program
 from .core.reduced_sets import Mode, Strategy
 from .core.solver import SOLVE_METHODS, solve
-from .core.step1 import compute_reduced_sets
+from .core.step1 import compute_reduced_sets, reduced_sets_for
 from .datalog.counting_rewrite import counting_rewrite
 from .datalog.database import Database
 from .datalog.magic_rewrite import magic_rewrite
@@ -40,6 +40,7 @@ from .datalog.parser import parse_program
 from .datalog.program import Program
 from .datalog.supplementary import supplementary_magic_rewrite
 from .errors import ReproError
+from .service import BATCH_METHODS, SolverService
 
 _STRATEGIES = {s.value: s for s in Strategy}
 _MODES = {m.value: m for m in Mode}
@@ -102,8 +103,6 @@ def _parse_source_token(token: str):
 
 
 def cmd_batch(args) -> int:
-    from .service import SolverService
-
     program, database = _load(args.program, args.facts)
     service = SolverService(database)
     sources = []
@@ -149,7 +148,6 @@ def cmd_batch(args) -> int:
 def cmd_serve(args) -> int:
     """Serve the program over NDJSON/TCP with request coalescing."""
     from .server import SolverServer
-    from .service import SolverService
 
     program, database = _load(args.program, args.facts)
     service = SolverService(database, plan_cache_size=args.plan_cache_size)
@@ -382,11 +380,10 @@ def _rewritten(program: Program, database: Database, args) -> Program:
         return counting_rewrite(program)
     # mc
     query = _extract_query(program, database)
-    strategy = _STRATEGIES[args.strategy]
     mode = _MODES[args.mode]
-    reduced = compute_reduced_sets(query.instance(), strategy)
-    if mode is Mode.INTEGRATED:
-        reduced.ensure_source_pair(query.source)
+    reduced = reduced_sets_for(
+        query.instance(), _STRATEGIES[args.strategy], mode
+    )
     return magic_counting_program(program, reduced, mode)
 
 
@@ -605,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub_batch.add_argument(
         "--method",
-        default="shared_magic",
-        choices=["shared_magic", "counting", "adaptive"],
+        default=BATCH_METHODS[0],
+        choices=BATCH_METHODS,
     )
     sub_batch.set_defaults(handler=cmd_batch)
 

@@ -23,19 +23,30 @@ Two bridges connect it to the Datalog world:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from ..datalog.atom import Atom, Literal
 from ..datalog.database import Database
 from ..datalog.evaluation import seminaive_evaluate
 from ..datalog.linear import LinearRecursion, analyze_linear
 from ..datalog.program import Program
-from ..datalog.relation import CostCounter, Relation
+from ..datalog.relation import CostCounter, Relation, StorageBackend
 from ..datalog.rule import Rule
 from ..datalog.term import Constant, Variable
 from ..errors import NotCSLError
 from .graph_index import GraphIndex, Pair, closure
+
+
+def row_to_pair(row: Tuple, split: int) -> Pair:
+    """A materialized part row as a pair: the first ``split`` columns,
+    then the rest — each a tuple-valued constant, or the bare value
+    when it is a single column."""
+    from_values, to_values = row[:split], row[split:]
+    return (
+        from_values[0] if len(from_values) == 1 else from_values,
+        to_values[0] if len(to_values) == 1 else to_values,
+    )
 
 
 def _frozen(pairs: Iterable[Pair]) -> FrozenSet[Pair]:
@@ -44,6 +55,18 @@ def _frozen(pairs: Iterable[Pair]) -> FrozenSet[Pair]:
     if isinstance(pairs, frozenset):
         return pairs
     return frozenset(tuple(p) for p in pairs)
+
+
+class _PerPairSets:
+    """What a query builds from its pair sets alone, each on first use:
+    one holder per pair-set version, held by every ``with_source``
+    sibling."""
+
+    __slots__ = ("index", "storage")
+
+    def __init__(self):
+        self.index: Optional[GraphIndex] = None
+        self.storage: Optional[Tuple[StorageBackend, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -58,7 +81,7 @@ class CSLQuery:
     exit: FrozenSet[Pair]
     right: FrozenSet[Pair]
     source: object
-    _index: Optional[GraphIndex] = field(
+    _shared: _PerPairSets = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -68,7 +91,7 @@ class CSLQuery:
         object.__setattr__(self, "exit", _frozen(exit))
         object.__setattr__(self, "right", _frozen(right))
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_shared", _PerPairSets())
 
     @property
     def index(self) -> GraphIndex:
@@ -78,18 +101,58 @@ class CSLQuery:
         this query, and of every :meth:`with_source` sibling, walks this
         one object.
         """
-        if self._index is None:
-            object.__setattr__(
-                self, "_index", GraphIndex(self.left, self.exit, self.right)
+        if self._shared.index is None:
+            self._shared.index = GraphIndex(self.left, self.exit, self.right)
+        return self._shared.index
+
+    @property
+    def storage(self) -> Tuple[StorageBackend, ...]:
+        """The ``L``/``E``/``R`` tuple stores with their lazy hash
+        indexes (built on first use, source-independent like
+        :attr:`index`): every :meth:`instance` of this query and of its
+        :meth:`with_source` siblings reads through these three objects,
+        so an index one run builds is there for the next.  Read-only,
+        except through :meth:`patched`."""
+        if self._shared.storage is None:
+            self._shared.storage = tuple(
+                Relation(name, 2, pairs).backend
+                for name, pairs in (
+                    ("l", self.left), ("e", self.exit), ("r", self.right)
+                )
             )
-        return self._index
+        return self._shared.storage
 
     def with_source(self, source) -> "CSLQuery":
-        """The same relations — and the same :attr:`index` — asked from
-        another bound constant."""
+        """The same relations — and the same :attr:`index` and
+        :attr:`storage` — asked from another bound constant."""
         sibling = object.__new__(CSLQuery)
-        sibling.__dict__.update(self.__dict__, source=source, _index=self.index)
+        sibling.__dict__.update(self.__dict__, source=source)
         return sibling
+
+    def patched(self, **deltas) -> "CSLQuery":
+        """The query after signed pair deltas (``left=(added, removed)``,
+        likewise ``exit``/``right``), and the next owner of this one's
+        :attr:`storage`: the stores move to it patched in place, so the
+        hash indexes already built survive a mutation.  This query and
+        its siblings keep their pair sets and build stores of their own
+        if they are executed again; the caller keeps their instances
+        idle meanwhile."""
+        successor = replace(
+            self,
+            **{
+                part: frozenset((getattr(self, part) | added) - removed)
+                for part, (added, removed) in deltas.items()
+            },
+        )
+        storage, self._shared.storage = self._shared.storage, None
+        if storage is not None:
+            for store, part in zip(storage, ("left", "exit", "right")):
+                added, removed = deltas.get(part, ((), ()))
+                store.add_new(added)
+                for pair in removed:
+                    store.discard(pair)
+            successor._shared.storage = storage
+        return successor
 
     # --- constructors --------------------------------------------------
 
@@ -167,17 +230,7 @@ class CSLQuery:
                     f"unbound term while materializing conjunct: {exc}"
                 ) from exc
             split = len(from_terms)
-            pairs: Set[Pair] = set()
-            for row in rows:
-                from_values = row[:split]
-                to_values = row[split:]
-                pairs.add(
-                    (
-                        from_values[0] if len(from_values) == 1 else from_values,
-                        to_values[0] if len(to_values) == 1 else to_values,
-                    )
-                )
-            return pairs
+            return {row_to_pair(row, split) for row in rows}
 
         left_pairs = conjunction_pairs(
             analysis.left_elements,
@@ -232,15 +285,15 @@ class CSLQuery:
         return database
 
     def instance(self, counter: Optional[CostCounter] = None) -> "CSLInstance":
-        """A cost-instrumented relation triple for the direct engines."""
+        """A cost-instrumented relation triple for the direct engines:
+        three views over :attr:`storage` that charge ``counter`` and
+        nothing else, so instances never share charges."""
         counter = counter if counter is not None else CostCounter()
-        return CSLInstance(
-            left=Relation("l", 2, self.left, counter),
-            exit=Relation("e", 2, self.exit, counter),
-            right=Relation("r", 2, self.right, counter),
-            source=self.source,
-            counter=counter,
+        left, exit, right = (
+            Relation(store.name, 2, (), counter, backend=store)
+            for store in self.storage
         )
+        return CSLInstance(left, exit, right, self.source, counter)
 
     # --- uncharged structural views (for analysis) ----------------------
 

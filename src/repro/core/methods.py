@@ -28,7 +28,7 @@ from .csl import CSLQuery
 from .hn_method import hn_method
 from .magic_method import magic_set_method
 from .reduced_sets import Mode, Strategy
-from .step1 import compute_reduced_sets
+from .step1 import reduced_sets_for
 from .step2 import independent_step2, integrated_step2
 
 
@@ -66,10 +66,8 @@ def magic_counting(
     instance = query.instance(counter)
     # A caller's counter may already carry charges: report differences.
     retrievals_on_entry = instance.counter.retrievals
-    reduced = compute_reduced_sets(instance, strategy, scc_variant=scc_step1)
+    reduced = reduced_sets_for(instance, strategy, mode, scc_step1)
     retrievals_after_step1 = instance.counter.retrievals
-    if mode is Mode.INTEGRATED:
-        reduced.ensure_source_pair(instance.source)
     if verify_conditions:
         from .classification import classify_nodes
         from .reduced_sets import check_theorem1, check_theorem2
@@ -100,40 +98,6 @@ def magic_counting(
         cost=instance.counter,
         details=details,
     )
-
-
-def method_program(
-    query: CSLQuery,
-    strategy: Strategy = Strategy.MULTIPLE,
-    mode: Mode = Mode.INTEGRATED,
-    scc_step1: bool = False,
-    optimize: bool = False,
-):
-    """One method's modified-rule listing as a Datalog program artifact.
-
-    Runs Step 1, emits the Section 4/5 modified rules via
-    :func:`~repro.core.program_rewrite.magic_counting_program`, and —
-    with ``optimize`` — feeds them through the static program optimizer
-    against the query's database snapshot.  Returns ``(program,
-    report)`` where ``report`` is the
-    :class:`~repro.analysis.rewrite.OptimizationReport` (``None`` when
-    ``optimize`` is off).  This is the inspectable/benchmarkable twin of
-    :func:`magic_counting`: same Step 1, but the Step 2 fixpoint stays
-    a program for the generic engine instead of a specialised loop.
-    """
-    from .program_rewrite import magic_counting_program
-
-    instance = query.instance()
-    reduced = compute_reduced_sets(instance, strategy, scc_variant=scc_step1)
-    if mode is Mode.INTEGRATED:
-        reduced.ensure_source_pair(instance.source)
-    program = magic_counting_program(query.to_program(), reduced, mode)
-    if not optimize:
-        return program, None
-    from ..analysis.rewrite import optimize_program
-
-    report = optimize_program(program, query.database())
-    return report.program, report
 
 
 @dataclass(frozen=True)

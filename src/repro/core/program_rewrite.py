@@ -30,7 +30,9 @@ from ..datalog.linear import LinearRecursion, analyze_linear
 from ..datalog.program import Program
 from ..datalog.rule import Rule
 from ..datalog.term import Constant
-from .reduced_sets import Mode, ReducedSets
+from .csl import CSLQuery
+from .reduced_sets import Mode, ReducedSets, Strategy
+from .step1 import reduced_sets_for
 
 
 def reduced_set_names(predicate: str) -> Tuple[str, str, str]:
@@ -174,6 +176,35 @@ def magic_counting_program(
     return rewritten
 
 
+def method_program(
+    query: CSLQuery,
+    strategy: Strategy = Strategy.MULTIPLE,
+    mode: Mode = Mode.INTEGRATED,
+    scc_step1: bool = False,
+    optimize: bool = False,
+):
+    """One method's modified-rule listing as a Datalog program artifact.
+
+    Runs Step 1, emits the Section 4/5 modified rules via
+    :func:`magic_counting_program`, and — with ``optimize`` — feeds them
+    through the static program optimizer against the query's database
+    snapshot.  Returns ``(program, report)`` where ``report`` is the
+    :class:`~repro.analysis.rewrite.OptimizationReport` (``None`` when
+    ``optimize`` is off).  This is the inspectable/benchmarkable twin of
+    :func:`~repro.core.methods.magic_counting`: same Step 1, but the
+    Step 2 fixpoint stays a program for the generic engine instead of a
+    specialised loop.
+    """
+    reduced = reduced_sets_for(query.instance(), strategy, mode, scc_step1)
+    program = magic_counting_program(query.to_program(), reduced, mode)
+    if not optimize:
+        return program, None
+    from ..analysis.rewrite import optimize_program
+
+    report = optimize_program(program, query.database())
+    return report.program, report
+
+
 def evaluate_with_program_rewrite(
     query, strategy, mode, scc_step1=False, optimize=False
 ):
@@ -187,17 +218,8 @@ def evaluate_with_program_rewrite(
     only go down.
     """
     from ..datalog.evaluation import answer_tuples
-    from .step1 import compute_reduced_sets
 
-    instance = query.instance()
-    reduced = compute_reduced_sets(instance, strategy, scc_variant=scc_step1)
-    if mode is Mode.INTEGRATED:
-        reduced.ensure_source_pair(query.source)
-    program = query.to_program()
-    rewritten = magic_counting_program(program, reduced, mode)
-    database = query.database()
-    if optimize:
-        from ..analysis.rewrite import optimize_program
-
-        rewritten = optimize_program(rewritten, database).program
-    return frozenset(v for (v,) in answer_tuples(rewritten, database))
+    rewritten, _report = method_program(
+        query, strategy, mode, scc_step1, optimize
+    )
+    return frozenset(v for (v,) in answer_tuples(rewritten, query.database()))

@@ -28,7 +28,7 @@ from typing import Dict, Set
 
 from ..datalog.stratify import strongly_connected_components
 from .csl import CSLInstance, frontier_step
-from .reduced_sets import ReducedSets, Strategy
+from .reduced_sets import Mode, ReducedSets, Strategy
 
 
 def _basic_fixpoint(instance: CSLInstance):
@@ -249,3 +249,18 @@ def compute_reduced_sets(
     if strategy is Strategy.RECURRING and scc_variant:
         return recurring_step1_scc(instance)
     return _STEP1_DISPATCH[strategy](instance)
+
+
+def reduced_sets_for(
+    instance: CSLInstance,
+    strategy: Strategy,
+    mode: Mode,
+    scc_variant: bool = False,
+) -> ReducedSets:
+    """Step 1 as a method of the given ``mode`` opens with it: the
+    strategy's reduced sets, with ``(0, a)`` in ``RC`` for the
+    integrated Step 2 (Theorem 2, condition c; uncharged)."""
+    reduced = compute_reduced_sets(instance, strategy, scc_variant)
+    if mode is Mode.INTEGRATED:
+        reduced.ensure_source_pair(instance.source)
+    return reduced

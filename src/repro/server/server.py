@@ -38,7 +38,7 @@ from ..datalog.parser import parse_program
 from ..datalog.program import Program
 from ..service import SolverService, target_fingerprint
 from ..service.metrics import LatencyHistogram
-from ..service.service import BATCH_METHODS, _target_source
+from ..service.service import ADAPTIVE, BATCH_METHODS, _target_source
 from .coalescer import RequestCoalescer
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -371,7 +371,7 @@ class SolverServer:
         return {"answers": encode_answer_map(answers)}
 
     def _serve_params(self, params: Dict[str, object]):
-        method = params.get("method", "adaptive")
+        method = params.get("method", ADAPTIVE)
         if method not in BATCH_METHODS:
             raise ProtocolError(
                 f"unknown method {method!r}; expected one of "

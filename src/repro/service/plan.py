@@ -10,12 +10,11 @@ cached half:
 
 * the materialized pair sets (conjunctions of derived predicates are
   evaluated once, at compile time);
-* one shared :class:`~repro.datalog.relation.Relation` per part, whose
-  lazy hash indexes persist across batches — the first batch builds
-  them, later batches reuse them;
 * one base :class:`~repro.core.csl.CSLQuery` per pair-set version,
-  whose adjacency index (:mod:`repro.core.graph_index`) every
-  per-source analysis walks — :meth:`CompiledPlan.query_for` only swaps
+  which owns what is built from the pair sets: the adjacency index
+  (:mod:`repro.core.graph_index`) every per-source analysis walks, and
+  the three tuple stores every execution reads, whose lazy hash indexes
+  persist across batches — :meth:`CompiledPlan.query_for` only swaps
   the source in;
 * memoized per-source counting-safety certificates and cost reports
   (uncharged analysis), so the service can choose a method and refuse
@@ -27,7 +26,7 @@ were compiled from — the owning :class:`SolverService` discarded them
 on every mutation.  They now carry a :class:`PlanMaintainer`: a
 deletion-capable incremental view over the ``L``/``E``/``R``
 materialization (:mod:`repro.datalog.maintenance`), so an EDB fact
-insert or delete updates the shared pair relations *in place* via
+insert or delete patches the base query's stores *in place* via
 :meth:`CompiledPlan.maintain` instead of forcing a recompile.  Plans
 whose program falls outside the supported maintenance fragment get no
 maintainer; :meth:`maintain` raises :class:`MaintenanceError` and the
@@ -39,9 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import replace
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..analysis.static.safety import (
     SafetyCertificate,
@@ -54,13 +51,13 @@ from ..analysis.static.safety import (
 # service calls it (the metric reads 0.0, "a layer that never ran"); a
 # later ``benchmark`` PR removes the probe and this line together.
 from ..core.classification import classify_nodes  # noqa: F401
-from ..core.csl import CSLInstance, CSLQuery, Pair
+from ..core.csl import CSLQuery, Pair, row_to_pair
 from ..datalog.atom import Atom
 from ..datalog.database import Database
 from ..datalog.linear import LinearRecursion, analyze_linear
 from ..datalog.maintenance import MaintenanceState
 from ..datalog.program import Program
-from ..datalog.relation import CostCounter, Relation
+from ..datalog.relation import CostCounter
 from ..datalog.rule import Rule
 from ..errors import MaintenanceError, ReproError
 from .fingerprint import (
@@ -104,12 +101,15 @@ class PlanMaintainer:
     Thread-safety: the private database mirror and its maintenance
     state are guarded by ``_lock`` (checked by ``repro lint-py``);
     :meth:`pairs` and :meth:`apply` take it.  Lock order:
-    ``CompiledPlan._exec_lock`` → ``PlanMaintainer._lock`` →
+    ``CompiledPlan.exec_lock`` → ``PlanMaintainer._lock`` →
     ``MaintenanceState._lock``, acquired strictly in that direction.
     """
 
-    #: (part key, maintained predicate) in ``L``/``E``/``R`` order
-    PARTS = (("l", "__part_l"), ("e", "__part_e"), ("r", "__part_r"))
+    #: (the :class:`CSLQuery` field a part materializes, its maintained
+    #: predicate) in ``L``/``E``/``R`` order
+    PARTS = (
+        ("left", "__part_l"), ("exit", "__part_e"), ("right", "__part_r")
+    )
 
     def __init__(
         self,
@@ -156,9 +156,9 @@ class PlanMaintainer:
                 )
             )
         self._splits = {
-            "l": len(analysis.head_bound_terms),
-            "e": len(analysis.bound),
-            "r": len(analysis.head_free_terms),
+            "left": len(analysis.head_bound_terms),
+            "exit": len(analysis.bound),
+            "right": len(analysis.head_free_terms),
         }
         # A private copy: maintenance must stay exact under churn, so the
         # service's live database (mutated first, possibly rolled back)
@@ -166,17 +166,6 @@ class PlanMaintainer:
         self._lock = threading.Lock()
         self.database = database.copy(CostCounter())  # guarded-by: _lock
         self.state = MaintenanceState(Program(rules), self.database)  # guarded-by: _lock
-
-    @staticmethod
-    def _collapse(row: Tuple, split: int) -> Pair:
-        """A stored part row back into a pair, with the same
-        single-column scalar collapse ``conjunction_pairs`` applies."""
-        from_values = row[:split]
-        to_values = row[split:]
-        return (
-            from_values[0] if len(from_values) == 1 else from_values,
-            to_values[0] if len(to_values) == 1 else to_values,
-        )
 
     def pairs(self, part: str) -> Set[Pair]:
         """The current pair set of one part (uncharged structural read)."""
@@ -186,7 +175,7 @@ class PlanMaintainer:
             if not self.database.has_relation(predicate):
                 return set()
             return {
-                self._collapse(row, split)
+                row_to_pair(row, split)
                 for row in self.database.relation(predicate)
             }
 
@@ -200,11 +189,11 @@ class PlanMaintainer:
             split = self._splits[part]
             part_deltas[part] = (
                 {
-                    self._collapse(row, split)
+                    row_to_pair(row, split)
                     for row in report.added.get(predicate, ())
                 },
                 {
-                    self._collapse(row, split)
+                    row_to_pair(row, split)
                     for row in report.removed.get(predicate, ())
                 },
             )
@@ -228,9 +217,10 @@ class CompiledPlan:
         backend: str = "set",
     ):
         # The base query — the pair sets and, built on first use, their
-        # adjacency index — is replaced atomically (one new CSLQuery)
-        # under _exec_lock by maintain(); readers see either the old or
-        # the new triple, and never an index older than its pair sets.
+        # adjacency index and tuple stores — is replaced atomically (one
+        # new CSLQuery) under exec_lock by maintain(); readers see
+        # either the old or the new triple, and never an index or a
+        # store older than its pair sets.
         self._query = query
         self.default_source = query.source
         self.fingerprint = fingerprint
@@ -238,8 +228,8 @@ class CompiledPlan:
         self.db_version = db_version
         self.compile_seconds = compile_seconds
         # Storage backend of the database this plan was compiled from
-        # ("set" or "columnar") — recorded for observability; the shared
-        # pair relations themselves are always set-backed.
+        # ("set" or "columnar") — recorded for observability; the base
+        # query's stores are always set-backed.
         self.backend = backend
         # Maintenance: present only when the source program is inside
         # the supported fragment; None means maintain() must fall back.
@@ -261,42 +251,12 @@ class CompiledPlan:
         self._memo_lock = threading.Lock()
         self._relation_certificate: Optional[SafetyCertificate] = None  # guarded-by: _memo_lock
         self._source_certificates: Dict[object, SafetyCertificate] = {}  # guarded-by: _memo_lock
-        # Shared relations: indexes built lazily on first use persist
-        # for the lifetime of the plan.  The idle counter absorbs
-        # charges outside any batch; ``attached`` swaps it out.
-        self._idle_counter = CostCounter()
-        self.left_relation = Relation("l", 2, query.left, self._idle_counter)
-        self.exit_relation = Relation("e", 2, query.exit, self._idle_counter)
-        self.right_relation = Relation("r", 2, query.right, self._idle_counter)
         self._cost_reports: Dict[object, object] = {}  # guarded-by: _memo_lock
-        self._exec_lock = threading.Lock()
-
-    # --- execution-side views -----------------------------------------
-
-    @contextmanager
-    def attached(self, counter: CostCounter):
-        """Charge every relation probe inside the block to ``counter``.
-
-        Plans are shared across batches, so the cost counter is a
-        per-execution attachment rather than a construction argument.
-        The engine layer itself is single-threaded, but the serving
-        layer may execute overlapping batches against one cached plan
-        from different worker threads — the per-plan lock serializes
-        them so the counter swap can never interleave and charge one
-        batch's probes to another's counter.
-        """
-        with self._exec_lock:
-            relations = (
-                self.left_relation, self.exit_relation, self.right_relation
-            )
-            previous = [relation.counter for relation in relations]
-            for relation in relations:
-                relation.counter = counter
-            try:
-                yield self
-            finally:
-                for relation, prior in zip(relations, previous):
-                    relation.counter = prior
+        # Held by a batch while it executes query_for() queries, and by
+        # maintain() while it patches the stores they read: a batch
+        # finishes on the state it started on.  (Charging needs no lock:
+        # every batch reads through CSLQuery.instance views of its own.)
+        self.exec_lock = threading.Lock()
 
     # --- incremental maintenance --------------------------------------
 
@@ -309,8 +269,8 @@ class CompiledPlan:
     ) -> Dict[str, int]:
         """Apply an EDB fact delta to this plan *in place*.
 
-        Updates the materialized pair sets (frozensets and shared
-        relations alike), clears the pair-dependent memo caches, and
+        Updates the materialized pair sets (frozensets and stores
+        alike), clears the pair-dependent memo caches, and
         re-stamps the plan's database version, all under the execution
         lock — a concurrently executing batch either finishes on the old
         state or starts on the new one.  Returns the flat maintenance
@@ -321,7 +281,7 @@ class CompiledPlan:
         no maintainer (program outside the supported fragment) — the
         caller must fall back to dropping the plan.
         """
-        with self._exec_lock:
+        with self.exec_lock:
             if not self.database_dependent:
                 # Nothing materialized from the database: the pair sets
                 # came in explicitly, so only the version moves.
@@ -335,29 +295,15 @@ class CompiledPlan:
                     "program is outside the supported maintenance fragment"
                 )
             report, part_deltas = self.maintainer.apply(inserts, deletes)
-            pairs_added = 0
-            pairs_removed = 0
-            changed: Dict[str, FrozenSet[Pair]] = {}
-            for part, relation, attr in (
-                ("l", self.left_relation, "left"),
-                ("e", self.exit_relation, "exit"),
-                ("r", self.right_relation, "right"),
-            ):
-                added, removed = part_deltas[part]
-                if not added and not removed:
-                    continue
-                relation.add_all(added)
-                relation.discard_all(removed)
-                pairs_added += len(added)
-                pairs_removed += len(removed)
-                changed[attr] = frozenset(
-                    (getattr(self._query, attr) | added) - removed
-                )
-            if changed:
-                # A new base query, so a new index; the pair-dependent
-                # memos are stale with the old one (safety certificates
-                # and cost reports are graph analyses of the pair sets).
-                self._query = replace(self._query, **changed)
+            deltas = {
+                part: delta for part, delta in part_deltas.items() if any(delta)
+            }
+            if deltas:
+                # A new base query, so a new index; the stores move to
+                # it, patched.  The pair-dependent memos are stale with
+                # the old one (safety certificates and cost reports are
+                # graph analyses of the pair sets).
+                self._query = self._query.patched(**deltas)
                 with self._memo_lock:
                     self._relation_certificate = None
                     self._source_certificates.clear()
@@ -366,27 +312,18 @@ class CompiledPlan:
             if new_database_fp is not None:
                 self.database_fp = new_database_fp
             summary = dict(report.summary())
-            summary["pairs_added"] = pairs_added
-            summary["pairs_removed"] = pairs_removed
+            summary["pairs_added"] = sum(
+                len(added) for added, _removed in deltas.values()
+            )
+            summary["pairs_removed"] = sum(
+                len(removed) for _added, removed in deltas.values()
+            )
             return summary
 
-    def instance(self, source, counter: Optional[CostCounter] = None) -> CSLInstance:
-        """A :class:`CSLInstance` over the *shared* plan relations.
-
-        Unlike :meth:`CSLQuery.instance` this does not rebuild relation
-        storage or indexes; use inside :meth:`attached`.
-        """
-        return CSLInstance(
-            left=self.left_relation,
-            exit=self.exit_relation,
-            right=self.right_relation,
-            source=source,
-            counter=counter if counter is not None else self.left_relation.counter,
-        )
-
     def query_for(self, source) -> CSLQuery:
-        """A plain :class:`CSLQuery` for one source (oracles, analysis):
-        the plan's pair sets and their one adjacency index."""
+        """The plan's query asked from one source: its pair sets, their
+        one adjacency index (analysis) and their one store triple
+        (execution, under :attr:`exec_lock`)."""
         return self._query.with_source(source)
 
     def _memoized_locked(
@@ -464,13 +401,9 @@ class CompiledPlan:
     # --- reporting ----------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Estimated resident bytes of the plan's shared pair relations
-        (tuples plus their lazy hash indexes)."""
-        return (
-            self.left_relation.memory_bytes()
-            + self.exit_relation.memory_bytes()
-            + self.right_relation.memory_bytes()
-        )
+        """Estimated resident bytes of the base query's stores (tuples
+        plus their lazy hash indexes)."""
+        return sum(store.memory_bytes() for store in self._query.storage)
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -571,9 +504,9 @@ def compile_program_plan(
         # maintained — mutations will drop it instead.
         maintainer = None
     if maintainer is not None and (
-        maintainer.pairs("l") != query.left
-        or maintainer.pairs("e") != query.exit
-        or maintainer.pairs("r") != query.right
+        maintainer.pairs("left") != query.left
+        or maintainer.pairs("exit") != query.exit
+        or maintainer.pairs("right") != query.right
     ):
         # Defense in depth: the maintained materialization must agree
         # with from_program's before we trust it under churn.

@@ -4,16 +4,17 @@ A :class:`SolverService` owns one :class:`~repro.datalog.database.Database`
 and serves batches of bound goals ``?- P(a_i, Y)`` against it.  The
 serving loop is a strict compile/execute split:
 
-* **compile** — recognize the CSL shape, materialize ``L``/``E``/``R``,
-  build shared relations (:mod:`repro.service.plan`).  Compiled plans
+* **compile** — recognize the CSL shape, materialize ``L``/``E``/``R``
+  into one base query (:mod:`repro.service.plan`).  Compiled plans
   are cached in an LRU (:mod:`repro.service.cache`) keyed by
   ``(program fingerprint, database version)``;
-* **execute** — answer the whole batch on the cached plan, sharing the
-  reachability sweep and the ``P_M`` fixpoint across sources
+* **execute** — answer the whole batch on the cached plan: either
+  sharing the reachability sweep and the ``P_M`` fixpoint across sources
   (:func:`~repro.core.magic_method.union_magic_set` +
   :func:`~repro.core.magic_method.magic_fixpoint`), so a value
   reachable from many sources is expanded once per *batch*, not once
-  per *goal*.
+  per *goal* — or running any row of the method table
+  (:data:`repro.core.methods.METHODS`) once per source.
 
 Every database mutation goes through the service (``add_fact`` /
 ``add_facts`` / ``add_atom`` / ``remove_fact`` / ``remove_facts`` /
@@ -45,9 +46,9 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from ..core.cost import AnswerResult
-from ..core.counting_method import counting_answers
 from ..core.csl import CSLQuery
 from ..core.magic_method import magic_fixpoint, union_magic_set
+from ..core.methods import METHODS, Method
 from ..datalog.database import Database
 from ..datalog.program import Program
 from ..datalog.relation import CostCounter
@@ -57,10 +58,18 @@ from .fingerprint import database_fingerprint, target_fingerprint
 from .metrics import BatchMetrics, ServiceMetrics
 from .plan import CompiledPlan, compile_program_plan, compile_query_plan
 
-BATCH_METHODS = ("shared_magic", "counting", "adaptive")
+#: The two methods that are the service's own.  ``shared_magic`` is one
+#: union sweep plus one ``P_M`` fixpoint for the whole batch: the magic
+#: set method started from every source at once, which is why the
+#: certified bound that predicts it is that row's, summed over the
+#: sources.  ``adaptive`` chooses between it and a table row.
+SHARED_MAGIC, ADAPTIVE = "shared_magic", "adaptive"
+_SHARED_MAGIC_BOUND = METHODS["magic_set"].name
 
-#: which certified per-method bound predicts a batch method's retrievals
-_BOUND_METHOD = {"shared_magic": "magic_set", "counting": "counting"}
+#: Every ``method`` a batch accepts: the two above, then the method
+#: table's rows, each run once per source.  A tuple, so that membership
+#: of an unhashable wire value is False instead of a ``TypeError``.
+BATCH_METHODS = (SHARED_MAGIC, ADAPTIVE, *METHODS)
 
 PlanTarget = Union[Program, CSLQuery]
 
@@ -350,7 +359,7 @@ class SolverService:
         self,
         target: PlanTarget,
         sources: Optional[Iterable] = None,
-        method: str = "shared_magic",
+        method: str = SHARED_MAGIC,
     ) -> BatchResult:
         """Answer one batch of bound goals on the compiled plan.
 
@@ -359,19 +368,24 @@ class SolverService:
         compile the cached plan (plans are shared across every bound
         constant of the same query shape).
 
-        ``method`` is one of
+        ``method`` is one of :data:`BATCH_METHODS`:
 
         * ``"shared_magic"`` (default) — one union reachability sweep
           plus one shared ``P_M`` fixpoint for the whole batch; safe on
           every input and the amortized winner for large batches;
-        * ``"counting"`` — an independent counting pass per source;
-          the per-goal winner on small regular batches.  Goals whose
-          plan is statically certified counting-unsafe (cyclic magic
-          graph) are refused with :class:`UnsafeQueryError` before any
-          fixpoint starts — or served via shared magic instead when the
-          service was built with ``unsafe_fallback=True``;
-        * ``"adaptive"`` — counting for a single-goal batch on a
-          non-cyclic magic graph, shared magic otherwise.
+        * any name of :data:`repro.core.methods.METHODS` — that row, run
+          once per source on the batch's counter.  A row that terminates
+          only on an acyclic magic graph (``needs_acyclic``:
+          ``"counting"``, ``"henschen_naqvi"``) is refused with
+          :class:`UnsafeQueryError` before any fixpoint starts when a
+          goal's plan is statically certified counting-unsafe — or
+          served via shared magic instead when the service was built
+          with ``unsafe_fallback=True``;
+        * ``"adaptive"`` — shared magic for more than one source; for a
+          single source the row :func:`~repro.core.methods.
+          recommended_plan` ranks first on the plan's memoized cost
+          certificate (the library's policy, read from the report that
+          ``predicted_bound`` reads anyway).
         """
         if method not in BATCH_METHODS:
             raise EvaluationError(
@@ -392,13 +406,21 @@ class SolverService:
             else:
                 source_list = list(sources)
             chosen = method
-            if method == "adaptive":
-                chosen = self._choose_method(plan, source_list)
+            if method == ADAPTIVE:
+                # The one rule that is the service's own: per-source
+                # methods have nothing to share, a batch does.
+                # (Crossover data: benchmarks/test_multi_source.py.)
+                chosen = SHARED_MAGIC
+                if len(source_list) == 1:
+                    chosen = plan.cost_report(
+                        source_list[0]
+                    ).recommendation.method
             fallback_details: Dict[str, object] = {}
-            if chosen == "counting":
+            row = METHODS.get(chosen)
+            if row is not None and row.needs_acyclic:
                 # Static gate: the plan's certificates decide termination
                 # before any fixpoint starts.  The runtime repeated-frontier
-                # check in compute_counting_set stays as defense in depth,
+                # check in level_frontiers stays as defense in depth,
                 # but a certified-unsafe goal never reaches it.
                 unsafe = [
                     source
@@ -409,18 +431,19 @@ class SolverService:
                     certificate = plan.counting_certificate(unsafe[0])
                     if not self.unsafe_fallback:
                         raise UnsafeQueryError(
-                            "counting refused by static certification: "
+                            f"{chosen} refused by static certification: "
                             + certificate.describe()
                         )
-                    chosen = "shared_magic"
                     self.metrics.record_fallback()
                     fallback_details["fallback"] = {
-                        "from": "counting",
-                        "to": "shared_magic",
+                        "from": chosen,
+                        "to": SHARED_MAGIC,
                         "reason": certificate.describe(),
                         "unsafe_sources": unsafe,
                     }
-            predicted = self._predicted_bound(plan, chosen, source_list)
+                    chosen, row = SHARED_MAGIC, None
+            bound_method = _SHARED_MAGIC_BOUND if row is None else chosen
+            predicted = self._predicted_bound(plan, bound_method, source_list)
             counter = CostCounter()
             metrics = BatchMetrics(counter)
             metrics.record_plan(
@@ -428,8 +451,8 @@ class SolverService:
             )
             if plan.optimization is not None and plan.optimization.changed:
                 metrics.record_optimization(plan.optimization.summary())
-            metrics.record_predicted(_BOUND_METHOD[chosen], predicted)
-            with plan.attached(counter):
+            metrics.record_predicted(bound_method, predicted)
+            with plan.exec_lock:
                 # Execute-time version check: a concurrent mutation may
                 # have invalidated this plan between the cache lookup
                 # and here (the plan's execution lock was possibly held
@@ -439,13 +462,13 @@ class SolverService:
                 # extra retry, and _plan_for re-checks under the lock.
                 if plan.db_version != self._db_version:  # race-ok: benign stale read
                     continue
-                if chosen == "shared_magic":
+                if row is None:
                     answers, details = _execute_shared_magic(
                         plan, source_list, counter, metrics
                     )
                 else:
-                    answers, details = _execute_counting(
-                        plan, source_list, counter, metrics
+                    answers, details = _execute_row(
+                        row, plan, source_list, counter, metrics
                     )
             break
         else:
@@ -477,7 +500,7 @@ class SolverService:
         self,
         target: PlanTarget,
         source=None,
-        method: str = "adaptive",
+        method: str = ADAPTIVE,
     ) -> AnswerResult:
         """Single-goal convenience wrapper over :meth:`solve_batch`."""
         sources = None if source is None else [source]
@@ -495,9 +518,10 @@ class SolverService:
         )
 
     def _predicted_bound(
-        self, plan: CompiledPlan, chosen: str, sources: List
+        self, plan: CompiledPlan, bound_method: str, sources: List
     ) -> Optional[int]:
-        """The summed certified retrieval bound for the batch, or None.
+        """The summed certified retrieval bound of table row
+        ``bound_method`` for the batch, or None.
 
         Per-goal certificates come from the plan's memoized cost
         reports; the sum over sources is sound for the shared fixpoint
@@ -506,35 +530,13 @@ class SolverService:
         regions are L-forward-closed).  Any abstaining goal abstains
         the whole batch.
         """
-        bound_method = _BOUND_METHOD[chosen]
         total = 0
         for source in sources:
-            certificate = plan.cost_certificate(source)
-            bound = (
-                None
-                if certificate is None
-                else certificate.bound_for(bound_method)
-            )
+            bound = plan.cost_certificate(source).bound_for(bound_method)
             if bound is None:
                 return None
             total += bound
         return total
-
-    def _choose_method(self, plan: CompiledPlan, sources: List) -> str:
-        """The adaptive rule: counting only where it can win.
-
-        Counting re-derives per-source distances, so it only beats the
-        shared fixpoint when there is nothing to share — a single goal —
-        and only terminates off cyclic magic graphs, which is what the
-        plan's safety certificate decides (the counting gate in
-        :meth:`solve_batch` then reads the same memoized certificate).
-        (Crossover data: ``benchmarks/test_multi_source.py``.)
-        """
-        if len(sources) != 1:
-            return "shared_magic"
-        if plan.counting_certificate(sources[0]).is_unsafe:
-            return "shared_magic"
-        return "counting"
 
     def stats(self) -> Dict[str, object]:
         """Service totals plus plan-cache counters, as one flat dict."""
@@ -578,8 +580,7 @@ def _execute_shared_magic(
     plan: CompiledPlan, sources: List, counter: CostCounter, metrics: BatchMetrics
 ):
     """One union sweep + one shared ``P_M`` fixpoint for the batch."""
-    anchor = sources[0] if sources else plan.default_source
-    instance = plan.instance(anchor, counter)
+    instance = plan.query_for(plan.default_source).instance(counter)
     magic = union_magic_set(instance, sources)
     metrics.mark("reachability")
     pm = magic_fixpoint(instance, magic)
@@ -594,15 +595,23 @@ def _execute_shared_magic(
     return answers, details
 
 
-def _execute_counting(
-    plan: CompiledPlan, sources: List, counter: CostCounter, metrics: BatchMetrics
+def _execute_row(
+    row: Method,
+    plan: CompiledPlan,
+    sources: List,
+    counter: CostCounter,
+    metrics: BatchMetrics,
 ):
-    """Independent counting passes per source on the shared relations."""
+    """One run of a method-table row per source, all charged to the
+    batch's counter; the phase is named after the row and the details
+    are the runs' integer details, summed."""
     answers: Dict[object, FrozenSet] = {}
-    cs_pairs = 0
+    details: Dict[str, object] = {}
     for source in sources:
-        found, cs_levels = counting_answers(plan.instance(source, counter))
-        answers[source] = frozenset(found)
-        cs_pairs += sum(len(values) for values in cs_levels.values())
-    metrics.mark("counting")
-    return answers, {"cs_pairs": cs_pairs}
+        result = row.run(plan.query_for(source), counter=counter)
+        answers[source] = result.answers
+        for key, value in result.details.items():
+            if type(value) is int:
+                details[key] = details.get(key, 0) + value
+    metrics.mark(row.name)
+    return answers, details

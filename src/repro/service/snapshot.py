@@ -164,20 +164,18 @@ class ImportedSnapshot:
 def warm_plan_cache(
     service: SolverService,
     program_texts: Iterable[str],
-    methods: Iterable[str] = ("adaptive",),
 ) -> int:
     """Pre-compile plans so a worker's first request is a cache hit.
 
     Compiles (never executes) the plan for each program text; texts
     that fail to parse or compile are skipped — warming is an
     optimization, not a correctness gate.  Returns how many plans were
-    compiled.  ``methods`` is accepted for interface stability; plans
-    are shared across batch methods, so one compile warms them all.
+    compiled.  Plans are shared across batch methods, so one compile
+    warms them all.
     """
     from ..datalog.parser import parse_program
     from ..datalog.program import Program
 
-    del methods  # one plan serves every method
     warmed = 0
     for text in program_texts:
         if not text:

@@ -86,9 +86,9 @@ class TestFormatGuards:
             read_snapshot(str(path))
 
     def test_format_marker_is_present_on_disk(self, tmp_path):
-        path = str(tmp_path / "snap.json")
-        export_snapshot(make_service(), path)
-        payload = json.loads(open(path, encoding="utf-8").read())
+        path = tmp_path / "snap.json"
+        export_snapshot(make_service(), str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["format"] == SNAPSHOT_FORMAT
 
     def test_export_leaves_no_staging_files_behind(self, tmp_path):

@@ -3,10 +3,17 @@
 import pytest
 
 from repro.core.csl import CSLQuery
+from repro.core.methods import METHODS
+from repro.core.solver import fact2_answer, solve
 from repro.datalog.database import Database
 from repro.datalog.evaluation import answer_tuples
 from repro.datalog.parser import parse_program
+from repro.datalog.relation import CostCounter, SetBackend
 from repro.errors import NotCSLError
+from repro.service import SolverService
+from repro.service.plan import compile_program_plan
+
+from .test_service import sg_database, sg_program
 
 
 class TestConstruction:
@@ -53,6 +60,87 @@ class TestProgramBridges:
         list(instance.left.lookup((None, None)))
         list(instance.right.lookup((None, None)))
         assert instance.counter.retrievals > 0
+
+
+def _count_store_index_builds(monkeypatch):
+    builds = []
+    index_for = SetBackend._index_for
+
+    def counted(self, positions):
+        if positions not in self._indexes:
+            builds.append((self.name, positions))
+        return index_for(self, positions)
+
+    monkeypatch.setattr(SetBackend, "_index_for", counted)
+    return builds
+
+
+class TestOneStoreTriple:
+    """``CSLQuery.storage`` is the relation triple's one owner: an
+    instance is three views with a counter of their own."""
+
+    def test_instances_never_charge_each_other(self, acyclic_query):
+        first, second = CostCounter(), CostCounter()
+        one = acyclic_query.instance(first)
+        other = acyclic_query.with_source("b").instance(second)
+        assert one.left.backend is other.left.backend
+        charged = []
+        for _ in range(3):
+            one.left.probe_many((0,), [("a",)])
+            charged.append((first.retrievals, second.retrievals))
+            other.right.probe_many((1,), [("u",), ("v",)])
+            charged.append((first.retrievals, second.retrievals))
+        assert charged == [(3, 0), (3, 4), (6, 4), (6, 8), (9, 8), (9, 12)]
+        assert set(first.per_relation) == {"l"}
+        assert set(second.per_relation) == {"r"}
+
+    def test_fifty_solves_build_each_store_index_once(
+        self, monkeypatch, cyclic_query
+    ):
+        builds = _count_store_index_builds(monkeypatch)
+        sources = sorted({v for pair in cyclic_query.left for v in pair})
+        names = [n for n, row in METHODS.items() if not row.needs_acyclic]
+        for turn in range(50):
+            sibling = cyclic_query.with_source(sources[turn % len(sources)])
+            result = solve(sibling, names[turn % len(names)])
+            assert result.answers == fact2_answer(sibling)
+        assert sorted(builds) == [
+            ("e", (0,)), ("l", (0,)), ("l", (1,)), ("r", (1,)),
+        ]
+
+    def test_a_patch_moves_the_stores_and_never_reaches_old_siblings(self):
+        service = SolverService(sg_database())
+        program = sg_program("a")
+        plan = service.compile(program)
+        assert service.solve(program).answers == {"a1", "y2"}
+        before = plan.query_for("d")
+        stores = before.storage
+        assert plan.query_for("a").storage is stores
+
+        service.mutate(inserts={"flat": [("b", "b1")], "down": [("z", "b1")]})
+        after = plan.query_for("d")
+        assert after.storage is stores  # patched in place, indexes kept
+        assert ("b", "b1") in after.exit and ("b", "b1") not in before.exit
+        assert solve(after, "magic_set").answers == {"y2", "z"}
+        # The old sibling answers for its own pair sets, from stores of
+        # its own: it never reads what the mutation patched.
+        assert before.storage is not stores
+        assert solve(before, "magic_set").answers == {"y2"}
+        assert set(before.storage[1]) == set(before.exit)
+
+        service.mutate(deletes={"flat": [("b", "b1")], "down": [("z", "b1")]})
+        fresh = compile_program_plan(program, service.database).query_for("d")
+        patched = plan.query_for("d")
+        assert patched.storage is stores
+        assert patched == fresh
+        for store, twin in zip(patched.storage, fresh.storage):
+            assert set(store) == set(twin)
+            for column in (0, 1):
+                for value in twin.column_values(column):
+                    assert set(store.matches((column,), (value,))) == set(
+                        twin.matches((column,), (value,))
+                    )
+        assert service.solve(program).answers == {"a1", "y2"}
 
 
 class TestFromProgram:

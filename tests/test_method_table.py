@@ -2,8 +2,8 @@
 
 ``repro.core.methods.METHODS`` names the fourteen evaluation methods;
 ``solve``, the cost certificates, the Θ-predictions, the Figure 3 arcs,
-the admissibility advisory, the harness columns, the CLI and the REPL
-must all be keyed by it.  A method added to the table without a runner
+the admissibility advisory, the harness columns, the CLI, the REPL and
+the batch service must all be keyed by it.  A method added to the table without a runner
 that answers, a certified bound or a Θ-prediction fails here.
 """
 
@@ -22,6 +22,7 @@ from repro.core.methods import METHODS, method_name, plan_candidates
 from repro.core.solver import SOLVE_METHODS, fact2_answer, solve
 from repro.errors import UnsafeQueryError
 from repro.repl import Repl
+from repro.service import BATCH_METHODS, SolverService
 
 EXTRA_SPELLINGS = {"auto", "adaptive", "magic_counting", "naive"}
 
@@ -103,21 +104,135 @@ def test_admissibility_lists_the_table_less_the_scc_variants(cyclic_query):
         assert verdict.admissible is not METHODS[verdict.method].needs_acyclic
 
 
-def test_cli_and_repl_offer_the_table_plus_four_spellings():
-    assert set(SOLVE_METHODS) == set(METHODS) | EXTRA_SPELLINGS
-    assert len(SOLVE_METHODS) == len(METHODS) + len(EXTRA_SPELLINGS)
+def _subcommand_method_choices(subcommand):
     (subparsers,) = (
         a for a in build_parser()._actions if hasattr(a, "choices") and a.choices
     )
     (option,) = (
-        a for a in subparsers.choices["solve"]._actions if a.dest == "method"
+        a for a in subparsers.choices[subcommand]._actions if a.dest == "method"
     )
-    assert list(option.choices) == list(SOLVE_METHODS)
+    return list(option.choices)
+
+
+def test_cli_and_repl_offer_the_table_plus_four_spellings():
+    assert set(SOLVE_METHODS) == set(METHODS) | EXTRA_SPELLINGS
+    assert len(SOLVE_METHODS) == len(METHODS) + len(EXTRA_SPELLINGS)
+    assert _subcommand_method_choices("solve") == list(SOLVE_METHODS)
     repl = Repl()
     (line,) = repl.execute(".method astrology")
     assert line.endswith("choose from: " + ", ".join(SOLVE_METHODS))
     for name in SOLVE_METHODS:
         assert repl.execute(f".method {name}") == [f"method = {name}"]
+
+
+def test_the_table_imports_neither_the_emitter_nor_the_optimizer():
+    import ast
+    import inspect
+
+    import repro.core.methods as table
+
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(table))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [
+        name for name in imported
+        if "program_rewrite" in name or "analysis" in name
+    ]
+
+
+def test_the_service_offers_its_two_methods_then_the_table():
+    assert list(BATCH_METHODS) == ["shared_magic", "adaptive", *METHODS]
+    assert isinstance(BATCH_METHODS, tuple)  # wire values are tested with `in`
+    assert _subcommand_method_choices("batch") == list(BATCH_METHODS)
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_the_service_runs_every_table_row(query, name):
+    row = METHODS[name]
+    if row.needs_acyclic and classify_nodes(query).is_cyclic:
+        service = SolverService()
+        with pytest.raises(UnsafeQueryError) as refusal:
+            service.solve_batch(query, [query.source], method=name)
+        assert str(refusal.value).startswith(
+            f"{name} refused by static certification: "
+        )
+        assert service.stats()["retrievals"] == 0
+        assert service.stats()["batches"] == 0
+        service = SolverService(unsafe_fallback=True)
+        batch = service.solve_batch(query, [query.source], method=name)
+        assert batch.method == "shared_magic"
+        assert batch.answers == {query.source: fact2_answer(query)}
+        assert batch.details["fallback"]["from"] == name
+        assert batch.details["fallback"]["to"] == "shared_magic"
+        assert batch.details["fallback"]["unsafe_sources"] == [query.source]
+        assert service.stats()["fallbacks"] == 1
+        return
+    batch = SolverService().solve_batch(query, [query.source], method=name)
+    assert batch.answers == {query.source: fact2_answer(query)}
+    assert batch.method == name
+    assert batch.cost.snapshot() == row.run(query).cost.snapshot()
+    assert f"phase:{name}" in batch.metrics
+    bound = certify_cost(query).bound_for(name)
+    if bound is None:
+        assert "predicted_bound" not in batch.details
+    else:
+        assert batch.details["predicted_bound"] == bound
+        assert batch.metrics["predicted_method"] == name
+
+
+def test_a_row_batch_is_one_run_per_source_on_one_counter(cyclic_query):
+    sources = ["a", "d", "nowhere"]
+    name = "mc_multiple_integrated"
+    batch = SolverService().solve_batch(cyclic_query, sources, method=name)
+    runs = [METHODS[name].run(cyclic_query.with_source(s)) for s in sources]
+    assert batch.answers == {s: r.answers for s, r in zip(sources, runs)}
+    assert batch.retrievals == sum(r.cost.retrievals for r in runs)
+    assert batch.details["rc_size"] == sum(r.details["rc_size"] for r in runs)
+
+
+def test_adaptive_serves_the_librarys_recommendation(query):
+    service = SolverService()
+    batch = service.solve_batch(query, [query.source], method="adaptive")
+    report = service.compile(query).cost_report(query.source)
+    assert batch.method == report.recommendation.method
+    assert batch.answers == {query.source: fact2_answer(query)}
+    two = service.solve_batch(query, [query.source, "b"], method="adaptive")
+    assert two.method == "shared_magic"
+
+
+def test_adaptive_pays_for_one_analysis_per_cold_source(
+    cyclic_query, monkeypatch
+):
+    """The recommendation is read from the memo ``predicted_bound``
+    fills: one classification and one certification for a cold source,
+    none for a warm one."""
+    import repro.analysis.cost.framework as framework
+    import repro.core.classification as classification
+
+    calls = []
+
+    def count_calls(module, attribute):
+        wrapped = getattr(module, attribute)
+
+        def counted(*args, **kwargs):
+            calls.append(attribute)
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(module, attribute, counted)
+
+    count_calls(framework, "certify_cost")
+    count_calls(classification, "classify_nodes")
+    service = SolverService()
+    service.solve(cyclic_query, "a")
+    assert sorted(calls) == ["certify_cost", "classify_nodes"]
+    service.solve(cyclic_query, "a")
+    assert len(calls) == 2
+    service.solve(cyclic_query, "b")
+    assert sorted(calls) == ["certify_cost", "certify_cost",
+                             "classify_nodes", "classify_nodes"]
 
 
 @pytest.mark.parametrize("method", [counting_method, hn_method])

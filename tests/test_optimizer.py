@@ -508,7 +508,7 @@ class TestIdempotenceOnRewrites:
     def test_optimizing_rewrite_output_twice_is_stable(
         self, kind, samegen_query
     ):
-        from repro.core.methods import method_program
+        from repro.core.program_rewrite import method_program
         from repro.datalog.magic_rewrite import magic_rewrite
         from repro.datalog.supplementary import supplementary_magic_rewrite
 

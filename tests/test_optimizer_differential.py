@@ -97,7 +97,7 @@ class TestRewriteOutputsStayCorrect:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_magic_counting_program_optimized_answers(self, seed):
-        from repro.core.methods import method_program
+        from repro.core.program_rewrite import method_program
         from repro.core.reduced_sets import Mode, Strategy
         from repro.datalog.evaluation import answer_tuples
         from repro.workloads.random_graphs import random_csl

@@ -454,6 +454,35 @@ class TestWindowIsolation:
         asyncio.run(main())
 
 
+    def test_a_magic_counting_row_is_served_under_its_table_name(self):
+        # ``c`` sits on an ``up`` 2-cycle; any METHODS name is a wire
+        # ``method``, and the batch shows on /metrics like any other.
+        from repro.core.solver import fact2_answer
+
+        service = sg_service()
+        database = service.database
+        query = CSLQuery(
+            database.facts("up"), database.facts("flat"),
+            database.facts("down"), "c",
+        )
+        oracle = {s: fact2_answer(query.with_source(s)) for s in ("a", "c")}
+        assert oracle["c"]
+        with ServerThread(SolverServer(service, program=SG_DEFAULT)) as server:
+            with SolverClient(port=server.port) as client:
+                assert (
+                    client.solve("c", method="mc_multiple_integrated")
+                    == oracle["c"]
+                )
+                assert client.solve_batch(
+                    ["a", "c"], method="mc_multiple_integrated"
+                ) == oracle
+            _status, metrics = http_get("127.0.0.1", server.port, "/metrics")
+        assert metrics["service"]["batches"] == 2
+        assert metrics["service"]["goals"] == 3
+        assert metrics["service"]["retrievals"] > 0
+        assert metrics["server"]["errors"] == 0
+
+
 class TestDeadlines:
     def test_deadline_expires_inside_window(self):
         async def main():

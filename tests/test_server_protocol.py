@@ -200,6 +200,48 @@ class TestMalformedRowsLeaveTheDatabaseAlone:
         )
 
 
+class TestMethodIsValidatedBeforeItIsAKey:
+    """``(program, method)`` is the coalescer's window key and ``method``
+    is tested against ``BATCH_METHODS`` with ``in``: a wire value that is
+    not a string (possibly unhashable) must be a ``bad_request`` naming
+    the accepted methods, never a ``TypeError`` and never a window."""
+
+    @pytest.mark.parametrize("op", ["solve", "solve_batch"])
+    @pytest.mark.parametrize("method", [["x"], {"a": 1}, 7, None, "bogus"])
+    def test_non_method_values_are_bad_requests(self, op, method):
+        from repro.server import SolverServer
+        from repro.service import BATCH_METHODS, SolverService
+
+        from .test_service import sg_database, sg_program
+
+        async def scenario():
+            server = SolverServer(
+                SolverService(sg_database()), program=sg_program(), window_ms=0
+            )
+            params = {"source": "a", "sources": ["a"]}
+            try:
+                with pytest.raises(ProtocolError) as caught:
+                    await server._dispatch(
+                        {"op": op, "params": {**params, "method": method}}
+                    )
+                assert error_for_exception(caught.value)[0] == "bad_request"
+                assert ", ".join(BATCH_METHODS) in str(caught.value)
+                assert server.coalescer.stats()["open_windows"] == 0
+                assert server.coalescer.stats()["requests"] == 0
+                # the same server goes on answering
+                reply = await server._dispatch({"op": op, "params": params})
+                assert server.coalescer.stats()["open_windows"] == 0
+                return reply
+            finally:
+                await server.stop()
+
+        reply = run(scenario())
+        answers = reply["answers"]
+        assert (answers if op == "solve" else dict(answers)["a"]) == [
+            "a1", "y2",
+        ]
+
+
 async def _echo_execute(key, sources):
     return {source: frozenset({f"{source}!"}) for source in sources}
 

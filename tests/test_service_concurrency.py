@@ -7,6 +7,7 @@ and the start of execution (the stale-plan window), writers racing
 readers, and raw cache traffic from many threads.
 """
 
+import sys
 import threading
 
 import pytest
@@ -160,14 +161,32 @@ class TestStalePlanRegression:
         assert "starved" in str(excinfo.value)
 
 
+#: one per reader thread: the shared fixpoint, the recommended row, a
+#: row asked for by name — all on the one plan, all at once
+STRESS_METHODS = [
+    "shared_magic", "adaptive", "mc_multiple_integrated", "shared_magic",
+]
+
+
+@pytest.fixture
+def eager_thread_switches():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("eager_thread_switches")
 class TestThreadedStress:
     def test_readers_see_monotonic_answers_under_writes(self):
         """Four reader threads solve while a writer inserts facts.
 
         Inserts only grow the exit set, so every served answer set must
         sit between the initial oracle and the final oracle — anything
-        outside that sandwich means a batch mixed relation states or
-        ran on an invalidated plan.
+        outside that sandwich means a batch read stores the writer was
+        patching, mixed relation states or ran on an invalidated plan.
         """
         service = SolverService(sg_database(), plan_cache_size=4)
         program = sg_program("d")
@@ -184,17 +203,18 @@ class TestThreadedStress:
             for name_value in new_facts:
                 service.add_fact("flat", *name_value)
 
-        def reader():
+        def reader(method):
             start.wait()
             try:
                 for _ in range(15):
-                    result = service.solve_batch(program, ["d"])
+                    result = service.solve_batch(program, ["d"], method)
                     observed.append(result.answers["d"])
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         threads = [threading.Thread(target=writer)] + [
-            threading.Thread(target=reader) for _ in range(4)
+            threading.Thread(target=reader, args=(method,))
+            for method in STRESS_METHODS
         ]
         for thread in threads:
             thread.start()
@@ -211,21 +231,29 @@ class TestThreadedStress:
         assert service.db_version == len(new_facts)
 
     def test_concurrent_batches_have_isolated_counters(self):
-        """Overlapping executions on the same cached plan must not bleed
-        retrieval charges into each other (the plan's execution lock
-        serializes the counter swap)."""
+        """Overlapping batches on the same cached plan must not bleed
+        retrieval charges into each other (they share the plan's stores
+        but each reads through views and a counter of its own)."""
         service = SolverService(sg_database())
         program = sg_program("a")
-        baseline = service.solve_batch(program, ["a"]).retrievals
+        baseline = {
+            method: service.solve_batch(program, ["a"], method).retrievals
+            for method in STRESS_METHODS
+        }
         results = []
         start = threading.Barrier(4)
 
-        def worker():
+        def worker(method):
             start.wait()
             for _ in range(10):
-                results.append(service.solve_batch(program, ["a"]))
+                results.append(
+                    (method, service.solve_batch(program, ["a"], method))
+                )
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
+        threads = [
+            threading.Thread(target=worker, args=(method,))
+            for method in STRESS_METHODS
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -233,9 +261,9 @@ class TestThreadedStress:
             assert not thread.is_alive()
 
         assert len(results) == 40
-        for result in results:
+        for method, result in results:
             assert result.answers["a"] == frozenset({"a1", "y2"})
-            assert result.retrievals == baseline
+            assert result.retrievals == baseline[method]
 
 
 class TestPlanCacheThreadSafety:

@@ -9,11 +9,13 @@ if any divergence path were still reachable, the bomb would go off
 instead of the expected refusal/fallback.
 """
 
+import sys
+
 import pytest
 
-import repro.service.service as service_module
 from repro.analysis.static import Verdict
 from repro.core.csl import CSLQuery
+from repro.core.methods import METHODS
 from repro.core.solver import fact2_answer
 from repro.errors import UnsafeQueryError
 from repro.service import SolverService
@@ -30,14 +32,18 @@ def oracle(query, sources):
 
 @pytest.fixture
 def no_counting_fixpoint(monkeypatch):
-    """Make any counting fixpoint in the service layer fatal."""
+    """Make any counting fixpoint fatal: the bomb sits in the
+    ``counting`` row of the method table, which is what the service
+    would run."""
 
     def bomb(*args, **kwargs):
         raise AssertionError(
             "counting fixpoint started on a certified-unsafe goal"
         )
 
-    monkeypatch.setattr(service_module, "counting_answers", bomb)
+    # (the module, not the function of the same name repro.core exports)
+    counting_module = sys.modules["repro.core.counting_method"]
+    monkeypatch.setattr(counting_module, "counting_answers", bomb)
 
 
 class TestRefusal:
@@ -102,11 +108,15 @@ class TestFallback:
         assert plan.counting_certificate(samegen_query.source).is_safe
 
     def test_adaptive_on_cyclic_never_hits_the_gate(self, cyclic_query):
-        # Adaptive chooses shared magic for cyclic plans, so no
-        # fallback is recorded even with the switch on.
+        # Adaptive serves the recommended row, which on a cyclic source
+        # is never one that needs an acyclic graph, so no fallback is
+        # recorded even with the switch on.
         service = SolverService(cyclic_query.database(), unsafe_fallback=True)
         result = service.solve_batch(cyclic_query, method="adaptive")
-        assert result.method == "shared_magic"
+        plan = service.compile(cyclic_query)
+        assert result.method == plan.cost_report("a").recommendation.method
+        assert not METHODS[result.method].needs_acyclic
+        assert result.answers == oracle(cyclic_query, ["a"])
         assert "fallback" not in result.details
         assert service.stats()["fallbacks"] == 0
 

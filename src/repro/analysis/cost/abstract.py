@@ -7,13 +7,17 @@ fixpoints do at run time; the analyzer instead propagates an
 :class:`~repro.analysis.cost.domain.Interval` abstraction over the
 SCC-condensed graph:
 
-* **cycle participation** — Tarjan SCC over the region adjacency finds
-  the cyclic cores; their forward closure is the *recurring* set
-  (``I_v`` infinite), exactly as ``recurring_step1_scc`` computes it.
+* **cycle participation** — the cyclic cores of ``G_L`` are a fact
+  about ``L`` alone, so the index finds them once per pair-set version
+  (:attr:`~repro.core.graph_index.GraphIndex.condensation`); the region
+  is closed under ``L``, so the forward closure of the cores it meets
+  is its *recurring* set (``I_v`` infinite), exactly as
+  ``recurring_step1_scc`` computes it.
 * **distance interval** ``[dmin_v, dmax_v]`` — BFS shortest distance
-  plus longest-path DP over the residual DAG.  All paths to a
-  non-recurring node avoid recurring nodes (the recurring set is closed
-  under successors), so the DP is well-founded.  A non-recurring node
+  plus longest-path DP over the residual DAG, in the condensation's
+  rank order.  All paths to a non-recurring node avoid recurring nodes
+  (the recurring set is closed under successors), so the DP is
+  well-founded.  A non-recurring node
   is *provably single* iff ``dmin == dmax`` — both ends are realized
   path lengths, so the interval collapses exactly when ``|I_v| = 1``.
 * **index multiplicity** ``hi_v >= |I_v|`` — interval recurrence
@@ -21,6 +25,10 @@ SCC-condensed graph:
   arrives through some predecessor; indices live inside the distance
   interval; a non-recurring node has at most ``n`` distinct simple-path
   lengths).
+
+The state holds the intervals' ends as plain integers per node — the
+bound formulas read one end at a time, once per served source — and
+``distance``/``multiplicity`` present them as ``Interval`` maps.
 
 When the region statistics were widened the abstraction degrades to its
 coarsest element: every node maybe-recurring *and* maybe-finite with
@@ -32,9 +40,11 @@ worst case over both possibilities, which keeps the certificate sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
-from ...core.graph_index import bfs_depths, recurring_closure
+from ...core.classification import MagicGraphClass
+from ...core.graph_index import closure
 from .domain import INF, Interval
 from .stats import RegionStatistics
 
@@ -53,12 +63,29 @@ class MultiplicityAbstract:
     #: ``nodes - recurring``; empty in widened mode (every node is
     #: *maybe* recurring, so no node is certifiably finite).
     finite: FrozenSet[object]
-    #: Distance interval per reachable node (exact ``dmin``; ``dmax``
-    #: is INF for recurring nodes).  Empty when widened.
-    distance: Mapping[object, Interval]
-    #: Index-multiplicity upper bound per finite node.
-    multiplicity: Mapping[object, Interval]
+    #: Shortest distance from the source per reachable node (exact).
+    #: Empty when widened.
+    shortest: Mapping[object, int]
+    #: Longest distance from the source per finite node (both ends are
+    #: realized path lengths; a recurring node's is INF).
+    longest: Mapping[object, int]
+    #: Upper bound on the index multiplicity ``|I_v|`` per finite node.
+    index_count: Mapping[object, int]
     assumptions: Tuple[str, ...]
+
+    @cached_property
+    def distance(self) -> Mapping[object, Interval]:
+        """Distance interval per reachable node (exact ``dmin``; ``dmax``
+        is INF for recurring nodes).  Empty when widened."""
+        return {
+            v: Interval(lo, self.longest.get(v, INF))
+            for v, lo in self.shortest.items()
+        }
+
+    @cached_property
+    def multiplicity(self) -> Mapping[object, Interval]:
+        """Index-multiplicity interval per finite node."""
+        return {v: Interval(1, hi) for v, hi in self.index_count.items()}
 
     @property
     def n(self) -> int:
@@ -69,16 +96,17 @@ class MultiplicityAbstract:
         """True when the analyzer *proved* no reachable node recurs."""
         return not self.widened and not self.recurring
 
-    @property
+    @cached_property
     def provably_single(self) -> FrozenSet[object]:
         """Nodes with a collapsed distance interval: ``|I_v| = 1``."""
         if self.widened:
             return frozenset()
+        shortest = self.shortest
         return frozenset(
-            v for v in self.finite if self.distance[v].is_exact
+            v for v, reach in self.longest.items() if reach == shortest[v]
         )
 
-    @property
+    @cached_property
     def non_single(self) -> FrozenSet[object]:
         """Superset of the nodes with ``|I_v| >= 2``."""
         return self.nodes - self.provably_single
@@ -88,6 +116,20 @@ class MultiplicityAbstract:
         return not self.widened and not self.non_single
 
     @property
+    def graph_class(self) -> Optional[MagicGraphClass]:
+        """The magic-graph regime this state *proves* — recurrence and
+        single-ness are exact in the unwidened abstraction, so it is
+        :func:`~repro.core.classification.classify_nodes`' class — or
+        None when the region was widened and nothing is proved."""
+        if self.widened:
+            return None
+        if self.recurring:
+            return MagicGraphClass.CYCLIC
+        if self.non_single:
+            return MagicGraphClass.ACYCLIC
+        return MagicGraphClass.REGULAR
+
+    @cached_property
     def frontier_index(self) -> float:
         """``i_x``: least shortest-distance of a non-single node.
 
@@ -98,8 +140,7 @@ class MultiplicityAbstract:
         """
         if self.widened:
             return 0
-        candidates = [self.distance[v].lo for v in self.non_single]
-        return min(candidates) if candidates else INF
+        return min(map(self.shortest.get, self.non_single), default=INF)
 
     def hi(self, node: object) -> float:
         """Upper bound on ``|I_v|`` (INF for maybe-recurring nodes)."""
@@ -107,26 +148,30 @@ class MultiplicityAbstract:
             return self.n
         if node in self.recurring:
             return INF
-        return self.multiplicity[node].hi
+        return self.index_count[node]
 
+    @cached_property
     def max_dmin(self) -> int:
         if self.widened:
             return max(0, self.n - 1)
-        return max((self.distance[v].lo for v in self.nodes), default=0)
+        return max(self.shortest.values(), default=0)
 
+    @cached_property
     def max_dmax_finite(self) -> int:
         """Largest realized index of any certifiably finite node."""
         if self.widened:
             return max(0, self.n - 1)
-        his = [self.distance[v].hi for v in self.finite]
-        return int(max(his)) if his else 0
+        return max(self.longest.values(), default=0)
 
-    def multiplicity_weighted(self, weight) -> float:
-        """``Σ_{v finite} hi_v * weight(v)`` (the widened abstraction
-        has no certifiably finite nodes, so the sum is 0 there — the
-        widened formulas cover those nodes through the recurring side).
-        """
-        return sum(self.multiplicity[v].hi * weight(v) for v in self.finite)
+    def multiplicity_weighted(self, degree: Mapping[object, int]) -> int:
+        """``Σ_{v finite} hi_v * (1 + degree(v))``: what re-expanding
+        every finite node once per collected index costs (the widened
+        abstraction has no certifiably finite nodes, so the sum is 0
+        there — the widened formulas cover those nodes through the
+        recurring side)."""
+        return sum(
+            hi * (1 + degree.get(v, 0)) for v, hi in self.index_count.items()
+        )
 
 
 def interpret(stats: RegionStatistics) -> MultiplicityAbstract:
@@ -138,8 +183,9 @@ def interpret(stats: RegionStatistics) -> MultiplicityAbstract:
             nodes=stats.ms,
             recurring=stats.ms,
             finite=frozenset(),
-            distance={},
-            multiplicity={},
+            shortest={},
+            longest={},
+            index_count={},
             assumptions=(
                 "region widened: every node treated as both "
                 "maybe-recurring and maybe-multiple",
@@ -150,40 +196,33 @@ def interpret(stats: RegionStatistics) -> MultiplicityAbstract:
     successors = stats.adjacency
     # Cycle participation, and exact shortest distances (every region
     # node is source-reachable).
-    components, recurring = recurring_closure(nodes, successors)
-    dmin = bfs_depths(stats.source, successors)
+    recurring = closure(nodes & stats.condensation.cores, successors)
+    dmin = stats.depth
 
-    # Longest path + multiplicity over the finite DAG.  Tarjan's output
-    # is reverse-topological w.r.t. successors; walk it backwards so
-    # predecessors are finished first.  All in-region predecessors of a
-    # finite node are themselves finite (recurring is successor-closed).
-    finite = frozenset(nodes - recurring)
-    predecessors: Dict[object, List[object]] = {v: [] for v in finite}
-    for v in finite:
-        for successor in successors.get(v, ()):
-            if successor in predecessors:
-                predecessors[successor].append(v)
+    # Longest path + multiplicity over the finite DAG, pushed along the
+    # arcs in descending condensation rank, which finishes a node's
+    # predecessors before the node.  All in-region predecessors of a
+    # finite node are themselves finite (recurring is successor-closed)
+    # and the source has none (one would close a cycle through it).  A
+    # source outside ``L`` has no rank, and is a region by itself.
+    finite = nodes - recurring
     n = len(nodes)
-    dmax: Dict[object, int] = {}
-    hi: Dict[object, float] = {}
-    for component in reversed(components):
-        value = component[0]
-        if value not in predecessors:
-            continue
-        preds = predecessors[value]
-        if value == stats.source:
-            dmax[value] = 0
-            hi[value] = 1
-            continue
-        dmax[value] = 1 + max(dmax[p] for p in preds)
-        span = dmax[value] - dmin[value] + 1
-        hi[value] = min(sum(hi[p] for p in preds), span, n)
-
-    distance = {
-        v: Interval(dmin[v], INF if v in recurring else dmax[v])
-        for v in nodes
-    }
-    multiplicity = {v: Interval(1, hi[v]) for v in finite}
+    dmax: Dict[object, int] = dict.fromkeys(finite, 0)
+    arriving: Dict[object, int] = dict.fromkeys(finite, 0)
+    hi: Dict[object, int] = {}
+    if stats.source in finite:
+        arriving[stats.source] = 1
+    for value in sorted(
+        finite, key=stats.condensation.rank.get, reverse=True
+    ):
+        reach = dmax[value]
+        carried = hi[value] = min(arriving[value], reach - dmin[value] + 1, n)
+        reach += 1
+        for successor in successors.get(value, ()):
+            if successor in arriving:
+                arriving[successor] += carried
+                if dmax[successor] < reach:
+                    dmax[successor] = reach
 
     return MultiplicityAbstract(
         source=stats.source,
@@ -191,7 +230,8 @@ def interpret(stats: RegionStatistics) -> MultiplicityAbstract:
         nodes=nodes,
         recurring=frozenset(recurring),
         finite=finite,
-        distance=distance,
-        multiplicity=multiplicity,
+        shortest=dmin,
+        longest=dmax,
+        index_count=hi,
         assumptions=(),
     )

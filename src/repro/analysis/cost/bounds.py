@@ -104,7 +104,7 @@ def _basic_shapes(
     regular = _StrategyShape(
         step1=step1,
         rc_seed=stats.e_sum(stats.ms),
-        max_index=abstract.max_dmin(),
+        max_index=abstract.max_dmin,
         rm=frozenset(),
         rc_values=stats.ms,
     )
@@ -137,13 +137,12 @@ def _single_shapes(
             )
         ]
     boundary = abstract.frontier_index
+    shortest = abstract.shortest
     rc_values = frozenset(
-        v for v in abstract.nodes if abstract.distance[v].lo < boundary
+        v for v, depth in shortest.items() if depth < boundary
     )
     rm = abstract.nodes - rc_values
-    max_index = max(
-        (abstract.distance[v].lo for v in rc_values), default=0
-    )
+    max_index = max(map(shortest.get, rc_values), default=0)
     return [
         _StrategyShape(
             step1=step1,
@@ -168,7 +167,7 @@ def _multiple_shapes(
         _StrategyShape(
             step1=step1,
             rc_seed=stats.e_sum(stats.ms),
-            max_index=abstract.max_dmin(),
+            max_index=abstract.max_dmin,
             rm=non_single,
             rc_values=stats.ms,
         )
@@ -179,6 +178,8 @@ def _recurring_shapes(
     stats: RegionStatistics,
     abstract: MultiplicityAbstract,
     scc_variant: bool,
+    finite_expand: float,
+    finite_seed: float,
 ) -> List[_StrategyShape]:
     """Magic only the truly recurring nodes.
 
@@ -191,17 +192,16 @@ def _recurring_shapes(
     RC with up to ``2n - 1`` indices of size up to ``2n - 2`` — the RC
     superset must include that leak (its RM is still confined to the
     recurring set: a witness index ``>= K`` proves a cycle).
+
+    ``finite_expand``/``finite_seed`` are the finite nodes' L-expansion
+    and E-probe costs weighted by their index multiplicity
+    (:meth:`MultiplicityAbstract.multiplicity_weighted`).
     """
     n = stats.n
     recurring = stats.ms if abstract.widened else abstract.recurring
     finite_nodes = abstract.finite
-    finite_seed = abstract.multiplicity_weighted(
-        lambda v: 1 + stats.out_e.get(v, 0)
-    )
     if scc_variant:
-        step1 = (stats.n + stats.m) + abstract.multiplicity_weighted(
-            lambda v: 1 + stats.out_l.get(v, 0)
-        )
+        step1 = (stats.n + stats.m) + finite_expand
         if abstract.widened:
             # Unknown index sets: every node may carry up to n indices.
             rc_seed: float = n * stats.e_sum(stats.ms)
@@ -209,7 +209,7 @@ def _recurring_shapes(
             rc_values = stats.ms
         else:
             rc_seed = finite_seed
-            max_index = abstract.max_dmax_finite()
+            max_index = abstract.max_dmax_finite
             rc_values = finite_nodes
         return [
             _StrategyShape(
@@ -222,11 +222,9 @@ def _recurring_shapes(
         ]
 
     cap = max(1, 2 * n - 1)
-    step1 = abstract.multiplicity_weighted(
-        lambda v: 1 + stats.out_l.get(v, 0)
-    ) + cap * stats.probe_sum(recurring)
+    step1 = finite_expand + cap * stats.probe_sum(recurring)
     rc_seed = finite_seed + cap * stats.e_sum(recurring)
-    max_index = (2 * n - 2) if recurring else abstract.max_dmax_finite()
+    max_index = (2 * n - 2) if recurring else abstract.max_dmax_finite
     return [
         _StrategyShape(
             step1=step1,
@@ -299,8 +297,13 @@ def _finalize(
 
 
 def _counting_bound(
-    stats: RegionStatistics, abstract: MultiplicityAbstract
+    stats: RegionStatistics,
+    abstract: MultiplicityAbstract,
+    cs: float,
+    seed: float,
 ) -> MethodBound:
+    """``cs``/``seed``: the multiplicity-weighted L-expansion and
+    E-probe costs of the finite nodes (all of them, when certified)."""
     if not abstract.is_certified_acyclic:
         reason = (
             "cannot certify termination: the region was widened"
@@ -308,13 +311,7 @@ def _counting_bound(
             else "the counting fixpoint diverges on cyclic magic graphs"
         )
         return MethodBound(method="counting", bound=None, reason=reason)
-    cs = abstract.multiplicity_weighted(
-        lambda v: 1 + stats.out_l.get(v, 0)
-    )
-    seed = abstract.multiplicity_weighted(
-        lambda v: 1 + stats.out_e.get(v, 0)
-    )
-    descend = abstract.max_dmax_finite() * stats.answer_sweep
+    descend = abstract.max_dmax_finite * stats.answer_sweep
     return _finalize(
         "counting",
         cs + seed + descend,
@@ -353,9 +350,13 @@ def certify_cost(
     stats = collect_statistics(query, node_budget=node_budget)
     abstract = interpret(stats)
     assumptions = stats.assumptions + abstract.assumptions
+    finite_expand = abstract.multiplicity_weighted(stats.out_l)
+    finite_seed = abstract.multiplicity_weighted(stats.out_e)
 
     bounds: Dict[str, MethodBound] = {}
-    bounds["counting"] = _counting_bound(stats, abstract)
+    bounds["counting"] = _counting_bound(
+        stats, abstract, finite_expand, finite_seed
+    )
     bounds["extended_counting"] = _extended_counting_bound(stats)
     bounds["magic_set"] = _magic_set_bound(stats)
     bounds["henschen_naqvi"] = MethodBound(
@@ -378,7 +379,9 @@ def certify_cost(
             bounds[name] = _finalize(name, worst, breakdown, assumptions)
 
     for scc_variant in (False, True):
-        shapes = _recurring_shapes(stats, abstract, scc_variant)
+        shapes = _recurring_shapes(
+            stats, abstract, scc_variant, finite_expand, finite_seed
+        )
         for mode in (Mode.INDEPENDENT, Mode.INTEGRATED):
             name = method_name(Strategy.RECURRING, mode, scc_variant)
             total, parts = _hybrid_bound(stats, shapes[0], mode)
@@ -390,4 +393,5 @@ def certify_cost(
         assumptions=assumptions,
         bounds=bounds,
         statistics=stats.summary(),
+        graph_class=abstract.graph_class,
     )

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ...core.classification import MagicGraphClass
+
 
 @dataclass(frozen=True)
 class MethodBound:
@@ -54,6 +56,11 @@ class CostCertificate:
     bounds: Mapping[str, MethodBound]
     #: Region aggregates the formulas were instantiated with.
     statistics: Mapping[str, object] = field(default_factory=dict)
+    #: The magic-graph regime the abstract state proved (None when the
+    #: region was widened): what the regime heuristic of
+    #: :func:`repro.core.methods.recommended_plan` is read from, so
+    #: ranking a certificate needs no second classification.
+    graph_class: Optional[MagicGraphClass] = None
 
     def bound_for(self, method: str) -> Optional[int]:
         entry = self.bounds.get(method)

@@ -83,8 +83,16 @@ class CostFacts:
             from ...core.classification import classify_nodes
             from ...core.methods import recommended_plan
 
+            certificate = self.certificate()
+            # The certificate names the regime its abstract state
+            # proved; only a widened region is classified on its own.
+            classification = (
+                classify_nodes(self.query)
+                if certificate.graph_class is None
+                else None
+            )
             self._recommendation = recommended_plan(
-                classify_nodes(self.query), cost_certificate=self.certificate()
+                classification, cost_certificate=certificate
             )
         return self._recommendation
 

@@ -8,8 +8,10 @@ x1)``, which charges every predecessor whether reachable or not), and
 the answer-side sweep cost ``n_R + m_R``.
 
 Collecting them exactly costs two bounded closures over the query's
-shared adjacency index (L forward from the source, R backward from the
-exit targets) — nothing that grows with the relations outside the
+shared adjacency index (L forward from the source — breadth-first, so
+the walk that finds the region also measures the shortest distances the
+abstract interpretation starts from — and R backward from the exit
+targets) — nothing that grows with the relations outside the
 region.  Both closures respect a *node budget*: the moment
 more nodes are discovered than the budget allows, the explorer gives up
 and **widens** — the region is replaced by the whole-relation superset
@@ -24,10 +26,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from itertools import repeat
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ...core.csl import CSLQuery
-from ...core.graph_index import closure
+from ...core.graph_index import Condensation, bfs_depths, closure
 
 #: Default exploration budget: regions larger than this are widened to
 #: whole-relation aggregates instead of being traversed.
@@ -64,6 +76,19 @@ class RegionStatistics:
     out_e: Mapping[object, int] = field(repr=False)
     #: Full-relation R in-degree of the ``answer_nodes``.
     in_r: Mapping[object, int] = field(repr=False)
+    #: Shortest L-distance from the source to every ``ms`` node (the one
+    #: walk that finds the region also measures it; empty when the magic
+    #: region was widened).
+    depth: Mapping[object, int] = field(repr=False)
+    #: The index's condensation of ``G_L`` (cyclic cores and topological
+    #: rank, computed once per pair-set version; None when the magic
+    #: region was widened — the abstraction reads no structure then).
+    condensation: Optional[Condensation] = field(repr=False)
+    #: ``(aggregate, node set) -> sum``: the bound formulas ask for the
+    #: same few sums over the same few sets for every method.
+    _sums: Dict[Tuple[str, FrozenSet[object]], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:
@@ -73,7 +98,7 @@ class RegionStatistics:
     @cached_property
     def m(self) -> int:
         """L arcs leaving the region (the paper's ``m_L``)."""
-        return sum(self.out_l.get(v, 0) for v in self.ms)
+        return self._degree_sum("out_l", self.out_l, self.ms)
 
     @property
     def n_y(self) -> int:
@@ -91,24 +116,37 @@ class RegionStatistics:
 
     # --- the aggregate forms the bound formulas consume ----------------
 
+    def _degree_sum(
+        self, name: str, degree: Mapping[object, int], nodes: Iterable[object]
+    ) -> int:
+        """``Σ degree(v)`` over ``nodes``, once per (name, node set)."""
+        nodes = frozenset(nodes)
+        total = self._sums.get((name, nodes))
+        if total is None:
+            total = sum(map(degree.get, nodes, repeat(0)))
+            self._sums[name, nodes] = total
+        return total
+
     def probe_sum(self, nodes: Iterable[object]) -> int:
         """Σ (1 + outdeg_L(v)): cost of L-expanding each node once."""
-        return sum(1 + self.out_l.get(v, 0) for v in nodes)
+        nodes = frozenset(nodes)
+        return len(nodes) + self._degree_sum("out_l", self.out_l, nodes)
 
     def e_sum(self, nodes: Iterable[object]) -> int:
         """Σ (1 + outdeg_E(v)): cost of E-probing each node once."""
-        return sum(1 + self.out_e.get(v, 0) for v in nodes)
+        nodes = frozenset(nodes)
+        return len(nodes) + self._degree_sum("out_e", self.out_e, nodes)
 
     def lin_sum(self, nodes: Iterable[object]) -> int:
         """Σ indeg_L(v) over ``nodes`` (full-relation in-degrees)."""
-        return sum(self.in_l.get(v, 0) for v in nodes)
+        return self._degree_sum("in_l", self.in_l, nodes)
 
     def l_cross(self, sources: Iterable[object], targets) -> int:
         """Upper bound on ``|{(x, x1) in L : x in sources, x1 in
         targets}|`` without scanning L: the crossing arcs are at most
         the total out-degree of ``sources`` and at most the total
         in-degree of ``targets``, whichever is smaller."""
-        out_total = sum(self.out_l.get(v, 0) for v in sources)
+        out_total = self._degree_sum("out_l", self.out_l, sources)
         in_total = self.lin_sum(targets)
         return min(out_total, in_total)
 
@@ -132,12 +170,14 @@ class RegionStatistics:
 def collect_statistics(
     query: CSLQuery, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> RegionStatistics:
-    """Two budgeted closures over the query's adjacency index."""
+    """Two budgeted walks over the query's adjacency index."""
     index = query.index
     assumptions: List[str] = []
-    ms = closure([query.source], index.l_successors, node_budget)
-    ms_exceeded = len(ms) > node_budget
+    depth = bfs_depths(query.source, index.l_successors, node_budget)
+    ms: Iterable[object] = depth
+    ms_exceeded = len(depth) > node_budget
     if ms_exceeded:
+        depth = {}
         ms = {query.source} | {c for _b, c in query.left}
         assumptions.append(
             f"magic region exceeded the {node_budget}-node exploration "
@@ -168,6 +208,8 @@ def collect_statistics(
         ms=frozenset(ms),
         answer_nodes=frozenset(answers),
         adjacency={} if ms_exceeded else index.l_successors,
+        depth=depth,
+        condensation=None if ms_exceeded else index.condensation,
         out_l=degrees(ms, index.l_successors),
         in_l=index.l_in_degree,
         out_e=degrees(ms, index.e_successors),

@@ -15,8 +15,9 @@ component analysis of the ``L`` pair set:
   If a cycle exists somewhere, the verdict is ``UNKNOWN`` (a particular
   source may not reach it) and per-source certification is required.
 * :func:`certify_source` — database-aware certificate for one bound
-  constant: SCC analysis of ``L`` restricted to the nodes reachable
-  from the source.  Always decides ``SAFE`` or ``UNSAFE`` and, when
+  constant: the nodes reachable from the source, checked against the
+  cyclic cores of the same condensation (the index computes it once per
+  pair-set version).  Always decides ``SAFE`` or ``UNSAFE`` and, when
   unsafe, names a witness cycle.
 * :func:`certify_program` — program-level entry point; degrades to
   ``UNKNOWN`` with a stated reason whenever certification is impossible
@@ -34,8 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from ...core.csl import CSLQuery, Pair
-from ...core.graph_index import GraphIndex, closure
-from ...datalog.stratify import strongly_connected_components
+from ...core.graph_index import GraphIndex, closure, condense
 from ...errors import NotCSLError
 
 
@@ -85,38 +85,35 @@ def _as_index(left: Union[GraphIndex, Iterable[Pair]]) -> GraphIndex:
     return left if isinstance(left, GraphIndex) else GraphIndex(left)
 
 
+def _cycle_within(
+    component, successors: Dict[object, Set[object]]
+) -> Tuple[object, ...]:
+    """An explicit cycle inside one cyclic SCC, so the diagnostic can
+    *show* the divergence, not just assert it."""
+    if len(component) == 1:
+        return (component[0],)
+    # Walk within the component until a node repeats; the suffix
+    # from its first occurrence is a directed cycle.
+    members = set(component)
+    path = [component[0]]
+    positions = {component[0]: 0}
+    while True:
+        here = path[-1]
+        step = next(s for s in sorted(successors[here], key=repr)
+                    if s in members)
+        if step in positions:
+            return tuple(path[positions[step]:])
+        positions[step] = len(path)
+        path.append(step)
+
+
 def _witness_cycle(
     nodes: Iterable[object], successors: Dict[object, Set[object]]
 ) -> Optional[Tuple[object, ...]]:
-    """A cycle among ``nodes`` (closed under ``successors``), or None.
-
-    One Tarjan pass finds a non-trivial SCC or a self-loop; a walk
-    inside the component extracts an explicit node sequence so the
-    diagnostic can *show* the divergence, not just assert it.
-    """
-    components = strongly_connected_components(
-        sorted(nodes, key=repr), successors
-    )
-    for component in components:
-        if len(component) == 1:
-            node = component[0]
-            if node in successors.get(node, ()):
-                return (node,)
-            continue
-        # Walk within the component until a node repeats; the suffix
-        # from its first occurrence is a directed cycle.
-        members = set(component)
-        path = [component[0]]
-        positions = {component[0]: 0}
-        while True:
-            here = path[-1]
-            step = next(s for s in sorted(successors[here], key=repr)
-                        if s in members)
-            if step in positions:
-                return tuple(path[positions[step]:])
-            positions[step] = len(path)
-            path.append(step)
-    return None
+    """A cycle among ``nodes`` (closed under ``successors``), or None:
+    one Tarjan pass finds a non-trivial SCC or a self-loop."""
+    component = condense(nodes, successors).first_cyclic
+    return None if component is None else _cycle_within(component, successors)
 
 
 def find_l_cycle(
@@ -142,36 +139,39 @@ def certify_relation(
     :func:`certify_source`.
     """
     index = _as_index(left)
-    nodes = index.l_nodes()
-    cycle = _witness_cycle(nodes, index.l_successors)
-    if cycle is None:
+    checked = len(index.condensation.rank)
+    component = index.condensation.first_cyclic
+    if component is None:
         return SafetyCertificate(
             Verdict.SAFE,
             "the L graph is acyclic; counting terminates from every source",
-            checked_nodes=len(nodes),
+            checked_nodes=checked,
         )
     return SafetyCertificate(
         Verdict.UNKNOWN,
         "the L graph contains a cycle; whether the bound source reaches "
         "it requires per-source certification",
-        cycle=cycle,
-        checked_nodes=len(nodes),
+        cycle=_cycle_within(component, index.l_successors),
+        checked_nodes=checked,
     )
 
 
 def certify_source(
     left: Union[GraphIndex, Iterable[Pair]], source
 ) -> SafetyCertificate:
-    """Per-source certificate: SCC on ``L`` restricted to the magic set.
+    """Per-source certificate: the magic set against the cyclic cores
+    of ``L``'s condensation (:attr:`GraphIndex.condensation`).
 
-    Decides every input — the restricted graph either has a cycle
-    (counting diverges, Proposition 1(c)) or it does not (the counting
-    fixpoint visits each (index, node) pair at most once and stops).
+    Decides every input — the magic set is closed under ``L``, so it
+    holds a cycle (counting diverges, Proposition 1(c)) exactly when it
+    meets a core; otherwise the counting fixpoint visits each (index,
+    node) pair at most once and stops.  Only a refusal pays an SCC pass
+    of its own, for the witness it names.
     """
-    successors = _as_index(left).l_successors
+    index = _as_index(left)
+    successors = index.l_successors
     reachable = closure([source], successors)
-    cycle = _witness_cycle(reachable, successors)
-    if cycle is None:
+    if reachable.isdisjoint(index.condensation.cores):
         return SafetyCertificate(
             Verdict.SAFE,
             "no cycle is reachable from the bound source; the counting "
@@ -184,7 +184,7 @@ def certify_source(
         "the magic graph reachable from the bound source contains a "
         "cycle; the counting method would diverge",
         source=source,
-        cycle=cycle,
+        cycle=_witness_cycle(reachable, successors),
         checked_nodes=len(reachable),
     )
 

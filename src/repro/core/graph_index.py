@@ -9,16 +9,78 @@ once per ``(L, E, R)`` triple (:attr:`repro.core.csl.CSLQuery.index`
 caches it and :meth:`~repro.core.csl.CSLQuery.with_source` shares it)
 and every analysis walks it from its own source: nothing below the
 constructor ever iterates a whole relation.
+
+Neither does the SCC condensation of ``G_L``: which nodes lie on a cycle
+and a topological rank for every node are facts about ``L`` alone, so
+:attr:`GraphIndex.condensation` pays one Tarjan pass per pair-set
+version and a per-source analysis restricts it to its region — the
+recurring nodes of a region are ``closure(region ∩ cores)`` and a
+dynamic program over its finite part runs in rank order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..datalog.stratify import strongly_connected_components
 
 Node = Hashable
 Pair = Tuple[Node, Node]
+
+
+class Condensation(NamedTuple):
+    """The SCC condensation of a graph, as the analyses read it."""
+
+    #: node -> number of its component in Tarjan's output order, which is
+    #: reverse topological: every arc that leaves a component leads to a
+    #: lower rank, so descending rank visits predecessors first.
+    rank: Dict[Node, int]
+    #: the nodes on a cycle (non-trivial components and self-loops)
+    cores: FrozenSet[Node]
+    #: the first cyclic component in Tarjan's order (None: a DAG)
+    first_cyclic: Optional[List[Node]]
+
+
+def _components(
+    nodes: Iterable[Node], successors: Dict[Node, Set[Node]]
+) -> List[List[Node]]:
+    """Tarjan SCC from the nodes in ``repr`` order (the order pins which
+    witness cycle a refusal names)."""
+    return strongly_connected_components(sorted(nodes, key=repr), successors)
+
+
+def _is_cyclic(component: List[Node], successors) -> bool:
+    return len(component) > 1 or component[0] in successors.get(
+        component[0], ()
+    )
+
+
+def condense(
+    nodes: Iterable[Node], successors: Dict[Node, Set[Node]]
+) -> Condensation:
+    """One Tarjan pass over ``nodes`` (closed under ``successors``)."""
+    rank: Dict[Node, int] = {}
+    cores: Set[Node] = set()
+    first_cyclic = None
+    for number, component in enumerate(_components(nodes, successors)):
+        for node in component:
+            rank[node] = number
+        if _is_cyclic(component, successors):
+            cores.update(component)
+            if first_cyclic is None:
+                first_cyclic = component
+    return Condensation(rank, frozenset(cores), first_cyclic)
 
 
 class GraphIndex:
@@ -31,7 +93,8 @@ class GraphIndex:
     """
 
     __slots__ = (
-        "l_successors", "l_in_degree", "e_successors", "r_predecessors"
+        "l_successors", "l_in_degree", "e_successors", "r_predecessors",
+        "_condensation",
     )
 
     def __init__(
@@ -55,6 +118,21 @@ class GraphIndex:
         self.r_predecessors: Dict[Node, List[Node]] = {}
         for y, y1 in right:
             self.r_predecessors.setdefault(y1, []).append(y)
+        self._condensation: Optional[Condensation] = None
+
+    @property
+    def condensation(self) -> Condensation:
+        """The condensation of ``G_L`` (one Tarjan pass, on first use).
+
+        Filled without a lock: the pass is a pure function of the
+        adjacency, so two threads racing the first use compute equal
+        values and either assignment may stand.
+        """
+        if self._condensation is None:  # race-ok: benign duplicate fill
+            self._condensation = condense(  # race-ok: benign duplicate fill
+                self.l_nodes(), self.l_successors
+            )
+        return self._condensation
 
     def l_nodes(self) -> Set[Node]:
         """Every value occurring in ``L``."""
@@ -97,22 +175,25 @@ def recurring_closure(
     ``successors``.  Also returns the components, which are in reverse
     topological order of the condensation.
     """
-    components = strongly_connected_components(
-        sorted(nodes, key=repr), successors
-    )
-    cores: Set[Node] = set()
-    for component in components:
-        if len(component) > 1:
-            cores.update(component)
-        elif component[0] in successors.get(component[0], ()):
-            cores.add(component[0])
+    components = _components(nodes, successors)
+    cores = {
+        node
+        for component in components
+        if _is_cyclic(component, successors)
+        for node in component
+    }
     return components, closure(cores, successors)
 
 
 def bfs_depths(
-    source: Node, successors: Mapping[Node, Iterable[Node]]
+    source: Node,
+    successors: Mapping[Node, Iterable[Node]],
+    budget: Optional[int] = None,
 ) -> Dict[Node, int]:
-    """Shortest distance from ``source`` to every node it reaches."""
+    """Shortest distance from ``source`` to every node it reaches (its
+    keys are :func:`closure` of the source).  A ``budget`` is
+    :func:`closure`'s: a result larger than it is partial and MUST NOT
+    be used."""
     depths = {source: 0}
     frontier = [source]
     depth = 0
@@ -120,6 +201,8 @@ def bfs_depths(
         depth += 1
         next_frontier = []
         for node in frontier:
+            if budget is not None and len(depths) > budget:
+                return depths
             for successor in successors.get(node, ()):
                 if successor not in depths:
                     depths[successor] = depth

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
+from .classification import MagicGraphClass
 from .cost import AnswerResult
 from .counting_method import counting_method, extended_counting_method
 from .csl import CSLQuery
@@ -180,11 +181,11 @@ def plan_candidates() -> List[Method]:
     return [row for row in METHODS.values() if row.ranked]
 
 
-def _heuristic_plan(classification) -> PlanRecommendation:
-    if classification.is_regular:
+def _heuristic_plan(graph_class: MagicGraphClass) -> PlanRecommendation:
+    if graph_class is MagicGraphClass.REGULAR:
         name = "counting"
         reason = "regular magic graph: pure counting is unbeatable there"
-    elif not classification.is_cyclic:
+    elif graph_class is MagicGraphClass.ACYCLIC:
         name = method_name(Strategy.MULTIPLE, Mode.INTEGRATED)
         reason = (
             "acyclic non-regular: the integrated multiple method is the "
@@ -223,8 +224,16 @@ def recommended_plan(classification, cost_certificate=None):
     certificate abstains on every candidate the heuristic choice stands
     (provenance ``"heuristic-fallback"``).  Either way
     ``details["ranking"]`` records the full table.
+
+    ``classification`` may be None when the certificate records the
+    regime itself (``cost_certificate.graph_class``, the same class by
+    construction): the caller is spared the classification pass.
     """
-    heuristic = _heuristic_plan(classification)
+    heuristic = _heuristic_plan(
+        cost_certificate.graph_class
+        if classification is None
+        else classification.graph_class
+    )
     if cost_certificate is None:
         return heuristic
 

@@ -10,6 +10,15 @@ that lands inside the window joins the batch, and one
 ``solve_batch`` call answers them all — N clients pay one shared sweep
 instead of N.
 
+The window is held only on evidence of company.  A request that opens a
+group while nothing else is queued or executing, after the last two
+windows each flushed a single request, has nobody to wait for: its
+group is flushed on the next loop tick (frames already buffered still
+join it).  Any window that coalesces two or more requests restores the
+full hold, so a fresh coalescer, a burst, a pipelined wave and a wave
+split by a straggler all wait as before; a lone closed-loop caller
+stops waiting after two requests.
+
 Three serving guarantees live here, not in the transport:
 
 * **admission control** — at most ``max_pending`` requests may be
@@ -77,6 +86,9 @@ class RequestCoalescer:
         self._flushes: Set[asyncio.Task] = set()  # guarded-by: @loop
         self._draining = False  # guarded-by: @loop
         self.pending = 0  # guarded-by: @loop
+        # Consecutive windows, up to now, that flushed exactly one
+        # request: the evidence that a caller is alone.
+        self._lone_streak = 0  # guarded-by: @loop
         # Lifetime counters, surfaced on /metrics.  Everything above and
         # below is event-loop-confined: the coalescer is called only
         # from coroutines and loop callbacks, never from worker threads.
@@ -86,6 +98,7 @@ class RequestCoalescer:
         self.largest_batch = 0  # guarded-by: @loop
         self.overloaded = 0  # guarded-by: @loop
         self.expired = 0  # guarded-by: @loop
+        self.immediate = 0  # guarded-by: @loop
 
     # --- admission ------------------------------------------------------
 
@@ -106,7 +119,9 @@ class RequestCoalescer:
 
         ``deadline`` is seconds from now (None = no deadline).  The
         request waits at most one window before its batch runs; it may
-        ride an earlier flush when the group hits ``max_batch``.
+        ride an earlier flush when the group hits ``max_batch``, and it
+        is not held at all when it opens a group for a caller the last
+        two windows showed to be alone.
         """
         self._admit(1)
         if deadline is not None and deadline <= 0:
@@ -118,7 +133,11 @@ class RequestCoalescer:
         if group is None:
             group = _Group(key)
             self._groups[key] = group
-            group.timer = loop.call_later(self.window, self._flush, key)
+            hold = self.window
+            if self.pending == 0 and self._lone_streak >= 2:
+                hold = 0.0
+                self.immediate += 1
+            group.timer = loop.call_later(hold, self._flush, key)
         group.entries.append((source, future))
         self.requests += 1
         self.pending += 1
@@ -192,6 +211,10 @@ class RequestCoalescer:
             return
         if group.timer is not None:
             group.timer.cancel()
+        if len(group.entries) == 1:
+            self._lone_streak += 1
+        else:
+            self._lone_streak = 0
         task = asyncio.ensure_future(self._run_batch(group))
         self._flushes.add(task)
         task.add_done_callback(self._flushes.discard)
@@ -271,6 +294,7 @@ class RequestCoalescer:
             "largest_batch": self.largest_batch,
             "overloaded": self.overloaded,
             "expired": self.expired,
+            "immediate": self.immediate,
         }
 
     def __repr__(self):

@@ -16,10 +16,11 @@ cached half:
   the three tuple stores every execution reads, whose lazy hash indexes
   persist across batches — :meth:`CompiledPlan.query_for` only swaps
   the source in;
-* memoized per-source counting-safety certificates and cost reports
-  (uncharged analysis), so the service can choose a method and refuse
-  (or fall back from) a certifiably divergent counting plan *before*
-  any fixpoint starts.
+* memoized per-source counting-safety certificates and decisions — the
+  row the cost analyzer recommends and every row's certified bound,
+  which is all a batch reads of a cost report (uncharged analysis) — so
+  the service can choose a method and refuse (or fall back from) a
+  certifiably divergent counting plan *before* any fixpoint starts.
 
 Plans used to be immutable with respect to the database state they
 were compiled from — the owning :class:`SolverService` discarded them
@@ -38,8 +39,18 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
+from ..analysis import cost as cost_analysis
 from ..analysis.static.safety import (
     SafetyCertificate,
     certify_counting_safety,
@@ -66,8 +77,10 @@ from .fingerprint import (
     program_fingerprint,
 )
 
-#: sources held by each per-source memo before it starts over
-_SOURCE_MEMO_LIMIT = 256
+#: sources held by each per-source memo before the oldest is evicted: a
+#: region the analyzer is willing to walk is a pool the plan is willing
+#: to remember
+_SOURCE_MEMO_LIMIT = cost_analysis.DEFAULT_NODE_BUDGET
 
 #: zero-delta summary returned by :meth:`CompiledPlan.maintain` when the
 #: plan has nothing database-dependent to update
@@ -200,6 +213,16 @@ class PlanMaintainer:
         return report, part_deltas
 
 
+class SourceDecision(NamedTuple):
+    """What a batch reads of one source's cost report — the plan
+    remembers this projection, not the report."""
+
+    #: the :data:`~repro.core.methods.METHODS` row the report recommends
+    method: str
+    #: row name -> certified retrieval bound (None: the analyzer abstained)
+    bounds: Dict[str, Optional[int]]
+
+
 class CompiledPlan:
     """The compiled, source-independent artifacts of one CSL program."""
 
@@ -247,11 +270,13 @@ class CompiledPlan:
         self.optimization = optimization
         self.unoptimized_program = unoptimized_program
         # The memo caches are filled lazily from whichever worker thread
-        # first asks; _memo_lock keeps fill/evict/read atomic.
+        # first asks.  _memo_lock guards read, publish and evict only:
+        # an analysis runs outside it (see _memoized), so one worker's
+        # cold source never delays another's warm read.
         self._memo_lock = threading.Lock()
         self._relation_certificate: Optional[SafetyCertificate] = None  # guarded-by: _memo_lock
         self._source_certificates: Dict[object, SafetyCertificate] = {}  # guarded-by: _memo_lock
-        self._cost_reports: Dict[object, object] = {}  # guarded-by: _memo_lock
+        self._decisions: Dict[object, SourceDecision] = {}  # guarded-by: _memo_lock
         # Held by a batch while it executes query_for() queries, and by
         # maintain() while it patches the stores they read: a batch
         # finishes on the state it started on.  (Charging needs no lock:
@@ -301,13 +326,16 @@ class CompiledPlan:
             if deltas:
                 # A new base query, so a new index; the stores move to
                 # it, patched.  The pair-dependent memos are stale with
-                # the old one (safety certificates and cost reports are
-                # graph analyses of the pair sets).
-                self._query = self._query.patched(**deltas)
+                # the old one (safety certificates and decisions are
+                # graph analyses of the pair sets); swapping the query
+                # under the memo lock is what lets a fill that started
+                # on the old one see that it must not publish.
+                patched = self._query.patched(**deltas)
                 with self._memo_lock:
+                    self._query = patched
                     self._relation_certificate = None
                     self._source_certificates.clear()
-                    self._cost_reports.clear()
+                    self._decisions.clear()
             self.db_version = new_db_version
             if new_database_fp is not None:
                 self.database_fp = new_database_fp
@@ -326,41 +354,56 @@ class CompiledPlan:
         (execution, under :attr:`exec_lock`)."""
         return self._query.with_source(source)
 
-    def _memoized_locked(
+    def _memoized(
         self,
         memo: Dict[object, Any],
         source,
         analyze: Callable[[CSLQuery], Any],
     ):
-        """``analyze(query_for(source))`` through a per-source memo,
-        which starts over when it reaches its limit.  Call with
-        ``_memo_lock`` held: fill, evict and read are one atomic step."""
-        cached = memo.get(source)
+        """``analyze(query_for(source))`` through a per-source memo that
+        evicts its oldest entry beyond :data:`_SOURCE_MEMO_LIMIT`.
+
+        The analysis runs *outside* ``_memo_lock`` and is published
+        under it, first writer wins: it is a pure function of the pair
+        sets, so a duplicate computed by a racing thread is benign, and
+        a result for pair sets :meth:`maintain` has since replaced is
+        returned to its caller but never published.
+        """
+        with self._memo_lock:
+            cached = memo.get(source)
+            query = self._query
         if cached is None:
-            if len(memo) >= _SOURCE_MEMO_LIMIT:
-                memo.clear()
-            cached = memo[source] = analyze(self.query_for(source))
+            cached = analyze(query.with_source(source))
+            with self._memo_lock:
+                if self._query is query:
+                    cached = memo.setdefault(source, cached)
+                    if len(memo) > _SOURCE_MEMO_LIMIT:
+                        del memo[next(iter(memo))]
         return cached
 
     # --- cost bounds ---------------------------------------------------
 
-    def cost_report(self, source):
-        """Memoized :class:`~repro.analysis.cost.CostReport` for one
-        bound source (uncharged graph analysis over the plan's index).
+    def decision(self, source) -> SourceDecision:
+        """The memoized :class:`SourceDecision` for one bound source:
+        the projection of :meth:`cost_report` a batch reads (uncharged
+        graph analysis over the plan's index; one
+        :func:`~repro.analysis.cost.analyze_cost_query` per miss).
         Cleared by :meth:`maintain` alongside the other pair-dependent
         memos, so certified bounds always describe the pair sets a batch
         actually executes against.
         """
-        from ..analysis.cost import analyze_cost_query
+        memo = self._decisions  # race-ok: only names the dict; _memoized locks
+        return self._memoized(memo, source, _decide)
 
-        with self._memo_lock:
-            return self._memoized_locked(
-                self._cost_reports, source, analyze_cost_query
-            )
+    def cost_report(self, source):
+        """The full :class:`~repro.analysis.cost.CostReport` for one
+        bound source, computed on demand (tests, the REPL's ``.plan``,
+        ``repro analyze`` — the serve path reads :meth:`decision`)."""
+        return cost_analysis.analyze_cost_query(self.query_for(source))
 
     def cost_certificate(self, source):
         """The per-source :class:`~repro.analysis.cost.CostCertificate`
-        (memoized through :meth:`cost_report`)."""
+        (of :meth:`cost_report`: computed on demand)."""
         return self.cost_report(source).certificate
 
     # --- static safety -------------------------------------------------
@@ -372,14 +415,18 @@ class CompiledPlan:
         ``safe`` here means safe from *every* source — one SCC pass
         certifies the plan for all goals it will ever serve.  A cyclic
         ``L`` downgrades to ``unknown`` and per-source certification
-        (:meth:`counting_certificate`) decides each goal.
+        (:meth:`counting_certificate`) decides each goal.  Filled like a
+        per-source memo: computed outside the lock, published under it.
         """
         with self._memo_lock:
-            if self._relation_certificate is None:
-                self._relation_certificate = certify_relation(
-                    self._query.index
-                )
-            return self._relation_certificate
+            certificate = self._relation_certificate
+            query = self._query
+        if certificate is None:
+            certificate = certify_relation(query.index)
+            with self._memo_lock:
+                if self._query is query:
+                    self._relation_certificate = certificate
+        return certificate
 
     def counting_certificate(self, source) -> SafetyCertificate:
         """Counting-safety certificate for one bound source (memoized).
@@ -387,16 +434,11 @@ class CompiledPlan:
         Pure graph analysis over the plan's index — no relation probes,
         no cost charges, and no fixpoint.
         """
-        # Read the whole-relation certificate via its property *before*
-        # taking _memo_lock — the property acquires the same
-        # non-reentrant lock, so nesting it here would self-deadlock.
         relation_cert = self.relation_certificate
         if relation_cert.is_safe:
             return relation_cert
-        with self._memo_lock:
-            return self._memoized_locked(
-                self._source_certificates, source, certify_counting_safety
-            )
+        memo = self._source_certificates  # race-ok: only names the dict; _memoized locks
+        return self._memoized(memo, source, certify_counting_safety)
 
     # --- reporting ----------------------------------------------------
 
@@ -440,6 +482,16 @@ class CompiledPlan:
             f"|L|={len(self._query.left)}, |E|={len(self._query.exit)}, "
             f"|R|={len(self._query.right)})"
         )
+
+
+def _decide(query: CSLQuery) -> SourceDecision:
+    # Resolved through the module at call time: the cost analyzer's
+    # entry point is what a memo miss calls, and what a tracer wraps.
+    report = cost_analysis.analyze_cost_query(query)
+    return SourceDecision(
+        report.recommendation.method,
+        {name: entry.bound for name, entry in report.certificate.bounds.items()},
+    )
 
 
 def _verified_optimization(program, database, query):

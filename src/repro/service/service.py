@@ -383,9 +383,9 @@ class SolverService:
           with ``unsafe_fallback=True``;
         * ``"adaptive"`` — shared magic for more than one source; for a
           single source the row :func:`~repro.core.methods.
-          recommended_plan` ranks first on the plan's memoized cost
-          certificate (the library's policy, read from the report that
-          ``predicted_bound`` reads anyway).
+          recommended_plan` ranks first on the source's cost
+          certificate (the library's policy, read from the plan's
+          memoized decision that ``predicted_bound`` reads anyway).
         """
         if method not in BATCH_METHODS:
             raise EvaluationError(
@@ -412,9 +412,7 @@ class SolverService:
                 # (Crossover data: benchmarks/test_multi_source.py.)
                 chosen = SHARED_MAGIC
                 if len(source_list) == 1:
-                    chosen = plan.cost_report(
-                        source_list[0]
-                    ).recommendation.method
+                    chosen = plan.decision(source_list[0]).method
             fallback_details: Dict[str, object] = {}
             row = METHODS.get(chosen)
             if row is not None and row.needs_acyclic:
@@ -523,8 +521,8 @@ class SolverService:
         """The summed certified retrieval bound of table row
         ``bound_method`` for the batch, or None.
 
-        Per-goal certificates come from the plan's memoized cost
-        reports; the sum over sources is sound for the shared fixpoint
+        Per-goal bounds come from the plan's memoized decisions; the
+        sum over sources is sound for the shared fixpoint
         because every charge in the union run is accounted to at least
         one source whose magic region contains the charged node (the
         regions are L-forward-closed).  Any abstaining goal abstains
@@ -532,7 +530,7 @@ class SolverService:
         """
         total = 0
         for source in sources:
-            bound = plan.cost_certificate(source).bound_for(bound_method)
+            bound = plan.decision(source).bounds.get(bound_method)
             if bound is None:
                 return None
             total += bound

@@ -23,6 +23,7 @@ from repro.core.solver import SOLVE_METHODS, fact2_answer, solve
 from repro.errors import UnsafeQueryError
 from repro.repl import Repl
 from repro.service import BATCH_METHODS, SolverService
+from repro.workloads.generators import acyclic_workload
 
 EXTRA_SPELLINGS = {"auto", "adaptive", "magic_counting", "naive"}
 
@@ -203,36 +204,56 @@ def test_adaptive_serves_the_librarys_recommendation(query):
     assert two.method == "shared_magic"
 
 
+def _count_calls(monkeypatch, calls, module, attribute):
+    wrapped = getattr(module, attribute)
+
+    def counted(*args, **kwargs):
+        calls.append(attribute)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(module, attribute, counted)
+
+
 def test_adaptive_pays_for_one_analysis_per_cold_source(
     cyclic_query, monkeypatch
 ):
-    """The recommendation is read from the memo ``predicted_bound``
-    fills: one classification and one certification for a cold source,
-    none for a warm one."""
+    """The recommendation is read from the decision memo
+    ``predicted_bound`` fills: one certification for a cold source — the
+    certificate names the regime, so no classification — none for a
+    warm one."""
     import repro.analysis.cost.framework as framework
     import repro.core.classification as classification
 
     calls = []
-
-    def count_calls(module, attribute):
-        wrapped = getattr(module, attribute)
-
-        def counted(*args, **kwargs):
-            calls.append(attribute)
-            return wrapped(*args, **kwargs)
-
-        monkeypatch.setattr(module, attribute, counted)
-
-    count_calls(framework, "certify_cost")
-    count_calls(classification, "classify_nodes")
+    _count_calls(monkeypatch, calls, framework, "certify_cost")
+    _count_calls(monkeypatch, calls, classification, "classify_nodes")
     service = SolverService()
     service.solve(cyclic_query, "a")
-    assert sorted(calls) == ["certify_cost", "classify_nodes"]
+    assert calls == ["certify_cost"]
     service.solve(cyclic_query, "a")
-    assert len(calls) == 2
+    assert calls == ["certify_cost"]
     service.solve(cyclic_query, "b")
-    assert sorted(calls) == ["certify_cost", "certify_cost",
-                             "classify_nodes", "classify_nodes"]
+    assert calls == ["certify_cost", "certify_cost"]
+
+
+def test_a_pool_larger_than_the_old_memo_is_analysed_once(monkeypatch):
+    """393 distinct sources thrashed the 256-entry clear-all memo of cost
+    reports; the decision memo holds them all, so a second pass over the
+    same pool runs no analysis."""
+    import repro.analysis.cost as cost
+
+    query = acyclic_workload(scale=12, seed=0)
+    pool = sorted({value for pair in query.left for value in pair})
+    assert len(pool) == 393
+    calls = []
+    _count_calls(monkeypatch, calls, cost, "analyze_cost_query")
+    service = SolverService()
+    for source in pool:
+        service.solve(query, source)
+    assert len(calls) == len(pool)
+    for source in pool:
+        service.solve(query, source)
+    assert len(calls) == len(pool)
 
 
 @pytest.mark.parametrize("method", [counting_method, hn_method])

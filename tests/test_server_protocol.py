@@ -250,6 +250,50 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+async def _two_lone_requests(coalescer):
+    """A closed-loop caller's first two requests, each held a (shortened)
+    window and flushed alone: the evidence after which an idle coalescer
+    stops holding."""
+    window, coalescer.window = coalescer.window, 0.001
+    for number in range(2):
+        await coalescer.submit("k", f"lone{number}")
+    coalescer.window = window
+    assert coalescer.immediate == 0
+
+
+async def _within_a_few_ticks(task):
+    for _ in range(10):
+        if task.done():
+            break
+        await asyncio.sleep(0)
+    return task.done()
+
+
+def _recording(sizes, gate=None):
+    """An execute hook that records each batch's size (and parks on
+    ``gate`` first, to keep a batch executing)."""
+
+    async def execute(key, sources):
+        sizes.append(len(sources))
+        if gate is not None:
+            await gate.wait()
+        return await _echo_execute(key, sources)
+
+    return execute
+
+
+async def _wave(coalescer, number, size=32):
+    """One pipelined wave: ``size`` solves submitted a loop tick apart,
+    all awaited before the caller goes on (closed loop)."""
+    tasks = []
+    for index in range(size):
+        tasks.append(
+            asyncio.ensure_future(coalescer.submit("k", (number, index)))
+        )
+        await asyncio.sleep(0)
+    return await asyncio.gather(*tasks)
+
+
 class TestCoalescer:
     def test_concurrent_submits_share_one_batch(self):
         async def main():
@@ -424,9 +468,201 @@ class TestCoalescer:
             assert stats["requests"] == 1
             assert stats["batches"] == 1
             assert stats["pending"] == 0
+            assert stats["immediate"] == 0
             assert stats["window_ms"] == pytest.approx(10.0)
 
         run(main())
+
+    # --- the window is held only on evidence of company ---------------
+
+    def test_a_lone_caller_stops_waiting_after_two_requests(self):
+        async def main():
+            window = 0.05
+            coalescer = RequestCoalescer(_echo_execute, window=window)
+            waits = []
+            for source in ["a", "b"]:
+                started = time.monotonic()
+                await coalescer.submit("k", source)
+                waits.append(time.monotonic() - started)
+            assert min(waits) >= window * 0.9
+            assert coalescer.immediate == 0
+            # The third is flushed on the next loop tick: it would not
+            # come back from a window this long.
+            coalescer.window = 30.0
+            third = asyncio.ensure_future(coalescer.submit("k", "c"))
+            assert await _within_a_few_ticks(third)
+            assert third.result() == frozenset({"c!"})
+            stats = coalescer.stats()
+            assert stats["immediate"] == 1
+            assert stats["batches"] == 3
+            assert stats["open_windows"] == 0 and stats["pending"] == 0
+
+        run(main())
+
+    def test_a_burst_is_one_batch_held_or_not(self):
+        """100 submits in one tick (the benchmarks/test_server_throughput
+        shape): one batch on a fresh coalescer, and one batch when the
+        first of them is dispatched without a hold — frames already
+        buffered still join."""
+
+        async def main(lone_first):
+            coalescer = RequestCoalescer(
+                _echo_execute, window=0.05, max_batch=128
+            )
+            if lone_first:
+                await _two_lone_requests(coalescer)
+            before = coalescer.batches
+            await asyncio.gather(
+                *(coalescer.submit("k", n) for n in range(100))
+            )
+            assert coalescer.batches == before + 1
+            assert coalescer.largest_batch == 100
+            assert coalescer.immediate == (1 if lone_first else 0)
+
+        run(main(lone_first=False))
+        run(main(lone_first=True))
+
+    def test_pipelined_waves_coalesce_whole(self):
+        async def main():
+            sizes = []
+            coalescer = RequestCoalescer(_recording(sizes), window=0.1)
+            for number in range(10):
+                await _wave(coalescer, number)
+            assert sizes == [32] * 10
+            assert coalescer.coalesced / coalescer.batches >= 31
+            assert coalescer.immediate == 0
+
+        run(main())
+
+    def test_waves_after_a_lone_caller_coalesce_from_the_second_on(self):
+        """The first wave after a lone phase finds the coalescer not
+        holding and may be cut; whatever window carries two requests
+        restores the hold, so every later wave is whole."""
+
+        async def main():
+            sizes = []
+            coalescer = RequestCoalescer(_recording(sizes), window=0.1)
+            await _two_lone_requests(coalescer)
+            del sizes[:]
+            await _wave(coalescer, 0)
+            first_wave = len(sizes)
+            assert sum(sizes) == 32 and max(sizes) >= 2
+            for number in range(1, 4):
+                await _wave(coalescer, number)
+            assert sizes[first_wave:] == [32] * 3
+            assert coalescer.immediate == 1
+
+        run(main())
+
+    def test_a_straggler_does_not_cascade(self):
+        """A wave cut 31 + 1 leaves one lone window behind, not two: the
+        next wave's first request is held and the wave is whole."""
+
+        async def main():
+            sizes = []
+            gate = asyncio.Event()
+            coalescer = RequestCoalescer(
+                _recording(sizes, gate), window=0.1
+            )
+            wave = [
+                asyncio.ensure_future(coalescer.submit("k", n))
+                for n in range(31)
+            ]
+            while not sizes:  # the window closes; its batch parks
+                await asyncio.sleep(0.005)
+            straggler = asyncio.ensure_future(coalescer.submit("k", 31))
+            while len(sizes) < 2:
+                await asyncio.sleep(0.005)
+            gate.set()
+            await asyncio.gather(*wave, straggler)
+            await _wave(coalescer, 1)
+            assert sizes == [31, 1, 32]
+            assert coalescer.immediate == 0
+
+        run(main())
+
+    def test_a_request_arriving_while_a_batch_executes_waits(self):
+        async def main():
+            sizes = []
+            gate = asyncio.Event()
+            coalescer = RequestCoalescer(
+                _recording(sizes, gate), window=0.05
+            )
+            gate.set()
+            await _two_lone_requests(coalescer)
+            gate.clear()
+            executing = asyncio.ensure_future(coalescer.submit("k", "a"))
+            assert not await _within_a_few_ticks(executing)
+            assert coalescer.immediate == 1 and len(sizes) == 3
+            # Company: something is executing, so this one is held — and
+            # its neighbour joins it.
+            started = time.monotonic()
+            held = [
+                asyncio.ensure_future(coalescer.submit("k", source))
+                for source in ["b", "c"]
+            ]
+            assert not await _within_a_few_ticks(held[0])
+            assert coalescer.stats()["open_windows"] == 1
+            gate.set()
+            await asyncio.gather(executing, *held)
+            assert time.monotonic() - started >= 0.045
+            assert sizes[3:] == [2]
+            assert coalescer.immediate == 1
+
+        run(main())
+
+    def test_guarantees_hold_on_an_immediately_dispatched_group(self):
+        async def settled(coalescer, immediate):
+            stats = coalescer.stats()
+            assert stats["immediate"] == immediate
+            assert stats["open_windows"] == 0 and stats["pending"] == 0
+
+        async def deadline():
+            coalescer = RequestCoalescer(_echo_execute, window=30.0)
+            await _two_lone_requests(coalescer)
+            answer = await coalescer.submit("k", "a", deadline=5.0)
+            assert answer == frozenset({"a!"})
+            gate = asyncio.Event()
+            coalescer._execute = _recording([], gate)
+            with pytest.raises(DeadlineExceededError):
+                await coalescer.submit("k", "b", deadline=0.02)
+            gate.set()
+            await coalescer.drain()
+            assert coalescer.expired == 1
+            await settled(coalescer, immediate=2)
+
+        async def drain():
+            coalescer = RequestCoalescer(_echo_execute, window=30.0)
+            await _two_lone_requests(coalescer)
+            task = asyncio.ensure_future(coalescer.submit("k", "a"))
+            await asyncio.sleep(0)  # enqueued, its flush not yet run
+            await coalescer.drain()
+            assert await task == frozenset({"a!"})
+            assert coalescer.batches == 3
+            with pytest.raises(ShuttingDownError):
+                await coalescer.submit("k", "b")
+            await settled(coalescer, immediate=1)
+
+        async def max_batch():
+            sizes = []
+            coalescer = RequestCoalescer(
+                _recording(sizes), window=30.0, max_batch=2
+            )
+            await _two_lone_requests(coalescer)
+            del sizes[:]
+            answers = await asyncio.gather(
+                *(coalescer.submit("k", s) for s in ["a", "b", "c"])
+            )
+            assert answers[2] == frozenset({"c!"})
+            # "a" opened an unheld group that max_batch flushed at once;
+            # the cancelled tick flush did not fire on "c"'s window.
+            assert sizes[0] == 2 and sum(sizes) == 3
+            await coalescer.drain()
+            await settled(coalescer, immediate=1)
+
+        run(deadline())
+        run(drain())
+        run(max_batch())
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):

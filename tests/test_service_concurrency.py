@@ -162,6 +162,99 @@ class TestStalePlanRegression:
 
 
 #: one per reader thread: the shared fixpoint, the recommended row, a
+class TestMemoFillsOutsideTheLock:
+    """``_memo_lock`` guards read, publish and evict, never an analysis:
+    with two executor workers one worker's cold source must not delay
+    the other's warm read of the same memo."""
+
+    def _parked_fill(self, monkeypatch, module, attribute, cold_call):
+        """Start ``cold_call`` on a thread and park it inside
+        ``module.attribute``; returns ``(thread, release)``."""
+        entered, release = threading.Event(), threading.Event()
+        analysis = getattr(module, attribute)
+
+        def parked(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=60)
+            return analysis(*args, **kwargs)
+
+        monkeypatch.setattr(module, attribute, parked)
+        thread = threading.Thread(target=cold_call)
+        thread.start()
+        assert entered.wait(timeout=60)
+        monkeypatch.setattr(module, attribute, analysis)
+        return thread, release
+
+    def _warm_read(self, read):
+        done = []
+        reader = threading.Thread(target=lambda: done.append(read()))
+        reader.start()
+        reader.join(timeout=10)
+        return done
+
+    def test_a_cold_decision_does_not_delay_a_warm_one(self, monkeypatch):
+        import repro.analysis.cost as cost
+
+        service = SolverService(sg_database())
+        plan = service.compile(sg_program("a"))
+        warm = plan.decision("a")
+        cold = []
+        thread, release = self._parked_fill(
+            monkeypatch, cost, "analyze_cost_query",
+            lambda: cold.append(plan.decision("b")),
+        )
+        try:
+            assert self._warm_read(lambda: plan.decision("a")) == [warm]
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert cold == [plan.decision("b")]
+
+    def test_a_cold_relation_certificate_does_not_delay_a_decision(
+        self, monkeypatch
+    ):
+        import repro.service.plan as plan_module
+
+        service = SolverService(sg_database())
+        plan = service.compile(sg_program("a"))
+        warm = plan.decision("a")
+        thread, release = self._parked_fill(
+            monkeypatch, plan_module, "certify_relation",
+            lambda: plan.relation_certificate,
+        )
+        try:
+            assert self._warm_read(lambda: plan.decision("a")) == [warm]
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert plan.relation_certificate.is_safe
+
+    def test_a_fill_overtaken_by_a_mutation_is_not_published(
+        self, monkeypatch
+    ):
+        """A decision computed on pair sets ``maintain`` has since
+        replaced is handed to its caller and dropped: the memo only ever
+        describes the pair sets a batch will execute against."""
+        import repro.analysis.cost as cost
+
+        service = SolverService(sg_database())
+        program = sg_program("a")
+        plan = service.compile(program)
+        stale = []
+        thread, release = self._parked_fill(
+            monkeypatch, cost, "analyze_cost_query",
+            lambda: stale.append(plan.decision("a")),
+        )
+        service.mutate(inserts={"up": [("c", "a")]})  # closes a cycle
+        release.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert stale[0].bounds["counting"] is not None
+        assert plan.decision("a").bounds["counting"] is None
+
+
 #: row asked for by name — all on the one plan, all at once
 STRESS_METHODS = [
     "shared_magic", "adaptive", "mc_multiple_integrated", "shared_magic",

@@ -10,9 +10,9 @@ optimized program, the per-pass :class:`OptimizationTrace` provenance,
 and JSON/SARIF renderings.
 
 Every pass preserves the answers of ``program.query`` and never
-increases charged tuple retrievals; the serving layer additionally
-cross-checks optimized plans against the unoptimized program at
-compile time (see :func:`repro.service.plan.compile_program_plan`).
+increases charged tuple retrievals.  It is called from the CLI
+(``repro optimize``, ``repro analyze --all``) and by whoever wants an
+optimized program; the serving layer does not import it.
 """
 
 from ..sarif import report_to_sarif

@@ -29,7 +29,12 @@ from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 from ..datalog.atom import Atom, Literal
 from ..datalog.database import Database
 from ..datalog.evaluation import seminaive_evaluate
-from ..datalog.linear import LinearRecursion, analyze_linear
+from ..datalog.linear import (
+    PART_PREDICATES,
+    LinearRecursion,
+    analyze_linear,
+    part_rules,
+)
 from ..datalog.program import Program
 from ..datalog.relation import CostCounter, Relation, StorageBackend
 from ..datalog.rule import Rule
@@ -191,6 +196,8 @@ class CSLQuery:
         semi-naive evaluation of the non-recursive part of the program.
         Raises :class:`NotCSLError` when the program is outside the class.
         """
+        from ..datalog.engine import materialize_conjunction
+
         if database is None:
             raise NotCSLError("a database of EDB facts is required")
         if analysis is None:
@@ -199,28 +206,20 @@ class CSLQuery:
 
         # Materialize derived predicates (everything except the recursive
         # predicate itself) into a scratch copy of the database.
+        support, parts = part_rules(program, analysis)
         scratch = database.copy(CostCounter())
-        support = Program(
-            [r for r in program.rules if r.head.predicate != analysis.predicate]
-        )
-        if support.rules:
-            seminaive_evaluate(support, scratch)
+        if support:
+            seminaive_evaluate(Program(support), scratch)
 
-        def conjunction_pairs(elements, from_terms, to_terms) -> Set[Pair]:
-            """Evaluate a conjunction and project (from-part, to-part).
-
-            The conjunction is lowered once into a join kernel
-            (:mod:`repro.datalog.engine`) and executed flat — the same
-            machinery the semi-naive engine uses, so materialization
-            rides the compiled hot path too.
-            """
-            from ..datalog.engine import materialize_conjunction
-
-            from_terms = tuple(from_terms)
-            to_terms = tuple(to_terms)
+        pairs: Dict[str, Set[Pair]] = {part: set() for part in PART_PREDICATES}
+        for part, split, rule in parts:
+            # Each conjunction is lowered once into a join kernel
+            # (:mod:`repro.datalog.engine`) and executed flat — the same
+            # machinery the semi-naive engine uses, so materialization
+            # rides the compiled hot path too.
             try:
                 rows = materialize_conjunction(
-                    elements, from_terms + to_terms, scratch
+                    rule.body, rule.head.terms, scratch
                 )
             except ValueError as exc:
                 # An unbound projection term surfaces from the kernel as
@@ -229,28 +228,11 @@ class CSLQuery:
                 raise NotCSLError(
                     f"unbound term while materializing conjunct: {exc}"
                 ) from exc
-            split = len(from_terms)
-            return {row_to_pair(row, split) for row in rows}
-
-        left_pairs = conjunction_pairs(
-            analysis.left_elements,
-            analysis.head_bound_terms,
-            analysis.rec_bound_terms,
-        )
-        right_pairs = conjunction_pairs(
-            analysis.right_elements,
-            analysis.head_free_terms,
-            analysis.rec_free_terms,
-        )
-        exit_pairs: Set[Pair] = set()
-        for exit_rule in analysis.exit_rules:
-            exit_bound = tuple(exit_rule.head.terms[i] for i in analysis.bound)
-            exit_free = tuple(exit_rule.head.terms[i] for i in analysis.free)
-            exit_pairs |= conjunction_pairs(exit_rule.body, exit_bound, exit_free)
+            pairs[part].update(row_to_pair(row, split) for row in rows)
 
         goal_constants = tuple(goal.terms[i].value for i in analysis.bound)
         source = goal_constants[0] if len(goal_constants) == 1 else goal_constants
-        return cls(left_pairs, exit_pairs, right_pairs, source)
+        return cls(pairs["left"], pairs["exit"], pairs["right"], source)
 
     # --- bridges back to Datalog ---------------------------------------
 

@@ -181,45 +181,31 @@ def method_program(
     strategy: Strategy = Strategy.MULTIPLE,
     mode: Mode = Mode.INTEGRATED,
     scc_step1: bool = False,
-    optimize: bool = False,
 ):
     """One method's modified-rule listing as a Datalog program artifact.
 
-    Runs Step 1, emits the Section 4/5 modified rules via
-    :func:`magic_counting_program`, and — with ``optimize`` — feeds them
-    through the static program optimizer against the query's database
-    snapshot.  Returns ``(program, report)`` where ``report`` is the
-    :class:`~repro.analysis.rewrite.OptimizationReport` (``None`` when
-    ``optimize`` is off).  This is the inspectable/benchmarkable twin of
+    Runs Step 1 and emits the Section 4/5 modified rules via
+    :func:`magic_counting_program`.  Returns ``(program, None)``: the
+    rules as emitted, and no optimizer report — the optimized twin is
+    ``optimize_program(program, query.database())`` from
+    :mod:`repro.analysis.rewrite`, which ``core`` does not import.  This
+    is the inspectable/benchmarkable twin of
     :func:`~repro.core.methods.magic_counting`: same Step 1, but the
     Step 2 fixpoint stays a program for the generic engine instead of a
     specialised loop.
     """
     reduced = reduced_sets_for(query.instance(), strategy, mode, scc_step1)
-    program = magic_counting_program(query.to_program(), reduced, mode)
-    if not optimize:
-        return program, None
-    from ..analysis.rewrite import optimize_program
-
-    report = optimize_program(program, query.database())
-    return report.program, report
+    return magic_counting_program(query.to_program(), reduced, mode), None
 
 
-def evaluate_with_program_rewrite(
-    query, strategy, mode, scc_step1=False, optimize=False
-):
+def evaluate_with_program_rewrite(query, strategy, mode, scc_step1=False):
     """Convenience: CSLQuery -> Step 1 -> emitted program -> semi-naive.
 
     Returns the answer set; used by the cross-validation tests to check
     the specialised Step-2 engines against the generic Datalog engine
-    evaluating the paper's literal rule listings.  ``optimize`` runs the
-    static program optimizer (:mod:`repro.analysis.rewrite`) over the
-    emitted rules first — answers are unchanged by contract, retrievals
-    only go down.
+    evaluating the paper's literal rule listings.
     """
     from ..datalog.evaluation import answer_tuples
 
-    rewritten, _report = method_program(
-        query, strategy, mode, scc_step1, optimize
-    )
+    rewritten, _report = method_program(query, strategy, mode, scc_step1)
     return frozenset(v for (v,) in answer_tuples(rewritten, query.database()))

@@ -22,7 +22,7 @@ construction (:mod:`repro.core.csl`) both build on this decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..errors import NotCSLError
 from .adornment import adornment_from_goal, bound_positions, free_positions
@@ -262,3 +262,60 @@ def analyze_linear(program: Program, goal: Atom = None) -> LinearRecursion:
         rec_bound_terms=rec_bound_terms,
         rec_free_terms=rec_free_terms,
     )
+
+
+#: the predicate each pair set of a CSL query is the extension of, keyed
+#: by the :class:`~repro.core.csl.CSLQuery` field, in ``L``/``E``/``R``
+#: order
+PART_PREDICATES: Dict[str, str] = {
+    "left": "__part_l", "exit": "__part_e", "right": "__part_r"
+}
+
+
+def part_rules(
+    program: Program, analysis: LinearRecursion
+) -> Tuple[List[Rule], List[Tuple[str, int, Rule]]]:
+    """What ``L``/``E``/``R`` *are* for a decomposed CSL program.
+
+    Returns ``(support, parts)``.  ``parts`` holds one ``(part, split,
+    rule)`` per conjunction: ``rule``'s body is the conjunction and its
+    head — predicate ``PART_PREDICATES[part]`` — projects the from-side
+    terms, ``split`` of them, then the to-side terms, so a derived row
+    cut at ``split`` is one pair of the ``part`` pair set (``exit`` has
+    one rule per exit rule; their union is ``E``).  ``support`` is the
+    program's rules for every predicate but the recursive one: the
+    derived predicates the conjunctions may read.
+    """
+
+    def part(name, from_terms, to_terms, body):
+        head = Atom(PART_PREDICATES[name], tuple(from_terms) + tuple(to_terms))
+        return name, len(from_terms), Rule(head, tuple(body))
+
+    parts = [
+        part(
+            "left",
+            analysis.head_bound_terms,
+            analysis.rec_bound_terms,
+            analysis.left_elements,
+        ),
+        part(
+            "right",
+            analysis.head_free_terms,
+            analysis.rec_free_terms,
+            analysis.right_elements,
+        ),
+    ]
+    for exit_rule in analysis.exit_rules:
+        terms = exit_rule.head.terms
+        parts.append(
+            part(
+                "exit",
+                [terms[i] for i in analysis.bound],
+                [terms[i] for i in analysis.free],
+                exit_rule.body,
+            )
+        )
+    support = [
+        r for r in program.rules if r.head.predicate != analysis.predicate
+    ]
+    return support, parts

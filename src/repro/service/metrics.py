@@ -128,7 +128,6 @@ class BatchMetrics:
         self._plan_bytes: int = 0
         self._predicted_method: str = ""
         self._predicted_bound: Optional[int] = None
-        self._optimization: Optional[Dict[str, object]] = None
 
     def record_plan(
         self, compile_seconds: float, backend: str, plan_bytes: int
@@ -139,11 +138,6 @@ class BatchMetrics:
         self._compile_ms = compile_seconds * 1000.0
         self._backend = backend
         self._plan_bytes = plan_bytes
-
-    def record_optimization(self, summary: Dict[str, object]) -> None:
-        """Record the plan optimizer's verified deltas for this batch
-        (the :meth:`OptimizationReport.summary` of the plan's program)."""
-        self._optimization = dict(summary)
 
     def record_predicted(self, method: str, bound: Optional[int]) -> None:
         """Record the statically certified retrieval bound for the batch
@@ -194,14 +188,6 @@ class BatchMetrics:
             report["compile_ms"] = self._compile_ms
             report["backend"] = self._backend
             report["plan_bytes"] = self._plan_bytes
-        if self._optimization is not None:
-            report["rules_removed"] = self._optimization.get(
-                "rules_removed", 0
-            )
-            report["literals_removed"] = self._optimization.get(
-                "literals_removed", 0
-            )
-            report["optimize_ms"] = self._optimization.get("optimize_ms", 0.0)
         if self._predicted_method:
             report["predicted_method"] = self._predicted_method
             report["predicted_bound"] = self._predicted_bound
@@ -240,9 +226,6 @@ class ServiceMetrics:
         "maintenance_retrievals",
         "bound_checks",
         "bound_violations",
-        "optimized_compiles",
-        "optimizer_rules_removed",
-        "optimizer_literals_removed",
         "batch_latency",
     )
 
@@ -268,12 +251,6 @@ class ServiceMetrics:
         # indicts the cost analyzer's soundness, never the answers).
         self.bound_checks = 0  # guarded-by: _lock
         self.bound_violations = 0  # guarded-by: _lock
-        # Program optimization at plan-compile time: how many compiles
-        # carried a changed (and compile-time-verified) optimized
-        # program, and the summed rule/literal deltas.
-        self.optimized_compiles = 0  # guarded-by: _lock
-        self.optimizer_rules_removed = 0  # guarded-by: _lock
-        self.optimizer_literals_removed = 0  # guarded-by: _lock
         self.batch_latency = LatencyHistogram()
 
     def record_batch(
@@ -314,13 +291,6 @@ class ServiceMetrics:
         with self._lock:
             self.maintenance_fallbacks += count
 
-    def record_optimization(self, rules_removed: int, literals_removed: int) -> None:
-        """One plan compile whose program the optimizer improved."""
-        with self._lock:
-            self.optimized_compiles += 1
-            self.optimizer_rules_removed += rules_removed
-            self.optimizer_literals_removed += literals_removed
-
     def record_bound_check(self, violated: bool) -> None:
         """One batch served with a certified bound attached."""
         with self._lock:
@@ -345,9 +315,6 @@ class ServiceMetrics:
                 "maintenance_retrievals": self.maintenance_retrievals,
                 "bound_checks": self.bound_checks,
                 "bound_violations": self.bound_violations,
-                "optimized_compiles": self.optimized_compiles,
-                "optimizer_rules_removed": self.optimizer_rules_removed,
-                "optimizer_literals_removed": self.optimizer_literals_removed,
             }
         for key, value in self.batch_latency.summary().items():
             report[f"batch_{key}"] = value

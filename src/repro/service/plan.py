@@ -43,7 +43,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    List,
     NamedTuple,
     Optional,
     Set,
@@ -61,21 +60,21 @@ from ..analysis.static.safety import (
 # ``repro.service.plan.classify_nodes`` at start-up.  Nothing in the
 # service calls it (the metric reads 0.0, "a layer that never ran"); a
 # later ``benchmark`` PR removes the probe and this line together.
+# ``CompiledPlan.optimization`` below is the same kind of line.
 from ..core.classification import classify_nodes  # noqa: F401
 from ..core.csl import CSLQuery, Pair, row_to_pair
-from ..datalog.atom import Atom
 from ..datalog.database import Database
-from ..datalog.linear import LinearRecursion, analyze_linear
+from ..datalog.linear import (
+    PART_PREDICATES,
+    LinearRecursion,
+    analyze_linear,
+    part_rules,
+)
 from ..datalog.maintenance import MaintenanceState
 from ..datalog.program import Program
 from ..datalog.relation import CostCounter
-from ..datalog.rule import Rule
 from ..errors import MaintenanceError, ReproError
-from .fingerprint import (
-    database_fingerprint,
-    pairs_fingerprint,
-    program_fingerprint,
-)
+from .fingerprint import pairs_fingerprint, program_fingerprint
 
 #: sources held by each per-source memo before the oldest is evicted: a
 #: region the analyzer is willing to walk is a pool the plan is willing
@@ -98,11 +97,10 @@ _EMPTY_MAINTENANCE = {
 class PlanMaintainer:
     """Incremental maintenance of a plan's ``L``/``E``/``R`` pair sets.
 
-    Re-expresses the materialization that :meth:`CSLQuery.from_program`
-    performs at compile time as three maintained IDB predicates —
-    ``__part_l``/``__part_e``/``__part_r`` over the same conjunctions
-    :func:`analyze_linear` decomposed — plus the program's own support
-    rules, and hands the whole thing to a
+    Hands the materialization that :meth:`CSLQuery.from_program`
+    performs at compile time — the part rules and support rules of
+    :func:`~repro.datalog.linear.part_rules`, three maintained IDB
+    predicates ``__part_l``/``__part_e``/``__part_r`` — as one program to a
     :class:`~repro.datalog.maintenance.MaintenanceState` over a private
     copy of the database.  :meth:`apply` then translates an EDB fact
     delta into pair-set deltas for each part.
@@ -118,71 +116,25 @@ class PlanMaintainer:
     ``MaintenanceState._lock``, acquired strictly in that direction.
     """
 
-    #: (the :class:`CSLQuery` field a part materializes, its maintained
-    #: predicate) in ``L``/``E``/``R`` order
-    PARTS = (
-        ("left", "__part_l"), ("exit", "__part_e"), ("right", "__part_r")
-    )
-
     def __init__(
         self,
         program: Program,
         analysis: LinearRecursion,
         database: Database,
     ):
-        rules: List[Rule] = [
-            r
-            for r in program.rules
-            if r.head.predicate != analysis.predicate
-        ]
-        rules.append(
-            Rule(
-                Atom(
-                    "__part_l",
-                    tuple(analysis.head_bound_terms)
-                    + tuple(analysis.rec_bound_terms),
-                ),
-                tuple(analysis.left_elements),
-            )
-        )
-        rules.append(
-            Rule(
-                Atom(
-                    "__part_r",
-                    tuple(analysis.head_free_terms)
-                    + tuple(analysis.rec_free_terms),
-                ),
-                tuple(analysis.right_elements),
-            )
-        )
-        for exit_rule in analysis.exit_rules:
-            rules.append(
-                Rule(
-                    Atom(
-                        "__part_e",
-                        tuple(exit_rule.head.terms[i] for i in analysis.bound)
-                        + tuple(
-                            exit_rule.head.terms[i] for i in analysis.free
-                        ),
-                    ),
-                    tuple(exit_rule.body),
-                )
-            )
-        self._splits = {
-            "left": len(analysis.head_bound_terms),
-            "exit": len(analysis.bound),
-            "right": len(analysis.head_free_terms),
-        }
+        support, parts = part_rules(program, analysis)
+        self._splits = {part: split for part, split, _rule in parts}
         # A private copy: maintenance must stay exact under churn, so the
         # service's live database (mutated first, possibly rolled back)
         # is mirrored here through apply() only.
         self._lock = threading.Lock()
         self.database = database.copy(CostCounter())  # guarded-by: _lock
-        self.state = MaintenanceState(Program(rules), self.database)  # guarded-by: _lock
+        maintained = Program(support + [rule for _part, _split, rule in parts])
+        self.state = MaintenanceState(maintained, self.database)  # guarded-by: _lock
 
     def pairs(self, part: str) -> Set[Pair]:
         """The current pair set of one part (uncharged structural read)."""
-        predicate = dict(self.PARTS)[part]
+        predicate = PART_PREDICATES[part]
         split = self._splits[part]
         with self._lock:
             if not self.database.has_relation(predicate):
@@ -198,7 +150,7 @@ class PlanMaintainer:
         with self._lock:
             report = self.state.apply(inserts=inserts, deletes=deletes)
         part_deltas: Dict[str, Tuple[Set[Pair], Set[Pair]]] = {}
-        for part, predicate in self.PARTS:
+        for part, predicate in PART_PREDICATES.items():
             split = self._splits[part]
             part_deltas[part] = (
                 {
@@ -226,6 +178,12 @@ class SourceDecision(NamedTuple):
 class CompiledPlan:
     """The compiled, source-independent artifacts of one CSL program."""
 
+    # Benchmark-compat shim: read only by the benchmark's replay
+    # (benchmarks/e2e/layers.py, ``service.plan.optimize_ms`` — reads
+    # 0.0, "a layer that never ran"); item 1's benchmark-only PR removes
+    # the probe and this line together.
+    optimization = None
+
     def __init__(
         self,
         query: CSLQuery,
@@ -235,8 +193,6 @@ class CompiledPlan:
         compile_seconds: float = 0.0,
         maintainer: Optional[PlanMaintainer] = None,
         database_dependent: bool = True,
-        optimization=None,
-        unoptimized_program: Optional[Program] = None,
         backend: str = "set",
     ):
         # The base query — the pair sets and, built on first use, their
@@ -261,14 +217,6 @@ class CompiledPlan:
         # carry no database-derived state: maintain() only re-stamps
         # their version.
         self.database_dependent = database_dependent
-        # Program optimization provenance: the OptimizationReport when
-        # the optimizer ran (None when disabled), and the original
-        # program kept as the differential oracle.  Maintenance and
-        # materialization always run from the *unoptimized* program —
-        # the optimizer's database-dependent deletions are verified only
-        # against the compile-time snapshot, never trusted under churn.
-        self.optimization = optimization
-        self.unoptimized_program = unoptimized_program
         # The memo caches are filled lazily from whichever worker thread
         # first asks.  _memo_lock guards read, publish and evict only:
         # an analysis runs outside it (see _memoized), so one worker's
@@ -463,17 +411,6 @@ class CompiledPlan:
             "maintainable": (
                 not self.database_dependent or self.maintainer is not None
             ),
-            "optimized": (
-                self.optimization is not None and self.optimization.changed
-            ),
-            "optimizer_rules_removed": (
-                0 if self.optimization is None
-                else self.optimization.rules_removed
-            ),
-            "optimizer_literals_removed": (
-                0 if self.optimization is None
-                else self.optimization.literals_removed
-            ),
         }
 
     def __repr__(self):
@@ -494,38 +431,8 @@ def _decide(query: CSLQuery) -> SourceDecision:
     )
 
 
-def _verified_optimization(program, database, query):
-    """Optimize ``program`` and verify the result at compile time.
-
-    The optimizer's database-dependent passes are exact only for the
-    snapshot they saw, so the plan keeps executing the *original*
-    materialization; the optimized program is accepted as provenance
-    only when it re-compiles to bit-identical ``L``/``E``/``R`` pair
-    sets (the compile-time differential oracle).  The verification
-    compile charges a throwaway counter, never the serving database's.
-    Returns the report, or ``None`` when verification fails.
-    """
-    from ..analysis.rewrite import optimize_program
-
-    report = optimize_program(program, database)
-    if not report.changed:
-        return report
-    try:
-        shadow = database.copy(CostCounter())
-        verified = CSLQuery.from_program(report.program, database=shadow)
-    except ReproError:
-        return None
-    if (
-        verified.left != query.left
-        or verified.exit != query.exit
-        or verified.right != query.right
-    ):
-        return None
-    return report
-
-
 def compile_program_plan(
-    program, database, db_version: int = 0, optimize: bool = True
+    program, database, db_version: int = 0
 ) -> CompiledPlan:
     """Compile a CSL-shaped Datalog program against ``database``.
 
@@ -533,19 +440,11 @@ def compile_program_plan(
     :meth:`CSLQuery.from_program` — derived ``L``/``E``/``R``
     conjunctions are evaluated here, once, rather than per goal.
     Raises :class:`~repro.errors.NotCSLError` outside the class.
-
-    With ``optimize`` (the default) it additionally runs the program
-    optimizer (:mod:`repro.analysis.rewrite`) and attaches the verified
-    :class:`~repro.analysis.rewrite.OptimizationReport`, keeping the
-    unoptimized program on the plan as the differential oracle.
     """
     started = time.perf_counter()
     analysis = analyze_linear(program)
     query = CSLQuery.from_program(
         program, analysis=analysis, database=database
-    )
-    optimization = (
-        _verified_optimization(program, database, query) if optimize else None
     )
     maintainer: Optional[PlanMaintainer] = None
     try:
@@ -566,12 +465,9 @@ def compile_program_plan(
     return CompiledPlan(
         query,
         fingerprint=program_fingerprint(program),
-        database_fp=database_fingerprint(database),
         db_version=db_version,
         compile_seconds=time.perf_counter() - started,
         maintainer=maintainer,
-        optimization=optimization,
-        unoptimized_program=program,
         backend=database.backend,
     )
 

@@ -141,7 +141,6 @@ class SolverService:
         plan_cache_size: int = 8,
         verify_database: bool = False,
         unsafe_fallback: bool = False,
-        optimize: bool = True,
     ):
         """``verify_database`` re-digests the EDB on every cache hit and
         recompiles on mismatch — a paranoia mode for callers that keep a
@@ -162,11 +161,6 @@ class SolverService:
         self.metrics = ServiceMetrics()
         self.verify_database = verify_database
         self.unsafe_fallback = unsafe_fallback
-        # Static program optimization at plan-compile time (verified
-        # against the unoptimized materialization; see
-        # compile_program_plan).  Default on; ``optimize=False`` keeps
-        # plan compiles strictly on the original program.
-        self.optimize = optimize
         # Reentrant: a verify_database mismatch inside _plan_for calls
         # _mutated while already holding the lock.
         self._lock = threading.RLock()
@@ -336,19 +330,14 @@ class SolverService:
                 return plan, True
             if isinstance(target, CSLQuery):
                 plan = compile_query_plan(target, db_version=self._db_version)
-                plan.database_fp = database_fingerprint(self.database)
             else:
                 plan = compile_program_plan(
-                    target,
-                    self.database,
-                    db_version=self._db_version,
-                    optimize=self.optimize,
+                    target, self.database, db_version=self._db_version
                 )
-                if plan.optimization is not None and plan.optimization.changed:
-                    self.metrics.record_optimization(
-                        plan.optimization.rules_removed,
-                        plan.optimization.literals_removed,
-                    )
+            if self.verify_database:
+                # The digest exists only where the check above reads it
+                # (mutate() refreshes it under the same flag).
+                plan.database_fp = database_fingerprint(self.database)
             self.plan_cache.put(key, plan)
             self.metrics.record_compile()
             return plan, False
@@ -447,8 +436,6 @@ class SolverService:
             metrics.record_plan(
                 plan.compile_seconds, plan.backend, plan.memory_bytes()
             )
-            if plan.optimization is not None and plan.optimization.changed:
-                metrics.record_optimization(plan.optimization.summary())
             metrics.record_predicted(bound_method, predicted)
             with plan.exec_lock:
                 # Execute-time version check: a concurrent mutation may

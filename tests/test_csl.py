@@ -276,3 +276,112 @@ class TestFromProgram:
 
         datalog = {v for (v,) in answer_tuples(program, db.copy())}
         assert set(fact2_answer(query)) == datalog
+
+
+# (program text, {relation: rows}, expected L, expected E, expected R):
+# the derived same-generation program of the benchmark's churn_derived
+# workload, two exit rules, and two bound columns (tuple-valued pairs).
+PART_RULE_CASES = {
+    "derived_samegen": (
+        """
+        sg(X, Y) :- self(X, Y).
+        sg(X, Y) :- parent(X, X1), sg(X1, Y1), parent(Y, Y1).
+        parent(X, Y) :- mother(X, Y).
+        parent(X, Y) :- father(X, Y).
+        ?- sg(c, Y).
+        """,
+        {
+            "mother": [("c", "m"), ("d", "m")],
+            "father": [("c", "f")],
+            "self": [("m", "m"), ("f", "f")],
+        },
+        {("c", "m"), ("d", "m"), ("c", "f")},
+        {("m", "m"), ("f", "f")},
+        {("c", "m"), ("d", "m"), ("c", "f")},
+    ),
+    "two_exit_rules": (
+        """
+        sg(X, Y) :- flat(X, Y).
+        sg(X, Y) :- twin(Y, X).
+        sg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y, Y1).
+        ?- sg(a, Y).
+        """,
+        {
+            "up": [("a", "b")],
+            "flat": [("b", "b1")],
+            "twin": [("t", "b"), ("b1", "b")],
+            "down": [("y", "b1"), ("z", "t")],
+        },
+        {("a", "b")},
+        {("b", "b1"), ("b", "t")},
+        {("y", "b1"), ("z", "t")},
+    ),
+    "two_bound_columns": (
+        """
+        p(A, B, Y) :- flat(A, B, Y).
+        p(A, B, Y) :- step(A, B, A1, B1), p(A1, B1, Y1), down(Y, Y1).
+        ?- p(u, v, Y).
+        """,
+        {
+            "step": [("u", "v", "u2", "v2"), ("u2", "v2", "u3", "v3")],
+            "flat": [("u2", "v2", "top"), ("u3", "v3", "top")],
+            "down": [("bot", "top")],
+        },
+        {(("u", "v"), ("u2", "v2")), (("u2", "v2"), ("u3", "v3"))},
+        {(("u2", "v2"), "top"), (("u3", "v3"), "top")},
+        {("bot", "top")},
+    ),
+}
+
+
+class TestPartRulesThroughBothEngines:
+    """``datalog.linear.part_rules`` is the one definition of what
+    ``L``/``E``/``R`` are; the kernel materializer and the maintained
+    program are the two engines that compute it."""
+
+    @pytest.mark.parametrize("case", sorted(PART_RULE_CASES))
+    def test_plan_query_and_maintainer_agree_with_the_expectation(self, case):
+        text, facts, left, exit, right = PART_RULE_CASES[case]
+        program = parse_program(text)
+        db = Database()
+        for name, rows in facts.items():
+            db.add_facts(name, rows)
+        query = CSLQuery.from_program(program, database=db)
+        plan = compile_program_plan(program, db)
+        compiled = plan.query_for(plan.default_source)
+        assert plan.maintainer is not None
+        for part, expected in (("left", left), ("exit", exit), ("right", right)):
+            assert getattr(query, part) == expected, part
+            assert getattr(compiled, part) == expected, part
+            assert plan.maintainer.pairs(part) == expected, part
+
+    def test_part_rules_lists_one_rule_per_conjunction(self):
+        from repro.datalog.linear import analyze_linear, part_rules
+
+        program = parse_program(PART_RULE_CASES["two_exit_rules"][0])
+        support, parts = part_rules(program, analyze_linear(program))
+        assert support == []
+        assert [(part, split) for part, split, _rule in parts] == [
+            ("left", 1), ("right", 1), ("exit", 1), ("exit", 1)
+        ]
+        assert [str(rule.head) for _part, _split, rule in parts] == [
+            "__part_l(X, X1)", "__part_r(Y, Y1)",
+            "__part_e(X, Y)", "__part_e(X, Y)",
+        ]
+
+    def test_unbound_projection_is_still_not_csl(self):
+        program = parse_program(
+            """
+            reach(X, Y) :- edge(X, Y).
+            reach(X, Y) :- edge(X, Z), reach(Z, Y).
+            ?- reach(a, Y).
+            """
+        )
+        db = Database()
+        db.add_facts("edge", [("a", "b")])
+        with pytest.raises(NotCSLError) as raised:
+            CSLQuery.from_program(program, database=db)
+        assert str(raised.value) == (
+            "unbound term while materializing conjunct: unbound variable Y "
+            "instantiating $conjunction(Y, Y)"
+        )

@@ -144,6 +144,34 @@ def test_the_table_imports_neither_the_emitter_nor_the_optimizer():
     ]
 
 
+def test_nothing_that_serves_imports_the_optimizer():
+    """The optimizer is a tool the CLI calls (``repro optimize``,
+    ``analyze --all``): no module-level or function-level import of
+    ``analysis.rewrite`` under the packages an answer passes through."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    offenders = []
+    for package in ("core", "service", "server", "cluster"):
+        for path in sorted((root / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        f"{node.module or ''}.{alias.name}"
+                        for alias in node.names
+                    ]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any("analysis.rewrite" in name for name in names):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert offenders == []
+
+
 def test_the_service_offers_its_two_methods_then_the_table():
     assert list(BATCH_METHODS) == ["shared_magic", "adaptive", *METHODS]
     assert isinstance(BATCH_METHODS, tuple)  # wire values are tested with `in`

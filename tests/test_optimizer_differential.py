@@ -105,9 +105,7 @@ class TestRewriteOutputsStayCorrect:
         query = random_csl(seed)
         for mode in (Mode.INDEPENDENT, Mode.INTEGRATED):
             plain, _ = method_program(query, Strategy.MULTIPLE, mode)
-            optimized, report = method_program(
-                query, Strategy.MULTIPLE, mode, optimize=True
-            )
+            optimized = optimize_program(plain, query.database()).program
             base_db = query.database()
             opt_db = query.database()
             expected = answer_tuples(plain, base_db)
@@ -128,18 +126,3 @@ class TestRewriteOutputsStayCorrect:
         expected = answer_tuples(program, base_db)
         assert answer_tuples(report.program, opt_db) == expected
         assert opt_db.counter.retrievals <= base_db.counter.retrievals
-
-
-class TestServiceDifferential:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_service_answers_identical_with_optimizer_on_and_off(self, seed):
-        from repro.service import SolverService
-        from repro.workloads.random_graphs import random_csl
-
-        query = random_csl(seed)
-        program = query.to_program()
-        on = SolverService(query.database())
-        off = SolverService(query.database(), optimize=False)
-        result_on = on.solve_batch(program, None)
-        result_off = off.solve_batch(program, None)
-        assert result_on.answers == result_off.answers

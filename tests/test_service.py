@@ -12,6 +12,7 @@ from repro.errors import EvaluationError, UnsafeQueryError
 from repro.service import (
     PlanCache,
     SolverService,
+    database_fingerprint,
     program_fingerprint,
     target_fingerprint,
 )
@@ -307,6 +308,66 @@ class TestPlanCache:
         assert after.answers["d"] == frozenset({"y2", "d1"})
         # No false positives: an untouched database still hits.
         assert service.solve_batch(program, ["d"]).cache_hit is True
+
+    def test_database_fp_is_current_or_empty_never_stale(self):
+        program = sg_program("d")
+        verifying = SolverService(sg_database(), verify_database=True)
+        plan = verifying.compile(program)
+        assert plan.describe()["database_fp"] == database_fingerprint(
+            verifying.database
+        )
+        assert verifying.add_fact("flat", "d", "d1")
+        assert verifying.compile(program) is plan  # maintained in place
+        assert plan.describe()["database_fp"] == database_fingerprint(
+            verifying.database
+        )
+        # Without the flag nothing reads the digest, so none is taken.
+        service = SolverService(sg_database())
+        plan = service.compile(program)
+        assert plan.describe()["database_fp"] == ""
+        assert service.add_fact("flat", "d", "d1")
+        assert service.compile(program) is plan
+        assert plan.describe()["database_fp"] == ""
+
+    def test_verify_database_guards_a_query_target_too(self, samegen_query):
+        database = sg_database()
+        service = SolverService(database, verify_database=True)
+        before = service.solve_batch(samegen_query, ["d"])
+        assert before.plan.database_fp == database_fingerprint(database)
+        assert service.solve_batch(samegen_query, ["d"]).cache_hit is True
+        database.add_fact("flat", "d", "d1")  # out of band
+        after = service.solve_batch(samegen_query, ["d"])
+        assert after.cache_hit is False
+        assert after.plan is not before.plan
+        assert after.plan.database_fp == database_fingerprint(database)
+        assert after.answers == before.answers  # pair sets came in explicitly
+
+    def test_the_optimizer_is_not_a_knob_and_reports_no_keys(self):
+        import inspect
+
+        from repro.core.program_rewrite import (
+            evaluate_with_program_rewrite,
+            method_program,
+        )
+        from repro.service.plan import compile_program_plan
+
+        for function in (
+            SolverService.__init__,
+            compile_program_plan,
+            method_program,
+            evaluate_with_program_rewrite,
+        ):
+            assert "optimize" not in inspect.signature(function).parameters
+        service = SolverService(sg_database())
+        batch = service.solve_batch(sg_program("d"), ["d"])
+        removed = {
+            "optimized", "optimizer_rules_removed", "optimizer_literals_removed",
+            "rules_removed", "literals_removed", "optimize_ms",
+            "optimized_compiles",
+        }
+        assert not removed & set(batch.plan.describe())
+        assert not removed & set(batch.metrics)
+        assert not removed & set(service.stats())
 
     def test_target_fingerprint_memoizes_and_revalidates(self):
         program = sg_program()

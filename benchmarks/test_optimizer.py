@@ -82,7 +82,7 @@ def _rewrites(query):
     yield "supplementary", supplementary_magic_rewrite(program)
     yield "mc-integrated", method_program(
         query, Strategy.MULTIPLE, Mode.INTEGRATED
-    )[0]
+    )
 
 
 def _measure(query, program):

@@ -26,7 +26,6 @@ from .framework import (
     RULE_METADATA,
     STATIC_PASSES,
     StaticReport,
-    analyze_query,
     run_static_analysis,
 )
 from .rewrite_check import (
@@ -42,7 +41,6 @@ from .safety import (
     certify_program,
     certify_relation,
     certify_source,
-    find_l_cycle,
 )
 
 __all__ = [
@@ -55,13 +53,11 @@ __all__ = [
     "SafetyCertificate",
     "StaticReport",
     "Verdict",
-    "analyze_query",
     "certify_counting_safety",
     "certify_program",
     "certify_relation",
     "certify_source",
     "expected_reduced_sets",
-    "find_l_cycle",
     "lint_rewrite_outputs",
     "method_admissibility",
     "recommended",

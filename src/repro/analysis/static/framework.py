@@ -8,9 +8,8 @@ the shared :class:`~repro.analysis.static.facts.ProgramFacts`.
 :func:`run_static_analysis` drives every registered pass (or a caller-
 selected subset) and folds the results — diagnostics plus the
 structured artifacts (safety certificate, classification, method
-advisory) — into one :class:`StaticReport` that the serving layer can
-attach to a compiled plan and the CLI can render as text, JSON, or
-SARIF.
+advisory) — into one :class:`StaticReport` that the CLI renders as
+text, JSON, or SARIF.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from ...diagnostics import (
 from .admissibility import MethodVerdict, method_admissibility, recommended
 from .facts import ProgramFacts
 from .rewrite_check import verify_rewrites
-from .safety import SafetyCertificate, Verdict, certify_counting_safety
+from .safety import SafetyCertificate, Verdict
 
 #: Every diagnostic code the pipeline can emit, with SARIF descriptions.
 RULE_METADATA: Dict[str, str] = {
@@ -232,31 +231,4 @@ def run_static_analysis(
         recommended_method=None
         if certificate is None
         else recommended(classification, certificate),
-    )
-
-
-def analyze_query(query: CSLQuery) -> StaticReport:
-    """A report for an already-materialized CSL query.
-
-    Used by the serving layer when a plan is compiled directly from a
-    :class:`CSLQuery` (no Datalog source to lint): only the graph-level
-    passes — safety certification and method admissibility — apply.
-    """
-    from ...core.classification import classify_nodes
-
-    certificate = certify_counting_safety(query)
-    classification = classify_nodes(query)
-    diagnostics: List[Diagnostic] = []
-    if certificate.verdict == Verdict.UNSAFE:
-        diagnostics.append(
-            Diagnostic("warning", "counting-unsafe", certificate.describe())
-        )
-    return StaticReport(
-        goal=f"p({query.source!r}, Y)?",
-        diagnostics=diagnostics,
-        passes_run=["counting-safety"],
-        certificate=certificate,
-        graph_class=classification.graph_class.value,
-        admissibility=method_admissibility(certificate),
-        recommended_method=recommended(classification, certificate),
     )

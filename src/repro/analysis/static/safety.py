@@ -116,19 +116,6 @@ def _witness_cycle(
     return None if component is None else _cycle_within(component, successors)
 
 
-def find_l_cycle(
-    left: Iterable[Pair], restrict: Optional[Set[object]] = None
-) -> Optional[Tuple[object, ...]]:
-    """A witness cycle of the (restricted) ``L`` graph, or None."""
-    index = GraphIndex(left)
-    if restrict is None:
-        return _witness_cycle(index.l_nodes(), index.l_successors)
-    return _witness_cycle(
-        restrict,
-        {b: index.l_successors.get(b, set()) & restrict for b in restrict},
-    )
-
-
 def certify_relation(
     left: Union[GraphIndex, Iterable[Pair]]
 ) -> SafetyCertificate:

@@ -181,21 +181,20 @@ def method_program(
     strategy: Strategy = Strategy.MULTIPLE,
     mode: Mode = Mode.INTEGRATED,
     scc_step1: bool = False,
-):
+) -> Program:
     """One method's modified-rule listing as a Datalog program artifact.
 
     Runs Step 1 and emits the Section 4/5 modified rules via
-    :func:`magic_counting_program`.  Returns ``(program, None)``: the
-    rules as emitted, and no optimizer report — the optimized twin is
-    ``optimize_program(program, query.database())`` from
-    :mod:`repro.analysis.rewrite`, which ``core`` does not import.  This
+    :func:`magic_counting_program`.  Returns the rules as emitted — the
+    optimized twin is ``optimize_program(program, query.database())``
+    from :mod:`repro.analysis.rewrite`, which ``core`` does not import.  This
     is the inspectable/benchmarkable twin of
     :func:`~repro.core.methods.magic_counting`: same Step 1, but the
     Step 2 fixpoint stays a program for the generic engine instead of a
     specialised loop.
     """
     reduced = reduced_sets_for(query.instance(), strategy, mode, scc_step1)
-    return magic_counting_program(query.to_program(), reduced, mode), None
+    return magic_counting_program(query.to_program(), reduced, mode)
 
 
 def evaluate_with_program_rewrite(query, strategy, mode, scc_step1=False):
@@ -207,5 +206,5 @@ def evaluate_with_program_rewrite(query, strategy, mode, scc_step1=False):
     """
     from ..datalog.evaluation import answer_tuples
 
-    rewritten, _report = method_program(query, strategy, mode, scc_step1)
+    rewritten = method_program(query, strategy, mode, scc_step1)
     return frozenset(v for (v,) in answer_tuples(rewritten, query.database()))

@@ -97,33 +97,30 @@ def adaptive_solve(
     the solver's behaviour can never drift apart.
 
     With ``cost_bounds=True`` the cost analyzer
-    (:mod:`repro.analysis.cost`) additionally certifies a retrieval
-    bound per method and the smallest certified bound wins the
-    ranking (ties and abstentions fall back to the regime heuristic).
+    (:func:`repro.analysis.cost.analyze_cost_query`, one region walk
+    that also names the regime) certifies a retrieval bound per method
+    and the smallest certified bound wins the ranking (ties and
+    abstentions fall back to the regime heuristic).
     The chosen plan's provenance, certified bound, and the full ranked
     table land in the result's ``details["plan"]``.
     """
-    from .classification import classify_nodes
-
-    classification = classify_nodes(query)
-    certificate = None
     if cost_bounds:
-        from ..analysis.cost import certify_cost
+        from ..analysis.cost import analyze_cost_query
 
-        certificate = certify_cost(query)
-    recommendation = recommended_plan(
-        classification, cost_certificate=certificate
-    )
-    result = METHODS[recommendation.method].run(query, counter=counter)
-    if cost_bounds:
+        report = analyze_cost_query(query)
+        recommendation = report.recommendation
+        result = METHODS[recommendation.method].run(query, counter=counter)
         result.details["plan"] = {
             "provenance": recommendation.provenance,
-            "bound": None
-            if certificate is None
-            else certificate.bound_for(recommendation.method),
+            "bound": report.certificate.bound_for(recommendation.method),
             "ranking": recommendation.details.get("ranking"),
         }
-    return result
+        return result
+
+    from .classification import classify_nodes
+
+    recommendation = recommended_plan(classify_nodes(query))
+    return METHODS[recommendation.method].run(query, counter=counter)
 
 
 def _fact_count(database, name: str) -> int:

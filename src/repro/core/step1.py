@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from ..datalog.stratify import strongly_connected_components
 from .csl import CSLInstance, frontier_step
+from .graph_index import recurring_closure
 from .reduced_sets import Mode, ReducedSets, Strategy
 
 
@@ -177,23 +177,7 @@ def recurring_step1_scc(instance: CSLInstance) -> ReducedSets:
             reached |= successor_sets[value]
         frontier = reached - successor_sets.keys()
     seen = set(successor_sets)
-    components = strongly_connected_components(
-        sorted(seen, key=repr), successor_sets
-    )
-    cores: Set[object] = set()
-    for component in components:
-        if len(component) > 1:
-            cores.update(component)
-        elif component[0] in successor_sets[component[0]]:
-            cores.add(component[0])
-    recurring = set(cores)
-    stack = list(cores)
-    while stack:
-        value = stack.pop()
-        for successor in successor_sets[value]:
-            if successor not in recurring:
-                recurring.add(successor)
-                stack.append(successor)
+    components, recurring = recurring_closure(seen, successor_sets)
 
     # Index-set propagation over the non-recurring DAG.  Tarjan's output
     # order is reverse-topological w.r.t. the successor direction, so

@@ -16,11 +16,12 @@ cached half:
   the three tuple stores every execution reads, whose lazy hash indexes
   persist across batches — :meth:`CompiledPlan.query_for` only swaps
   the source in;
-* memoized per-source counting-safety certificates and decisions — the
-  row the cost analyzer recommends and every row's certified bound,
-  which is all a batch reads of a cost report (uncharged analysis) — so
-  the service can choose a method and refuse (or fall back from) a
-  certifiably divergent counting plan *before* any fixpoint starts.
+* one memoized :class:`SourceDecision` per source — the row the cost
+  analyzer recommends, every row's certified bound and the class of the
+  magic graph the source reaches, which is all a batch reads of a cost
+  report (uncharged analysis, one region walk) — so the service can
+  choose a method and refuse (or fall back from) a certifiably
+  divergent counting plan *before* any fixpoint starts.
 
 Plans used to be immutable with respect to the database state they
 were compiled from — the owning :class:`SolverService` discarded them
@@ -39,21 +40,13 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    NamedTuple,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, NamedTuple, Optional, Set, Tuple
 
 from ..analysis import cost as cost_analysis
 from ..analysis.static.safety import (
     SafetyCertificate,
-    certify_counting_safety,
     certify_relation,
+    certify_source,
 )
 # Re-exported only for the benchmark's ``core.classification.classify``
 # probe: benchmarks/e2e/tracing.py resolves
@@ -61,7 +54,7 @@ from ..analysis.static.safety import (
 # service calls it (the metric reads 0.0, "a layer that never ran"); a
 # later ``benchmark`` PR removes the probe and this line together.
 # ``CompiledPlan.optimization`` below is the same kind of line.
-from ..core.classification import classify_nodes  # noqa: F401
+from ..core.classification import MagicGraphClass, classify_nodes  # noqa: F401
 from ..core.csl import CSLQuery, Pair, row_to_pair
 from ..datalog.database import Database
 from ..datalog.linear import (
@@ -76,7 +69,7 @@ from ..datalog.relation import CostCounter
 from ..errors import MaintenanceError, ReproError
 from .fingerprint import pairs_fingerprint, program_fingerprint
 
-#: sources held by each per-source memo before the oldest is evicted: a
+#: sources held by the per-source memo before the oldest is evicted: a
 #: region the analyzer is willing to walk is a pool the plan is willing
 #: to remember
 _SOURCE_MEMO_LIMIT = cost_analysis.DEFAULT_NODE_BUDGET
@@ -173,6 +166,10 @@ class SourceDecision(NamedTuple):
     method: str
     #: row name -> certified retrieval bound (None: the analyzer abstained)
     bounds: Dict[str, Optional[int]]
+    #: class of the magic graph reachable from the source — counting
+    #: diverges exactly when it is CYCLIC (Proposition 1(c)); None when
+    #: the region was widened past the node budget and nothing is proved
+    graph_class: Optional[MagicGraphClass]
 
 
 class CompiledPlan:
@@ -217,13 +214,11 @@ class CompiledPlan:
         # carry no database-derived state: maintain() only re-stamps
         # their version.
         self.database_dependent = database_dependent
-        # The memo caches are filled lazily from whichever worker thread
-        # first asks.  _memo_lock guards read, publish and evict only:
-        # an analysis runs outside it (see _memoized), so one worker's
-        # cold source never delays another's warm read.
+        # The per-source memo is filled lazily from whichever worker
+        # thread first asks.  _memo_lock guards read, publish and evict
+        # only: an analysis runs outside it (see decision), so one
+        # worker's cold source never delays another's warm read.
         self._memo_lock = threading.Lock()
-        self._relation_certificate: Optional[SafetyCertificate] = None  # guarded-by: _memo_lock
-        self._source_certificates: Dict[object, SafetyCertificate] = {}  # guarded-by: _memo_lock
         self._decisions: Dict[object, SourceDecision] = {}  # guarded-by: _memo_lock
         # Held by a batch while it executes query_for() queries, and by
         # maintain() while it patches the stores they read: a batch
@@ -243,7 +238,7 @@ class CompiledPlan:
         """Apply an EDB fact delta to this plan *in place*.
 
         Updates the materialized pair sets (frozensets and stores
-        alike), clears the pair-dependent memo caches, and
+        alike), clears the pair-dependent decision memo, and
         re-stamps the plan's database version, all under the execution
         lock — a concurrently executing batch either finishes on the old
         state or starts on the new one.  Returns the flat maintenance
@@ -273,16 +268,14 @@ class CompiledPlan:
             }
             if deltas:
                 # A new base query, so a new index; the stores move to
-                # it, patched.  The pair-dependent memos are stale with
-                # the old one (safety certificates and decisions are
-                # graph analyses of the pair sets); swapping the query
-                # under the memo lock is what lets a fill that started
-                # on the old one see that it must not publish.
+                # it, patched.  The memoized decisions are stale with
+                # the old one (they are graph analyses of the pair
+                # sets); swapping the query under the memo lock is what
+                # lets a fill that started on the old one see that it
+                # must not publish.
                 patched = self._query.patched(**deltas)
                 with self._memo_lock:
                     self._query = patched
-                    self._relation_certificate = None
-                    self._source_certificates.clear()
                     self._decisions.clear()
             self.db_version = new_db_version
             if new_database_fp is not None:
@@ -302,14 +295,17 @@ class CompiledPlan:
         (execution, under :attr:`exec_lock`)."""
         return self._query.with_source(source)
 
-    def _memoized(
-        self,
-        memo: Dict[object, Any],
-        source,
-        analyze: Callable[[CSLQuery], Any],
-    ):
-        """``analyze(query_for(source))`` through a per-source memo that
-        evicts its oldest entry beyond :data:`_SOURCE_MEMO_LIMIT`.
+    # --- cost bounds ---------------------------------------------------
+
+    def decision(self, source) -> SourceDecision:
+        """The memoized :class:`SourceDecision` for one bound source:
+        the projection of :meth:`cost_report` a batch reads (uncharged
+        graph analysis over the plan's index; one
+        :func:`~repro.analysis.cost.analyze_cost_query` per miss), in
+        the plan's one per-source memo, which evicts its oldest entry
+        beyond :data:`_SOURCE_MEMO_LIMIT` and is cleared by
+        :meth:`maintain`, so certified bounds and the graph class always
+        describe the pair sets a batch actually executes against.
 
         The analysis runs *outside* ``_memo_lock`` and is published
         under it, first writer wins: it is a pure function of the pair
@@ -318,30 +314,16 @@ class CompiledPlan:
         returned to its caller but never published.
         """
         with self._memo_lock:
-            cached = memo.get(source)
+            cached = self._decisions.get(source)
             query = self._query
         if cached is None:
-            cached = analyze(query.with_source(source))
+            cached = _decide(query.with_source(source))
             with self._memo_lock:
                 if self._query is query:
-                    cached = memo.setdefault(source, cached)
-                    if len(memo) > _SOURCE_MEMO_LIMIT:
-                        del memo[next(iter(memo))]
+                    cached = self._decisions.setdefault(source, cached)
+                    if len(self._decisions) > _SOURCE_MEMO_LIMIT:
+                        del self._decisions[next(iter(self._decisions))]
         return cached
-
-    # --- cost bounds ---------------------------------------------------
-
-    def decision(self, source) -> SourceDecision:
-        """The memoized :class:`SourceDecision` for one bound source:
-        the projection of :meth:`cost_report` a batch reads (uncharged
-        graph analysis over the plan's index; one
-        :func:`~repro.analysis.cost.analyze_cost_query` per miss).
-        Cleared by :meth:`maintain` alongside the other pair-dependent
-        memos, so certified bounds always describe the pair sets a batch
-        actually executes against.
-        """
-        memo = self._decisions  # race-ok: only names the dict; _memoized locks
-        return self._memoized(memo, source, _decide)
 
     def cost_report(self, source):
         """The full :class:`~repro.analysis.cost.CostReport` for one
@@ -358,35 +340,29 @@ class CompiledPlan:
 
     @property
     def relation_certificate(self) -> SafetyCertificate:
-        """Whole-relation counting-safety certificate (lazy, cached).
+        """Whole-relation counting-safety certificate, read off the
+        index's condensation (one SCC pass per pair-set version, which
+        the index remembers — nothing is memoized here).
 
-        ``safe`` here means safe from *every* source — one SCC pass
-        certifies the plan for all goals it will ever serve.  A cyclic
-        ``L`` downgrades to ``unknown`` and per-source certification
-        (:meth:`counting_certificate`) decides each goal.  Filled like a
-        per-source memo: computed outside the lock, published under it.
+        ``safe`` here means safe from *every* source.  A cyclic ``L``
+        downgrades to ``unknown`` and :meth:`counting_certificate`
+        decides each goal.
         """
-        with self._memo_lock:
-            certificate = self._relation_certificate
-            query = self._query
-        if certificate is None:
-            certificate = certify_relation(query.index)
-            with self._memo_lock:
-                if self._query is query:
-                    self._relation_certificate = certificate
-        return certificate
+        return certify_relation(self._query.index)
 
     def counting_certificate(self, source) -> SafetyCertificate:
-        """Counting-safety certificate for one bound source (memoized).
+        """Counting-safety certificate for one bound source, computed on
+        demand: it words a refusal (the witness cycle) and decides the
+        sources whose :meth:`decision` proves no graph class.
 
         Pure graph analysis over the plan's index — no relation probes,
         no cost charges, and no fixpoint.
         """
-        relation_cert = self.relation_certificate
+        index = self._query.index
+        relation_cert = certify_relation(index)
         if relation_cert.is_safe:
             return relation_cert
-        memo = self._source_certificates  # race-ok: only names the dict; _memoized locks
-        return self._memoized(memo, source, certify_counting_safety)
+        return certify_source(index, source)
 
     # --- reporting ----------------------------------------------------
 
@@ -428,6 +404,7 @@ def _decide(query: CSLQuery) -> SourceDecision:
     return SourceDecision(
         report.recommendation.method,
         {name: entry.bound for name, entry in report.certificate.bounds.items()},
+        report.certificate.graph_class,
     )
 
 

@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
+from ..core.classification import MagicGraphClass
 from ..core.cost import AnswerResult
 from ..core.csl import CSLQuery
 from ..core.magic_method import magic_fixpoint, union_magic_set
@@ -393,7 +394,8 @@ class SolverService:
                     source if source is not None else plan.default_source
                 ]
             else:
-                source_list = list(sources)
+                # One goal per distinct source, in the order given.
+                source_list = list(dict.fromkeys(sources))
             chosen = method
             if method == ADAPTIVE:
                 # The one rule that is the service's own: per-source
@@ -405,14 +407,16 @@ class SolverService:
             fallback_details: Dict[str, object] = {}
             row = METHODS.get(chosen)
             if row is not None and row.needs_acyclic:
-                # Static gate: the plan's certificates decide termination
-                # before any fixpoint starts.  The runtime repeated-frontier
-                # check in level_frontiers stays as defense in depth,
-                # but a certified-unsafe goal never reaches it.
+                # Static gate: the graph class on the plan's memoized
+                # decisions decides termination before any fixpoint
+                # starts; the certificate is computed to word a refusal.
+                # The runtime repeated-frontier check in level_frontiers
+                # stays as defense in depth, but a certified-unsafe goal
+                # never reaches it.
                 unsafe = [
                     source
                     for source in source_list
-                    if plan.counting_certificate(source).is_unsafe
+                    if _counting_unsafe(plan, source)
                 ]
                 if unsafe:
                     certificate = plan.counting_certificate(unsafe[0])
@@ -559,6 +563,17 @@ def _target_source(target: PlanTarget):
     if not constants:
         return None
     return constants[0] if len(constants) == 1 else constants
+
+
+def _counting_unsafe(plan: CompiledPlan, source) -> bool:
+    """Would the counting fixpoint diverge from ``source``?  The magic
+    graph it reaches holds a cycle (Proposition 1(c)) — the class on the
+    plan's decision; a region widened past the analyzer's node budget
+    has no class, and the safety certificate walks it whole."""
+    graph_class = plan.decision(source).graph_class
+    if graph_class is None:
+        return plan.counting_certificate(source).is_unsafe
+    return graph_class is MagicGraphClass.CYCLIC
 
 
 def _execute_shared_magic(

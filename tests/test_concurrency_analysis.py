@@ -177,7 +177,7 @@ class TestSelfAnalysis:
         # would also report zero findings.  The floor covers the
         # maintenance/plan-maintainer guards plus the repro.cluster
         # fleet/front annotations and the ServiceMetrics counters, not
-        # just the original serving-stack ones.  (84 guarded attributes
+        # just the original serving-stack ones.  (82 guarded attributes
         # in the shipped tree.)
         assert self_report.guarded_attributes >= 82
 

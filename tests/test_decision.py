@@ -12,20 +12,29 @@ and ``classify_nodes`` are the oracles.
 import pytest
 from hypothesis import given, settings
 
+import repro.analysis.cost.stats as cost_stats
+import repro.analysis.static.safety as safety_module
 import repro.core.graph_index as graph_index
 import repro.core.step1 as step1
-from repro.analysis.cost import analyze_cost_query, certify_cost
+from repro.analysis.cost import (
+    DEFAULT_NODE_BUDGET,
+    analyze_cost_query,
+    certify_cost,
+)
 from repro.analysis.static.safety import (
     Verdict,
     _witness_cycle,
     certify_relation,
     certify_source,
 )
-from repro.core.classification import classify_nodes
+from repro.core.classification import MagicGraphClass, classify_nodes
+from repro.core.csl import CSLQuery
 from repro.core.graph_index import closure, recurring_closure
 from repro.core.methods import recommended_plan
 from repro.datalog.database import Database
+from repro.errors import UnsafeQueryError
 from repro.service import SolverService
+from repro.service.plan import compile_query_plan
 from repro.workloads.generators import (
     acyclic_workload,
     cyclic_workload,
@@ -33,7 +42,7 @@ from repro.workloads.generators import (
 )
 
 from .conftest import csl_queries
-from .test_service import sg_program
+from .test_service import sg_database, sg_program
 
 
 def _magic_side(query):
@@ -45,6 +54,7 @@ def assert_same_decision(query):
     index = query.index
     successors = index.l_successors
     condensation = index.condensation
+    plan = compile_query_plan(query)
     for source in _magic_side(query):
         sibling = query.with_source(source)
         region = closure([source], successors)
@@ -77,6 +87,12 @@ def assert_same_decision(query):
         assert safety.cycle == cycle
         assert safety.checked_nodes == len(region)
         assert safety.source == source
+
+        # The verdict rides on the plan's record: the gate reads the
+        # graph class instead of walking the region a second time.
+        graph_class = plan.decision(source).graph_class
+        assert graph_class is classification.graph_class
+        assert (graph_class is MagicGraphClass.CYCLIC) == safety.is_unsafe
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,17 +135,23 @@ def test_a_source_outside_l_is_a_region_by_itself(acyclic_query):
 
 
 def _count_scc_passes(monkeypatch):
-    """Every caller of Tarjan on an ``L`` graph binds the name at import:
-    the index (the decision layer) and the charged SCC Step 1."""
+    """Every Tarjan pass over an ``L`` graph goes through a name bound
+    at import: ``condense`` for the decision layer (the index, once per
+    pair-set version; the safety certificate's witness) and
+    ``recurring_closure`` for the charged SCC Step 1 (execution)."""
     passes = []
-    for module in (graph_index, step1):
-        tarjan = module.strongly_connected_components
+    for module, attribute in (
+        (graph_index, "condense"),
+        (safety_module, "condense"),
+        (step1, "recurring_closure"),
+    ):
+        tarjan = getattr(module, attribute)
 
         def counted(nodes, successors, _tarjan=tarjan, _name=module.__name__):
             passes.append(_name)
             return _tarjan(nodes, successors)
 
-        monkeypatch.setattr(module, "strongly_connected_components", counted)
+        monkeypatch.setattr(module, attribute, counted)
     return passes
 
 
@@ -188,6 +210,7 @@ def test_the_decision_is_a_projection_of_the_report(cyclic_query):
             name: entry.bound
             for name, entry in report.certificate.bounds.items()
         }
+        assert decision.graph_class is report.certificate.graph_class
         assert plan.decision(source) is decision
         assert plan.cost_report(source) is not report
 
@@ -204,3 +227,102 @@ def test_the_decision_memo_evicts_its_oldest_entry(monkeypatch):
     assert plan.decision(second) is decisions[1]
     assert plan.decision(first) == decisions[0]
     assert list(plan._decisions) == [third, first]
+
+
+# --- the gate reads the record: one walk, the widened edge, maintenance -------
+
+
+def _count_l_walks(monkeypatch, index):
+    """Forward walks of ``L`` from a source, by who walked: the cost
+    analyzer's (``bfs_depths``, as ``cost.stats`` binds it) and the
+    safety certificate's (``closure``, as ``static.safety`` binds it)."""
+    walks = []
+    bfs_depths, closure_ = cost_stats.bfs_depths, safety_module.closure
+
+    def counted_bfs(source, successors, budget=None):
+        if successors is index.l_successors:
+            walks.append(("decision", source))
+        return bfs_depths(source, successors, budget)
+
+    def counted_closure(seeds, successors, budget=None):
+        seeds = list(seeds)
+        if successors is index.l_successors:
+            walks.append(("certificate", *seeds))
+        return closure_(seeds, successors, budget)
+
+    monkeypatch.setattr(cost_stats, "bfs_depths", counted_bfs)
+    monkeypatch.setattr(safety_module, "closure", counted_closure)
+    return walks
+
+
+def test_a_cold_counting_request_walks_its_region_once(monkeypatch):
+    query = cyclic_workload(scale=8, seed=0)
+    cores = query.index.condensation.cores
+    walks = _count_l_walks(monkeypatch, query.index)
+    served = refused = 0
+    for source in _magic_side(query):
+        service = SolverService()  # a cold plan per source
+        del walks[:]
+        if closure([source], query.index.l_successors).isdisjoint(cores):
+            served += 1
+            batch = service.solve_batch(query, [source], method="counting")
+            assert batch.method == "counting"
+            assert walks == [("decision", source)]
+        else:
+            # Only a refusal pays the certificate, for the witness.
+            refused += 1
+            with pytest.raises(UnsafeQueryError):
+                service.solve_batch(query, [source], method="counting")
+            assert walks == [("decision", source), ("certificate", source)]
+    assert served and refused
+
+
+def _chain_query(closed):
+    """A chain longer than the analyzer's node budget: its region is
+    widened, so the decision names no graph class."""
+    length = DEFAULT_NODE_BUDGET + 100
+    left = {(f"n{i}", f"n{i + 1}") for i in range(length)}
+    if closed:
+        left.add((f"n{length}", "n0"))
+    return CSLQuery(left, {("n0", "y")}, set(), "n0")
+
+
+def test_a_widened_region_is_decided_by_the_certificate():
+    query = _chain_query(closed=False)
+    service = SolverService()
+    assert service.compile(query).decision("n0").graph_class is None
+    batch = service.solve_batch(query, ["n0"], method="counting")
+    assert batch.method == "counting"
+    assert batch.answers == {"n0": frozenset({"y"})}
+
+    query = _chain_query(closed=True)
+    service = SolverService()
+    assert service.compile(query).decision("n0").graph_class is None
+    with pytest.raises(UnsafeQueryError) as refusal:
+        service.solve_batch(query, ["n0"], method="counting")
+    assert str(refusal.value) == (
+        "counting refused by static certification: "
+        + certify_source(query.index, "n0").describe()
+    )
+    assert "witness cycle: " in str(refusal.value)
+
+
+def test_a_maintained_cycle_flips_the_gate_on_the_next_batch():
+    service = SolverService(sg_database())
+    program = sg_program("a")
+    plan = service.compile(program)
+
+    def counting():
+        return service.solve_batch(program, ["a"], method="counting")
+
+    answers = counting().answers
+    safe = plan.decision("a")
+    assert safe.graph_class is not MagicGraphClass.CYCLIC
+    service.mutate(inserts={"up": [("c", "a")]})  # closes a cycle
+    assert service.compile(program) is plan
+    with pytest.raises(UnsafeQueryError, match="witness cycle"):
+        counting()
+    assert plan.decision("a").graph_class is MagicGraphClass.CYCLIC
+    service.mutate(deletes={"up": [("c", "a")]})
+    assert counting().answers == answers
+    assert plan.decision("a") == safe

@@ -514,7 +514,7 @@ class TestIdempotenceOnRewrites:
 
         database = samegen_query.database()
         if kind == "mc":
-            program, _ = method_program(samegen_query)
+            program = method_program(samegen_query)
         elif kind == "magic":
             program = magic_rewrite(samegen_query.to_program())
         else:

@@ -104,7 +104,7 @@ class TestRewriteOutputsStayCorrect:
 
         query = random_csl(seed)
         for mode in (Mode.INDEPENDENT, Mode.INTEGRATED):
-            plain, _ = method_program(query, Strategy.MULTIPLE, mode)
+            plain = method_program(query, Strategy.MULTIPLE, mode)
             optimized = optimize_program(plain, query.database()).program
             base_db = query.database()
             opt_db = query.database()

@@ -242,6 +242,40 @@ class TestMethodIsValidatedBeforeItIsAKey:
         ]
 
 
+def test_a_repeated_source_in_an_explicit_wire_batch_is_one_goal():
+    """``submit_batch`` hands the sources over as the client sent them
+    (only windows are deduplicated): the service collapses the repeat,
+    so the batch is charged and counted as the goals it answers."""
+    from repro.server import SolverServer
+    from repro.service import SolverService
+
+    from .test_service import sg_database, sg_program
+
+    async def scenario(sources):
+        service = SolverService(sg_database())
+        server = SolverServer(service, program=sg_program(), window_ms=0)
+        try:
+            reply = await server._dispatch(
+                {
+                    "op": "solve_batch",
+                    "params": {
+                        "sources": sources,
+                        "method": "mc_multiple_integrated",
+                    },
+                }
+            )
+        finally:
+            await server.stop()
+        stats = service.stats()
+        return reply, stats["goals"], stats["retrievals"]
+
+    repeated = run(scenario(["a", "d", "a"]))
+    assert repeated == run(scenario(["a", "d"]))
+    reply, goals, _retrievals = repeated
+    assert [source for source, _answers in reply["answers"]] == ["a", "d"]
+    assert goals == 2
+
+
 async def _echo_execute(key, sources):
     return {source: frozenset({f"{source}!"}) for source in sources}
 

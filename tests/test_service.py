@@ -108,6 +108,31 @@ class TestBatchCorrectness:
         result = SolverService().solve_batch(samegen_query, [])
         assert result.answers == {}
 
+    @pytest.mark.parametrize(
+        "method", ["mc_multiple_integrated", "shared_magic", "adaptive"]
+    )
+    def test_a_repeated_source_is_one_goal(self, method):
+        # A source given twice used to be executed, charged and bounded
+        # twice (the coalescer dedupes its windows; explicit batches and
+        # in-process callers came through as given).
+        query = cyclic_workload(scale=2, seed=0)
+        source = query.source
+        once = SolverService().solve_batch(query, [source], method=method)
+        twice = SolverService().solve_batch(
+            query, [source, source], method=method
+        )
+        assert twice.method == once.method
+        assert twice.answers == once.answers
+        assert twice.cost.snapshot() == once.cost.snapshot()
+        assert twice.details == once.details
+        assert twice.details["predicted_bound"] is not None
+        assert twice.metrics["goals"] == once.metrics["goals"] == 1
+
+    def test_repeated_sources_keep_first_seen_order(self, samegen_query):
+        result = SolverService().solve_batch(samegen_query, ["d", "a", "d"])
+        assert list(result.answers) == ["d", "a"]
+        assert result.metrics["goals"] == 2
+
     def test_unknown_method_rejected(self, samegen_query):
         with pytest.raises(EvaluationError):
             SolverService().solve_batch(samegen_query, ["d"], method="bogus")

@@ -21,6 +21,15 @@ from repro.errors import UnsafeQueryError
 from repro.service import SolverService
 
 
+#: the ``cyclic_query`` fixture's certificate text, as the gate has
+#: always worded it — refusals and fallback records are an interface
+UNSAFE_FROM_A = (
+    "counting is unsafe from source 'a': the magic graph reachable from "
+    "the bound source contains a cycle; the counting method would diverge "
+    "(witness cycle: 'c' -> 'a' -> 'b')"
+)
+
+
 def oracle(query, sources):
     return {
         source: fact2_answer(
@@ -53,8 +62,9 @@ class TestRefusal:
         service = SolverService(cyclic_query.database())
         with pytest.raises(UnsafeQueryError) as excinfo:
             service.solve_batch(cyclic_query, method="counting")
-        assert "static certification" in str(excinfo.value)
-        assert "unsafe" in str(excinfo.value)
+        assert str(excinfo.value) == (
+            "counting refused by static certification: " + UNSAFE_FROM_A
+        )
 
     def test_mixed_batch_gates_on_any_unsafe_source(
         self, cyclic_query, no_counting_fixpoint
@@ -78,11 +88,12 @@ class TestFallback:
         )
         assert result.method == "shared_magic"
         assert result.answers == oracle(cyclic_query, ["a", "d"])
-        fallback = result.details["fallback"]
-        assert fallback["from"] == "counting"
-        assert fallback["to"] == "shared_magic"
-        assert "unsafe" in fallback["reason"]
-        assert fallback["unsafe_sources"] == ["a"]
+        assert result.details["fallback"] == {
+            "from": "counting",
+            "to": "shared_magic",
+            "reason": UNSAFE_FROM_A,
+            "unsafe_sources": ["a"],
+        }
         assert service.stats()["fallbacks"] == 1
 
     def test_safe_source_still_uses_counting(self, cyclic_query):

@@ -9,14 +9,11 @@ from hypothesis import given, settings
 from repro.analysis.static import (
     ProgramFacts,
     STATIC_PASSES,
-    StaticReport,
     Verdict,
-    analyze_query,
     certify_counting_safety,
     certify_relation,
     certify_source,
     expected_reduced_sets,
-    find_l_cycle,
     method_admissibility,
     run_static_analysis,
     verify_partition_conditions,
@@ -211,9 +208,6 @@ class TestCertification:
             assert certificate.verdict == Verdict.SAFE
         assert certificate.is_safe == truth.counting_safe
 
-    def test_find_l_cycle_none_on_dag(self):
-        assert find_l_cycle({("a", "b"), ("b", "c")}) is None
-
 
 class TestProgramLevel:
     def test_program_with_database_certified(self):
@@ -305,13 +299,6 @@ class TestFramework:
         facts = ProgramFacts(program, database, csl=query)
         assert facts.csl_query() is query
 
-    def test_analyze_query_report(self, cyclic_query):
-        report = analyze_query(cyclic_query)
-        assert isinstance(report, StaticReport)
-        assert report.certificate.verdict == Verdict.UNSAFE
-        assert report.graph_class == "cyclic"
-        assert report.passes_run == ["counting-safety"]
-
 
 class TestRewriteVerification:
     @pytest.mark.parametrize(
@@ -388,7 +375,9 @@ class TestAdmissibility:
     def test_recommendation_matches_adaptive_policy(self, cyclic_query):
         classification = classify_nodes(cyclic_query)
         name = recommended_plan(classification).method
-        report = analyze_query(cyclic_query)
+        report = run_static_analysis(
+            cyclic_query.to_program(), cyclic_query.database()
+        )
         assert report.recommended_method == name == "mc_recurring_integrated_scc"
 
 

@@ -13,24 +13,45 @@ retrievals of a from-scratch solve of the same goal, asserting
 * the per-update retrieval cost sits at least ``MIN_RATIO``x below the
   full re-solve (the maintenance dividend).
 
-Results are persisted to ``benchmarks/results/BENCH_maintenance.json``
-so the per-update cost trajectory is tracked across PRs.
+A second row measures what a version bump costs the *decision* layer on
+the ``churn_derived``-shaped forest (2,000 people, 200 extra parents):
+bringing the next version's adjacency index and condensation into
+being — the predecessor's patched successor with its condensation
+carried across — against a from-scratch build plus a Tarjan pass over
+the same pair sets, and the cold per-source decision that follows.
+``REPRO_MAINTENANCE_SMOKE=1`` shrinks that row and keeps only its parity
+assertions (what CI runs); the full row also gates the ratio.
+
+Results are **appended** to ``benchmarks/results/BENCH_maintenance.json``
+— one stamped record (commit, python, cores, loadavg) per run and row,
+earlier records never rewritten — so the per-update cost trajectory is
+tracked across PRs.
 """
 
 import json
+import os
 import pathlib
+import platform
+import random
+import statistics
+import subprocess
 import time
 
 import pytest
 
+from repro.analysis.cost import analyze_cost_query
 from repro.core.csl import CSLQuery
+from repro.core.graph_index import GraphIndex
 from repro.core.solver import solve
 from repro.datalog.evaluation import seminaive_evaluate
 from repro.datalog.maintenance import MaintenanceState
 from repro.datalog.relation import CostCounter
 from repro.service import SolverService
 from repro.workloads.generators import regular_workload
-from repro.workloads.samegen import balanced_same_generation
+from repro.workloads.samegen import (
+    balanced_same_generation,
+    random_forest_parent,
+)
 
 from .conftest import add_report
 
@@ -40,6 +61,45 @@ RESULTS_PATH = (
     pathlib.Path(__file__).parent / "results" / "BENCH_maintenance.json"
 )
 MIN_RATIO = 10.0
+
+SMOKE = os.environ.get("REPRO_MAINTENANCE_SMOKE") == "1"
+#: people, extra parents, remove/re-add rounds of the succession row
+FOREST = (200, 20, 10) if SMOKE else (2000, 200, 100)
+#: the successor index must beat a rebuild + Tarjan by at least this
+MIN_SUCCESSION_RATIO = 5.0
+
+
+def append_record(kind, payload):
+    """Append one stamped record; the file is a list that only grows
+    (the unstamped snapshot earlier PRs overwrote is its first entry)."""
+    records = (
+        json.loads(RESULTS_PATH.read_text()) if RESULTS_PATH.exists() else []
+    )
+    if isinstance(records, dict):
+        records = [records]
+    root = pathlib.Path(__file__).parent.parent
+
+    def git(*args):
+        done = subprocess.run(
+            ["git", *args],
+            cwd=root, capture_output=True, text=True, check=False,
+        )
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    records.append(
+        {
+            "kind": kind,
+            "commit": git("rev-parse", "--short", "HEAD") or "unknown",
+            # uncommitted source on top of that commit
+            "dirty": bool(git("status", "--porcelain", "--", "src")),
+            "python": platform.python_version(),
+            "cores": os.cpu_count(),
+            "loadavg": list(os.getloadavg()),
+            "mode": "smoke" if SMOKE else "full",
+            **payload,
+        }
+    )
+    RESULTS_PATH.write_text(json.dumps(records, indent=2) + "\n")
 
 WORKLOADS = [
     ("samegen d6", lambda: balanced_same_generation(depth=6, fanout=2)),
@@ -180,11 +240,8 @@ def run_model_maintenance(name, make_query):
 def test_maintenance_dividend():
     rows = [run_workload(name, make) for name, make in WORKLOADS]
     model_rows = [run_model_maintenance(name, make) for name, make in WORKLOADS]
-    RESULTS_PATH.write_text(
-        json.dumps(
-            {"workloads": rows, "materialized_model": model_rows}, indent=2
-        )
-        + "\n"
+    append_record(
+        "dividend", {"workloads": rows, "materialized_model": model_rows}
     )
 
     lines = [
@@ -222,3 +279,105 @@ def test_maintenance_dividend():
                 f"{update['rederived']:>6}"
             )
     add_report("maintenance_dividend", "\n".join(lines))
+
+
+def _adjacency(index):
+    return (
+        index.l_successors,
+        index.l_in_degree,
+        {b: sorted(cs) for b, cs in index.e_successors.items()},
+        {y1: sorted(ys) for y1, ys in index.r_predecessors.items()},
+    )
+
+
+def run_index_succession():
+    """Remove one parent pair, re-add it, ``rounds`` times, as
+    ``churn_derived`` does: per delta, the milliseconds until the next
+    version's index and condensation exist (``CSLQuery.patched``, then
+    whatever its ``index.condensation`` still has to do), a from-scratch
+    ``GraphIndex`` + Tarjan over the same pair sets, and one cold
+    decision on the successor."""
+    people, extra_parents, rounds = FOREST
+    parent = sorted(
+        random_forest_parent(people, seed=0, extra_parents=extra_parents)
+    )
+    persons = sorted({value for pair in parent for value in pair})
+    rng = random.Random(0)
+    query = CSLQuery.same_generation(parent, persons[-1], persons=persons)
+    query.index.condensation
+    succession, rebuild, decision = [], [], []
+    for _round in range(rounds):
+        pair = rng.choice(parent)
+        for delta in ((set(), {pair}), ({pair}, set())):
+            source = rng.choice(persons)
+            started = time.perf_counter()
+            query = query.patched(left=delta, right=delta)
+            condensation = query.index.condensation
+            succession.append(time.perf_counter() - started)
+
+            started = time.perf_counter()
+            fresh = GraphIndex(query.left, query.exit, query.right)
+            fresh.condensation
+            rebuild.append(time.perf_counter() - started)
+
+            sibling = query.with_source(source)
+            started = time.perf_counter()
+            report = analyze_cost_query(sibling)
+            decision.append(time.perf_counter() - started)
+
+            # Parity: the successor is the from-scratch build, its
+            # condensation is one of this graph, and decides alike.
+            assert _adjacency(query.index) == _adjacency(fresh)
+            assert condensation.cores == fresh.condensation.cores == frozenset()
+            assert set(condensation.rank) == set(fresh.condensation.rank)
+            assert all(
+                condensation.rank[b] > condensation.rank[c]
+                for b, c in query.left
+            )
+            scratch = analyze_cost_query(
+                CSLQuery(query.left, query.exit, query.right, source)
+            )
+            assert report.certificate.to_json() == scratch.certificate.to_json()
+            assert vars(report.recommendation) == vars(scratch.recommendation)
+    assert query.left == frozenset(parent)
+
+    def median_ms(seconds):
+        return round(statistics.median(seconds) * 1000.0, 4)
+
+    return {
+        "workload": (
+            f"samegen forest {people} people, {extra_parents} extra parents"
+        ),
+        "sizes": {
+            "l": len(query.left), "e": len(query.exit), "r": len(query.right),
+        },
+        "deltas": len(succession),
+        "succession_ms": median_ms(succession),
+        "rebuild_ms": median_ms(rebuild),
+        "cold_decision_ms": median_ms(decision),
+    }
+
+
+def test_index_succession_on_the_churn_forest():
+    row = run_index_succession()
+    append_record("index_succession", row)
+    add_report(
+        "maintenance_index_succession",
+        "\n".join(
+            [
+                "next version's index + condensation, per one-arc delta "
+                f"({row['workload']}; median of {row['deltas']})",
+                "",
+                f"{'CSLQuery.patched + index.condensation':<42} "
+                f"{row['succession_ms']:>9.4f} ms",
+                f"{'from-scratch build + Tarjan':<42} "
+                f"{row['rebuild_ms']:>9.4f} ms",
+                f"{'cold decision on the successor':<42} "
+                f"{row['cold_decision_ms']:>9.4f} ms",
+            ]
+        ),
+    )
+    if not SMOKE:
+        assert (
+            row["succession_ms"] * MIN_SUCCESSION_RATIO <= row["rebuild_ms"]
+        ), row

@@ -11,7 +11,8 @@ Collecting them exactly costs two bounded closures over the query's
 shared adjacency index (L forward from the source — breadth-first, so
 the walk that finds the region also measures the shortest distances the
 abstract interpretation starts from — and R backward from the exit
-targets) — nothing that grows with the relations outside the
+targets, which keeps only the two integers the formulas read, ``n_R``
+and ``m_R``) — nothing that grows with the relations outside the
 region.  Both closures respect a *node budget*: the moment
 more nodes are discovered than the budget allows, the explorer gives up
 and **widens** — the region is replaced by the whole-relation superset
@@ -39,7 +40,7 @@ from typing import (
 )
 
 from ...core.csl import CSLQuery
-from ...core.graph_index import Condensation, bfs_depths, closure
+from ...core.graph_index import Condensation, bfs_depths
 
 #: Default exploration budget: regions larger than this are widened to
 #: whole-relation aggregates instead of being traversed.
@@ -50,10 +51,10 @@ DEFAULT_NODE_BUDGET = 4096
 class RegionStatistics:
     """Aggregate statistics of (a superset of) the reachable region.
 
-    ``ms`` is a superset of the true magic set and ``answer_nodes`` a
-    superset of the true answer-side region; every derived aggregate is
-    therefore an upper bound on its true counterpart, which is the only
-    direction the bound formulas need.
+    ``ms`` is a superset of the true magic set and ``n_y``/``m_r``
+    count a superset of the true answer-side region; every derived
+    aggregate is therefore an upper bound on its true counterpart, which
+    is the only direction the bound formulas need.
     """
 
     source: object
@@ -64,7 +65,12 @@ class RegionStatistics:
     magic_widened: bool
     assumptions: Tuple[str, ...]
     ms: FrozenSet[object]
-    answer_nodes: FrozenSet[object]
+    #: Answer-side node count (the paper's ``n_R``).
+    n_y: int
+    #: R arcs inside the answer region (the paper's ``m_R``): the region
+    #: is closed under full-relation R in-arcs, so the full in-degrees
+    #: of its members count exactly the region arcs.
+    m_r: int
     #: L successors of every ``ms`` node (adjacency for the abstract
     #: interpretation; only populated when the region was NOT widened).
     adjacency: Mapping[object, Set[object]] = field(repr=False)
@@ -74,15 +80,13 @@ class RegionStatistics:
     in_l: Mapping[object, int] = field(repr=False)
     #: Full-relation E out-degree of the ``ms`` nodes.
     out_e: Mapping[object, int] = field(repr=False)
-    #: Full-relation R in-degree of the ``answer_nodes``.
-    in_r: Mapping[object, int] = field(repr=False)
     #: Shortest L-distance from the source to every ``ms`` node (the one
     #: walk that finds the region also measures it; empty when the magic
     #: region was widened).
     depth: Mapping[object, int] = field(repr=False)
     #: The index's condensation of ``G_L`` (cyclic cores and topological
-    #: rank, computed once per pair-set version; None when the magic
-    #: region was widened — the abstraction reads no structure then).
+    #: rank; None when the magic region was widened — the abstraction
+    #: reads no structure then).
     condensation: Optional[Condensation] = field(repr=False)
     #: ``(aggregate, node set) -> sum``: the bound formulas ask for the
     #: same few sums over the same few sets for every method.
@@ -99,20 +103,6 @@ class RegionStatistics:
     def m(self) -> int:
         """L arcs leaving the region (the paper's ``m_L``)."""
         return self._degree_sum("out_l", self.out_l, self.ms)
-
-    @property
-    def n_y(self) -> int:
-        """Answer-side node count (the paper's ``n_R``)."""
-        return len(self.answer_nodes)
-
-    @cached_property
-    def m_r(self) -> int:
-        """R arcs inside the answer region (the paper's ``m_R``).
-
-        ``answer_nodes`` is closed under full-relation R in-arcs, so the
-        full in-degrees of its members count exactly the region arcs.
-        """
-        return sum(self.in_r.get(y, 0) for y in self.answer_nodes)
 
     # --- the aggregate forms the bound formulas consume ----------------
 
@@ -167,6 +157,32 @@ class RegionStatistics:
         }
 
 
+def _answer_region(
+    seeds: Set[object],
+    predecessors: Mapping[object, List[object]],
+    budget: int,
+) -> Optional[Tuple[int, int]]:
+    """``(n_R, m_R)`` of ``seeds`` closed backwards under ``R``: the
+    nodes, and the arcs out of them, counted as the walk expands each
+    node once.  None as soon as more than ``budget`` nodes are found
+    (:func:`~repro.core.graph_index.closure`'s rule: the caller widens).
+    """
+    seen = set(seeds)
+    stack = list(seen)
+    arcs = 0
+    while stack:
+        if len(seen) > budget:
+            return None
+        reached = predecessors.get(stack.pop())
+        if reached:
+            arcs += len(reached)
+            for node in reached:
+                if node not in seen:
+                    seen.add(node)
+                    stack.append(node)
+    return len(seen), arcs
+
+
 def collect_statistics(
     query: CSLQuery, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> RegionStatistics:
@@ -188,30 +204,35 @@ def collect_statistics(
     # under R.  With a widened magic set the seed set is already a
     # superset of the true exit frontier, so the closure stays sound.
     exit_targets = {c for b in ms for c in index.e_successors.get(b, ())}
-    answers = closure(exit_targets, index.r_predecessors, node_budget)
-    r_exceeded = len(answers) > node_budget
-    if r_exceeded:
+    answer_side = _answer_region(
+        exit_targets, index.r_predecessors, node_budget
+    )
+    if answer_side is None:
         answers = {c for _b, c in query.exit} | {y for y, _y1 in query.right}
+        answer_side = len(answers), sum(
+            len(index.r_predecessors.get(y, ())) for y in answers
+        )
         assumptions.append(
             f"answer region exceeded the {node_budget}-node exploration "
             "budget; widened to every E target plus every R first column"
         )
+    n_y, m_r = answer_side
 
     def degrees(nodes, adjacency) -> Dict[object, int]:
         return {v: len(adjacency[v]) for v in nodes if v in adjacency}
 
     return RegionStatistics(
         source=query.source,
-        widened=ms_exceeded or r_exceeded,
+        widened=bool(assumptions),
         magic_widened=ms_exceeded,
         assumptions=tuple(assumptions),
         ms=frozenset(ms),
-        answer_nodes=frozenset(answers),
+        n_y=n_y,
+        m_r=m_r,
         adjacency={} if ms_exceeded else index.l_successors,
         depth=depth,
         condensation=None if ms_exceeded else index.condensation,
         out_l=degrees(ms, index.l_successors),
         in_l=index.l_in_degree,
         out_e=degrees(ms, index.e_successors),
-        in_r=degrees(answers, index.r_predecessors),
     )

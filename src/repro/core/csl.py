@@ -141,7 +141,9 @@ class CSLQuery:
         hash indexes already built survive a mutation.  This query and
         its siblings keep their pair sets and build stores of their own
         if they are executed again; the caller keeps their instances
-        idle meanwhile."""
+        idle meanwhile.  An :attr:`index` already built is succeeded,
+        not moved (:meth:`GraphIndex.patched`): this query keeps its
+        own, unchanged, for whoever is still walking it."""
         successor = replace(
             self,
             **{
@@ -157,6 +159,11 @@ class CSLQuery:
                 for pair in removed:
                     store.discard(pair)
             successor._shared.storage = storage
+        # One a racing reader is still building is not handed over: the
+        # successor builds its own.
+        index = self._shared.index  # race-ok: unset or final
+        if index is not None:
+            successor._shared.index = index.patched(**deltas)
         return successor
 
     # --- constructors --------------------------------------------------

@@ -12,10 +12,11 @@ cached half:
   evaluated once, at compile time);
 * one base :class:`~repro.core.csl.CSLQuery` per pair-set version,
   which owns what is built from the pair sets: the adjacency index
-  (:mod:`repro.core.graph_index`) every per-source analysis walks, and
-  the three tuple stores every execution reads, whose lazy hash indexes
-  persist across batches — :meth:`CompiledPlan.query_for` only swaps
-  the source in;
+  (:mod:`repro.core.graph_index`) every per-source analysis walks —
+  built once, and succeeded by a patched index (with its condensation,
+  when the delta keeps it) at every later version — and the three tuple
+  stores every execution reads, whose lazy hash indexes persist across
+  batches — :meth:`CompiledPlan.query_for` only swaps the source in;
 * one memoized :class:`SourceDecision` per source — the row the cost
   analyzer recommends, every row's certified bound and the class of the
   magic graph the source reaches, which is all a batch reads of a cost
@@ -28,8 +29,9 @@ were compiled from — the owning :class:`SolverService` discarded them
 on every mutation.  They now carry a :class:`PlanMaintainer`: a
 deletion-capable incremental view over the ``L``/``E``/``R``
 materialization (:mod:`repro.datalog.maintenance`), so an EDB fact
-insert or delete patches the base query's stores *in place* via
-:meth:`CompiledPlan.maintain` instead of forcing a recompile.  Plans
+insert or delete patches the base query's stores *in place*, and
+succeeds its index, via :meth:`CompiledPlan.maintain` instead of
+forcing a recompile.  Plans
 whose program falls outside the supported maintenance fragment get no
 maintainer; :meth:`maintain` raises :class:`MaintenanceError` and the
 service falls back to invalidation (recorded in its metrics, never
@@ -267,12 +269,13 @@ class CompiledPlan:
                 part: delta for part, delta in part_deltas.items() if any(delta)
             }
             if deltas:
-                # A new base query, so a new index; the stores move to
-                # it, patched.  The memoized decisions are stale with
-                # the old one (they are graph analyses of the pair
-                # sets); swapping the query under the memo lock is what
-                # lets a fill that started on the old one see that it
-                # must not publish.
+                # A new base query: the stores move to it, patched, and
+                # its index is the old one's successor — the old index
+                # is left as it is, for a fill still walking it.  The
+                # memoized decisions are stale with the old query (they
+                # are graph analyses of the pair sets); swapping the
+                # query under the memo lock is what lets a fill that
+                # started on the old one see that it must not publish.
                 patched = self._query.patched(**deltas)
                 with self._memo_lock:
                     self._query = patched
@@ -341,8 +344,9 @@ class CompiledPlan:
     @property
     def relation_certificate(self) -> SafetyCertificate:
         """Whole-relation counting-safety certificate, read off the
-        index's condensation (one SCC pass per pair-set version, which
-        the index remembers — nothing is memoized here).
+        index's condensation (one SCC pass, which the index remembers
+        and hands to its successor when a delta keeps it — nothing is
+        memoized here).
 
         ``safe`` here means safe from *every* source.  A cyclic ``L``
         downgrades to ``unknown`` and :meth:`counting_certificate`

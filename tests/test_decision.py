@@ -1,6 +1,7 @@
 """The per-source decision is the same decision, made in one region walk.
 
-``GraphIndex.condensation`` is computed once per pair-set version; the
+``GraphIndex.condensation`` is computed once per pair-set version (or
+carried from the last one, when the delta keeps it); the
 cost analyzer and the counting-safety certificate restrict it to a
 source's region instead of running Tarjan there, the certificate names
 the graph class so ranking needs no second classification, and the plan
@@ -40,6 +41,7 @@ from repro.workloads.generators import (
     cyclic_workload,
     regular_workload,
 )
+from repro.workloads.samegen import random_forest_parent
 
 from .conftest import csl_queries
 from .test_service import sg_database, sg_program
@@ -131,13 +133,82 @@ def test_a_source_outside_l_is_a_region_by_itself(acyclic_query):
     assert certificate.statistics["n_l"] == 1
 
 
-# --- one Tarjan pass per pair-set version ------------------------------------
+# --- the answer side is two integers, and they have not moved -----------------
+
+
+def _widened_chain(r_arcs):
+    """A chain longer than the node budget (the magic side widens) over
+    an ``R`` chain of ``r_arcs`` arcs, plus one ``R`` arc out of a node
+    the widened answer set does not hold."""
+    length = DEFAULT_NODE_BUDGET + 100
+    left = {(f"n{i}", f"n{i + 1}") for i in range(length)}
+    right = {(f"y{i + 1}", f"y{i}") for i in range(r_arcs)}
+    right.add(("y0", "stray"))
+    return CSLQuery(left, {("n0", "y0"), (f"n{length}", "y0")}, right, "n0")
+
+
+def _samegen_forest():
+    parent = sorted(random_forest_parent(2000, seed=0, extra_parents=200))
+    persons = sorted({value for pair in parent for value in pair})
+    return CSLQuery.same_generation(parent, persons[-1], persons=persons)
+
+
+#: ``n_R``, ``m_R`` and every row's bound (rows in name order), captured
+#: at 153ce69 — before the answer-side walk kept only the two integers.
+ANSWER_SIDE_PINS = {
+    "regular": (
+        lambda: regular_workload(scale=8, seed=0), 81, 156,
+        [5748, 20270247, None, 146079, 5748, 5750, 5748, 5750, 5748, 6354,
+         5750, 6356, 5748, 5750],
+    ),
+    "acyclic": (
+        lambda: acyclic_workload(scale=8, seed=0), 82, 156,
+        [6257, 20685312, None, 149979, 149979, 202791, 154533, 92351, 6257,
+         6872, 6259, 6874, 152597, 137961],
+    ),
+    "cyclic": (
+        lambda: cyclic_workload(scale=8, seed=0), 82, 156,
+        [None, 20701794, None, 150300, 150300, 203194, 154929, 114235,
+         383642, 154283, 342948, 113589, 152680, 153682],
+    ),
+    "widened magic side": (
+        lambda: _widened_chain(10), 11, 10,
+        [None, 582308570, None, 193031, 193031, 285377, 293739, 474180,
+         106045526, 17904350, 106225967, 18084791, 285346, 465787],
+    ),
+    "widened both sides": (
+        lambda: _widened_chain(DEFAULT_NODE_BUDGET + 50), 4147, 4146,
+        [None, 363502572914, None, 69615791, 69615791, 104429857, 104425811,
+         174029012, 244886910, 122036422, 314490111, 191639623, 104417418,
+         174020619],
+    ),
+    "same-generation forest": (
+        _samegen_forest, 2000, 2198,
+        [37829, 84760020, None, 166020, 166020, 294220, 195413, 147613,
+         37829, 37849, 37831, 37851, 187010, 211012],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ANSWER_SIDE_PINS)
+def test_the_answer_side_aggregates_have_not_moved(case):
+    make_query, n_r, m_r, bounds = ANSWER_SIDE_PINS[case]
+    certificate = certify_cost(make_query())
+    statistics = certificate.statistics
+    assert (statistics["n_r"], statistics["m_r"]) == (n_r, m_r)
+    assert [
+        certificate.bounds[name].bound for name in sorted(certificate.bounds)
+    ] == bounds
+
+
+# --- at most one Tarjan pass per pair-set version ----------------------------
 
 
 def _count_scc_passes(monkeypatch):
     """Every Tarjan pass over an ``L`` graph goes through a name bound
     at import: ``condense`` for the decision layer (the index, once per
-    pair-set version; the safety certificate's witness) and
+    pair-set version it cannot carry the last one's condensation to; the
+    safety certificate's witness) and
     ``recurring_closure`` for the charged SCC Step 1 (execution)."""
     passes = []
     for module, attribute in (
@@ -168,10 +239,19 @@ def test_an_acyclic_plan_pays_one_scc_pass_per_version(monkeypatch):
         service.solve(sg_program(source))
         service.solve_batch(sg_program(source), [source], method="counting")
     assert passes == [graph_index.__name__]
+    # An arc to a head new to L runs down the ranks: the next version's
+    # index carries the condensation, and nobody pays a second pass.
     assert service.mutate(inserts={"up": [("n50", "n51")]}).plans_maintained
     for source in sources:
         service.solve(sg_program(source))
-    assert passes == [graph_index.__name__] * 2
+    assert passes == [graph_index.__name__]
+    # An arc that climbs them — this one closes a cycle — is not carried:
+    # the decision layer pays one more pass, for the whole version.
+    assert service.mutate(inserts={"up": [("n51", "n0")]}).plans_maintained
+    for source in sources:
+        service.solve(sg_program(source))
+    assert passes.count(graph_index.__name__) == 2
+    assert set(passes) <= {graph_index.__name__, step1.__name__}
 
 
 def test_a_cyclic_plan_pays_no_scc_pass_for_a_cycle_free_region(monkeypatch):

@@ -254,6 +254,36 @@ class TestMemoFillsOutsideTheLock:
         assert stale[0].bounds["counting"] is not None
         assert plan.decision("a").bounds["counting"] is None
 
+    def test_a_fill_parked_in_its_walk_finishes_on_the_index_it_started_on(
+        self, monkeypatch
+    ):
+        """``maintain`` succeeds the plan's index instead of patching it
+        in place: an analysis that is already inside the old index when
+        the delta lands walks the old graph to the end."""
+        import repro.analysis.cost.bounds as bounds
+
+        service = SolverService(sg_database())
+        program = sg_program("a")
+        plan = service.compile(program)
+        plan.decision("b")  # builds the index the delta will succeed
+        old = plan.query_for("a").index
+        entries = {b: set(cs) for b, cs in old.l_successors.items()}
+        stale = []
+        thread, release = self._parked_fill(
+            monkeypatch, bounds, "collect_statistics",
+            lambda: stale.append(plan.decision("a")),
+        )
+        service.mutate(inserts={"up": [("c", "a")]})  # closes a cycle
+        new = plan.query_for("a").index
+        assert new is not old and "a" in new.l_successors["c"]
+        release.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert old.l_successors == entries and old.condensation.cores == set()
+        assert stale[0].bounds["counting"] is not None
+        assert "a" not in plan._decisions
+        assert plan.decision("a").bounds["counting"] is None
+
 
 #: row asked for by name — all on the one plan, all at once
 STRESS_METHODS = [

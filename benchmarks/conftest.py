@@ -12,7 +12,11 @@ pytest's output capture) and written to ``benchmarks/results/``.
 
 from __future__ import annotations
 
+import json
+import os
 import pathlib
+import platform
+import subprocess
 from typing import Dict, List, Tuple
 
 import pytest
@@ -27,6 +31,43 @@ def add_report(name: str, text: str) -> None:
     _RESULTS_DIR.mkdir(exist_ok=True)
     path = _RESULTS_DIR / f"{name}.txt"
     path.write_text(text)
+
+
+def append_record(path: pathlib.Path, kind: str, mode: str, payload) -> None:
+    """Append one stamped record to the JSON list at ``path``.
+
+    The file only grows: earlier records are never rewritten, and a file
+    that still holds the one unstamped snapshot earlier runs overwrote
+    keeps it as its first entry.  The stamp says where the numbers came
+    from: commit (and whether ``src`` had uncommitted changes on top of
+    it), Python version, core count, load average and the run's mode.
+    """
+    records = json.loads(path.read_text()) if path.exists() else []
+    if isinstance(records, dict):
+        records = [records]
+    root = pathlib.Path(__file__).parent.parent
+
+    def git(*args):
+        done = subprocess.run(
+            ["git", *args],
+            cwd=root, capture_output=True, text=True, check=False,
+        )
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    records.append(
+        {
+            "kind": kind,
+            "commit": git("rev-parse", "--short", "HEAD") or "unknown",
+            "dirty": bool(git("status", "--porcelain", "--", "src")),
+            "python": platform.python_version(),
+            "cores": os.cpu_count(),
+            "loadavg": list(os.getloadavg()),
+            "mode": mode,
+            **payload,
+        }
+    )
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(records, indent=2) + "\n")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

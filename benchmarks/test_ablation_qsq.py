@@ -77,13 +77,28 @@ def test_both_duals_skip_irrelevant_data(monkeypatch):
     # order; which tuples are retrieved does not.
     retrieved = set()
     probe = Relation.probe
+    probe_many = Relation.probe_many
+    probe_repeated = Relation.probe_repeated
 
     def recording_probe(self, positions, key):
         for tup in probe(self, positions, key):
             retrieved.add((self.name, tup))
             yield tup
 
+    def recording_many(self, positions, keys):
+        found = probe_many(self, positions, keys)
+        retrieved.update((self.name, tup) for tuples in found for tup in tuples)
+        return found
+
+    def recording_repeated(self, positions, key, times):
+        found = probe_repeated(self, positions, key, times)
+        if times:
+            retrieved.update((self.name, tup) for tup in found)
+        return found
+
     monkeypatch.setattr(Relation, "probe", recording_probe)
+    monkeypatch.setattr(Relation, "probe_many", recording_many)
+    monkeypatch.setattr(Relation, "probe_repeated", recording_repeated)
     for evaluate in (
         lambda db: qsq_answer_tuples(program, db),
         lambda db: answer_tuples(magic_rewrite(program), db),

@@ -28,13 +28,10 @@ earlier records never rewritten — so the per-update cost trajectory is
 tracked across PRs.
 """
 
-import json
 import os
 import pathlib
-import platform
 import random
 import statistics
-import subprocess
 import time
 
 import pytest
@@ -53,7 +50,7 @@ from repro.workloads.samegen import (
     random_forest_parent,
 )
 
-from .conftest import add_report
+from .conftest import add_report, append_record
 
 pytestmark = [pytest.mark.slow]
 
@@ -63,43 +60,12 @@ RESULTS_PATH = (
 MIN_RATIO = 10.0
 
 SMOKE = os.environ.get("REPRO_MAINTENANCE_SMOKE") == "1"
+MODE = "smoke" if SMOKE else "full"
 #: people, extra parents, remove/re-add rounds of the succession row
 FOREST = (200, 20, 10) if SMOKE else (2000, 200, 100)
 #: the successor index must beat a rebuild + Tarjan by at least this
 MIN_SUCCESSION_RATIO = 5.0
 
-
-def append_record(kind, payload):
-    """Append one stamped record; the file is a list that only grows
-    (the unstamped snapshot earlier PRs overwrote is its first entry)."""
-    records = (
-        json.loads(RESULTS_PATH.read_text()) if RESULTS_PATH.exists() else []
-    )
-    if isinstance(records, dict):
-        records = [records]
-    root = pathlib.Path(__file__).parent.parent
-
-    def git(*args):
-        done = subprocess.run(
-            ["git", *args],
-            cwd=root, capture_output=True, text=True, check=False,
-        )
-        return done.stdout.strip() if done.returncode == 0 else None
-
-    records.append(
-        {
-            "kind": kind,
-            "commit": git("rev-parse", "--short", "HEAD") or "unknown",
-            # uncommitted source on top of that commit
-            "dirty": bool(git("status", "--porcelain", "--", "src")),
-            "python": platform.python_version(),
-            "cores": os.cpu_count(),
-            "loadavg": list(os.getloadavg()),
-            "mode": "smoke" if SMOKE else "full",
-            **payload,
-        }
-    )
-    RESULTS_PATH.write_text(json.dumps(records, indent=2) + "\n")
 
 WORKLOADS = [
     ("samegen d6", lambda: balanced_same_generation(depth=6, fanout=2)),
@@ -241,7 +207,10 @@ def test_maintenance_dividend():
     rows = [run_workload(name, make) for name, make in WORKLOADS]
     model_rows = [run_model_maintenance(name, make) for name, make in WORKLOADS]
     append_record(
-        "dividend", {"workloads": rows, "materialized_model": model_rows}
+        RESULTS_PATH,
+        "dividend",
+        MODE,
+        {"workloads": rows, "materialized_model": model_rows},
     )
 
     lines = [
@@ -360,7 +329,7 @@ def run_index_succession():
 
 def test_index_succession_on_the_churn_forest():
     row = run_index_succession()
-    append_record("index_succession", row)
+    append_record(RESULTS_PATH, "index_succession", MODE, row)
     add_report(
         "maintenance_index_succession",
         "\n".join(

@@ -1,23 +1,24 @@
 """Batch (vectorized) semi-naive engine over the columnar backend.
 
 The compiled kernel engine (:mod:`repro.datalog.engine`) lowers each rule
-body once into a flat op list and folds it into per-tuple closures.  This
-module executes *the same op lists* over whole frontiers at once: the
-register file holds column vectors instead of scalars, a ``scan`` becomes
-one batch hash-join (probe all frontier rows against a CSR index, expand
-the ragged result), and the delta flush confirms a round's candidates as
-packed row codes instead of tuple-by-tuple set insertion.
+body once into a flat op list and runs it a frontier at a time over rows
+of Python values.  This module executes *the same op lists* over
+interned column vectors: the register file holds one id column per slot
+instead of a list of value rows, a ``scan`` becomes one batch hash-join
+(probe all frontier rows against a CSR index, expand the ragged result),
+and the delta flush confirms a round's candidates as packed row codes
+instead of tuple-by-tuple set insertion.
 
 Cost parity is structural, not re-derived:
 
-* a per-tuple ``scan`` charges one probe per frontier row and one unit
+* the interpreter's ``scan`` charges one probe per binding and one unit
   per matched tuple (before the intra-literal equality checks filter) —
   the batch scan charges ``charge_probe_batch(name, n)`` and
   ``charge_tuples(name, total_matches)``;
 * ``negcheck`` charges one probe per row plus one unit per *found*
   pattern (found rows are then dropped);
 * builtins, emits, and the delta-confirmation dedupe are uncharged in
-  the per-tuple engines and stay uncharged here.
+  the set-backed engines and stay uncharged here.
 
 Because :meth:`CostCounter.snapshot` exposes only order-independent
 totals (global and per relation), equal per-relation sums mean equal
@@ -30,8 +31,8 @@ The fixpoint driver (:func:`run_columnar`) is the one driver that is
 value tuples — a round's candidates stay packed row codes from kernel
 output to delta flush — so it keeps its own loop, round for round the
 same: round-0 rule pass with per-rule flush, ``Δ<pred>`` delta relations
-charged to the database counter, within-round bucket dedupe against head
-and bucket, iteration guard.
+charged to the database counter, an uncharged dedupe of each round's
+candidates against the stored facts and each other, iteration guard.
 """
 
 from __future__ import annotations
@@ -96,17 +97,17 @@ def execute_kernel_batch(
     """Run one compiled kernel over column vectors.
 
     Returns the emitted head rows as ``(columns, count)`` — duplicates
-    included, exactly like the per-tuple kernel's ``out`` list; the
+    included, exactly like the set-backed kernel's ``out`` list; the
     caller dedupes at flush time.
     """
     regs: List = [None] * kernel.num_slots
-    n = 1  # one empty frontier row, like the closure chain's entry call
+    n = 1  # one empty frontier row, as the set-backed kernel starts
     result_cols: Optional[List] = None
     result_n = 0
     for op in kernel.ops:
         if n == 0:
-            # An empty frontier reaches no further ops in the per-tuple
-            # engine: nothing is charged, unsafe/unbound never trip.
+            # An empty frontier reaches no further ops in the set-backed
+            # engines: nothing is charged, unsafe/unbound never trip.
             break
         kind = op[0]
         if kind == "scan":
@@ -387,7 +388,7 @@ def run_columnar(compiled, database: Database, max_iterations: int) -> Database:
                     )
                     if not n:
                         continue
-                    # Uncharged dedupe, as in the per-tuple driver:
+                    # Uncharged dedupe, as in the set-backed flush:
                     # keep candidates not yet in the head relation and
                     # not yet in this round's bucket.
                     codes = head_backend.pack_cols(cols, n)

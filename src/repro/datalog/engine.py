@@ -8,22 +8,24 @@ that work is redundant — the element the scheduler picks depends only on
 *which* variables are bound, never on their values, so the whole join
 order of a rule is a static property.  This module exploits that: each
 rule body is lowered **once** per (program, stratum) into a
-:class:`JoinKernel` — a flat chain of closures over a fixed register
-array.  Index patterns, constant tests, intra-literal equality checks
-and head construction are all precomputed; executing the kernel is a
-bare nested loop whose only per-tuple work is writing tuple fields into
-register slots.
+:class:`JoinKernel` — a flat op list over register slots.  Index
+patterns, constant tests, intra-literal equality checks and head
+construction are all precomputed.  Executing the kernel runs each op
+over the whole binding *frontier* at once: a ``scan`` is one bulk read
+(:meth:`Relation.probe_many`, or :meth:`Relation.probe_repeated` for a
+constant key) for every row, a negation one :meth:`Relation.probe_many`
+on all columns, and the head is one projection over the surviving rows.
 
 There is one join order: the kernels statically replay the
 interpreter's own scheduling
 (:func:`~repro.datalog.evaluation._ready_element_index`) over the delta
 variants :func:`~repro.datalog.evaluation._seminaive_strata` produces
-for every engine.  Because the kernels read EDB/IDB state exclusively
-through the charged storage primitives — :meth:`Relation.probe` (which
-*is* :meth:`Relation.lookup` with the pattern parsed at compile time
-instead of per call) and :meth:`Relation.contains` — a kernel issues
-*bit-for-bit the same probe sequence* as the interpreter: answers **and**
-:class:`CostCounter` snapshots are identical.  The paper's
+for every engine.  The frontier keeps every row's multiplicity — a row
+matched twice continues twice, as in the interpreter's nested loop — and
+the bulk reads charge what one :meth:`Relation.probe` (or
+:meth:`Relation.contains`) per row would, so a kernel issues *the same
+probes with the same per-relation totals* as the interpreter: answers
+**and** :class:`CostCounter` snapshots are identical.  The paper's
 retrieval-cost accounting survives the compilation untouched.  A body's
 schedule is a static property fixed once at compile time, not a mode a
 caller picks (Stephan & Brass, arXiv 1405.5645).
@@ -41,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import EvaluationError
 from .atom import Atom, BuiltinAtom
@@ -55,7 +57,7 @@ from .evaluation import (
     _seminaive_strata,
 )
 from .program import Program
-from .relation import Relation
+from .relation import Relation, _key_reader
 from .rule import Rule
 from .term import Constant, Variable
 
@@ -65,8 +67,8 @@ class _UnsafeTail:
 
     The interpreter raises :class:`EvaluationError` when (and only when)
     evaluation actually *reaches* the stuck suffix; compiling the raise
-    into the chain preserves that behaviour exactly — a rule whose outer
-    joins produce no bindings never trips it.
+    into the op list preserves that behaviour exactly — a rule whose
+    outer joins produce no bindings never trips it.
     """
 
     __slots__ = ("elements",)
@@ -101,42 +103,152 @@ def _static_schedule(elements: Sequence, bound: Set[Variable]) -> List:
     return ordered
 
 
+def _reader(template: Sequence, fills: Sequence[Tuple[int, int]]) -> Callable:
+    """``row -> tuple``: ``template`` with each ``(index, slot)`` of
+    ``fills`` read from the register row, chosen once per op."""
+    if not fills:
+        constant = tuple(template)
+        return lambda row: constant
+    if len(fills) == len(template):
+        return _columns([slot for _index, slot in fills])
+    template = list(template)
+
+    def read(row):
+        values = template.copy()
+        for index, slot in fills:
+            values[index] = row[slot]
+        return tuple(values)
+
+    return read
+
+
+def _columns(positions: Sequence[int]) -> Callable:
+    """``tup -> tuple`` of the ``positions`` entries, in that order."""
+    if not positions:
+        return lambda tup: ()
+    return _key_reader(tuple(positions))
+
+
+def _scan(relation, rows, positions, key_template, key_fills, binds, checks):
+    """One positive literal over the whole frontier: one bulk read.
+
+    Every row stays once per matched tuple (multiplicity is what the
+    next op's probes are charged by) and grows by the tuple's fresh
+    variables.  A repeated variable is first bound in this literal, so
+    its check compares two columns of the matched tuple.
+    """
+    extend = _columns([position for position, _slot in binds])
+    first = {slot: position for position, slot in binds}
+    same = [(position, first[slot]) for position, slot in checks]
+
+    def keep(tup):
+        return all(tup[p] == tup[q] for p, q in same)
+
+    if key_fills:
+        matched = relation.probe_many(
+            positions, list(map(_reader(key_template, key_fills), rows))
+        )
+        if same:
+            return [
+                row + extend(tup)
+                for row, tuples in zip(rows, matched)
+                for tup in tuples
+                if keep(tup)
+            ]
+        return [
+            row + extend(tup)
+            for row, tuples in zip(rows, matched)
+            for tup in tuples
+        ]
+    # A constant key reads the same tuples for every row.
+    tuples = relation.probe_repeated(positions, tuple(key_template), len(rows))
+    if same:
+        tuples = [tup for tup in tuples if keep(tup)]
+    # Without a key or a check the literal binds the whole tuple in
+    # column order (the delta scan), so a tuple is its own extension.
+    if positions or same:
+        tuples = list(map(extend, tuples))
+    if rows == [()]:
+        return list(tuples)
+    return [row + ext for row in rows for ext in tuples]
+
+
 class JoinKernel:
-    """One rule body compiled to a closure chain over a register file.
+    """One rule body compiled to an op list run a frontier at a time.
 
     ``relations`` lists the ``(predicate, arity)`` pair of every
-    relation-consuming op in chain order; :meth:`execute` takes the
+    relation-consuming op in op order; :meth:`execute` takes the
     resolved :class:`Relation` objects in that order (the semi-naive
     driver substitutes a delta relation at ``delta_index``) and appends
-    derived head tuples to ``out``.
+    derived head tuples to ``out``.  The frontier is a list of register
+    rows; slots are assigned in binding order, so an op that binds
+    variables extends each row by concatenation.
     """
 
-    __slots__ = (
-        "rule", "order", "relations", "delta_index", "num_slots", "_entry",
-        "ops",
-    )
+    __slots__ = ("rule", "order", "relations", "delta_index", "num_slots", "ops")
 
-    def __init__(self, rule, order, relations, delta_index, num_slots, entry,
-                 ops=()):
+    def __init__(self, rule, order, relations, delta_index, num_slots, ops):
         self.rule = rule
         self.order = order
         self.relations = relations
         self.delta_index = delta_index
         self.num_slots = num_slots
-        self._entry = entry
-        # The flat op list the closure chain was folded from.  The
-        # columnar batch executor re-interprets these same ops over
+        # The columnar batch executor interprets these same ops over
         # column vectors, so both engines share one compiled plan.
         self.ops = tuple(ops)
 
     def execute(self, relations: Sequence[Relation], out: List[Tuple]) -> None:
-        """Run the kernel against resolved relations, appending to ``out``."""
-        self._entry([None] * self.num_slots, relations, out)
+        """Run the kernel against resolved relations, appending to ``out``.
+
+        An empty frontier stops the kernel: nothing after it is charged,
+        and an ``unsafe`` or ``unbound_head`` op it never reaches never
+        raises — as in the interpreter, whose nested loop never gets
+        there.
+        """
+        rows: List[Tuple] = [()]
+        for op in self.ops:
+            kind = op[0]
+            if kind == "scan":
+                rows = _scan(relations[op[1]], rows, *op[2:])
+            elif kind == "negcheck":
+                _, rel_index, template, fills = op
+                found = relations[rel_index].probe_many(
+                    tuple(range(len(template))),
+                    list(map(_reader(template, fills), rows)),
+                )
+                rows = [row for row, hit in zip(rows, found) if not hit]
+            elif kind == "builtin":
+                _, builtin, in_pairs, out_pairs = op
+                grown = []
+                for row in rows:
+                    theta = {v: Constant(row[slot]) for v, slot in in_pairs}
+                    for extended in evaluate_builtin(builtin, theta):
+                        grown.append(
+                            row
+                            + tuple(extended[v].value for v, _slot in out_pairs)
+                        )
+                rows = grown
+            elif kind == "emit":
+                _, template, fills = op
+                out.extend(map(_reader(template, fills), rows))
+            elif kind == "unbound_head":
+                _, term, head = op
+                raise ValueError(f"unbound variable {term} instantiating {head}")
+            elif kind == "unsafe":
+                _, elements = op
+                raise EvaluationError(
+                    "no evaluable body element; rule is unsafe: "
+                    + ", ".join(str(e) for e in elements)
+                )
+            else:  # pragma: no cover - compiler invariant
+                raise EvaluationError(f"unknown kernel op {kind!r}")
+            if not rows:
+                return
 
     def resolve(
         self, database: Database, delta: Optional[Relation] = None
     ) -> List[Relation]:
-        """The relations :meth:`execute` reads, in chain order; a given
+        """The relations :meth:`execute` reads, in op order; a given
         ``delta`` stands in at ``delta_index`` and nowhere else."""
         relations = [
             database.relation_or_empty(predicate, arity)
@@ -198,6 +310,9 @@ def compile_kernel(
             ops.append(("unsafe", element.elements))
             stuck = True
             break
+        # Slots are handed out in binding order: the frontier executor
+        # extends a row by concatenating the values an op binds.
+        width = len(slots)
         if isinstance(element, BuiltinAtom):
             in_pairs = tuple(
                 (v, slots[v]) for v in element.variables() if v in bound
@@ -208,6 +323,7 @@ def compile_kernel(
                     slot = slots.setdefault(v, len(slots))
                     out_pairs.append((v, slot))
                     bound.add(v)
+            assert [s for _v, s in out_pairs] == list(range(width, len(slots)))
             ops.append(("builtin", element, in_pairs, tuple(out_pairs)))
             continue
 
@@ -239,6 +355,7 @@ def compile_kernel(
                 binds.append((position, slot))
                 seen_here.add(term)
         bound.update(seen_here)
+        assert [s for _p, s in binds] == list(range(width, len(slots)))
         # Precompute the probe plan: the (positions, key) pair that
         # Relation.lookup would derive from the pattern on every call,
         # derived here once.  ``key_fills`` maps register slots into the
@@ -277,168 +394,9 @@ def compile_kernel(
             template, fills = _atom_template(rule.head.terms, slots, bound)
             ops.append(("emit", template, tuple(fills)))
 
-    entry = _build_chain(ops)
     return JoinKernel(
-        rule, tuple(elements), tuple(rel_specs), delta_index, len(slots),
-        entry, ops,
+        rule, tuple(elements), tuple(rel_specs), delta_index, len(slots), ops
     )
-
-
-def _build_chain(ops: List[Tuple]):
-    """Fold the op list (innermost last) into one closure chain."""
-    step = None
-    for op in reversed(ops):
-        kind = op[0]
-        if kind == "emit":
-            _, template, fills = op
-            if fills:
-
-                def step(regs, rels, out, _t=template, _f=fills):
-                    row = _t.copy()
-                    for position, slot in _f:
-                        row[position] = regs[slot]
-                    out.append(tuple(row))
-
-            else:
-                constant_row = tuple(template)
-
-                def step(regs, rels, out, _row=constant_row):
-                    out.append(_row)
-
-        elif kind == "scan":
-            _, rel_index, positions, key_template, key_fills, binds, checks = op
-            static_key = None if key_fills else tuple(key_template)
-            whole_key_filled = len(key_fills) == len(key_template)
-            if not checks and len(binds) == 1 and static_key is not None:
-                # Constant probe pattern, one fresh variable: the
-                # innermost loop of a linear join, e.g. scanning a delta.
-                (b_pos, b_slot) = binds[0]
-
-                def step(
-                    regs, rels, out,
-                    _ri=rel_index, _pos=positions, _key=static_key,
-                    _bp=b_pos, _bs=b_slot, _next=step,
-                ):
-                    for tup in rels[_ri].probe(_pos, _key):
-                        regs[_bs] = tup[_bp]
-                        _next(regs, rels, out)
-
-            elif (
-                not checks
-                and len(binds) == 1
-                and whole_key_filled
-                and len(key_fills) == 1
-            ):
-                # One join column from a register, one fresh variable:
-                # the canonical hash-join step (edge(X, Y) with X bound).
-                (_ki, f_slot) = key_fills[0]
-                (b_pos, b_slot) = binds[0]
-
-                def step(
-                    regs, rels, out,
-                    _ri=rel_index, _pos=positions, _fs=f_slot,
-                    _bp=b_pos, _bs=b_slot, _next=step,
-                ):
-                    for tup in rels[_ri].probe(_pos, (regs[_fs],)):
-                        regs[_bs] = tup[_bp]
-                        _next(regs, rels, out)
-
-            elif not checks and len(binds) == 1 and whole_key_filled:
-                fill_slots = tuple(slot for _ki, slot in key_fills)
-                (b_pos, b_slot) = binds[0]
-
-                def step(
-                    regs, rels, out,
-                    _ri=rel_index, _pos=positions, _fs=fill_slots,
-                    _bp=b_pos, _bs=b_slot, _next=step,
-                ):
-                    key = tuple(regs[s] for s in _fs)
-                    for tup in rels[_ri].probe(_pos, key):
-                        regs[_bs] = tup[_bp]
-                        _next(regs, rels, out)
-
-            else:
-
-                def step(
-                    regs, rels, out,
-                    _ri=rel_index, _pos=positions, _kt=key_template,
-                    _kf=key_fills, _b=binds, _c=checks, _sk=static_key,
-                    _next=step,
-                ):
-                    if _sk is None:
-                        key_row = _kt.copy()
-                        for key_index, slot in _kf:
-                            key_row[key_index] = regs[slot]
-                        key = tuple(key_row)
-                    else:
-                        key = _sk
-                    if _c:
-                        for tup in rels[_ri].probe(_pos, key):
-                            for position, slot in _b:
-                                regs[slot] = tup[position]
-                            for position, slot in _c:
-                                if tup[position] != regs[slot]:
-                                    break
-                            else:
-                                _next(regs, rels, out)
-                    else:
-                        for tup in rels[_ri].probe(_pos, key):
-                            for position, slot in _b:
-                                regs[slot] = tup[position]
-                            _next(regs, rels, out)
-
-        elif kind == "negcheck":
-            _, rel_index, template, fills = op
-            constant_pattern = None if fills else tuple(template)
-
-            def step(
-                regs, rels, out,
-                _ri=rel_index, _t=template, _f=fills,
-                _cp=constant_pattern, _next=step,
-            ):
-                if _cp is None:
-                    row = _t.copy()
-                    for position, slot in _f:
-                        row[position] = regs[slot]
-                    pattern = tuple(row)
-                else:
-                    pattern = _cp
-                if not rels[_ri].contains(pattern):
-                    _next(regs, rels, out)
-
-        elif kind == "builtin":
-            _, builtin, in_pairs, out_pairs = op
-
-            def step(
-                regs, rels, out,
-                _bi=builtin, _in=in_pairs, _out=out_pairs, _next=step,
-            ):
-                theta = {v: Constant(regs[slot]) for v, slot in _in}
-                for extended in evaluate_builtin(_bi, theta):
-                    for v, slot in _out:
-                        regs[slot] = extended[v].value
-                    _next(regs, rels, out)
-
-        elif kind == "unbound_head":
-            _, term, head = op
-
-            def step(regs, rels, out, _term=term, _head=head):
-                raise ValueError(
-                    f"unbound variable {_term} instantiating {_head}"
-                )
-
-        elif kind == "unsafe":
-            _, elements = op
-
-            def step(regs, rels, out, _elements=elements):
-                raise EvaluationError(
-                    "no evaluable body element; rule is unsafe: "
-                    + ", ".join(str(e) for e in _elements)
-                )
-
-        else:  # pragma: no cover - compiler invariant
-            raise EvaluationError(f"unknown kernel op {kind!r}")
-    return step
 
 
 def compile_rule(rule: Rule) -> JoinKernel:

@@ -13,8 +13,9 @@ database.  Two strategies are provided:
 
 :func:`seminaive_evaluate` runs on one of three engines.  The default,
 ``engine="compiled"``, lowers each rule once into a slot-based join
-kernel (:mod:`repro.datalog.engine`) and executes flat closure chains;
-``engine="columnar"`` runs the same kernels as batch joins
+kernel (:mod:`repro.datalog.engine`) and runs its ops a binding frontier
+at a time over the set-backed relations; ``engine="columnar"`` runs the
+same kernels as batch joins over interned column vectors
 (:mod:`repro.datalog.columnar_engine`); ``engine="interpreted"`` is the
 original tuple-at-a-time interpreter in this module, retained as the
 differential oracle next to :func:`naive_evaluate`.  All three produce
@@ -25,8 +26,9 @@ by the kernels), one delta differentiation (:func:`_differentiate`) and
 one set-backed delta-round loop (:func:`_run_delta_rounds`, shared by
 the interpreter, the compiled engine and
 :func:`~repro.datalog.incremental.insert_and_maintain`), and every read
-goes through the same charged
-:meth:`Relation.lookup`/:meth:`Relation.contains` primitives.
+is charged as one :meth:`Relation.lookup`/:meth:`Relation.contains` per
+probe — the kernels' bulk reads charge exactly the probes they stand
+for.
 
 Both accept ``max_iterations``: recursive programs over cyclic data can
 genuinely diverge when values grow without bound (this is exactly how
@@ -302,11 +304,12 @@ def _run_delta_rounds(
     variant)`` whose predicate has a delta through ``run(variant,
     database, delta)``.  Only the pinned occurrence reads the delta;
     other occurrences see the full relation, and set semantics absorbs
-    the duplicated derivations.  Candidates are deduplicated (uncharged)
-    against the head relation and the round's bucket, then flushed in
-    bulk.  ``derived``, when given, accumulates everything confirmed —
-    it is filled round by round, so it is exact even when a later round
-    raises.
+    the duplicated derivations.  A round's candidates per head are
+    collected as they come and flushed in bulk: :meth:`Relation.add_new`
+    is the one (uncharged) dedupe, against the stored facts and within
+    the batch, and what it returns is the confirmed delta.  ``derived``,
+    when given, accumulates everything confirmed — it is filled round by
+    round, so it is exact even when a later round raises.
     """
     iterations = 0
     while any(deltas.values()):
@@ -327,16 +330,15 @@ def _run_delta_rounds(
             for predicate, tuples in deltas.items()
             if tuples
         }
-        buckets: Dict[str, Set[Tuple]] = {}
+        buckets: Dict[str, List[Tuple]] = {}
         for head, delta_predicate, variant in variants:
             delta = delta_relations.get(delta_predicate)
             if delta is None:
                 continue
-            head_relation = database.relation_or_empty(head.predicate, head.arity)
-            bucket = buckets.setdefault(head.predicate, set())
-            for tup in run(variant, database, delta):
-                if tup not in head_relation and tup not in bucket:
-                    bucket.add(tup)
+            database.relation_or_empty(head.predicate, head.arity)
+            buckets.setdefault(head.predicate, []).extend(
+                run(variant, database, delta)
+            )
         deltas = {}
         for predicate, tuples in buckets.items():
             # Bulk flush: one dedupe pass against the stored tuples,

@@ -6,8 +6,10 @@ The engine's contract has three parts, each pinned here:
   as the interpreter on recursion, stratified negation, builtins, and
   unsafe rules (which must fail identically);
 * cost parity — the kernels replay the interpreter's one join order and
-  issue bit-for-bit the same probe sequence, so CostCounter snapshots
-  (per-relation keys and delta relations included) are equal;
+  charge the same probes with the same per-relation totals, so
+  CostCounter snapshots (per-relation keys and delta relations
+  included) are equal — pinned per op kind against the interpreter's
+  own charges;
 * caching — kernels are compiled once per program object and never
   served stale after in-place mutation.
 """
@@ -16,6 +18,7 @@ import pytest
 
 from repro.datalog.atom import Atom, Literal, var
 from repro.datalog.builtins import arithmetic, comparison
+from repro.datalog.columnar_engine import materialize_kernel_columnar
 from repro.datalog.database import Database
 from repro.datalog.engine import (
     CompiledProgram,
@@ -23,7 +26,7 @@ from repro.datalog.engine import (
     compile_rule,
     materialize_conjunction,
 )
-from repro.datalog.evaluation import seminaive_evaluate
+from repro.datalog.evaluation import evaluate_rule, seminaive_evaluate
 from repro.datalog.program import Program
 from repro.datalog.relation import CostCounter
 from repro.datalog.rule import Rule
@@ -297,6 +300,150 @@ class TestKernelPrimitives:
             materialize_conjunction(
                 [Literal(Atom("edge", (X, Y)))], (X, Z), _edge_db(EDGES)
             )
+
+
+def _op_db():
+    database = Database(CostCounter())
+    database.add_facts("edge", EDGES)
+    database.add_facts("mark", [("x",), ("y",)])
+    database.add_facts("back", [("a", "b"), ("c", "d")])
+    return database
+
+
+def _edge(source, target):
+    return Literal(Atom("edge", (source, target)))
+
+
+ENGINES = ("interpreted", "compiled", "columnar")
+
+
+def _run_rule(rule, engine):
+    """One evaluation of one rule body on ``engine``, safety unchecked:
+    ``(rows, snapshot)``, or ``(exception, snapshot)`` when it raises."""
+    database = _op_db()
+    try:
+        if engine == "interpreted":
+            rows = evaluate_rule(rule, database)
+        elif engine == "compiled":
+            rows = compile_rule(rule).run(database)
+        else:
+            rows = materialize_kernel_columnar(
+                compile_rule(rule), database.to_columnar()
+            )
+    except Exception as error:  # noqa: BLE001 - compared across engines
+        return error, database.counter.snapshot()
+    return set(rows), database.counter.snapshot()
+
+
+class TestPerOpCharges:
+    """One hand-written rule per op kind, charges pinned per relation.
+
+    The literals are what the tuple-at-a-time interpreter charges; the
+    frontier kernels (set-backed and columnar) must charge the same for
+    each op, not merely the same in total over a fixpoint.
+    """
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_constant_scan_under_a_wide_frontier(self, engine):
+        # edge("a", Z) shares no variable with edge(X, Y): each of the
+        # 5 rows probes the one key, and pays both of its matches.
+        rows, snapshot = _run_rule(
+            Rule(Atom("two", (X, Z)), [_edge(X, Y), _edge("a", Z)]), engine
+        )
+        assert rows == {(x, z) for x in "abcd" for z in "bc"}
+        assert snapshot == {
+            "retrievals": 21, "probes": 6, "tuples": 15, "relation:edge": 21,
+        }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_negcheck_charges_a_probe_per_row_and_the_found_rows(self, engine):
+        rows, snapshot = _run_rule(
+            Rule(
+                Atom("unpaired", (X, Y)),
+                [_edge(X, Y), Literal(Atom("back", (X, Y)), negated=True)],
+            ),
+            engine,
+        )
+        assert rows == {("a", "c"), ("b", "c"), ("d", "e")}
+        assert snapshot == {
+            "retrievals": 13, "probes": 6, "tuples": 7,
+            "relation:back": 7, "relation:edge": 6,
+        }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_builtin_filters_the_frontier_before_the_next_probe(self, engine):
+        rows, snapshot = _run_rule(
+            Rule(
+                Atom("far", (X, Z)),
+                [_edge(X, Y), comparison("!=", Y, "c"), _edge(Y, Z)],
+            ),
+            engine,
+        )
+        assert rows == {("a", "c"), ("c", "e")}
+        assert snapshot == {
+            "retrievals": 11, "probes": 4, "tuples": 7, "relation:edge": 11,
+        }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_constant_head_emits_one_row_per_binding(self, engine):
+        rows, snapshot = _run_rule(
+            Rule(Atom("seen", ("yes",)), [_edge(X, Y)]), engine
+        )
+        assert rows == {("yes",)}
+        assert snapshot == {
+            "retrievals": 6, "probes": 1, "tuples": 5, "relation:edge": 6,
+        }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_join_that_empties_charges_nothing_after_it(self, engine):
+        rows, snapshot = _run_rule(
+            Rule(
+                Atom("none", (X, J)),
+                [_edge(X, Y), _edge(Y, "zz"), Literal(Atom("mark", (J,)))],
+            ),
+            engine,
+        )
+        assert rows == set()
+        # No probe of ``mark``: the frontier was empty before it.
+        assert snapshot == {
+            "retrievals": 11, "probes": 6, "tuples": 5, "relation:edge": 11,
+        }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unsafe_tail_behind_an_empty_join_does_not_raise(self, engine):
+        rows, snapshot = _run_rule(
+            Rule(
+                Atom("bad", (X,)),
+                [_edge(X, Y), _edge(Y, "zz"), comparison("<", J, 3)],
+            ),
+            engine,
+        )
+        assert rows == set()
+        assert snapshot == {
+            "retrievals": 11, "probes": 6, "tuples": 5, "relation:edge": 11,
+        }
+
+    @pytest.mark.parametrize(
+        "rule, kind, text",
+        [
+            (
+                Rule(Atom("bad", (X,)), [_edge(X, Y), comparison("<", J, 3)]),
+                EvaluationError,
+                "no evaluable body element; rule is unsafe: J < 3",
+            ),
+            (
+                Rule(Atom("bad", (X, Z)), [_edge(X, Y)]),
+                ValueError,
+                "unbound variable Z instantiating bad(X, Z)",
+            ),
+        ],
+        ids=["unsafe_tail", "unbound_head"],
+    )
+    def test_a_reached_dead_end_raises_alike(self, rule, kind, text):
+        for engine in ENGINES:
+            error, _snapshot = _run_rule(rule, engine)
+            assert type(error) is kind, engine
+            assert str(error) == text, engine
 
 
 class TestServicePlanKernels:

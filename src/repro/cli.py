@@ -620,8 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub_serve.add_argument(
         "--window-ms", type=float, default=5.0,
-        help="coalescing window: concurrent solves arriving within it "
-        "share one batch (default 5ms)",
+        help="coalescing window: the longest a solve is held for company "
+        "while a batch runs (default 5ms; a burst on an idle server is "
+        "flushed without a hold)",
     )
     sub_serve.add_argument(
         "--max-batch", type=int, default=64,

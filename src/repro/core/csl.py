@@ -282,7 +282,7 @@ class CSLQuery:
             Relation(store.name, 2, (), counter, backend=store)
             for store in self.storage
         )
-        return CSLInstance(left, exit, right, self.source, counter)
+        return CSLInstance(left, exit, right, self.source, self, counter)
 
     # --- uncharged structural views (for analysis) ----------------------
 
@@ -310,13 +310,22 @@ class CSLInstance:
     All engines read ``left``/``exit``/``right`` only through the charged
     bulk reads of :class:`Relation` (``probe_many``, ``probe_repeated``), so
     ``counter`` accumulates the total tuple-retrieval cost — the paper's unit.
+    ``query`` holds the same pairs; the engines read only its uncharged
+    :attr:`index`, for an evaluation order, never for a retrieval.
     """
 
     left: Relation
     exit: Relation
     right: Relation
     source: object
+    query: CSLQuery
     counter: CostCounter = field(default_factory=CostCounter)
+
+    @property
+    def index(self) -> GraphIndex:
+        """The query's :attr:`CSLQuery.index` (built on first use: a run
+        that never asks for it builds none)."""
+        return self.query.index
 
 
 def frontier_step(relation: Relation, position: int, frontier: Iterable) -> Set[object]:

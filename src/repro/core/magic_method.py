@@ -20,11 +20,30 @@ with the ``L`` arcs entering ``X1`` (restricted to magic values) and the
 ``R`` pairs ending in its ``Y1`` values.  Each ``P_M`` fact is expanded
 exactly once and charged the paper's nested loop (:func:`predecessor_join`),
 giving the Θ(m_L × m_R) behaviour of Table 1.
+
+The deltas wait in a :class:`Worklist` that pops values in the order of
+the condensation of ``G_L`` (``GraphIndex.condensation.rank``, one
+Tarjan pass per pair-set version), successors before predecessors: a
+value outside a cycle is expanded once, with its whole answer set, and
+only values on a cycle are expanded again as their cycle fills in.
+The order moves no charge — each fact's cost depends on the fact alone
+(``docs/complexity_notes.md``).
 """
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterable, Iterator, Optional, Set, Tuple
+from heapq import heappop, heappush
+from typing import (
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from .cost import AnswerResult
 from .csl import CSLInstance, CSLQuery, frontier_step
@@ -45,15 +64,66 @@ def compute_magic_set(instance: CSLInstance) -> Set[object]:
     return union_magic_set(instance, (instance.source,))
 
 
+class Worklist:
+    """``P_M`` facts not yet expanded, ``{x1: ys}``, popped by ascending
+    ``rank`` — with a condensation's rank, successors first.
+
+    A value is queued once: facts for a value already queued join its
+    set.  Ties go to the most recently queued value, so with every rank
+    equal the pops are exactly ``dict.popitem()``'s; values themselves
+    are never compared (they may be of mixed types).  A value ``rank``
+    does not know (one off ``L``: it has no predecessor) ranks 0.
+    """
+
+    __slots__ = ("_rank", "_facts", "_heap", "_recency")
+
+    def __init__(self, rank: Mapping[object, int]):
+        self._rank = rank
+        self._facts: Dict[object, Set[object]] = {}
+        # (rank, -n, x) for the n-th value queued: no two entries tie
+        # before x, so x is never compared.
+        self._heap: List[Tuple[int, int, object]] = []
+        self._recency = 0
+
+    def add(self, x, ys: Iterable) -> None:
+        """Queue the facts ``P_M(x, y)`` for ``y`` in ``ys``."""
+        queued = self._facts.get(x)
+        if queued is not None:
+            queued.update(ys)
+            return
+        self._facts[x] = set(ys)
+        self._recency -= 1
+        heappush(self._heap, (self._rank.get(x, 0), self._recency, x))
+
+    def pop(self) -> Tuple[object, Set[object]]:
+        """The lowest-ranked value and every fact queued for it."""
+        x = heappop(self._heap)[2]
+        return x, self._facts.pop(x)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+
+def worklist(instance: CSLInstance, facts: Mapping[object, Iterable]) -> Worklist:
+    """``facts`` queued in the condensation order of ``instance``'s
+    ``G_L``.  No facts, no order: an empty worklist reads no index."""
+    queue = Worklist(instance.index.condensation.rank if facts else {})
+    for x, ys in facts.items():
+        queue.add(x, ys)
+    return queue
+
+
 def predecessor_join(
-    instance: CSLInstance, guard: Container, delta: Dict[object, Set[object]]
+    instance: CSLInstance, guard: Container, delta: Worklist
 ) -> Iterator[Tuple[object, Set[object]]]:
     """``L(X, x1), R(Y, y1)`` under each batch of facts ``P_M(x1, ys)``.
 
-    Drains ``delta`` (``{x1: ys}``; the consumer may refill it between
-    steps — the semi-naive loop) and yields ``(x, image)``: each
-    L-predecessor of ``x1`` in ``guard`` with the non-empty R-image of
-    ``ys`` (shared: read, do not modify).  The *charge* is the paper's
+    Drains ``delta`` (the consumer may refill it between steps — the
+    semi-naive loop) and yields ``(x, image)``: each L-predecessor of
+    ``x1`` in ``guard`` with the non-empty R-image of ``ys`` (shared:
+    read, do not modify).  Popped in condensation order, a value off a
+    cycle arrives once, after every successor it could hear from, so
+    its batch is its whole answer set.  The *charge* is the paper's
     nested loop — per fact the L arcs into ``x1`` and, once per guarded
     predecessor, the R pairs ending in ``y1``: the Θ(m_L × m_R) product,
     not a factored join — while the *read* is factored: L is charged on
@@ -64,7 +134,7 @@ def predecessor_join(
     images: Dict[object, frozenset] = {}
     owed: Dict[object, int] = {}
     while delta:
-        x1, ys = delta.popitem()
+        x1, ys = delta.pop()
         preds = [x for x, _x1 in left((1,), (x1,), len(ys)) if x in guard]
         if not preds:
             continue
@@ -99,20 +169,19 @@ def magic_fixpoint(
     """
     exit_guard = magic if exit_guard is None else exit_guard
     recursion_guard = magic if recursion_guard is None else recursion_guard
-    # delta[x1]: the facts P_M(x1, ·) not yet expanded (each enters once).
     pm: Dict[object, Set[object]] = {}
-    delta: Dict[object, Set[object]] = {}
     exits = instance.exit.probe_many((0,), [(x,) for x in exit_guard])
     for x, rows in zip(exit_guard, exits):
         if rows:
-            ys = {y for _x, y in rows}
-            pm[x], delta[x] = ys, set(ys)
+            pm[x] = {y for _x, y in rows}
+    # delta: the facts P_M(x1, ·) not yet expanded (each enters once).
+    delta = worklist(instance, pm)
     for x, image in predecessor_join(instance, recursion_guard, delta):
         known = pm.setdefault(x, set())
         fresh = image - known
         if fresh:
             known |= fresh
-            delta.setdefault(x, set()).update(fresh)
+            delta.add(x, fresh)
     return pm
 
 

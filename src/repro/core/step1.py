@@ -130,29 +130,30 @@ def recurring_step1(instance: CSLInstance) -> ReducedSets:
     values seen so far): a walk of length ``≥ K`` must traverse a cycle,
     and every recurring node is guaranteed to collect such a witness
     index before level ``2K - 1``.  Θ(n_L × m_L) retrievals.
+
+    The fixpoint's tuples are kept as one frontier per level (``MS(I,
+    ·)`` is ``levels[I]``), never as an index set per value: a value
+    with an index ``≥ K`` is recurring, and every other value is
+    counted at each level it occurs in.
     """
-    indices: Dict[object, Set[int]] = {instance.source: {0}}
-    frontier: Set[object] = {instance.source}
-    level = 0
-    while frontier and level < 2 * len(indices) - 1:
-        level += 1
-        # Levels only grow, so ``level`` is new to every value reached:
-        # the next frontier is the whole image.
-        frontier = frontier_step(instance.left, 0, frontier)
-        for value in frontier:
-            indices.setdefault(value, set()).add(level)
-    cardinality = len(indices)
-    rm = {value for value, bucket in indices.items() if max(bucket) >= cardinality}
+    levels = [{instance.source}]
+    seen = {instance.source}
+    while levels[-1] and len(levels) - 1 < 2 * len(seen) - 1:
+        # Levels only grow, so the next level is the whole image.
+        frontier = frontier_step(instance.left, 0, levels[-1])
+        levels.append(frontier)
+        seen |= frontier
+    cardinality = len(seen)
+    rm = set().union(*levels[cardinality:])
     rc = {
         (index, value)
-        for value, bucket in indices.items()
-        if value not in rm
-        for index in bucket
+        for index, level in enumerate(levels[:cardinality])
+        for value in level - rm
     }
     return ReducedSets(
-        rc=rc, rm=rm, ms=set(indices), strategy=Strategy.RECURRING,
-        details={"regular": not rm and all(len(b) == 1 for b in indices.values()),
-                 "variant": "fixpoint", "levels": level},
+        rc=rc, rm=rm, ms=seen, strategy=Strategy.RECURRING,
+        details={"regular": not rm and sum(map(len, levels)) == cardinality,
+                 "variant": "fixpoint", "levels": len(levels) - 1},
     )
 
 

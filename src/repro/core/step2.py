@@ -35,7 +35,7 @@ from typing import Dict, List
 
 from .csl import CSLInstance
 from .counting_method import descend_answers, seed_exit
-from .magic_method import magic_fixpoint, predecessor_join
+from .magic_method import magic_fixpoint, predecessor_join, worklist
 from .reduced_sets import ReducedSets
 
 
@@ -86,7 +86,9 @@ def integrated_step2(instance: CSLInstance, reduced: ReducedSets):
     for index, value in reduced.rc:
         rc_by_value.setdefault(value, []).append(index)
     transferred = 0
-    for x, image in predecessor_join(instance, rc_by_value, dict(pm)):
+    for x, image in predecessor_join(
+        instance, rc_by_value, worklist(instance, pm)
+    ):
         for index in rc_by_value[x]:
             bucket = pc_levels.setdefault(index, set())
             transferred += len(image - bucket)

@@ -12,10 +12,10 @@ Public surface::
             client.solve_batch(["a", "b"])
             client.add_fact("up", "x", "y")
 
-Concurrent ``solve`` requests that arrive within the coalescing window
-are answered by ONE ``solve_batch`` call — the shared reachability
-sweep and ``P_M`` fixpoint are paid once per window, not once per
-connection.  Admission control bounds the pending queue (structured
+Concurrent ``solve`` requests that arrive together (a burst, or within
+the coalescing window while a batch runs) are answered by ONE
+``solve_batch`` call — the shared reachability sweep and ``P_M``
+fixpoint are paid once per batch, not once per connection.  Admission control bounds the pending queue (structured
 ``overloaded`` errors, never unbounded queuing), per-request deadlines
 expire cooperatively at batch boundaries, and shutdown drains in-flight
 batches before closing.  ``GET /health`` and ``GET /metrics`` answer on

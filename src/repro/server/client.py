@@ -9,8 +9,8 @@ written once); a client adds only its transport:
   that drive the server from ordinary code;
 * :class:`AsyncSolverClient` — asyncio, pipelines any number of
   concurrent requests on one connection and routes responses by ``id``.
-  Twenty ``solve()`` coroutines fired together arrive inside one
-  coalescing window and come back as one shared batch.
+  Twenty ``solve()`` coroutines fired together leave in one write and
+  come back as one shared batch.
 
 Both raise the structured protocol errors
 (:class:`~repro.server.protocol.OverloadedError`,
@@ -241,7 +241,16 @@ class SolverClient(_Operations):
 
 
 class AsyncSolverClient(_Operations):
-    """Asyncio client: pipelines concurrent requests on one connection."""
+    """Asyncio client: pipelines concurrent requests on one connection.
+
+    The frames issued during one event-loop iteration leave in a single
+    ``write`` at its end, so a burst — ``gather`` over N ``solve`` calls
+    — reaches the server as one read and coalesces into one batch.
+    Each request then awaits ``drain()``, so backpressure holds.  A
+    frame is written at most once: one queued for a transport that died
+    fails its request with :class:`ConnectionError` (which the failover
+    policy may retry as a new request); the queue is never replayed.
+    """
 
     def __init__(
         self,
@@ -264,6 +273,10 @@ class AsyncSolverClient(_Operations):
         self._conn_lock = asyncio.Lock()
         self._ids = itertools.count(1)
         self._pending: Dict[int, asyncio.Future] = {}  # guarded-by: @loop
+        # Frames issued this loop iteration, and the future their one
+        # write resolves (None: nothing queued).
+        self._outbox: List[bytes] = []  # guarded-by: @loop
+        self._written: Optional[asyncio.Future] = None  # guarded-by: @loop
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
     @classmethod
@@ -340,11 +353,40 @@ class AsyncSolverClient(_Operations):
         request_id = next(self._ids)
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
-        self._writer.write(
-            encode_frame({"id": request_id, "op": op, "params": params or {}})
-        )
-        await self._writer.drain()
-        return await future
+        try:
+            await self._send(
+                encode_frame(
+                    {"id": request_id, "op": op, "params": params or {}}
+                )
+            )
+            await self._writer.drain()
+            return await future
+        finally:
+            self._pending.pop(request_id, None)
+            _forget(future)
+
+    def _send(self, frame: bytes) -> asyncio.Future:
+        """Queue ``frame`` for this iteration's write; the future
+        resolves once it is written (shielded: a cancelled request does
+        not cancel its neighbours' write)."""
+        if self._written is None:
+            loop = asyncio.get_running_loop()
+            self._written = loop.create_future()
+            loop.call_soon(self._write_outbox)
+        self._outbox.append(frame)
+        return asyncio.shield(self._written)
+
+    def _write_outbox(self) -> None:
+        frames, self._outbox = self._outbox, []
+        written, self._written = self._written, None
+        if self._reader_task.done() or self._writer.is_closing():
+            written.set_exception(
+                ConnectionError("server closed the connection")
+            )
+            written.exception()  # raised to every awaiter, logged by none
+        else:
+            self._writer.write(b"".join(frames))
+            written.set_result(None)
 
     async def _call(self, op, params, decode):
         return decode(await self.request(op, params))
@@ -387,6 +429,13 @@ class AsyncSolverClient(_Operations):
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close()
+
+
+def _forget(future: asyncio.Future) -> None:
+    """Drop a response nobody awaits any more: cancel it if unsettled,
+    and mark an error it already holds as seen."""
+    if not future.cancel() and not future.cancelled():
+        future.exception()
 
 
 def _solve_params(source, method, deadline_ms, program) -> Dict[str, object]:

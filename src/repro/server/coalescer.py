@@ -3,21 +3,25 @@
 The paper's economics one level up: :class:`~repro.service.SolverService`
 already amortizes the reachability sweep and the ``P_M`` fixpoint across
 the sources of one batch, so *concurrent network clients* asking for
-sources of the same query shape should ride in one batch too.  The
-coalescer holds each arriving ``solve`` for at most one **window**
-(default 5 ms); every request for the same ``(program, method)`` group
-that lands inside the window joins the batch, and one
-``solve_batch`` call answers them all — N clients pay one shared sweep
-instead of N.
+sources of the same query shape should ride in one batch too.  Every
+request for the same ``(program, method)`` group that arrives while the
+group is open joins its batch, and one ``solve_batch`` call answers
+them all — N clients pay one shared sweep instead of N.
 
-The window is held only on evidence of company.  A request that opens a
-group while nothing else is queued or executing, after the last two
-windows each flushed a single request, has nobody to wait for: its
-group is flushed on the next loop tick (frames already buffered still
-join it).  Any window that coalesces two or more requests restores the
-full hold, so a fresh coalescer, a burst, a pipelined wave and a wave
-split by a straggler all wait as before; a lone closed-loop caller
-stops waiting after two requests.
+A group closes on evidence, not on a clock:
+
+* opened while nothing is queued or executing (``pending == 0``), it is
+  flushed at the first event-loop iteration in which no request joined
+  it.  Every frame already read off a socket is handed to the
+  coalescer within one iteration, so a burst a client wrote at once —
+  a pipelined wave — is one batch, and a lone caller is not held at
+  all;
+* opened while a batch is queued or executing, it is held for the
+  **window** (default 5 ms), so requests that arrive under load still
+  share a sweep.
+
+Either way the window is the longest a request is held, and
+``max_batch`` flushes a group as soon as it is full.
 
 Three serving guarantees live here, not in the transport:
 
@@ -56,12 +60,15 @@ ExecuteFn = Callable[[object, List], Awaitable[Dict[object, frozenset]]]
 class _Group:
     """One open coalescing window: entries waiting for a flush."""
 
-    __slots__ = ("key", "entries", "timer")
+    __slots__ = ("key", "entries", "timer", "closes")
 
-    def __init__(self, key):
+    def __init__(self, key, closes: float):
         self.key = key
         self.entries: List[Tuple[object, asyncio.Future]] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
+        #: the pending flush: a quiet-iteration check or the window
+        self.timer: Optional[asyncio.Handle] = None
+        #: loop time at which the window ends
+        self.closes = closes
 
 
 class RequestCoalescer:
@@ -86,9 +93,6 @@ class RequestCoalescer:
         self._flushes: Set[asyncio.Task] = set()  # guarded-by: @loop
         self._draining = False  # guarded-by: @loop
         self.pending = 0  # guarded-by: @loop
-        # Consecutive windows, up to now, that flushed exactly one
-        # request: the evidence that a caller is alone.
-        self._lone_streak = 0  # guarded-by: @loop
         # Lifetime counters, surfaced on /metrics.  Everything above and
         # below is event-loop-confined: the coalescer is called only
         # from coroutines and loop callbacks, never from worker threads.
@@ -98,6 +102,7 @@ class RequestCoalescer:
         self.largest_batch = 0  # guarded-by: @loop
         self.overloaded = 0  # guarded-by: @loop
         self.expired = 0  # guarded-by: @loop
+        # groups opened on an idle coalescer: flushed when quiet, not held
         self.immediate = 0  # guarded-by: @loop
 
     # --- admission ------------------------------------------------------
@@ -118,10 +123,10 @@ class RequestCoalescer:
         """Queue one source under ``key``; returns its answer set.
 
         ``deadline`` is seconds from now (None = no deadline).  The
-        request waits at most one window before its batch runs; it may
-        ride an earlier flush when the group hits ``max_batch``, and it
-        is not held at all when it opens a group for a caller the last
-        two windows showed to be alone.
+        request waits at most one window before its batch runs; it rides
+        an earlier flush when the group hits ``max_batch``, or when the
+        group opened on an idle coalescer and a loop iteration passes
+        that brings it nobody new.
         """
         self._admit(1)
         if deadline is not None and deadline <= 0:
@@ -131,13 +136,13 @@ class RequestCoalescer:
         future: asyncio.Future = loop.create_future()
         group = self._groups.get(key)
         if group is None:
-            group = _Group(key)
+            group = _Group(key, loop.time() + self.window)
             self._groups[key] = group
-            hold = self.window
-            if self.pending == 0 and self._lone_streak >= 2:
-                hold = 0.0
+            if self.pending == 0:
                 self.immediate += 1
-            group.timer = loop.call_later(hold, self._flush, key)
+                group.timer = loop.call_soon(self._flush_when_quiet, group, 1)
+            else:
+                group.timer = loop.call_later(self.window, self._flush, key)
         group.entries.append((source, future))
         self.requests += 1
         self.pending += 1
@@ -204,6 +209,19 @@ class RequestCoalescer:
 
     # --- flushing -------------------------------------------------------
 
+    def _flush_when_quiet(self, group: _Group, joined: int) -> None:
+        """Look at ``group`` again one loop iteration later while requests
+        keep joining it (it had ``joined`` entries at the last look) and
+        its window is open; flush it otherwise."""
+        grown = len(group.entries) > joined
+        loop = asyncio.get_running_loop()
+        if grown and loop.time() < group.closes:
+            group.timer = loop.call_soon(
+                self._flush_when_quiet, group, len(group.entries)
+            )
+        else:
+            self._flush(group.key)
+
     def _flush(self, key) -> None:
         """Close the window for ``key`` and start its batch."""
         group = self._groups.pop(key, None)
@@ -211,10 +229,6 @@ class RequestCoalescer:
             return
         if group.timer is not None:
             group.timer.cancel()
-        if len(group.entries) == 1:
-            self._lone_streak += 1
-        else:
-            self._lone_streak = 0
         task = asyncio.ensure_future(self._run_batch(group))
         self._flushes.add(task)
         task.add_done_callback(self._flushes.discard)

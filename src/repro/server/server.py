@@ -95,7 +95,8 @@ class SolverServer:
         """``program`` is the default query shape served to requests
         that do not carry their own ``program`` text; ``port=0`` binds
         an ephemeral port (read it back from ``self.port`` after
-        :meth:`start`).  ``window_ms`` is the coalescing window,
+        :meth:`start`).  ``window_ms`` is the coalescing window (the
+        longest a request is held; see :mod:`repro.server.coalescer`),
         ``max_pending`` the admission-control bound, and
         ``default_deadline_ms`` the deadline applied to requests that
         do not set one (None = wait forever)."""

@@ -92,6 +92,7 @@ def make_instance(query: CSLQuery, backend: str, counter=None) -> CSLInstance:
         exit=relation("e", query.exit),
         right=relation("r", query.right),
         source=query.source,
+        query=query,
         counter=counter,
     )
 

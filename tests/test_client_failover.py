@@ -39,6 +39,8 @@ class ScriptedServer:
     def __init__(self, script):
         self.script = deque(script)
         self.ops = []
+        #: ``(connection number, request id)`` of every frame read
+        self.frames = []
         self.connections = 0
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.port = self._listener.getsockname()[1]
@@ -53,10 +55,12 @@ class ScriptedServer:
                 return  # listener closed
             self.connections += 1
             threading.Thread(
-                target=self._handle, args=(conn,), daemon=True
+                target=self._handle,
+                args=(conn, self.connections),
+                daemon=True,
             ).start()
 
-    def _handle(self, conn):
+    def _handle(self, conn, number):
         handle = conn.makefile("rwb")
         try:
             while True:
@@ -65,6 +69,7 @@ class ScriptedServer:
                     return
                 request = json.loads(line)
                 self.ops.append(request["op"])
+                self.frames.append((number, request["id"]))
                 action = self.script.popleft() if self.script else (
                     "ok", "pong",
                 )
@@ -263,3 +268,109 @@ class TestAsyncFailover:
             # No frame ever reached the server: the closed client
             # raised locally instead of redialling.
             assert server.ops == []
+
+
+class RecordingWriter:
+    """A stand-in ``StreamWriter``: records every ``write`` and, for each
+    ``drain``, how many writes preceded it."""
+
+    def __init__(self):
+        self.writes = []
+        self.drains = []
+        self.closing = False
+
+    def write(self, data):
+        self.writes.append(data)
+
+    async def drain(self):
+        self.drains.append(len(self.writes))
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closing = True
+
+    async def wait_closed(self):
+        pass
+
+
+class TestAsyncOutbox:
+    """The frames issued in one loop iteration leave in one write, each
+    request awaits ``drain`` after it, and no frame is written twice."""
+
+    def test_a_burst_leaves_in_one_write_and_each_request_drains(self):
+        async def main():
+            reader, writer = asyncio.StreamReader(), RecordingWriter()
+            client = AsyncSolverClient(reader, writer)
+            solves = asyncio.gather(
+                *(client.solve(f"s{n}") for n in range(8))
+            )
+            while not writer.writes:
+                await asyncio.sleep(0)
+            assert len(writer.writes) == 1
+            frames = [json.loads(line) for line in writer.writes[0].splitlines()]
+            assert [f["params"]["source"] for f in frames] == [
+                f"s{n}" for n in range(8)
+            ]
+            for frame in frames:
+                source = frame["params"]["source"]
+                reader.feed_data(
+                    json.dumps(
+                        {
+                            "id": frame["id"],
+                            "ok": True,
+                            "result": {"source": source, "answers": [source]},
+                        }
+                    ).encode("utf-8")
+                    + b"\n"
+                )
+            answers = await asyncio.wait_for(solves, timeout=10)
+            assert answers == [frozenset({f"s{n}"}) for n in range(8)]
+            assert len(writer.writes) == 1
+            assert writer.drains == [1] * 8  # every drain after the write
+            await client.close()
+
+        asyncio.run(main())
+
+    def test_a_frame_queued_for_a_dead_transport_fails_unwritten(self):
+        async def main():
+            reader, writer = asyncio.StreamReader(), RecordingWriter()
+            client = AsyncSolverClient(reader, writer)
+            solves = [
+                asyncio.ensure_future(client.solve("a")) for _ in range(3)
+            ]
+            await asyncio.sleep(0)  # the requests queue their frames
+            writer.closing = True  # and the transport dies before the write
+            results = await asyncio.wait_for(
+                asyncio.gather(*solves, return_exceptions=True), timeout=10
+            )
+            assert all(isinstance(r, ConnectionError) for r in results)
+            assert writer.writes == [] and writer.drains == []
+            await client.close()
+
+        asyncio.run(main())
+
+    def test_a_reconnect_never_resends_a_frame(self):
+        # The first connection reads one frame of the burst and dies; the
+        # rest of that write is lost with it.  Every request fails over
+        # as a NEW frame on the one new connection.
+        script = [("close",)] + [("ok", OK_SOLVE)] * 4
+
+        async def main(server):
+            client = await AsyncSolverClient.connect(port=server.port)
+            try:
+                answers = await asyncio.gather(
+                    *(client.solve("a") for _ in range(4))
+                )
+                assert answers == [frozenset({"a1"})] * 4
+                assert client.retries == 4
+            finally:
+                await client.close()
+
+        with ScriptedServer(script) as server:
+            asyncio.run(main(server))
+            ids = [request_id for _number, request_id in server.frames]
+            assert len(ids) == len(set(ids)) == 5
+            assert [number for number, _id in server.frames] == [1] + [2] * 4
+            assert server.connections == 2

@@ -487,21 +487,103 @@ class TestDeadlines:
     def test_deadline_expires_inside_window(self):
         async def main():
             server = make_server(window_ms=10_000)
+            # Park the first batch so the server is busy: the next
+            # request's group is held for the (long) window.
+            gate = asyncio.Event()
+            execute = server.coalescer._execute
+
+            async def parked(key, sources):
+                await gate.wait()
+                return await execute(key, sources)
+
+            server.coalescer._execute = parked
             await server.start()
             try:
                 async with await AsyncSolverClient.connect(
                     port=server.port
                 ) as client:
+                    first = asyncio.ensure_future(client.solve("c1"))
+                    while server.coalescer.batches == 0:
+                        await asyncio.sleep(0.001)
                     with pytest.raises(DeadlineExceededError):
                         await client.solve("c0", deadline_ms=50)
+                    gate.set()
+                    assert await first == ground_truth("c1")
             finally:
                 await server.stop()
             # The expired request was dropped from its batch before
             # execution: the drain found nothing left to run.
-            assert server.coalescer.batches == 0
+            assert server.coalescer.batches == 1
             assert server.coalescer.expired >= 1
 
         asyncio.run(main())
+
+
+def _frames(sources):
+    return [
+        encode_frame({"id": number, "op": "solve", "params": {"source": s}})
+        for number, s in enumerate(sources)
+    ]
+
+
+def _read_answers(handle, count):
+    """``{id: answers}`` of the next ``count`` responses (any order)."""
+    answers = {}
+    for _ in range(count):
+        response = json.loads(handle.readline())
+        assert response["ok"] is True, response
+        answers[response["id"]] = frozenset(response["result"]["answers"])
+    return answers
+
+
+class TestWavesOnTheWire:
+    """What a raw socket sees of the coalescing rule: a burst written at
+    once is one batch on an idle server; frames that trickle in are
+    still all answered, in as many batches as they take."""
+
+    def test_a_wave_written_in_one_write_is_one_batch(self):
+        sources = [SOURCES[n % len(SOURCES)] for n in range(64)]
+        # Neither the window nor max_batch closes this group: only the
+        # quiet loop iteration after the last frame does.
+        server = make_server(window_ms=10_000, max_batch=128)
+        with ServerThread(server):
+            sock = socket.create_connection(("127.0.0.1", server.port))
+            handle = sock.makefile("rwb")
+            try:
+                started = time.monotonic()
+                sock.sendall(b"".join(_frames(sources)))
+                answers = _read_answers(handle, len(sources))
+                assert time.monotonic() - started < 5.0
+            finally:
+                handle.close()
+                sock.close()
+        assert answers == {
+            number: ground_truth(source)
+            for number, source in enumerate(sources)
+        }
+        assert server.coalescer.batches == 1
+        assert server.coalescer.coalesced == 64
+
+    def test_a_trickled_wave_is_answered(self):
+        sources = [SOURCES[n % len(SOURCES)] for n in range(32)]
+        server = make_server(window_ms=5)
+        with ServerThread(server):
+            sock = socket.create_connection(("127.0.0.1", server.port))
+            handle = sock.makefile("rwb")
+            try:
+                for frame in _frames(sources):
+                    sock.sendall(frame)
+                    time.sleep(0.001)
+                answers = _read_answers(handle, len(sources))
+            finally:
+                handle.close()
+                sock.close()
+        assert answers == {
+            number: ground_truth(source)
+            for number, source in enumerate(sources)
+        }
+        assert 1 <= server.coalescer.batches <= len(sources)
+        assert server.coalescer.coalesced == len(sources)
 
 
 class TestRemoveFactUnderConcurrentSolves:

@@ -284,17 +284,6 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
-async def _two_lone_requests(coalescer):
-    """A closed-loop caller's first two requests, each held a (shortened)
-    window and flushed alone: the evidence after which an idle coalescer
-    stops holding."""
-    window, coalescer.window = coalescer.window, 0.001
-    for number in range(2):
-        await coalescer.submit("k", f"lone{number}")
-    coalescer.window = window
-    assert coalescer.immediate == 0
-
-
 async def _within_a_few_ticks(task):
     for _ in range(10):
         if task.done():
@@ -317,15 +306,22 @@ def _recording(sizes, gate=None):
 
 
 async def _wave(coalescer, number, size=32):
-    """One pipelined wave: ``size`` solves submitted a loop tick apart,
-    all awaited before the caller goes on (closed loop)."""
-    tasks = []
-    for index in range(size):
-        tasks.append(
-            asyncio.ensure_future(coalescer.submit("k", (number, index)))
-        )
+    """One pipelined wave as the server hands it over: the ``size``
+    frames of one client write, submitted in one loop iteration and all
+    awaited before the caller goes on (closed loop)."""
+    return await asyncio.gather(
+        *(coalescer.submit("k", (number, index)) for index in range(size))
+    )
+
+
+async def _parked(coalescer, sizes):
+    """Start one batch that keeps executing until the hook's gate opens
+    (the coalescer runs ``_recording(sizes, gate)``); returns its task."""
+    parked = asyncio.ensure_future(coalescer.submit("k", "parked"))
+    before = len(sizes)
+    while len(sizes) == before:
         await asyncio.sleep(0)
-    return await asyncio.gather(*tasks)
+    return parked
 
 
 class TestCoalescer:
@@ -415,13 +411,22 @@ class TestCoalescer:
 
     def test_deadline_expires_while_waiting(self):
         async def main():
-            coalescer = RequestCoalescer(_echo_execute, window=30.0)
+            sizes = []
+            gate = asyncio.Event()
+            coalescer = RequestCoalescer(
+                _recording(sizes, gate), window=30.0
+            )
+            # A batch executing: the next group is held for the window.
+            parked = await _parked(coalescer, sizes)
             with pytest.raises(DeadlineExceededError):
                 await coalescer.submit("k", "a", deadline=0.05)
-            # The lone waiter expired, so the drain flush has nothing to
+            gate.set()
+            assert await parked == frozenset({"parked!"})
+            # The held waiter expired, so the drain flush has nothing to
             # execute: a source wanted only by dead requests never runs.
             await coalescer.drain()
-            assert coalescer.batches == 0
+            assert sizes == [1]
+            assert coalescer.batches == 1
             assert coalescer.expired == 1
 
         run(main())
@@ -502,32 +507,26 @@ class TestCoalescer:
             assert stats["requests"] == 1
             assert stats["batches"] == 1
             assert stats["pending"] == 0
-            assert stats["immediate"] == 0
+            assert stats["open_windows"] == 0
+            assert stats["immediate"] == 1  # opened on an idle coalescer
             assert stats["window_ms"] == pytest.approx(10.0)
 
         run(main())
 
-    # --- the window is held only on evidence of company ---------------
+    # --- the window closes on evidence, not on a clock ----------------
 
-    def test_a_lone_caller_stops_waiting_after_two_requests(self):
+    def test_a_lone_callers_first_request_is_not_held(self):
         async def main():
-            window = 0.05
-            coalescer = RequestCoalescer(_echo_execute, window=window)
-            waits = []
-            for source in ["a", "b"]:
-                started = time.monotonic()
-                await coalescer.submit("k", source)
-                waits.append(time.monotonic() - started)
-            assert min(waits) >= window * 0.9
-            assert coalescer.immediate == 0
-            # The third is flushed on the next loop tick: it would not
-            # come back from a window this long.
-            coalescer.window = 30.0
-            third = asyncio.ensure_future(coalescer.submit("k", "c"))
-            assert await _within_a_few_ticks(third)
-            assert third.result() == frozenset({"c!"})
+            # A window this long would never come back: every request
+            # below opens its group on an idle coalescer and is flushed
+            # as soon as a loop iteration brings nobody new.
+            coalescer = RequestCoalescer(_echo_execute, window=30.0)
+            for source in ["a", "b", "c"]:
+                request = asyncio.ensure_future(coalescer.submit("k", source))
+                assert await _within_a_few_ticks(request)
+                assert request.result() == frozenset({f"{source}!"})
             stats = coalescer.stats()
-            assert stats["immediate"] == 1
+            assert stats["immediate"] == 3
             assert stats["batches"] == 3
             assert stats["open_windows"] == 0 and stats["pending"] == 0
 
@@ -535,83 +534,94 @@ class TestCoalescer:
 
     def test_a_burst_is_one_batch_held_or_not(self):
         """100 submits in one tick (the benchmarks/test_server_throughput
-        shape): one batch on a fresh coalescer, and one batch when the
-        first of them is dispatched without a hold — frames already
-        buffered still join."""
+        shape): one batch on an idle coalescer, flushed without a hold,
+        and one batch when a batch already executing holds its window."""
 
-        async def main(lone_first):
+        async def idle():
             coalescer = RequestCoalescer(
-                _echo_execute, window=0.05, max_batch=128
+                _echo_execute, window=30.0, max_batch=128
             )
-            if lone_first:
-                await _two_lone_requests(coalescer)
-            before = coalescer.batches
-            await asyncio.gather(
+            burst = asyncio.ensure_future(
+                asyncio.gather(*(coalescer.submit("k", n) for n in range(100)))
+            )
+            assert await _within_a_few_ticks(burst)
+            assert coalescer.batches == 1
+            assert coalescer.largest_batch == 100
+            assert coalescer.immediate == 1
+
+        async def held():
+            sizes = []
+            gate = asyncio.Event()
+            coalescer = RequestCoalescer(
+                _recording(sizes, gate), window=0.05, max_batch=128
+            )
+            parked = await _parked(coalescer, sizes)
+            burst = asyncio.gather(
                 *(coalescer.submit("k", n) for n in range(100))
             )
-            assert coalescer.batches == before + 1
-            assert coalescer.largest_batch == 100
-            assert coalescer.immediate == (1 if lone_first else 0)
+            gate.set()
+            await asyncio.gather(parked, burst)
+            assert sizes == [1, 100]
+            assert coalescer.immediate == 1  # the parked batch only
 
-        run(main(lone_first=False))
-        run(main(lone_first=True))
+        run(idle())
+        run(held())
 
     def test_pipelined_waves_coalesce_whole(self):
         async def main():
             sizes = []
-            coalescer = RequestCoalescer(_recording(sizes), window=0.1)
+            coalescer = RequestCoalescer(_recording(sizes), window=30.0)
             for number in range(10):
-                await _wave(coalescer, number)
+                wave = asyncio.ensure_future(_wave(coalescer, number))
+                # not held: a 30 s window would not come back
+                assert await _within_a_few_ticks(wave)
             assert sizes == [32] * 10
-            assert coalescer.coalesced / coalescer.batches >= 31
-            assert coalescer.immediate == 0
+            assert coalescer.coalesced / coalescer.batches == 32
+            assert coalescer.immediate == 10
 
         run(main())
 
-    def test_waves_after_a_lone_caller_coalesce_from_the_second_on(self):
-        """The first wave after a lone phase finds the coalescer not
-        holding and may be cut; whatever window carries two requests
-        restores the hold, so every later wave is whole."""
+    def test_waves_after_a_lone_caller_coalesce_whole(self):
+        """No learning period: lone requests leave nothing behind, and
+        the first wave after them is as whole as every later one."""
 
         async def main():
             sizes = []
             coalescer = RequestCoalescer(_recording(sizes), window=0.1)
-            await _two_lone_requests(coalescer)
-            del sizes[:]
-            await _wave(coalescer, 0)
-            first_wave = len(sizes)
-            assert sum(sizes) == 32 and max(sizes) >= 2
-            for number in range(1, 4):
+            for source in ["lone0", "lone1"]:
+                await coalescer.submit("k", source)
+            for number in range(3):
                 await _wave(coalescer, number)
-            assert sizes[first_wave:] == [32] * 3
-            assert coalescer.immediate == 1
+            assert sizes == [1, 1, 32, 32, 32]
+            assert coalescer.immediate == 5
 
         run(main())
 
     def test_a_straggler_does_not_cascade(self):
-        """A wave cut 31 + 1 leaves one lone window behind, not two: the
-        next wave's first request is held and the wave is whole."""
+        """A wave cut 31 + 1 — the straggler arrives while the 31 execute
+        and is held alone — leaves nothing behind: the next wave finds an
+        idle coalescer and is whole."""
 
         async def main():
             sizes = []
             gate = asyncio.Event()
             coalescer = RequestCoalescer(
-                _recording(sizes, gate), window=0.1
+                _recording(sizes, gate), window=0.05
             )
             wave = [
                 asyncio.ensure_future(coalescer.submit("k", n))
                 for n in range(31)
             ]
-            while not sizes:  # the window closes; its batch parks
-                await asyncio.sleep(0.005)
+            while not sizes:  # flushed when quiet; its batch parks
+                await asyncio.sleep(0)
             straggler = asyncio.ensure_future(coalescer.submit("k", 31))
-            while len(sizes) < 2:
+            while len(sizes) < 2:  # held for the window, then parks
                 await asyncio.sleep(0.005)
             gate.set()
             await asyncio.gather(*wave, straggler)
             await _wave(coalescer, 1)
             assert sizes == [31, 1, 32]
-            assert coalescer.immediate == 0
+            assert coalescer.immediate == 2
 
         run(main())
 
@@ -622,12 +632,8 @@ class TestCoalescer:
             coalescer = RequestCoalescer(
                 _recording(sizes, gate), window=0.05
             )
-            gate.set()
-            await _two_lone_requests(coalescer)
-            gate.clear()
-            executing = asyncio.ensure_future(coalescer.submit("k", "a"))
-            assert not await _within_a_few_ticks(executing)
-            assert coalescer.immediate == 1 and len(sizes) == 3
+            parked = await _parked(coalescer, sizes)
+            assert coalescer.immediate == 1 and sizes == [1]
             # Company: something is executing, so this one is held — and
             # its neighbour joins it.
             started = time.monotonic()
@@ -638,9 +644,9 @@ class TestCoalescer:
             assert not await _within_a_few_ticks(held[0])
             assert coalescer.stats()["open_windows"] == 1
             gate.set()
-            await asyncio.gather(executing, *held)
+            await asyncio.gather(parked, *held)
             assert time.monotonic() - started >= 0.045
-            assert sizes[3:] == [2]
+            assert sizes == [1, 2]
             assert coalescer.immediate == 1
 
         run(main())
@@ -653,7 +659,6 @@ class TestCoalescer:
 
         async def deadline():
             coalescer = RequestCoalescer(_echo_execute, window=30.0)
-            await _two_lone_requests(coalescer)
             answer = await coalescer.submit("k", "a", deadline=5.0)
             assert answer == frozenset({"a!"})
             gate = asyncio.Event()
@@ -667,12 +672,11 @@ class TestCoalescer:
 
         async def drain():
             coalescer = RequestCoalescer(_echo_execute, window=30.0)
-            await _two_lone_requests(coalescer)
             task = asyncio.ensure_future(coalescer.submit("k", "a"))
-            await asyncio.sleep(0)  # enqueued, its flush not yet run
+            await asyncio.sleep(0)  # enqueued, its quiet check not yet run
             await coalescer.drain()
             assert await task == frozenset({"a!"})
-            assert coalescer.batches == 3
+            assert coalescer.batches == 1
             with pytest.raises(ShuttingDownError):
                 await coalescer.submit("k", "b")
             await settled(coalescer, immediate=1)
@@ -682,16 +686,21 @@ class TestCoalescer:
             coalescer = RequestCoalescer(
                 _recording(sizes), window=30.0, max_batch=2
             )
-            await _two_lone_requests(coalescer)
-            del sizes[:]
-            answers = await asyncio.gather(
-                *(coalescer.submit("k", s) for s in ["a", "b", "c"])
-            )
-            assert answers[2] == frozenset({"c!"})
-            # "a" opened an unheld group that max_batch flushed at once;
-            # the cancelled tick flush did not fire on "c"'s window.
-            assert sizes[0] == 2 and sum(sizes) == 3
+            tasks = [
+                asyncio.ensure_future(coalescer.submit("k", s))
+                for s in ["a", "b", "c"]
+            ]
+            # "a" opened a group on an idle coalescer and "b" filled it;
+            # "c" opened the next one behind a queued batch, so it is
+            # held: the first group's cancelled quiet check must not
+            # flush it.
+            assert not await _within_a_few_ticks(tasks[2])
+            assert sizes == [2]
+            assert coalescer.stats()["open_windows"] == 1
             await coalescer.drain()
+            answers = await asyncio.gather(*tasks)
+            assert answers[2] == frozenset({"c!"})
+            assert sizes == [2, 1]
             await settled(coalescer, immediate=1)
 
         run(deadline())

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ...datalog.stratify import strongly_connected_components
 from ...diagnostics import Diagnostic
 from .facts import CodebaseFacts, LockToken
 from .framework import CONCURRENCY_PASSES
@@ -130,58 +131,6 @@ def lock_graph_edges(facts: CodebaseFacts) -> EdgeMap:
     return edges
 
 
-def _strongly_connected(
-    nodes: List[LockToken], adjacency: Dict[LockToken, List[LockToken]]
-) -> List[List[LockToken]]:
-    """Tarjan SCC, iterative, deterministic over sorted inputs."""
-    index: Dict[LockToken, int] = {}
-    low: Dict[LockToken, int] = {}
-    on_stack: Dict[LockToken, bool] = {}
-    stack: List[LockToken] = []
-    counter = [0]
-    components: List[List[LockToken]] = []
-
-    for root in nodes:
-        if root in index:
-            continue
-        work: List[Tuple[LockToken, int]] = [(root, 0)]
-        while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            children = adjacency.get(node, [])
-            while child_i < len(children):
-                child = children[child_i]
-                child_i += 1
-                if child not in index:
-                    work[-1] = (node, child_i)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if on_stack.get(child):
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component))
-            if work:
-                parent, _ = work[-1]
-                low[parent] = min(low[parent], low[node])
-    return components
-
-
 def _witness_cycle(
     component: List[LockToken],
     adjacency: Dict[LockToken, List[LockToken]],
@@ -221,7 +170,8 @@ def check_lock_order(facts: CodebaseFacts) -> List[Diagnostic]:
     for (a, b) in sorted(edges):
         adjacency.setdefault(a, []).append(b)
     nodes = sorted({node for edge in edges for node in edge})
-    for component in _strongly_connected(nodes, adjacency):
+    for component in strongly_connected_components(nodes, adjacency):
+        component = sorted(component)
         if len(component) < 2:
             continue
         cycle = _witness_cycle(component, adjacency) or component

@@ -21,9 +21,13 @@ from .evaluation import (
     naive_evaluate,
     seminaive_evaluate,
 )
-from .incremental import insert_and_maintain
 from .linear import LinearRecursion, analyze_linear
-from .maintenance import MaintenanceReport, MaintenanceState, delete_and_maintain
+from .maintenance import (
+    MaintenanceReport,
+    MaintenanceState,
+    delete_and_maintain,
+    insert_and_maintain,
+)
 from .lint import Diagnostic, lint_program
 from .magic_rewrite import magic_rewrite
 from .parser import parse_atom, parse_program, parse_rule

@@ -24,8 +24,8 @@ identical answers *and* identical
 rule-body scheduler (:func:`_ready_element_index`, replayed statically
 by the kernels), one delta differentiation (:func:`_differentiate`) and
 one set-backed delta-round loop (:func:`_run_delta_rounds`, shared by
-the interpreter, the compiled engine and
-:func:`~repro.datalog.incremental.insert_and_maintain`), and every read
+the interpreter, the compiled engine and every propagation of
+:mod:`repro.datalog.maintenance`), and every read
 is charged as one :meth:`Relation.lookup`/:meth:`Relation.contains` per
 probe — the kernels' bulk reads charge exactly the probes they stand
 for.
@@ -295,8 +295,9 @@ def _run_delta_rounds(
     run: Callable,
     max_iterations: int,
     derived: Optional[Dict[str, Set[Tuple]]] = None,
-) -> None:
-    """The set-backed semi-naive delta loop, written once.
+) -> int:
+    """The set-backed semi-naive delta loop, written once; returns the
+    number of rounds it ran.
 
     ``deltas`` holds the facts new in the previous round (already
     stored); each round wraps them in ``Δ<pred>`` relations charged to
@@ -347,6 +348,7 @@ def _run_delta_rounds(
             deltas[predicate] = confirmed
             if derived is not None and confirmed:
                 derived.setdefault(predicate, set()).update(confirmed)
+    return iterations
 
 
 def _run_strata(

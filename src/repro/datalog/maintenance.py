@@ -1,4 +1,4 @@
-"""Deletion-capable incremental view maintenance: counting + DRed.
+"""Incremental view maintenance: counting + DRed, and the one-shot insert.
 
 The paper's central device is *derivation counting*.  This module turns
 it into a maintenance engine: a :class:`MaintenanceState` owns the IDB
@@ -26,6 +26,11 @@ Two regimes, chosen per stratum:
   through a deleted fact, re-derive what still has alternative support,
   then propagate insertions semi-naively.
 
+A recursive stratum is materialized by :func:`seminaive_evaluate`, and
+both DRed propagations run on the evaluator's delta loop
+(:func:`~repro.datalog.evaluation._run_delta_rounds`), so they read a
+delta exactly as a fixpoint does: as a ``Δ<pred>`` relation, charged.
+
 Supported fragment: safe, stratified programs (negation across strata
 included, builtins included).  Two situations are *rejected* rather
 than silently mis-maintained, both with :class:`MaintenanceError`:
@@ -33,6 +38,10 @@ IDB relations holding facts the rules do not derive (seeded models),
 and direct mutation of an IDB predicate.  Callers — in particular
 :class:`repro.service.service.SolverService` — catch the error and fall
 back to full recomputation.
+
+:func:`insert_and_maintain` is the stateless one-shot insertion for
+negation-free programs: the same delta loop seeded with the new EDB
+facts, no state to build.
 
 All reads go through charged relation views, so a
 :class:`MaintenanceReport`'s ``retrievals`` is comparable with the
@@ -43,13 +52,22 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..errors import EvaluationError, MaintenanceError, UnsafeQueryError
+from ..errors import EvaluationError, MaintenanceError
 from .atom import BuiltinAtom, Literal
 from .database import Database
-from .evaluation import DEFAULT_MAX_ITERATIONS, _arity_map, _evaluate_body
+from .evaluation import (
+    DEFAULT_MAX_ITERATIONS,
+    _arity_map,
+    _differentiate,
+    _evaluate_body,
+    _run_delta_rounds,
+    evaluate_rule,
+    seminaive_evaluate,
+)
 from .program import Program
+from .relation import Relation
 from .rule import Rule
 from .stratify import stratify
 from .unify import ground_atom_tuple, match_tuple
@@ -58,6 +76,7 @@ __all__ = [
     "MaintenanceReport",
     "MaintenanceState",
     "delete_and_maintain",
+    "insert_and_maintain",
 ]
 
 
@@ -107,43 +126,16 @@ class _PriorView:
         return self.relation.contains(tup)
 
 
-class _SetView:
-    """A charged read view over a plain tuple set (deltas, scratch models)."""
-
-    __slots__ = ("name", "tuples", "counter")
-
-    def __init__(self, name: str, tuples: Set[Tuple], counter):
-        self.name = name
-        self.tuples = tuples
-        self.counter = counter
-
-    def lookup(self, pattern: Tuple) -> Iterator[Tuple]:
-        self.counter.charge_probe(self.name)
-        count = 0
-        try:
-            for tup in self.tuples:
-                if _matches(pattern, tup):
-                    count += 1
-                    yield tup
-        finally:
-            self.counter.charge_tuples(self.name, count)
-
-    def contains(self, tup: Tuple) -> bool:
-        self.counter.charge_probe(self.name)
-        found = tuple(tup) in self.tuples
-        if found:
-            self.counter.charge_tuples(self.name, 1)
-        return found
-
-
 @dataclass
 class MaintenanceReport:
     """What one :meth:`MaintenanceState.apply` call did to the database.
 
     ``added``/``removed`` are the *net* per-predicate fact deltas (EDB
     and IDB alike); ``overdeleted``/``rederived`` count the DRed churn
-    in recursive strata; ``retrievals`` is the tuple-retrieval cost of
-    the whole update in the paper's unit.
+    in recursive strata; ``rounds`` is one per counting stratum touched
+    plus every delta round the DRed propagations ran (the seed round
+    included); ``retrievals`` is the tuple-retrieval cost of the whole
+    update in the paper's unit.
     """
 
     added: Dict[str, Set[Tuple]] = field(default_factory=dict)
@@ -172,6 +164,46 @@ class MaintenanceReport:
             "rounds": self.rounds,
             "retrievals": self.retrievals,
         }
+
+
+def _validate_delta(
+    arities: Dict[str, int],
+    idb: Set[str],
+    database: Database,
+    facts: Dict[str, Iterable[Tuple]],
+) -> Dict[str, List[Tuple]]:
+    """``facts`` as tuple lists, empty ones dropped, checked before
+    anything is stored.
+
+    Mutating an IDB predicate is rejected (it would silently diverge
+    from the rules-defined fixpoint), and every tuple must match the
+    predicate's arity — from the program when it mentions the
+    predicate, from the existing relation otherwise, and tuples within
+    one batch must agree with each other.
+    """
+    cleaned: Dict[str, List[Tuple]] = {}
+    for predicate, tuples in facts.items():
+        tuples = [tuple(t) for t in tuples]
+        if not tuples:
+            continue
+        if predicate in idb:
+            raise EvaluationError(
+                f"cannot mutate IDB predicate {predicate!r} directly; "
+                "it is maintained from its rules"
+            )
+        arity = arities.get(predicate)
+        if arity is None and database.has_relation(predicate):
+            arity = database.relation(predicate).arity
+        for tup in tuples:
+            if arity is None:
+                arity = len(tup)
+            if len(tup) != arity:
+                raise EvaluationError(
+                    f"predicate {predicate!r} expects arity {arity}, "
+                    f"got tuple {tup!r}"
+                )
+        cleaned[predicate] = tuples
+    return cleaned
 
 
 class MaintenanceState:
@@ -211,15 +243,17 @@ class MaintenanceState:
         self.idb = program.idb_predicates()
         self.strata = stratify(program)
         self._stratum_rules: List[List[Rule]] = []
+        #: per stratum, the predicates its rule bodies read
+        self._reads: List[Set[str]] = []
         self.recursive: Set[str] = set()
         for stratum in self.strata:
             rules = [r for r in program.rules if r.head.predicate in stratum]
+            reads = {
+                e.predicate for r in rules for e in r.body if isinstance(e, Literal)
+            }
             self._stratum_rules.append(rules)
-            if any(
-                isinstance(e, Literal) and e.predicate in stratum
-                for r in rules
-                for e in r.body
-            ):
+            self._reads.append(reads)
+            if reads & stratum:
                 self.recursive |= stratum
         #: exact derivation counts for every non-recursive IDB predicate
         self.counts: Dict[str, Dict[Tuple, int]] = {}  # guarded-by: _lock
@@ -229,11 +263,21 @@ class MaintenanceState:
 
     def _materialize_locked(self) -> None:
         """Compute the model, sync it into the database, seed counts."""
-        for stratum, rules in zip(self.strata, self._stratum_rules):
+        for stratum, rules, reads in zip(
+            self.strata, self._stratum_rules, self._reads
+        ):
             if stratum & self.recursive:
-                model = self._recursive_model_locked(stratum, rules)
+                # The stratum's fixpoint, computed into a scratch database
+                # on the same counter (the database itself is only written
+                # after the seeded-IDB check in _sync_relation_locked).
+                model = Database(self.database.counter)
+                for predicate in reads - stratum:
+                    if self.database.has_relation(predicate):
+                        lower = self.database.relation(predicate)
+                        model.create(predicate, lower.arity).add_all(lower)
+                seminaive_evaluate(Program(rules), model, self.max_iterations)
                 for predicate in stratum:
-                    self._sync_relation_locked(predicate, model[predicate])
+                    self._sync_relation_locked(predicate, model.facts(predicate))
             else:
                 counts: Dict[str, Dict[Tuple, int]] = {p: {} for p in stratum}
                 for rule in rules:
@@ -247,92 +291,6 @@ class MaintenanceState:
                 for predicate in stratum:
                     self._sync_relation_locked(predicate, set(counts[predicate]))
                     self.counts[predicate] = counts[predicate]
-
-    def _recursive_model_locked(
-        self, stratum: Set[str], rules: List[Rule]
-    ) -> Dict[str, Set[Tuple]]:
-        """Semi-naive fixpoint of one recursive stratum, computed into
-        plain sets (the database is only written after the seeded-IDB
-        check in :meth:`_sync_relation_locked`)."""
-        counter = self.database.counter
-        model: Dict[str, Set[Tuple]] = {p: set() for p in stratum}
-
-        def view_for(element: Literal, pinned: Optional[Dict[str, Set[Tuple]]] = None):
-            predicate = element.predicate
-            if predicate in stratum:
-                tuples = model[predicate]
-                if pinned is not None and predicate in pinned:
-                    tuples = pinned[predicate]
-                return _SetView(predicate, tuples, counter)
-            return self.database.relation_or_empty(
-                predicate, len(element.terms)
-            )
-
-        deltas: Dict[str, Set[Tuple]] = {p: set() for p in stratum}
-        for rule in rules:
-            items = [
-                (e, None if isinstance(e, BuiltinAtom) else view_for(e))
-                for e in rule.body
-            ]
-            # Materialize before mutating: the body views may read the
-            # very sets the head writes to.
-            derived = [
-                ground_atom_tuple(rule.head, theta)
-                for theta in _evaluate_body(items, {})
-            ]
-            for tup in derived:
-                if tup not in model[rule.head.predicate]:
-                    model[rule.head.predicate].add(tup)
-                    deltas[rule.head.predicate].add(tup)
-
-        recursive_rules = [
-            r
-            for r in rules
-            if any(
-                isinstance(e, Literal) and not e.negated and e.predicate in stratum
-                for e in r.body
-            )
-        ]
-        iterations = 0
-        while any(deltas.values()):
-            iterations += 1
-            if iterations > self.max_iterations:
-                raise UnsafeQueryError(
-                    f"maintenance fixpoint exceeded {self.max_iterations} "
-                    f"iterations on stratum {sorted(stratum)}"
-                )
-            next_deltas: Dict[str, Set[Tuple]] = {p: set() for p in stratum}
-            for rule in recursive_rules:
-                body = list(rule.body)
-                for position, element in enumerate(body):
-                    if (
-                        not isinstance(element, Literal)
-                        or element.negated
-                        or element.predicate not in stratum
-                    ):
-                        continue
-                    delta = deltas.get(element.predicate)
-                    if not delta:
-                        continue
-                    pinned = {element.predicate: delta}
-                    items = []
-                    for j, other in enumerate(body):
-                        if j == position:
-                            items.append(
-                                (other, _SetView(other.predicate, delta, counter))
-                            )
-                        elif isinstance(other, BuiltinAtom):
-                            items.append((other, None))
-                        else:
-                            items.append((other, view_for(other)))
-                    for theta in _evaluate_body(items, {}):
-                        tup = ground_atom_tuple(rule.head, theta)
-                        if tup not in model[rule.head.predicate]:
-                            next_deltas[rule.head.predicate].add(tup)
-            for predicate, tuples in next_deltas.items():
-                model[predicate].update(tuples)
-            deltas = next_deltas
-        return model
 
     def _sync_relation_locked(self, predicate: str, model: Set[Tuple]) -> None:
         relation = self.database.relation_or_empty(
@@ -402,11 +360,13 @@ class MaintenanceState:
         pre-call state, so a failed update never leaves the model
         half-maintained.
         """
-        ins = {p: [tuple(t) for t in ts] for p, ts in (inserts or {}).items()}
-        dels = {p: [tuple(t) for t in ts] for p, ts in (deletes or {}).items()}
         with self._lock:
-            self._validate_delta_locked(ins)
-            self._validate_delta_locked(dels)
+            ins = _validate_delta(
+                self.arities, self.idb, self.database, inserts or {}
+            )
+            dels = _validate_delta(
+                self.arities, self.idb, self.database, deletes or {}
+            )
             undo: List[Tuple] = []
             before = self.database.counter.retrievals
             try:
@@ -416,25 +376,6 @@ class MaintenanceState:
                 raise
             report.retrievals = self.database.counter.retrievals - before
         return report
-
-    def _validate_delta_locked(self, delta: Dict[str, List[Tuple]]) -> None:
-        for predicate, tuples in delta.items():
-            if predicate in self.idb:
-                raise EvaluationError(
-                    f"cannot mutate IDB predicate {predicate!r} directly; "
-                    "it is maintained from its rules"
-                )
-            arity = self.arities.get(predicate)
-            if arity is None and self.database.has_relation(predicate):
-                arity = self.database.relation(predicate).arity
-            for tup in tuples:
-                if arity is None:
-                    arity = len(tup)
-                if len(tup) != arity:
-                    raise EvaluationError(
-                        f"predicate {predicate!r} expects arity {arity}, "
-                        f"got tuple {tup!r}"
-                    )
 
     # -- delta propagation ---------------------------------------------
 
@@ -448,8 +389,6 @@ class MaintenanceState:
         removed: Dict[str, Set[Tuple]] = {}
 
         for predicate, tuples in inserts.items():
-            if not tuples:
-                continue
             relation = self.database.relation_or_empty(
                 predicate, self.arities.get(predicate, len(tuples[0]))
             )
@@ -470,17 +409,13 @@ class MaintenanceState:
         if not (added or removed):
             return report
 
-        for stratum, rules in zip(self.strata, self._stratum_rules):
+        for stratum, rules, reads in zip(
+            self.strata, self._stratum_rules, self._reads
+        ):
             changed = set(added) | set(removed)
             if not changed:
                 break
-            body_predicates = {
-                e.predicate
-                for r in rules
-                for e in r.body
-                if isinstance(e, Literal)
-            }
-            if not (body_predicates & changed):
+            if not (reads & changed):
                 continue
             if stratum & self.recursive:
                 over, rederived, rounds = self._maintain_recursive_locked(
@@ -605,186 +540,135 @@ class MaintenanceState:
         propagates insertions.  Returns (overdeleted, rederived, rounds).
         """
         database = self.database
-        counter = database.counter
-        rounds = 0
-
-        def relation_of(predicate: str):
-            return database.relation_or_empty(predicate, self.arities[predicate])
-
-        def old_view(element, pinned_delta: Optional[Set[Tuple]] = None):
-            """Pre-update view: stratum relations are still untouched in
-            phase 1, lower predicates are rewound through the net delta."""
-            if isinstance(element, BuiltinAtom):
-                return None
-            if pinned_delta is not None:
-                return _SetView(element.predicate, pinned_delta, counter)
-            if element.predicate in stratum:
-                return relation_of(element.predicate)
-            return self._prior_view_locked(element, added, removed)
 
         # -- phase 1: over-deletion ------------------------------------
-        over: Dict[str, Set[Tuple]] = {p: set() for p in stratum}
-        frontier: Dict[str, Set[Tuple]] = {p: set() for p in stratum}
+        # Derivations are read in the pre-update state: the stratum's
+        # relations are still untouched, lower predicates are rewound
+        # through the net delta.  What they derive goes to a scratch
+        # database, so the stratum itself is not written yet.
+        def read_old(variant: Rule, _over: Database, delta) -> List[Tuple]:
+            items = [
+                (e, self._prior_view_locked(e, added, removed))
+                for e in variant.body
+            ]
+            items[0] = (variant.body[0], delta)
+            return [
+                ground_atom_tuple(variant.head, theta)
+                for theta in _evaluate_body(items, {})
+            ]
 
-        def collect(rule: Rule, items: List[Tuple], theta0: Dict) -> None:
-            head = rule.head
-            head_relation = relation_of(head.predicate)
-            for theta in _evaluate_body(items, theta0):
-                head_tup = ground_atom_tuple(head, theta)
-                if head_tup in over[head.predicate]:
-                    continue
-                if head_relation.contains(head_tup):
-                    over[head.predicate].add(head_tup)
-                    frontier[head.predicate].add(head_tup)
-
-        for rule in rules:
-            body = list(rule.body)
-            for i, element in enumerate(body):
-                if not isinstance(element, Literal):
-                    continue
-                if element.predicate in stratum:
-                    continue
-                if element.negated:
-                    killers = added.get(element.predicate) or ()
-                else:
-                    killers = removed.get(element.predicate) or ()
-                if not killers:
-                    continue
-                items = [
-                    (other, old_view(other))
-                    for j, other in enumerate(body)
-                    if j != i
-                ]
-                for tup in killers:
-                    theta0 = match_tuple(element.terms, tup, {})
-                    if theta0 is not None:
-                        collect(rule, items, theta0)
-
-        while any(frontier.values()):
-            rounds += 1
-            if rounds > self.max_iterations:
-                raise UnsafeQueryError(
-                    f"over-deletion exceeded {self.max_iterations} rounds "
-                    f"on stratum {sorted(stratum)}"
-                )
-            current, frontier = frontier, {p: set() for p in stratum}
-            for rule in rules:
-                body = list(rule.body)
-                for i, element in enumerate(body):
-                    if (
-                        not isinstance(element, Literal)
-                        or element.negated
-                        or element.predicate not in stratum
-                    ):
-                        continue
-                    delta = current.get(element.predicate)
-                    if not delta:
-                        continue
-                    items = []
-                    for j, other in enumerate(body):
-                        if j == i:
-                            items.append((other, old_view(other, delta)))
-                        else:
-                            items.append((other, old_view(other)))
-                    for tup in delta:
-                        theta0 = match_tuple(element.terms, tup, {})
-                        if theta0 is not None:
-                            collect(rule, items, theta0)
-
+        over: Dict[str, Set[Tuple]] = {}
+        rounds = self._propagate_locked(
+            stratum, rules, Database(database.counter), read_old,
+            removed, added, over,
+        )
         overdeleted = sum(len(s) for s in over.values())
         for predicate, tuples in over.items():
-            relation = relation_of(predicate)
+            relation = database.relation(predicate)
             for tup in tuples:
                 if relation.discard(tup):
                     undo.append(("remove", predicate, tup))
                     self._record(added, removed, predicate, tup, -1)
 
         # -- phase 2: re-derivation ------------------------------------
-        rederived = 0
-        frontier = {p: set() for p in stratum}
+        rederived: Dict[str, Set[Tuple]] = {}
         for predicate, tuples in over.items():
-            relation = relation_of(predicate)
+            relation = database.relation(predicate)
             for tup in tuples:
-                if self._derivable_locked(predicate, tup, rules):
-                    if relation.add(tup):
-                        undo.append(("add", predicate, tup))
-                        self._record(added, removed, predicate, tup, +1)
-                        frontier[predicate].add(tup)
-                        rederived += 1
+                if self._derivable_locked(predicate, tup, rules) and relation.add(tup):
+                    undo.append(("add", predicate, tup))
+                    self._record(added, removed, predicate, tup, +1)
+                    rederived.setdefault(predicate, set()).add(tup)
 
         # -- phase 3: insertions ---------------------------------------
-        def insert_head(rule: Rule, items: List[Tuple], theta0: Dict) -> None:
-            head = rule.head
-            head_relation = relation_of(head.predicate)
-            # Materialize first: the body views may read the relation the
-            # head writes to (self-joins within the stratum).
-            derived = [
-                ground_atom_tuple(head, theta)
-                for theta in _evaluate_body(items, theta0)
-            ]
-            for head_tup in derived:
-                if head_relation.add(head_tup):
-                    undo.append(("add", head.predicate, head_tup))
-                    self._record(added, removed, head.predicate, head_tup, +1)
-                    frontier[head.predicate].add(head_tup)
+        births = {p: s for p, s in added.items() if p not in stratum}
+        deaths = {p: s for p, s in removed.items() if p not in stratum}
+        derived: Dict[str, Set[Tuple]] = {}
+        try:
+            rounds += self._propagate_locked(
+                stratum, rules, database, evaluate_rule,
+                {**births, **rederived}, deaths, derived,
+            )
+        finally:
+            for predicate, tuples in derived.items():
+                for tup in tuples:
+                    undo.append(("add", predicate, tup))
+                    self._record(added, removed, predicate, tup, +1)
+        return overdeleted, sum(len(s) for s in rederived.values()), rounds
 
+    def _propagate_locked(
+        self,
+        stratum: Set[str],
+        rules: List[Rule],
+        target: Database,
+        run: Callable,
+        seeds: Dict[str, Set[Tuple]],
+        flips: Dict[str, Set[Tuple]],
+        derived: Dict[str, Set[Tuple]],
+    ) -> int:
+        """One DRed propagation through ``stratum``, on the evaluator's
+        delta loop; returns its round count.
+
+        ``seeds`` are the first deltas of positive occurrences, ``flips``
+        the lower facts that toggle a negated literal.  ``run(variant,
+        target, delta)`` evaluates one rule variant, and every head
+        tuple it derives that ``target`` lacks is stored there,
+        journalled in ``derived`` and propagated.
+        """
+        variants = [
+            (rule.head, predicate, Rule(rule.head, body))
+            for rule in rules
+            for predicate, body in _differentiate(rule, stratum | set(seeds))
+        ]
+        pinned = {predicate for _head, predicate, _variant in variants}
+        deltas = {p: set(s) for p, s in seeds.items() if s and p in pinned}
+        for predicate, tuples in self._negation_seeds_locked(
+            rules, flips, run, target
+        ).items():
+            relation = target.relation_or_empty(predicate, self.arities[predicate])
+            confirmed = relation.add_new(tuples)
+            if confirmed:
+                deltas.setdefault(predicate, set()).update(confirmed)
+                derived.setdefault(predicate, set()).update(confirmed)
+        return _run_delta_rounds(
+            target, variants, deltas, run, self.max_iterations, derived
+        )
+
+    def _negation_seeds_locked(
+        self,
+        rules: List[Rule],
+        flips: Dict[str, Set[Tuple]],
+        run: Callable,
+        target: Database,
+    ) -> Dict[str, List[Tuple]]:
+        """The head tuples of the instantiations a flipped negated literal
+        enables — the one occurrence :func:`_differentiate` does not pin.
+
+        Each negated occurrence of a flipped predicate becomes a positive
+        one at the front of the body, reading a ``Δ<pred>`` of the
+        flipped tuples.
+        """
+        heads: Dict[str, List[Tuple]] = {}
         for rule in rules:
-            body = list(rule.body)
-            for i, element in enumerate(body):
-                if not isinstance(element, Literal):
+            for position, element in enumerate(rule.body):
+                if not (isinstance(element, Literal) and element.negated):
                     continue
-                if element.predicate in stratum:
+                tuples = flips.get(element.predicate)
+                if not tuples:
                     continue
-                if element.negated:
-                    births = removed.get(element.predicate) or ()
-                else:
-                    births = added.get(element.predicate) or ()
-                if not births:
-                    continue
-                items = [
-                    (other, self._current_view_locked(other))
-                    for j, other in enumerate(body)
-                    if j != i
-                ]
-                for tup in births:
-                    theta0 = match_tuple(element.terms, tup, {})
-                    if theta0 is not None:
-                        insert_head(rule, items, theta0)
-
-        while any(frontier.values()):
-            rounds += 1
-            if rounds > self.max_iterations:
-                raise UnsafeQueryError(
-                    f"insertion propagation exceeded {self.max_iterations} "
-                    f"rounds on stratum {sorted(stratum)}"
-                )
-            current, frontier = frontier, {p: set() for p in stratum}
-            for rule in rules:
                 body = list(rule.body)
-                for i, element in enumerate(body):
-                    if (
-                        not isinstance(element, Literal)
-                        or element.negated
-                        or element.predicate not in stratum
-                    ):
-                        continue
-                    delta = current.get(element.predicate)
-                    if not delta:
-                        continue
-                    items = []
-                    for j, other in enumerate(body):
-                        if j == i:
-                            items.append(
-                                (other, _SetView(other.predicate, delta, counter))
-                            )
-                        else:
-                            items.append((other, self._current_view_locked(other)))
-                    for tup in delta:
-                        theta0 = match_tuple(element.terms, tup, {})
-                        if theta0 is not None:
-                            insert_head(rule, items, theta0)
-
-        return overdeleted, rederived, rounds
+                body[position] = body[0]
+                body[0] = Literal(element.atom)
+                delta = Relation(
+                    f"Δ{element.predicate}",
+                    len(element.terms),
+                    tuples,
+                    counter=self.database.counter,
+                )
+                heads.setdefault(rule.head.predicate, []).extend(
+                    run(Rule(rule.head, body), target, delta)
+                )
+        return heads
 
     def _derivable_locked(self, predicate: str, tup: Tuple, rules: List[Rule]) -> bool:
         """Does any rule still derive ``tup`` in the *current* state?"""
@@ -826,14 +710,101 @@ def delete_and_maintain(
 ) -> MaintenanceReport:
     """One-shot deletion maintenance (state built and discarded).
 
-    Building the state derives every support count, which costs more
-    tuple retrievals than a from-scratch evaluation (36,300 against
-    22,627 on a 120-arc transitive-closure chain, where the update
-    itself then costs a few hundred) — so this pays only for a single
-    update to a model nobody will touch again.  For repeated updates
-    build one :class:`MaintenanceState` and call
-    :meth:`MaintenanceState.apply`; for a one-shot *insertion* into a
-    negation-free program, :func:`repro.datalog.incremental
-    .insert_and_maintain` needs no state at all.
+    Building the state derives every support count of the non-recursive
+    strata and re-runs the fixpoint of the recursive ones, which costs
+    about a from-scratch evaluation (22,260 tuple retrievals against
+    22,627 on a 120-arc transitive-closure chain, where a one-arc
+    insertion then costs a few hundred) — so this pays only for a single
+    update to a model nobody will touch again.  For repeated updates build one
+    :class:`MaintenanceState` and call :meth:`MaintenanceState.apply`;
+    for a one-shot *insertion* into a negation-free program,
+    :func:`insert_and_maintain` needs no state at all.
     """
     return MaintenanceState(program, database, max_iterations).delete(old_facts)
+
+
+def _affected_predicates(program: Program, changed: Set[str]) -> Set[str]:
+    """IDB predicates transitively depending on the changed ones."""
+    dependents: Dict[str, Set[str]] = {}
+    for head, body, _negated in program.dependency_edges():
+        dependents.setdefault(body, set()).add(head)
+    affected: Set[str] = set()
+    stack = list(changed)
+    while stack:
+        predicate = stack.pop()
+        for dependent in dependents.get(predicate, ()):
+            if dependent not in affected:
+                affected.add(dependent)
+                stack.append(dependent)
+    return affected
+
+
+def insert_and_maintain(
+    program: Program,
+    database: Database,
+    new_facts: Dict[str, Iterable[Tuple]],
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> Dict[str, Set[Tuple]]:
+    """Insert ``new_facts`` and propagate their consequences, statelessly.
+
+    ``new_facts`` maps predicate names to tuples.  Returns the per-
+    predicate sets of *newly derived* IDB facts (not counting the
+    insertions themselves).  The database is updated in place and must
+    already be a fixpoint of ``program`` (call :func:`seminaive_evaluate`
+    once, then maintain).  The rules the new facts reach must be free of
+    negation — an insertion can *retract* a fact derived through
+    negation, which is :class:`MaintenanceState`'s job.
+
+    The delta is validated before anything is stored, as by
+    :meth:`MaintenanceState.apply`.  On *any* failure, including one
+    raised mid-propagation, every fact this call added is removed again,
+    so the database is never left half-maintained.
+    """
+    program.check_safety()
+    cleaned = _validate_delta(
+        _arity_map(program), program.idb_predicates(), database, new_facts
+    )
+
+    # Every add is journalled — the EDB seeds in ``seeded``, what the
+    # delta rounds confirm in ``derived`` — so a failure anywhere below
+    # restores the pre-call state (the propagation can raise
+    # UnsafeQueryError on the iteration budget, or EvaluationError from
+    # an unsafe rule body).
+    seeded: Dict[str, Set[Tuple]] = {}
+    derived: Dict[str, Set[Tuple]] = {}
+    try:
+        for predicate, tuples in cleaned.items():
+            relation = database.relation_or_empty(predicate, len(tuples[0]))
+            fresh = set(relation.add_new(tuples))
+            if fresh:
+                seeded[predicate] = fresh
+
+        affected = _affected_predicates(program, set(seeded))
+        for rule in program.rules:
+            if rule.head.predicate in affected and any(
+                isinstance(e, Literal) and e.negated for e in rule.body
+            ):
+                raise EvaluationError(
+                    "insertion-only maintenance cannot handle negation in "
+                    f"an affected rule: {rule}"
+                )
+
+        # The interpreter's delta loop, seeded with the EDB delta
+        # instead of a round-0 pass: any positive occurrence of a
+        # changed predicate is differentiated, whatever its stratum.
+        changed = affected | set(seeded)
+        variants = [
+            (rule.head, predicate, Rule(rule.head, body))
+            for rule in program.rules
+            if rule.head.predicate in affected
+            for predicate, body in _differentiate(rule, changed)
+        ]
+        _run_delta_rounds(
+            database, variants, seeded, evaluate_rule, max_iterations, derived
+        )
+    except Exception:
+        for journal in (derived, seeded):
+            for predicate, tuples in journal.items():
+                database.relation(predicate).discard_all(tuples)
+        raise
+    return derived

@@ -4,18 +4,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datalog.atom import Literal
 from repro.datalog.database import Database
 from repro.datalog.evaluation import seminaive_evaluate
-from repro.datalog.incremental import insert_and_maintain
-from repro.datalog.maintenance import MaintenanceState
+from repro.datalog.maintenance import MaintenanceState, insert_and_maintain
 from repro.datalog.parser import parse_program
+from repro.datalog.program import Program
+from repro.datalog.rule import Rule
 from repro.errors import EvaluationError, UnsafeQueryError
+
+from .test_engine_fuzz import (
+    _CONSTANTS,
+    _EDB,
+    build_db,
+    random_databases,
+    random_programs,
+)
 
 
 def snapshot(db):
     return {name: set(db.facts(name)) for name in db.names()}
 
 TC = parse_program("t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).")
+LEFT_TC = parse_program("t(X, Y) :- e(X, Y). t(X, Y) :- t(X, Z), e(Z, Y).")
 
 
 def evaluated_db(facts):
@@ -189,8 +200,8 @@ class TestIncrementalCheaperThanRescratch:
         """Why both modules exist: a *persistent* ``MaintenanceState``
         inserts as cheaply as the stateless ``insert_and_maintain`` (and
         also handles deletion and negation), but building that state
-        costs more than a from-scratch evaluation — so the one-shot
-        insertion stays in :mod:`repro.datalog.incremental`."""
+        costs about a from-scratch evaluation — so the one-shot
+        insertion stays stateless."""
         base = [(i, i + 1) for i in range(120)]
         db = evaluated_db(base)
         db.reset_cost()
@@ -226,3 +237,65 @@ class TestAgainstScratchProperty:
         scratch = evaluated_db(sorted(base | extra))
         assert incremental.facts("t") == scratch.facts("t")
         assert incremental.facts("e") == scratch.facts("e")
+
+
+def one_recursive_stratum(program):
+    """``program`` without its negated literals, with ``p`` and ``q``
+    made mutually recursive: one recursive stratum, which both
+    maintenance entry points propagate through the same delta loop."""
+    rules = [
+        Rule(
+            rule.head,
+            [e for e in rule.body if not (isinstance(e, Literal) and e.negated)],
+        )
+        for rule in program.rules
+    ]
+    bridge = parse_program("p(X, Y) :- q(X, Y). q(X, Y) :- p(X, Y).")
+    return Program(rules + bridge.rules)
+
+
+class TestPersistentChargesLikeStateless:
+    """On a recursive stratum, ``MaintenanceState.insert`` and
+    ``insert_and_maintain`` run the evaluator's one delta loop over the
+    same rule variants: same facts, same ``CostCounter.snapshot()``."""
+
+    @staticmethod
+    def assert_same_insert(program, stateless, stateful, delta):
+        seminaive_evaluate(program, stateless)
+        seminaive_evaluate(program, stateful)
+        state = MaintenanceState(program, stateful)
+        stateless.reset_cost()
+        stateful.reset_cost()
+        insert_and_maintain(program, stateless, delta)
+        state.insert(delta)
+        assert snapshot(stateful) == snapshot(stateless)
+        assert stateful.counter.snapshot() == stateless.counter.snapshot()
+
+    @pytest.mark.parametrize("program", [TC, LEFT_TC], ids=["right", "left"])
+    def test_transitive_closure_chain(self, program):
+        base = [(i, i + 1) for i in range(120)]
+        databases = []
+        for _ in range(2):
+            db = Database()
+            db.add_facts("e", base)
+            databases.append(db)
+        self.assert_same_insert(program, *databases, {"e": [(120, 121)]})
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        random_programs(),
+        random_databases(),
+        st.sampled_from(_EDB),
+        st.sets(
+            st.tuples(st.sampled_from(_CONSTANTS), st.sampled_from(_CONSTANTS)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_random_recursive_programs(self, program, spec, name, extra):
+        self.assert_same_insert(
+            one_recursive_stratum(program),
+            build_db(spec),
+            build_db(spec),
+            {name: sorted(extra)},
+        )

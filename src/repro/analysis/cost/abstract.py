@@ -8,8 +8,10 @@ fixpoints do at run time; the analyzer instead propagates an
 SCC-condensed graph:
 
 * **cycle participation** — the cyclic cores of ``G_L`` are a fact
-  about ``L`` alone, so the index finds them once per pair-set version
-  (:attr:`~repro.core.graph_index.GraphIndex.condensation`); the region
+  about ``L`` alone, so the index finds them at most once per pair-set
+  version (:attr:`~repro.core.graph_index.GraphIndex.condensation`,
+  which ``GraphIndex.patched`` carries across rank-respecting deltas);
+  the region
   is closed under ``L``, so the forward closure of the cores it meets
   is its *recurring* set (``I_v`` infinite), exactly as
   ``recurring_step1_scc`` computes it.

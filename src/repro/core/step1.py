@@ -20,10 +20,14 @@ finer split of the magic set:
 
 Every function reads the ``L`` relation through the charged bulk reads,
 a frontier at a time, so Step-1 costs land in the same counter as Step 2.
+What is charged is the paper's loop; what is read may be less: the
+naive recurring Step 1 reads each distinct frontier once and charges
+the periodic tail up to level ``2K - 1`` without re-walking it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Set
 
 from .csl import CSLInstance, frontier_step
@@ -132,28 +136,57 @@ def recurring_step1(instance: CSLInstance) -> ReducedSets:
     index before level ``2K - 1``.  Θ(n_L × m_L) retrievals.
 
     The fixpoint's tuples are kept as one frontier per level (``MS(I,
-    ·)`` is ``levels[I]``), never as an index set per value: a value
-    with an index ``≥ K`` is recurring, and every other value is
-    counted at each level it occurs in.
+    ·)`` is the frontier of level ``I``), never as an index set per
+    value: a value with an index ``≥ K`` is recurring, and every other
+    value is counted at each level it occurs in.  A frontier is a
+    function of the previous frontier alone, so the first repeated
+    frontier makes the sequence periodic and fixes ``K``; the levels
+    from there to ``2K - 1`` are indexed arithmetically, and their
+    expansions are charged per value (``Relation.probe_repeated``)
+    exactly as the literal loop would pay them, not re-read.
     """
-    levels = [{instance.source}]
+    levels = [frozenset({instance.source})]  # one per distinct frontier
+    first_at = {levels[0]: 0}
     seen = {instance.source}
+    repeat = None
     while levels[-1] and len(levels) - 1 < 2 * len(seen) - 1:
         # Levels only grow, so the next level is the whole image.
-        frontier = frontier_step(instance.left, 0, levels[-1])
+        frontier = frozenset(frontier_step(instance.left, 0, levels[-1]))
+        repeat = first_at.get(frontier)
+        if repeat is not None:
+            break
+        first_at[frontier] = len(levels)
         levels.append(frontier)
         seen |= frontier
     cardinality = len(seen)
-    rm = set().union(*levels[cardinality:])
+    if repeat is None:
+        start, period, last = len(levels), 1, len(levels) - 1
+    else:
+        start, period, last = repeat, len(levels) - repeat, 2 * cardinality - 1
+
+    def at(level: int) -> int:
+        """The distinct frontier that is level ``level``."""
+        return level if level < start else start + (level - start) % period
+
+    # The literal loop also expands levels len(levels) .. last - 1.
+    times: Counter = Counter()
+    for index, count in Counter(map(at, range(len(levels), last))).items():
+        times.update(dict.fromkeys(levels[index], count))
+    for value, count in times.items():
+        instance.left.probe_repeated((0,), (value,), count)
+
+    rm = set().union(*(levels[index] for index in
+                       set(map(at, range(cardinality, last + 1)))))
+    outside = [level - rm for level in levels[:cardinality]]
     rc = {
         (index, value)
-        for index, level in enumerate(levels[:cardinality])
-        for value in level - rm
+        for index in range(min(cardinality, last + 1))
+        for value in outside[at(index)]
     }
     return ReducedSets(
         rc=rc, rm=rm, ms=seen, strategy=Strategy.RECURRING,
         details={"regular": not rm and sum(map(len, levels)) == cardinality,
-                 "variant": "fixpoint", "levels": len(levels) - 1},
+                 "variant": "fixpoint", "levels": last},
     )
 
 

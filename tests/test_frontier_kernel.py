@@ -30,11 +30,13 @@ from repro.core.counting_method import (
     seed_exit,
 )
 from repro.core.cost import AnswerResult
-from repro.core.csl import CSLInstance, frontier_step
+from repro.core.csl import CSLInstance, CSLQuery, frontier_step
 from repro.core.hn_method import hn_method
 from repro.core.reduced_sets import ReducedSets, Strategy
+from repro.datalog.relation import Relation
 from repro.datalog.stratify import strongly_connected_components
 from repro.errors import UnsafeQueryError
+from repro.workloads.generators import cyclic_workload
 
 from .conftest import BACKENDS, make_instance, sourced_queries
 
@@ -451,6 +453,80 @@ def test_step1_matches_per_tuple_oracle(backend, name, query):
         oracle_function(oracle)
     )
     assert kernel.counter.snapshot() == oracle.counter.snapshot()
+
+
+# --- the periodic tail of the naive recurring Step 1 ---------------------------
+
+_CHAIN = [("s", "c1")] + [(f"c{i}", f"c{i + 1}") for i in range(1, 7)]
+
+#: name -> (``L`` arcs, asked from ``s``; ``L`` reads the kernel makes:
+#: the transient plus one period, or every level when nothing repeats)
+PERIODIC = {
+    # cycles of lengths 2 and 3 off the source: period 6 from level 1,
+    # repeat at level 7, charged to 2K - 1 = 11
+    "two_cycles": (
+        {("s", "a0"), ("a0", "a1"), ("a1", "a0"),
+         ("s", "b0"), ("b0", "b1"), ("b1", "b2"), ("b2", "b0")},
+        7,
+    ),
+    # an 8-arc chain into a 2-cycle (K = 10): transient 8, repeat at
+    # level 10, charged to 19
+    "long_transient": (
+        set(_CHAIN) | {("c7", "d0"), ("d0", "d1"), ("d1", "d0")}, 10,
+    ),
+    # the repeat starts at level 0: at level 1 = 2K - 1 (nothing to
+    # charge), or at level 2 through a 2-cycle (one level charged)
+    "source_self_loop": ({("s", "s")}, 1),
+    "cycle_through_source": ({("s", "a"), ("a", "s")}, 2),
+    "self_loop_and_exit_arc": ({("s", "s"), ("s", "x")}, 2),
+    # distinct frontiers on levels 0..6, repeat exactly at 2K - 1 = 7
+    "repeat_at_2k_minus_1": (
+        {("s", "b"), ("b", "c"), ("c", "a"), ("a", "a"), ("a", "s")}, 7,
+    ),
+    "regular": ({("s", "a"), ("a", "b"), ("s", "c")}, 3),
+    "acyclic": ({("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("c", "d")}, 4),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", list(PERIODIC))
+def test_recurring_step1_charges_the_periodic_tail(backend, name):
+    arcs, reads = PERIODIC[name]
+    query = CSLQuery(arcs, {("a", "y0"), ("s", "y1")}, {("y2", "y0")}, "s")
+    kernel = make_instance(query, backend)
+    oracle = make_instance(query, backend)
+    with mock.patch.object(
+        Relation, "probe_many", autospec=True, side_effect=Relation.probe_many
+    ) as probe_many:
+        reduced = step1.recurring_step1(kernel)
+
+    assert reduced_fields(reduced) == reduced_fields(oracle_recurring_step1(oracle))
+    assert kernel.counter.snapshot() == oracle.counter.snapshot()
+    assert probe_many.call_count == reads
+
+
+def test_recurring_step1_reads_table1_cyclic_s8_up_to_the_repeat():
+    # The literal loop expands all 2K - 1 levels (401 at K = 201); the
+    # kernel reads until the first level whose frontier it already holds
+    # (the transient, then one period) and charges the rest.
+    query = cyclic_workload(scale=8, seed=0)
+    walk = query.instance()
+    frontiers = [frozenset({walk.source})]
+    while frontiers[-1] not in frontiers[:-1]:
+        frontiers.append(frozenset(frontier_step(walk.left, 0, frontiers[-1])))
+    repeat = len(frontiers) - 1
+
+    instance = query.instance()
+    with mock.patch.object(
+        Relation, "probe_many", autospec=True, side_effect=Relation.probe_many
+    ) as probe_many:
+        reduced = step1.recurring_step1(instance)
+
+    assert all(call.args[0] is instance.left for call in probe_many.call_args_list)
+    assert probe_many.call_count == repeat < reduced.details["levels"] // 4
+    oracle = query.instance()
+    assert reduced_fields(reduced) == reduced_fields(oracle_recurring_step1(oracle))
+    assert instance.counter.snapshot() == oracle.counter.snapshot()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,7 +1,11 @@
-"""The pair-log reader: the committed log folds whole, and the readings
-past PRs claimed print from the file alone, each against a noise floor."""
+"""The pair-log reader: the committed log folds whole, the readings past
+PRs claimed print from the file alone, and a verdict is read from a PR's
+own pairs: the sign-test interval of their log-ratios."""
 
+import dataclasses
 import json
+import math
+import random
 
 import pytest
 
@@ -32,19 +36,88 @@ def test_past_claims_print_with_their_floor(pr, workload, metric, parent, change
     assert row["floor"].startswith("±")
 
 
-def test_a_floor_wider_than_the_bound_leaves_pr35_churn_unresolved():
-    # The host spreads churn_derived's timings by more than the 25% the
-    # benchmark tolerates, so a change inside that spread is not read as
-    # unchanged; its retrievals and memory are steady enough to be.
+def test_a_seven_pair_churn_table_reads_from_its_extremes():
+    # Seven pairs give the extremes as the interval (98.4% coverage).
+    # The timings straddle 1 and reach past the 25% bound, except
+    # ops_per_s, whose interval sits inside it; retrievals and memory
+    # are steady enough to be read as unchanged.
     tables = trajectory.summarize(trajectory.load())
     table = next(t for t in tables if (t.pr, t.workload) == (35, "churn_derived"))
     verdicts = {row[0]: row[-1] for row in table.rows}
     assert verdicts == {
-        "setup_s": "unresolved", "ops_per_s": "unresolved",
+        "setup_s": "unresolved", "ops_per_s": "no change",
         "solve_p50_ms": "unresolved", "solve_p95_ms": "unresolved",
         "retrievals_per_op": "no change", "peak_rss_mb": "no change",
     }
     assert table.traced == 6 and len(table.pairs) == 7
+
+
+@pytest.mark.parametrize("pr, workload, metric", [
+    (27, "churn_derived", "solve_p50_ms"),    # -19%, 14/14 pairs
+    (29, "engine_samegen", "ops_per_s"),      # +46%, 10/10 pairs
+    (41, "wave_cyclic", "solve_p50_ms"),      # the P_M fixpoint on bitmasks
+])
+def test_claims_won_on_every_pair_read_better(pr, workload, metric):
+    row = _row(trajectory.summarize(trajectory.load()), pr, workload, metric)
+    assert row["verdict"] == "better"
+
+
+def test_workloads_off_a_changed_path_never_read_better():
+    # The log's pr 36 records measure a recurring_step1 change, which
+    # these four workloads never run.
+    tables = trajectory.summarize(trajectory.load())
+    for workload in ("point_acyclic", "wave_cyclic", "churn_derived", "engine_samegen"):
+        table = next(t for t in tables if (t.pr, t.workload) == (36, workload))
+        assert {row[-1] for row in table.rows} <= {"no change", "unresolved"}
+
+
+@pytest.mark.parametrize("n, k", [(5, 0), (6, 1), (8, 1), (9, 2), (10, 2), (14, 3)])
+def test_the_sign_interval_is_the_exact_order_statistic(n, k):
+    # k: the largest with 2·P(Bin(n, 1/2) < k) <= 5%
+    logs = [float(i) for i in range(n)]
+    random.Random(n).shuffle(logs)
+    interval = trajectory.sign_interval(logs)
+    if k == 0:
+        assert interval is None
+    else:
+        assert interval == (float(k - 1), float(n - k))
+        assert 2 * sum(math.comb(n, i) for i in range(k)) / 2 ** n <= trajectory.ALPHA
+        assert 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n > trajectory.ALPHA
+
+
+def test_two_pairs_never_resolve(tmp_path):
+    records = []
+    for seed in (1, 2):
+        for side, value in (("parent", 2.0), ("change", 1.0)):
+            record = _record(side, 100.0, seed=seed)
+            record["metrics"]["solve_p50_ms"] = value
+            records.append(record)
+    (table,) = trajectory.summarize(trajectory.load(_write(tmp_path, *records)))
+    assert {row[-1] for row in table.rows} == {"unresolved"}
+
+
+def test_an_aa_relabelling_stays_within_the_error_rate():
+    # Swap the sides of each committed pair with probability 1/2: the
+    # log-ratios lose their sign, so no metric may read "better" or
+    # "worse" more often than ALPHA, over the tables that can resolve.
+    runs = trajectory.load()
+    rng = random.Random(17)
+    readings = {metric: [] for metric in trajectory.END_TO_END}
+    swap = {"parent": "change", "change": "parent"}
+    pairs = sorted({(run.pr, run.workload, run.seed) for run in runs})
+    for _draw in range(60):
+        flipped = {pair for pair in pairs if rng.random() < 0.5}
+        relabelled = [
+            dataclasses.replace(run, side=swap.get(run.side, run.side))
+            if (run.pr, run.workload, run.seed) in flipped else run
+            for run in runs
+        ]
+        for table in trajectory.summarize(relabelled):
+            if len(table.pairs) >= 6:
+                for row in table.rows:
+                    readings[row[0]].append(row[-1] in ("better", "worse"))
+    for metric, hits in readings.items():
+        assert hits and sum(hits) / len(hits) <= trajectory.ALPHA, metric
 
 
 def _record(side, retrievals, **extra):

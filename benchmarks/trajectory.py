@@ -9,19 +9,24 @@ reader folds the log into, per PR and workload:
 
 * parent and change medians with quartiles, over the paired untraced
   runs (a pair is the two sides on one seed);
+* the PR's verdict, from its pairs alone: each pair's log-ratio
+  (change / parent), their median, and the exact sign-test interval
+  for that median at :data:`ALPHA` (:func:`sign_interval`).  "better"
+  or "worse" when the interval excludes 1; "no change" when it sits
+  inside the metric's ``BENCHMARK.json`` bound; "unresolved" otherwise
+  — always with fewer than 6 pairs, whose extremes cover less than
+  95%;
 * pairs won by the change, per metric;
 * failed and incorrect runs;
 * ``retrievals_per_op`` drift between the sides of a pair;
-* the host's noise floor: the largest gap, for the workload anywhere
-  in the log, between two medians of the *same code*.  Consecutive PRs
-  in the log are consecutive landed code (a PR that does not land takes
-  its lines with it), so PR N's change side and the next PR's parent
-  side ran the same program on different days; an A/A side
-  (``parent_copy``) ran it in the same session.  A change within the
-  floor reads "no change" only where the floor is inside the metric's
-  ``BENCHMARK.json`` bound; where the host spreads wider than the bound
-  it reads "unresolved", since a regression up to the floor could hide
-  there.
+* the host's cross-day noise floor, for claims that chain PRs: the
+  largest gap, for the workload anywhere in the log, between two
+  medians of the *same code*.  Consecutive PRs in the log are
+  consecutive landed code (a PR that does not land takes its lines
+  with it), so PR N's change side and the next PR's parent side ran
+  the same program on different days; an A/A side (``parent_copy``)
+  ran it on the same day.  Within a PR the pairs share a day, so
+  the floor is printed beside the verdict, not applied to it.
 
 A run is traced if its ``trace`` is non-zero; its ``metrics`` are then
 per-layer readings, and traced runs stay out of every median.  An
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import statistics
 import sys
@@ -52,6 +58,8 @@ END_TO_END: Dict[str, bool] = {m["name"]: m["better"] == "higher" for m in _DECL
 #: end-to-end metric -> the relative change the benchmark tolerates
 BOUND: Dict[str, float] = {m["name"]: m["bound"] for m in _DECLARED}
 RETRIEVALS = "retrievals_per_op"
+#: the sign-test interval's nominal two-sided error rate
+ALPHA = 0.05
 
 _REQUIRED = {
     "pr": int, "workload": str, "side": str, "commit": str, "seed": int,
@@ -197,13 +205,38 @@ class Table:
     unmarked_drift: List[int]
 
 
-def _verdict(metric, parent, change, floor) -> str:
-    delta = change / parent - 1
-    if floor is None:
-        return "no floor"
-    if abs(delta) <= floor:
-        return "no change" if floor <= BOUND[metric] else "unresolved"
-    return "better" if (delta > 0) == END_TO_END[metric] else "worse"
+def sign_interval(log_ratios: List[float]) -> Optional[Tuple[float, float]]:
+    """The exact sign-test interval for the median of ``log_ratios``:
+    the order statistics ``k`` and ``n + 1 - k`` for the largest ``k``
+    whose coverage ``1 - 2·P(Bin(n, ½) < k)`` is at least ``1 - ALPHA``.
+    It assumes only that the pairs are independent, so a day's drift,
+    shared by both sides of a pair, cancels.  None when even the
+    extremes cover less (fewer than 6 pairs at 5%)."""
+    n, k, below = len(log_ratios), 0, 0.0
+    while k < n // 2 and 2 * (below + math.comb(n, k) / 2 ** n) <= ALPHA:
+        below += math.comb(n, k) / 2 ** n
+        k += 1
+    if k == 0:
+        return None
+    ordered = sorted(log_ratios)
+    return ordered[k - 1], ordered[n - k]
+
+
+def _verdict(metric: str, interval: Optional[Tuple[float, float]]) -> str:
+    """The reading of one metric's interval of log-ratios."""
+    if interval is None:
+        return "unresolved"
+    low, high = interval
+    if low > 0 or high < 0:
+        return "better" if (low > 0) == END_TO_END[metric] else "worse"
+    bound = BOUND[metric]
+    if math.log(1 - bound) <= low and high <= math.log(1 + bound):
+        return "no change"
+    return "unresolved"
+
+
+def _log_ratio(parent: float, change: float) -> float:
+    return 0.0 if parent == change else math.log(change / parent)
 
 
 def _fmt(value: float) -> str:
@@ -232,16 +265,19 @@ def summarize(runs: List[Run]) -> List[Table]:
             parent = [p.metrics[metric] for p, _c in pairs]
             change = [c.metrics[metric] for _p, c in pairs]
             won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+            logs = [_log_ratio(p, c) for p, c in zip(parent, change)]
+            interval = sign_interval(logs)
             floor = noise_floor(gaps, workload, metric)
-            p_mid, c_mid = statistics.median(parent), statistics.median(change)
             rows.append((
                 metric,
-                f"{_fmt(p_mid)} [{', '.join(map(_fmt, _quartiles(parent)))}]",
-                f"{_fmt(c_mid)} [{', '.join(map(_fmt, _quartiles(change)))}]",
-                f"{(c_mid / p_mid - 1) * 100:+.1f}%",
+                f"{_fmt(statistics.median(parent))} [{', '.join(map(_fmt, _quartiles(parent)))}]",
+                f"{_fmt(statistics.median(change))} [{', '.join(map(_fmt, _quartiles(change)))}]",
+                f"{math.expm1(statistics.median(logs)) * 100:+.1f}%",
+                "n/a" if interval is None else
+                f"[{math.expm1(interval[0]) * 100:+.1f}%, {math.expm1(interval[1]) * 100:+.1f}%]",
                 f"{won}/{len(pairs)}",
                 "n/a" if floor is None else f"±{floor * 100:.1f}%",
-                _verdict(metric, p_mid, c_mid, floor),
+                _verdict(metric, interval),
             ))
         drift = [p.seed for p, c in pairs
                  if p.metrics[RETRIEVALS] != c.metrics[RETRIEVALS]]
@@ -258,7 +294,7 @@ def summarize(runs: List[Run]) -> List[Table]:
 
 
 _HEADER = ("metric", "parent median [q1, q3]", "change median [q1, q3]",
-           "change", "won", "floor", "verdict")
+           "change", "95% interval", "won", "floor", "verdict")
 
 
 def render(table: Table) -> str:

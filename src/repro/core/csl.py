@@ -307,11 +307,11 @@ class CSLQuery:
 class CSLInstance:
     """Cost-instrumented relations for one evaluation run.
 
-    All engines read ``left``/``exit``/``right`` only through the charged
-    bulk reads of :class:`Relation` (``probe_many``, ``probe_repeated``), so
-    ``counter`` accumulates the total tuple-retrieval cost — the paper's unit.
-    ``query`` holds the same pairs; the engines read only its uncharged
-    :attr:`index`, for an evaluation order, never for a retrieval.
+    Engines read ``left``/``exit``/``right`` through :class:`Relation`'s
+    charged bulk reads, so ``counter`` accumulates the tuple-retrieval cost
+    (the paper's unit).  ``query``'s uncharged :attr:`index` gives an order,
+    and the ``P_M`` fixpoint its ``E``/``R`` reads (``index.bits``), which
+    charge the same figures via ``counter.charge_probe_batch``/``charge_tuples``.
     """
 
     left: Relation

@@ -22,11 +22,12 @@ recurring nodes of a region are ``closure(region ∩ cores)`` and a
 dynamic program over its finite part runs in rank order.  The successor
 of an index carries the condensation across whenever the delta provably
 leaves it valid (:func:`_carried`); otherwise it is unset and the next
-reader pays the pass.
+reader pays the pass; so does :attr:`GraphIndex.bits`'s (:class:`BitIndex`).
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import (
     Dict,
     FrozenSet,
@@ -155,6 +156,74 @@ def _carried(
     return Condensation(rank, condensation.cores, None)
 
 
+#: byte -> the offsets of its set bits
+_OFFSETS = [[j for j in range(8) if byte >> j & 1] for byte in range(256)]
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+class BitIndex:
+    """The answer side (``E`` targets, ``R`` values), a bit per value.
+    Masks are built on first read, ``exit_mask(x)`` per ``x`` and ``R⁻¹``
+    images per 8-bit chunk (``table[chunk << 8 | byte]``, kept while it
+    has ``room`` bits: a few times the adjacency's own), both filled
+    without a lock (racing fills agree).  ``weights[k]``: the values
+    whose ``indeg_R`` has bit ``k`` set."""
+
+    def __init__(self, e_successors: Dict[Node, List[Node]],
+                 r_predecessors: Dict[Node, List[Node]]):
+        self.e_successors, self.r_predecessors = e_successors, r_predecessors
+        self.values: List[Node] = list(dict.fromkeys(chain(
+            r_predecessors, *e_successors.values(), *r_predecessors.values())))
+        self.bit = {value: i for i, value in enumerate(self.values)}
+        degrees = [len(y) for y in r_predecessors.values()]
+        self.weights = [
+            self.encode(y1 for y1, y in r_predecessors.items() if len(y) >> k & 1)
+            for k in range(max(degrees, default=0).bit_length())]
+        self.exit_masks: Dict[Node, int] = {}
+        self.table: Dict[int, int] = {}
+        self.room = 2048 * (len(self.values) + sum(degrees))
+
+    def encode(self, values: Iterable[Node]) -> int:
+        """One pass: a byte per 8 bits, then one ``int``."""
+        bits = [self.bit[value] for value in values]
+        flags = bytearray((max(bits, default=-1) >> 3) + 1)
+        for i in bits:
+            flags[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(flags, "little")
+
+    def exit_mask(self, x: Node) -> int:
+        """``E(x, ·)`` as a mask."""
+        mask = self.exit_masks.get(x)
+        if mask is None:
+            mask = self.exit_masks[x] = self.encode(self.e_successors.get(x, ()))
+        return mask
+
+    def decode(self, mask: int) -> Set[Node]:
+        bits = bin(mask)[:1:-1].encode().translate(_FLAGS)  # bit i -> 0/1
+        return set(compress(self.values, bits))
+
+    def image(self, mask: int, spill: Dict[int, int]) -> int:
+        """``R⁻¹(mask)``: an entry per byte, kept in the table while it has
+        room, else in ``spill`` (the caller's, dropped after its fixpoint)."""
+        image, table = 0, self.table
+        data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+        for chunk, byte in enumerate(data):
+            if byte:
+                key = chunk << 8 | byte
+                part = table.get(key)
+                if part is None and (part := spill.get(key)) is None:
+                    part = self.encode(chain.from_iterable(self.r_predecessors.get(
+                        self.values[chunk << 3 | j], ()) for j in _OFFSETS[byte]))
+                    (table if self.room > 0 else spill)[key] = part  # race-ok
+                    self.room -= part.bit_length() + 256  # race-ok: may overdraw
+                image |= part
+        return image
+
+    def indegree(self, mask: int) -> int:
+        """Σ indeg_R over ``mask``: a popcount per weight."""
+        return sum((mask & w).bit_count() << k for k, w in enumerate(self.weights))
+
+
 class GraphIndex:
     """Source-independent adjacency of the ``L``, ``E`` and ``R`` pairs.
 
@@ -168,7 +237,7 @@ class GraphIndex:
 
     __slots__ = (
         "l_successors", "l_in_degree", "e_successors", "r_predecessors",
-        "_condensation",
+        "_condensation", "_bits",
     )
 
     def __init__(
@@ -193,6 +262,7 @@ class GraphIndex:
         for y, y1 in right:
             self.r_predecessors.setdefault(y1, []).append(y)
         self._condensation: Optional[Condensation] = None
+        self._bits: Optional[BitIndex] = None
 
     def patched(
         self,
@@ -205,7 +275,8 @@ class GraphIndex:
         build of ``(pairs | added) - removed``, for one dict copy per
         touched part instead of a pass over every pair.  This index is
         left as it is; the two share every entry the delta does not
-        touch, and the condensation when :func:`_carried` keeps it.
+        touch, the condensation when :func:`_carried` keeps it, and the
+        bit index when neither ``E`` nor ``R`` changed.
         """
         successor = object.__new__(GraphIndex)
         if any(left):
@@ -252,6 +323,7 @@ class GraphIndex:
             )
             if any(right) else self.r_predecessors
         )
+        successor._bits = None if any(exit) or any(right) else self._bits  # race-ok
         return successor
 
     @property
@@ -268,6 +340,13 @@ class GraphIndex:
                 self.l_nodes(), self.l_successors
             )
         return self._condensation
+
+    @property
+    def bits(self) -> BitIndex:
+        """The answer side as bits (on first use, like the condensation)."""
+        if self._bits is None:  # race-ok: benign duplicate fill
+            self._bits = BitIndex(self.e_successors, self.r_predecessors)  # race-ok
+        return self._bits
 
     def l_nodes(self) -> Set[Node]:
         """Every value occurring in ``L``."""

@@ -9,9 +9,10 @@ hides:
   once and the ``P_M`` fixpoint is shared — a value reachable from
   several sources is expanded once, and each source reads its answers
   from ``P_M(source, ·)``;
-* the **counting method cannot share**: indices are distances *from a
-  particular source*, so each source runs its own counting pass
-  (distance sets differ per source);
+* the **counting method does not share here**: indices are distances
+  *from a particular source*, so each source runs its own pass — though
+  the retrievals of overlapping regions could be shared by one
+  bit-parallel pass over every source (not implemented);
 * the magic counting hybrids inherit counting's per-source Step 1/2.
 
 :func:`multi_source_magic` and :func:`multi_source_counting` implement
@@ -44,9 +45,7 @@ def multi_source_magic(
     instance = query.instance(counter)
     magic = union_magic_set(instance, sources)
     pm = magic_fixpoint(instance, magic)
-    return {
-        source: frozenset(pm.get(source, set())) for source in sources
-    }
+    return {source: frozenset(pm.get(source, ())) for source in sources}
 
 
 def multi_source_counting(

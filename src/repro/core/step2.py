@@ -57,7 +57,7 @@ def independent_step2(instance: CSLInstance, reduced: ReducedSets):
     details = {
         "counting_answers": len(counting_answers),
         "magic_answers": len(magic_answers),
-        "pm_facts": sum(len(v) for v in pm.values()),
+        "pm_facts": pm.facts,
     }
     return set(counting_answers) | set(magic_answers), details
 
@@ -81,23 +81,25 @@ def integrated_step2(instance: CSLInstance, reduced: ReducedSets):
 
     # ... and rule 3 transfers the magic part's results across the
     # frontier: the same L-predecessor x R-predecessor join as rule 2,
-    # guarded by the values RC holds, into their indices.
+    # guarded by the values RC holds, into their indices (as masks).
     rc_by_value: Dict[object, List[int]] = {}
     for index, value in reduced.rc:
         rc_by_value.setdefault(value, []).append(index)
     transferred = 0
+    buckets: Dict[int, int] = {}
     for x, image in predecessor_join(
-        instance, rc_by_value, worklist(instance, pm)
+        instance, rc_by_value, worklist(instance, pm.masks)
     ):
         for index in rc_by_value[x]:
-            bucket = pc_levels.setdefault(index, set())
-            transferred += len(image - bucket)
-            bucket |= image
+            bucket = buckets.get(index) or pm.bits.encode(pc_levels.get(index, ()))
+            transferred += (image & ~bucket).bit_count()
+            buckets[index] = bucket | image
+    pc_levels.update((i, pm.bits.decode(b)) for i, b in buckets.items())
 
     # Rules 5 and 6.
     answers = descend_answers(instance, pc_levels)
     details = {
-        "pm_facts": sum(len(v) for v in pm.values()),
+        "pm_facts": pm.facts,
         "transferred": transferred,
     }
     return set(answers), details

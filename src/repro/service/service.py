@@ -398,9 +398,10 @@ class SolverService:
                 source_list = list(dict.fromkeys(sources))
             chosen = method
             if method == ADAPTIVE:
-                # The one rule that is the service's own: per-source
-                # methods have nothing to share, a batch does.
-                # (Crossover data: benchmarks/test_multi_source.py.)
+                # The one rule that is the service's own: a batch shares
+                # one P_M fixpoint; a row runs per source (counting's
+                # indices are per source, though its retrievals could be
+                # shared).  Crossover: benchmarks/test_multi_source.py.
                 chosen = SHARED_MAGIC
                 if len(source_list) == 1:
                     chosen = plan.decision(source_list[0]).method
@@ -585,13 +586,8 @@ def _execute_shared_magic(
     metrics.mark("reachability")
     pm = magic_fixpoint(instance, magic)
     metrics.mark("fixpoint")
-    answers = {
-        source: frozenset(pm.get(source, set())) for source in sources
-    }
-    details = {
-        "magic_set_size": len(magic),
-        "pm_facts": sum(len(values) for values in pm.values()),
-    }
+    answers = {source: frozenset(pm.get(source, ())) for source in sources}
+    details = {"magic_set_size": len(magic), "pm_facts": pm.facts}
     return answers, details
 
 

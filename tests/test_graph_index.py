@@ -330,3 +330,32 @@ def test_the_condensation_is_carried_when_the_delta_keeps_it(
     # A delta that leaves L alone hands the condensation over as it is.
     assert index.patched(exit=({(B, "y")}, ())).condensation is old
     assert index.patched(right=((), {("y", "y")})).condensation is old
+
+
+@pytest.mark.parametrize(
+    "delta, carried",
+    [
+        ({"left": ({(B, C)}, set())}, True),
+        ({"left": (set(), {(A, B)})}, True),
+        ({"exit": ({(B, "z")}, set())}, False),
+        ({"exit": (set(), {(A, "y")})}, False),
+        ({"right": ({("z", "y")}, set())}, False),
+        ({"right": (set(), {("y", "y")})}, False),
+        ({"left": ({(B, C)}, set()), "right": ({("z", "y")}, set())}, False),
+    ],
+)
+def test_the_bit_index_is_carried_iff_e_and_r_are_untouched(delta, carried):
+    left, exit_pairs, right = {(A, B)}, {(A, "y"), (B, "x")}, {("y", "y"), ("x", "y")}
+    query = CSLQuery(left, exit_pairs, right, A)
+    bits = query.index.bits
+    successor = query.patched(**delta)
+    assert (successor.index._bits is bits) is carried
+    assert query.index.bits is bits  # the predecessor keeps its own
+    fresh = CSLQuery(successor.left, successor.exit, successor.right, A)
+    new = successor.index.bits
+    for x, targets in fresh.index.e_successors.items():
+        assert new.decode(new.exit_mask(x)) == set(targets)
+    for y1, ys in fresh.index.r_predecessors.items():
+        mask = new.encode([y1])
+        assert new.decode(new.image(mask, {})) == set(ys)
+        assert new.indegree(mask) == len(ys)

@@ -471,3 +471,33 @@ class TestAmortisation:
             independent += counter.retrievals
             assert one_shot.answers == result.answers[source]
         assert result.retrievals < independent
+
+
+def test_a_wave_after_an_r_mutation_answers_like_the_oracle():
+    # The plan's bit index numbers the answer side; a mutation of R must
+    # not leave a wave reading the old one.
+    query = cyclic_workload(scale=1, seed=0)
+    database = Database()
+    for name, pairs in (("up", query.left), ("flat", query.exit), ("down", query.right)):
+        database.add_facts(name, sorted(pairs, key=repr))
+    service = SolverService(database)
+    program = sg_program(query.source)
+    wave = sorted(query.magic_set(), key=repr)
+
+    def oracle():
+        current = CSLQuery.from_program(program, database=service.database)
+        return per_source_oracle(current, wave)
+
+    def answers_fresh(pair):
+        right = (query.right - {pair}) | {("fresh", pair[1])}
+        changed = CSLQuery(query.left, query.exit, right, query.source)
+        return any("fresh" in ys for ys in per_source_oracle(changed, wave).values())
+
+    assert service.solve_batch(program, wave).answers == oracle()
+    removed = next(p for p in sorted(query.right, key=repr) if answers_fresh(p))
+    service.remove_facts("down", [removed])
+    service.add_fact("down", "fresh", removed[1])
+    after = service.solve_batch(program, wave)
+    assert after.method == "shared_magic" and after.cache_hit
+    assert after.answers == oracle()
+    assert any("fresh" in answers for answers in after.answers.values())

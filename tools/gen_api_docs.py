@@ -176,7 +176,16 @@ HEADER = [
     "that query's `index`, built on first use), and `predecessor_join`",
     "drains a `repro.core.magic_method.Worklist` — the pending `P_M` facts",
     "popped in ascending `GraphIndex.condensation.rank`; `worklist(instance,",
-    "facts)` builds one — instead of a plain dict.  The",
+    "facts)` builds one — instead of a plain dict.  That fixpoint now",
+    "works on `int` masks over `GraphIndex.bits`, a",
+    "`repro.core.graph_index.BitIndex` (one bit per `E` target and `R`",
+    "value; `exit_mask(x)` and the 8-bit chunk tables of `R⁻¹` images are",
+    "built on first read, the tables within a `room` of bits, past which",
+    "`image(mask, spill)` keeps entries in the caller's `spill`; `indeg_R`",
+    "weight masks): `Worklist.add`/`pop` and `predecessor_join` carry masks, and",
+    "`magic_fixpoint` returns a `repro.core.magic_method.MagicFacts` — a",
+    "read-only `Mapping` of `x` to a set of `y`, decoded per key, with",
+    "`masks`, `bits` and `facts` (the `P_M` count) — instead of a dict.  The",
     "`RequestCoalescer.stats()` key `immediate` now counts the groups opened",
     "on an idle coalescer (flushed when quiet, never held).",
     "",

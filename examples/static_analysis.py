@@ -5,9 +5,10 @@ Runs the multi-pass analyzer over every Datalog program shipped in
 counting-safety certificate (safe / unsafe / unknown — decided by SCC
 analysis of the L graph, never by running a fixpoint), and the method
 recommendation.  Then demonstrates the serving-layer consequence: a
-:class:`SolverService` built with ``unsafe_fallback=True`` silently
-serves a certified-unsafe counting request with the always-safe shared
-magic-sets plan instead.
+:class:`SolverService` refuses a certified-unsafe counting request with
+a typed :class:`~repro.errors.UnsafeQueryError` before any fixpoint
+starts, and an ``adaptive`` batch on the same goal runs the method the
+static report recommended.
 """
 
 from pathlib import Path
@@ -16,6 +17,7 @@ from repro.analysis.static import run_static_analysis
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
 from repro.datalog.program import Program
+from repro.errors import UnsafeQueryError
 from repro.service import SolverService
 
 PROGRAMS = Path(__file__).resolve().parent / "programs"
@@ -52,19 +54,20 @@ def main():
             print(f"recommended method: {report.recommended_method}")
         print()
 
-    # The serving layer acts on the certificate: with unsafe_fallback
-    # the service substitutes shared magic for a counting request it
-    # certified divergent -- no fixpoint ever starts down the unsafe
-    # path.
+    # The serving layer acts on the certificate: a counting request it
+    # certified divergent is refused before any fixpoint starts, and
+    # ``adaptive`` runs the certified-bound ranking's pick instead.
     program, database = load(PROGRAMS / "flights_cyclic.dl")
-    service = SolverService(database, unsafe_fallback=True)
-    result = service.solve_batch(program, method="counting")
+    service = SolverService(database)
     print("=== serving a certified-unsafe counting request")
-    print(f"requested: counting, served: {result.method}")
-    print(f"fallback reason: {result.details['fallback']['reason']}")
+    try:
+        service.solve_batch(program, method="counting")
+    except UnsafeQueryError as refusal:
+        print(f"refused: {refusal}")
+    result = service.solve_batch(program, method="adaptive")
+    print(f"adaptive served: {result.method}")
     for source, answers in sorted(result.answers.items(), key=repr):
         print(f"  {source}: {sorted(answers, key=repr)}")
-
 
 if __name__ == "__main__":
     main()

@@ -50,19 +50,12 @@ class Interval:
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def is_finite(self) -> bool:
-        return self.hi < INF
-
     def join(self, other: "Interval") -> "Interval":
         """The convex hull (lattice join): contains both operands."""
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def add(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def shift(self, amount: int) -> "Interval":
-        return Interval(self.lo + amount, self.hi + amount)
 
     def cap(self, ceiling: float) -> "Interval":
         """Widen-by-cap: clamp the upper end to ``ceiling`` (sound only

@@ -92,7 +92,7 @@ class CostFacts:
                 else None
             )
             self._recommendation = recommended_plan(
-                classification, cost_certificate=certificate
+                certificate, classification
             )
         return self._recommendation
 

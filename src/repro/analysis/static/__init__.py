@@ -19,7 +19,7 @@ partition conditions, and report per-goal method admissibility.  The
 classic :mod:`repro.datalog.lint` checks run as the first six passes.
 """
 
-from .admissibility import MethodVerdict, method_admissibility, recommended
+from .admissibility import MethodVerdict, method_admissibility
 from .facts import ProgramFacts
 from ..sarif import SARIF_SCHEMA_URI, SARIF_VERSION, report_to_sarif
 from .framework import (
@@ -60,7 +60,6 @@ __all__ = [
     "expected_reduced_sets",
     "lint_rewrite_outputs",
     "method_admissibility",
-    "recommended",
     "report_to_sarif",
     "run_static_analysis",
     "verify_partition_conditions",

@@ -15,9 +15,10 @@ paper-literal twins do) are statically admissible:
 * all eight **magic counting** methods are safe on every input
   (Proposition 3: every Step-1 fixpoint terminates by construction).
 
-``recommended()`` exposes the selection policy of
-:func:`~repro.core.methods.recommended_plan` so the advisory names the
-method the adaptive solver would actually pick.
+Admissibility says which methods *may* run; which one *should* run is
+the cost analyzer's bound ranking
+(:func:`repro.analysis.cost.analyze_cost_query`), which the static
+report reads for its ``recommended_method``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ...core.classification import Classification
-from ...core.methods import METHODS, Method, recommended_plan
+from ...core.methods import METHODS, Method
 from .safety import SafetyCertificate, Verdict
 
 
@@ -84,12 +84,3 @@ def method_admissibility(
         if not row.scc_step1
     ]
 
-
-def recommended(
-    classification: Optional[Classification],
-    certificate: SafetyCertificate,
-) -> Optional[str]:
-    """The method the adaptive policy would select, when decidable."""
-    if classification is None:
-        return "magic_set" if certificate.verdict == Verdict.UNKNOWN else None
-    return recommended_plan(classification).method

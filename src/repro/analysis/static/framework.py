@@ -28,7 +28,8 @@ from ...diagnostics import (
     run_passes,
     sort_diagnostics,
 )
-from .admissibility import MethodVerdict, method_admissibility, recommended
+from ..cost import analyze_cost_query
+from .admissibility import MethodVerdict, method_admissibility
 from .facts import ProgramFacts
 from .rewrite_check import verify_rewrites
 from .safety import SafetyCertificate, Verdict
@@ -217,6 +218,18 @@ def run_static_analysis(
     certificate = (
         facts.safety_certificate() if facts.goal is not None else None
     )
+    query = facts.csl_query()
+    if certificate is None:
+        recommended_method = None
+    elif query is not None:
+        # The bound ranking ``adaptive`` runs everywhere else.
+        recommended_method = analyze_cost_query(query).recommendation.method
+    elif certificate.verdict == Verdict.UNKNOWN:
+        # No CSL query to rank (no database, not CSL-shaped): magic
+        # sets terminate on every input.
+        recommended_method = "magic_set"
+    else:
+        recommended_method = None
     return StaticReport(
         goal=None if facts.goal is None else str(facts.goal),
         diagnostics=sort_diagnostics(diagnostics),
@@ -228,7 +241,5 @@ def run_static_analysis(
         admissibility=[]
         if certificate is None
         else method_admissibility(certificate),
-        recommended_method=None
-        if certificate is None
-        else recommended(classification, certificate),
+        recommended_method=recommended_method,
     )

@@ -347,11 +347,8 @@ def cmd_analyze(args) -> int:
     for method, predicted in all_method_predictions(stats).items():
         cell = "unsafe" if predicted is None else str(predicted)
         print(f"  {method:30s} {cell}")
-    from .analysis.static import (
-        certify_counting_safety,
-        method_admissibility,
-        recommended,
-    )
+    from .analysis.cost import analyze_cost_query
+    from .analysis.static import certify_counting_safety, method_admissibility
 
     certificate = certify_counting_safety(query)
     print()
@@ -359,7 +356,8 @@ def cmd_analyze(args) -> int:
     print("statically admissible methods:")
     for verdict in method_admissibility(certificate):
         print(f"  {verdict.describe()}")
-    print(f"recommended method: {recommended(classification, certificate)}")
+    recommendation = analyze_cost_query(query).recommendation
+    print(f"recommended method: {recommendation.method}")
     if args.dot:
         from .analysis.dot import query_graph_to_dot
 

@@ -2,9 +2,9 @@
 
 :func:`explain_evaluation` produces the narrative a database EXPLAIN
 would: the magic-graph diagnosis, the counting-set levels (when finite),
-every strategy's RC/RM split with predicted costs, and the method a
-planner would pick — all as plain text, used by the REPL's ``.plan``
-command and handy in notebooks.
+every strategy's RC/RM split with predicted costs, and the method the
+certified-bound ranking picks, with its reason — all as plain text,
+used by the REPL's ``.plan`` command and handy in notebooks.
 """
 
 from __future__ import annotations
@@ -86,4 +86,5 @@ def explain_evaluation(query: CSLQuery, max_level_rows: int = 12) -> str:
         f"({len(chosen.answers)} answer(s), {chosen.cost.retrievals} "
         "retrievals when executed)"
     )
+    lines.append(f"why: {chosen.details['plan']['reason']}")
     return "\n".join(lines)

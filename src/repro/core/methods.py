@@ -162,14 +162,13 @@ class PlanRecommendation:
     """One method choice, with the *why* attached.
 
     ``method`` names a :data:`METHODS` row; ``provenance`` is
-    ``"heuristic"`` for the regime policy, ``"certified-bound"`` when a
-    cost certificate ranked the candidates, and ``"heuristic-fallback"``
-    when a certificate was offered but abstained on every candidate —
-    plus a ranked candidate table in ``details["ranking"]``.
+    ``"certified-bound"`` when the cost certificate ranked the
+    candidates and ``"heuristic-fallback"`` when it abstained on every
+    candidate — plus a ranked candidate table in ``details["ranking"]``.
     """
 
     method: str
-    provenance: str = "heuristic"
+    provenance: str
     details: Dict[str, object] = field(default_factory=dict)
 
 
@@ -181,61 +180,54 @@ def plan_candidates() -> List[Method]:
     return [row for row in METHODS.values() if row.ranked]
 
 
-def _heuristic_plan(graph_class: MagicGraphClass) -> PlanRecommendation:
+def _heuristic_choice(graph_class: MagicGraphClass):
+    """The regime rule: the ranking's tie-break and its fallback when
+    the certificate abstains on every candidate.  Returns the row name
+    and the reason."""
     if graph_class is MagicGraphClass.REGULAR:
-        name = "counting"
-        reason = "regular magic graph: pure counting is unbeatable there"
-    elif graph_class is MagicGraphClass.ACYCLIC:
-        name = method_name(Strategy.MULTIPLE, Mode.INTEGRATED)
-        reason = (
+        return "counting", (
+            "regular magic graph: pure counting is unbeatable there"
+        )
+    if graph_class is MagicGraphClass.ACYCLIC:
+        return method_name(Strategy.MULTIPLE, Mode.INTEGRATED), (
             "acyclic non-regular: the integrated multiple method is the "
             "best measured all-rounder without recurring Step-1 overhead"
         )
-    else:
-        name = method_name(Strategy.RECURRING, Mode.INTEGRATED, scc_step1=True)
-        reason = (
-            "cyclic: the integrated recurring method with the linear-time "
-            "SCC Step 1"
-        )
-    return PlanRecommendation(
-        method=name,
-        provenance="heuristic",
-        details={"reason": reason, "heuristic": name},
+    return method_name(Strategy.RECURRING, Mode.INTEGRATED, scc_step1=True), (
+        "cyclic: the integrated recurring method with the linear-time "
+        "SCC Step 1"
     )
 
 
-def recommended_plan(classification, cost_certificate=None):
-    """The selection policy: certified bounds first, regime heuristics
-    as the fallback.
+def recommended_plan(cost_certificate, classification=None):
+    """The selection policy: the smallest certified bound wins.
 
     Returns a :class:`PlanRecommendation` naming a :data:`METHODS` row.
-    This is the single source of truth shared by :func:`repro.core.
-    solver.adaptive_solve` and the static method-admissibility advisory.
+    ``cost_certificate`` is a :class:`repro.analysis.cost.
+    CostCertificate` for one source; callers reach this through
+    :func:`repro.analysis.cost.analyze_cost_query`, which is what
+    :func:`repro.core.solver.adaptive_solve`, the service's
+    ``adaptive`` and both analyzers read.
 
-    Without a certificate the regime policy applies: **regular** — the
-    pure counting method; **acyclic non-regular** — the integrated
-    multiple method; **cyclic** — the integrated recurring method with
-    the SCC Step 1.
+    Every executable candidate with a certified finite bound is ranked
+    and the smallest bound wins; exact ties prefer the regime rule's
+    choice (**regular** — the pure counting method; **acyclic
+    non-regular** — the integrated multiple method; **cyclic** — the
+    integrated recurring method with the SCC Step 1), then candidate
+    order.  When the certificate abstains on every candidate the regime
+    rule's choice stands (provenance ``"heuristic-fallback"``).  Either
+    way ``details["ranking"]`` records the full table.
 
-    With a ``cost_certificate`` (a :class:`repro.analysis.cost.
-    CostCertificate` for this source) every executable candidate with a
-    certified finite bound is ranked and the smallest bound wins; exact
-    ties prefer the heuristic choice, then candidate order.  When the
-    certificate abstains on every candidate the heuristic choice stands
-    (provenance ``"heuristic-fallback"``).  Either way
-    ``details["ranking"]`` records the full table.
-
-    ``classification`` may be None when the certificate records the
-    regime itself (``cost_certificate.graph_class``, the same class by
-    construction): the caller is spared the classification pass.
+    The regime is read from ``cost_certificate.graph_class``;
+    ``classification`` is needed only when the certificate was widened
+    and proved no graph class.
     """
-    heuristic = _heuristic_plan(
+    graph_class = (
         cost_certificate.graph_class
         if classification is None
         else classification.graph_class
     )
-    if cost_certificate is None:
-        return heuristic
+    heuristic, heuristic_reason = _heuristic_choice(graph_class)
 
     ranking: List[Dict[str, object]] = []
     best: Optional[str] = None
@@ -260,7 +252,7 @@ def recommended_plan(classification, cost_certificate=None):
         ties_to_heuristic = (
             best_bound is not None
             and bound == best_bound
-            and name == heuristic.method
+            and name == heuristic
         )
         if improves or ties_to_heuristic:
             best, best_bound = name, bound
@@ -272,7 +264,7 @@ def recommended_plan(classification, cost_certificate=None):
         )
     )
     details: Dict[str, object] = {
-        "heuristic": heuristic.method,
+        "heuristic": heuristic,
         "ranking": ranking,
         "widened": cost_certificate.widened,
     }
@@ -280,10 +272,10 @@ def recommended_plan(classification, cost_certificate=None):
         details["reason"] = (
             "the cost analyzer abstained on every candidate; "
             "falling back to the regime heuristic "
-            f"({heuristic.details['reason']})"
+            f"({heuristic_reason})"
         )
         return PlanRecommendation(
-            method=heuristic.method,
+            method=heuristic,
             provenance="heuristic-fallback",
             details=details,
         )
@@ -293,8 +285,8 @@ def recommended_plan(classification, cost_certificate=None):
             break
     details["reason"] = (
         f"smallest certified retrieval bound ({best_bound}); "
-        f"heuristic would pick {heuristic.method}"
-        if best != heuristic.method
+        f"heuristic would pick {heuristic}"
+        if best != heuristic
         else f"smallest certified retrieval bound ({best_bound}), "
         "agreeing with the regime heuristic"
     )

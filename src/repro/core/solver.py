@@ -18,7 +18,7 @@ from typing import Optional
 from ..errors import EvaluationError
 from .cost import AnswerResult
 from .csl import CSLQuery
-from .methods import METHODS, magic_counting, method_name, recommended_plan
+from .methods import METHODS, magic_counting, method_name
 from .reduced_sets import Mode, Strategy
 
 #: What ``"auto"`` runs: always safe, coincides with the counting method
@@ -85,42 +85,32 @@ def solve_program(program, database, method: str = "auto",
     return solve(query, method=method, strategy=strategy, mode=mode)
 
 
-def adaptive_solve(
-    query: CSLQuery, counter=None, cost_bounds: bool = False
-) -> AnswerResult:
-    """Pick the method by a cheap pre-classification of the magic graph.
+def adaptive_solve(query: CSLQuery, counter=None) -> AnswerResult:
+    """Run the method the certified-bound ranking picks.
 
-    One linear SCC pass (uncharged — it is compile-time analysis)
-    decides the regime; the regime-to-method mapping is
-    :func:`repro.core.methods.recommended_plan`, shared with the static
-    method-admissibility advisory so the analyzer's recommendation and
-    the solver's behaviour can never drift apart.
+    :func:`repro.analysis.cost.analyze_cost_query` (one uncharged region
+    walk that also names the regime) certifies a retrieval bound per
+    method, and :func:`repro.core.methods.recommended_plan` ranks them:
+    the smallest certified bound wins, ties and abstentions fall back to
+    the regime rule.  The service's ``adaptive``, ``repro analyze`` and
+    the static report's ``recommended_method`` read the same call, so
+    all of them name the method this runs.
 
-    With ``cost_bounds=True`` the cost analyzer
-    (:func:`repro.analysis.cost.analyze_cost_query`, one region walk
-    that also names the regime) certifies a retrieval bound per method
-    and the smallest certified bound wins the ranking (ties and
-    abstentions fall back to the regime heuristic).
-    The chosen plan's provenance, certified bound, and the full ranked
-    table land in the result's ``details["plan"]``.
+    The chosen plan's provenance, reason, certified bound, and the full
+    ranked table land in the result's ``details["plan"]``.
     """
-    if cost_bounds:
-        from ..analysis.cost import analyze_cost_query
+    from ..analysis.cost import analyze_cost_query
 
-        report = analyze_cost_query(query)
-        recommendation = report.recommendation
-        result = METHODS[recommendation.method].run(query, counter=counter)
-        result.details["plan"] = {
-            "provenance": recommendation.provenance,
-            "bound": report.certificate.bound_for(recommendation.method),
-            "ranking": recommendation.details.get("ranking"),
-        }
-        return result
-
-    from .classification import classify_nodes
-
-    recommendation = recommended_plan(classify_nodes(query))
-    return METHODS[recommendation.method].run(query, counter=counter)
+    report = analyze_cost_query(query)
+    recommendation = report.recommendation
+    result = METHODS[recommendation.method].run(query, counter=counter)
+    result.details["plan"] = {
+        "provenance": recommendation.provenance,
+        "reason": recommendation.details.get("reason"),
+        "bound": report.certificate.bound_for(recommendation.method),
+        "ranking": recommendation.details.get("ranking"),
+    }
+    return result
 
 
 def _fact_count(database, name: str) -> int:

@@ -344,10 +344,6 @@ class Relation:
     def backend(self) -> StorageBackend:
         return self._backend
 
-    @property
-    def backend_kind(self) -> str:
-        return self._backend.kind
-
     def _set_backend(self, backend: StorageBackend) -> None:
         """Swap the physical store in place (same logical contents).
 

@@ -71,14 +71,6 @@ def strongly_connected_components(
     return components
 
 
-def condensation_order(
-    nodes: Iterable[Hashable], successors: Dict[Hashable, Set[Hashable]]
-) -> List[List[Hashable]]:
-    """SCCs in a topological order suitable for bottom-up evaluation:
-    a component appears after everything it depends on."""
-    return strongly_connected_components(nodes, successors)
-
-
 def stratify(program: Program) -> List[Set[str]]:
     """Partition the IDB predicates of ``program`` into evaluation strata.
 

@@ -16,14 +16,6 @@ from .term import Constant, Term, Variable
 Substitution = Dict[Variable, Term]
 
 
-def apply_substitution(term: Term, theta: Substitution) -> Term:
-    """Resolve a single term under ``theta`` (one step; enough for flat
-    ground substitutions)."""
-    if term.is_variable:
-        return theta.get(term, term)
-    return term
-
-
 def match_tuple(
     terms: Tuple[Term, ...], values: Tuple, theta: Substitution
 ) -> Optional[Substitution]:

@@ -217,7 +217,6 @@ class ServiceMetrics:
         "retrievals",
         "compiles",
         "invalidations",
-        "fallbacks",
         "plans_maintained",
         "maintenance_fallbacks",
         "maintenance_facts_touched",
@@ -236,7 +235,6 @@ class ServiceMetrics:
         self.retrievals = 0  # guarded-by: _lock
         self.compiles = 0  # guarded-by: _lock
         self.invalidations = 0  # guarded-by: _lock
-        self.fallbacks = 0  # guarded-by: _lock
         # Incremental plan maintenance: how many cached plans were
         # updated in place, how many had to be dropped instead, and the
         # aggregated MaintenanceReport phase counters.
@@ -271,10 +269,6 @@ class ServiceMetrics:
         with self._lock:
             self.invalidations += count
 
-    def record_fallback(self, count: int = 1) -> None:
-        with self._lock:
-            self.fallbacks += count
-
     def record_maintenance(
         self, plans: int, totals: Dict[str, int]
     ) -> None:
@@ -306,7 +300,6 @@ class ServiceMetrics:
                 "retrievals": self.retrievals,
                 "compiles": self.compiles,
                 "invalidations": self.invalidations,
-                "fallbacks": self.fallbacks,
                 "plans_maintained": self.plans_maintained,
                 "maintenance_fallbacks": self.maintenance_fallbacks,
                 "maintenance_facts_touched": self.maintenance_facts_touched,

@@ -141,27 +141,16 @@ class SolverService:
         database: Optional[Database] = None,
         plan_cache_size: int = 8,
         verify_database: bool = False,
-        unsafe_fallback: bool = False,
     ):
         """``verify_database`` re-digests the EDB on every cache hit and
         recompiles on mismatch — a paranoia mode for callers that keep a
         handle on the database and may mutate it behind the service's
         back (the version counter only sees mutations routed through
-        the service).
-
-        ``unsafe_fallback`` governs what happens when a batch requests
-        the counting method on a goal whose compiled plan is statically
-        certified counting-unsafe (cyclic magic graph): ``False``
-        (default) refuses with :class:`UnsafeQueryError` *before any
-        fixpoint starts*; ``True`` silently serves the batch with the
-        always-safe shared magic-sets plan instead, recording the
-        substitution in ``BatchResult.details['fallback']`` and the
-        ``fallbacks`` service metric."""
+        the service)."""
         self.database = database if database is not None else Database()
         self.plan_cache = PlanCache(plan_cache_size)
         self.metrics = ServiceMetrics()
         self.verify_database = verify_database
-        self.unsafe_fallback = unsafe_fallback
         # Reentrant: a verify_database mismatch inside _plan_for calls
         # _mutated while already holding the lock.
         self._lock = threading.RLock()
@@ -368,14 +357,13 @@ class SolverService:
           only on an acyclic magic graph (``needs_acyclic``:
           ``"counting"``, ``"henschen_naqvi"``) is refused with
           :class:`UnsafeQueryError` before any fixpoint starts when a
-          goal's plan is statically certified counting-unsafe — or
-          served via shared magic instead when the service was built
-          with ``unsafe_fallback=True``;
+          goal's plan is statically certified counting-unsafe;
         * ``"adaptive"`` — shared magic for more than one source; for a
-          single source the row :func:`~repro.core.methods.
-          recommended_plan` ranks first on the source's cost
-          certificate (the library's policy, read from the plan's
-          memoized decision that ``predicted_bound`` reads anyway).
+          single source the row the certified-bound ranking
+          (:func:`~repro.analysis.cost.analyze_cost_query`) puts first,
+          read from the plan's memoized decision that
+          ``predicted_bound`` reads anyway — the row
+          ``repro.solve(query, "adaptive")`` runs on the same source.
         """
         if method not in BATCH_METHODS:
             raise EvaluationError(
@@ -405,7 +393,6 @@ class SolverService:
                 chosen = SHARED_MAGIC
                 if len(source_list) == 1:
                     chosen = plan.decision(source_list[0]).method
-            fallback_details: Dict[str, object] = {}
             row = METHODS.get(chosen)
             if row is not None and row.needs_acyclic:
                 # Static gate: the graph class on the plan's memoized
@@ -421,19 +408,10 @@ class SolverService:
                 ]
                 if unsafe:
                     certificate = plan.counting_certificate(unsafe[0])
-                    if not self.unsafe_fallback:
-                        raise UnsafeQueryError(
-                            f"{chosen} refused by static certification: "
-                            + certificate.describe()
-                        )
-                    self.metrics.record_fallback()
-                    fallback_details["fallback"] = {
-                        "from": chosen,
-                        "to": SHARED_MAGIC,
-                        "reason": certificate.describe(),
-                        "unsafe_sources": unsafe,
-                    }
-                    chosen, row = SHARED_MAGIC, None
+                    raise UnsafeQueryError(
+                        f"{chosen} refused by static certification: "
+                        + certificate.describe()
+                    )
             bound_method = _SHARED_MAGIC_BOUND if row is None else chosen
             predicted = self._predicted_bound(plan, bound_method, source_list)
             counter = CostCounter()
@@ -466,7 +444,6 @@ class SolverService:
                 "batch starved: the database was mutated concurrently on "
                 "every execution attempt"
             )
-        details.update(fallback_details)
         if predicted is not None:
             details["predicted_bound"] = predicted
             details["bound_violated"] = counter.retrievals > predicted

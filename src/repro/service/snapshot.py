@@ -127,14 +127,10 @@ def read_snapshot(path: str) -> Tuple[Database, int, Optional[str]]:
     return database, int(payload.get("epoch", 0)), program
 
 
-def import_snapshot(path: str, **service_kwargs) -> "ImportedSnapshot":
-    """A fresh :class:`SolverService` over the snapshot's database.
-
-    ``service_kwargs`` pass through to the service constructor.
-    """
+def import_snapshot(path: str) -> "ImportedSnapshot":
+    """A fresh :class:`SolverService` over the snapshot's database."""
     database, epoch, program_text = read_snapshot(path)
-    service = SolverService(database, **service_kwargs)
-    return ImportedSnapshot(service, epoch, program_text)
+    return ImportedSnapshot(SolverService(database), epoch, program_text)
 
 
 class ImportedSnapshot:

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core.methods import magic_counting
+from repro.analysis.cost import analyze_cost_query
+from repro.core.methods import METHODS, magic_counting, plan_candidates
 from repro.core.reduced_sets import Mode, ReducedSets, Strategy
 from repro.core.solver import adaptive_solve, fact2_answer, solve
 from repro.core.step2 import integrated_step2
@@ -17,18 +18,45 @@ from repro.workloads.generators import (
 from .conftest import csl_queries
 
 
+def assert_the_ranking_ran(query, regime_row):
+    """``adaptive`` runs the cost report's pick: the smallest certified
+    bound among the ranked rows, measured within that bound and no
+    costlier than the regime rule's row for the graph class."""
+    result = adaptive_solve(query)
+    report = analyze_cost_query(query)
+    assert result.method == report.recommendation.method
+    assert result.details["plan"]["provenance"] == "certified-bound"
+    bounds = [
+        report.certificate.bound_for(row.name) for row in plan_candidates()
+    ]
+    smallest = min(bound for bound in bounds if bound is not None)
+    assert result.details["plan"]["bound"] == smallest
+    assert result.cost.retrievals <= smallest
+    assert result.answers == fact2_answer(query)
+    regime = solve(query, regime_row)
+    assert result.cost.retrievals <= regime.cost.retrievals
+    return result
+
+
 class TestAdaptiveSelection:
     def test_regular_picks_counting(self):
-        result = adaptive_solve(regular_workload(scale=1, seed=0))
+        result = assert_the_ranking_ran(
+            regular_workload(scale=1, seed=0), "counting"
+        )
+        # On a regular graph nothing is certified below counting.
         assert result.method == "counting"
 
-    def test_acyclic_picks_multiple_integrated(self):
-        result = adaptive_solve(acyclic_workload(scale=1, seed=0))
-        assert result.method == "mc_multiple_integrated"
+    def test_acyclic_pick_is_no_costlier_than_multiple_integrated(self):
+        assert_the_ranking_ran(
+            acyclic_workload(scale=1, seed=0), "mc_multiple_integrated"
+        )
 
-    def test_cyclic_picks_recurring_scc(self):
-        result = adaptive_solve(cyclic_workload(scale=1, seed=0))
-        assert result.method == "mc_recurring_integrated_scc"
+    def test_cyclic_pick_is_safe_and_no_costlier_than_recurring_scc(self):
+        # (no row name: the cyclic generator follows the hash seed)
+        result = assert_the_ranking_ran(
+            cyclic_workload(scale=1, seed=0), "mc_recurring_integrated_scc"
+        )
+        assert not METHODS[result.method].needs_acyclic
 
     def test_reachable_through_solve(self, samegen_query):
         result = solve(samegen_query, method="adaptive")

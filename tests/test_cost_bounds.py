@@ -7,6 +7,7 @@ not re-recorded.  The companion suite ``test_cost_soundness.py`` checks
 the other direction (measured cost never exceeds any certified bound).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -208,10 +209,7 @@ class TestAbstractInterpretation:
 
 class TestPlanSelection:
     def test_certificate_ranks_and_selects(self):
-        classification = classify_nodes(CHAIN)
-        plan = recommended_plan(
-            classification, cost_certificate=certify_cost(CHAIN)
-        )
+        plan = recommended_plan(certify_cost(CHAIN))
         assert isinstance(plan, PlanRecommendation)
         assert plan.provenance == "certified-bound"
         assert plan.method == "counting"
@@ -224,17 +222,30 @@ class TestPlanSelection:
     def test_divergence_from_the_heuristic_is_visible(self):
         # On the 2-cycle the heuristic picks the SCC recurring method
         # (20) but basic-independent is certified cheaper (13).
-        plan = recommended_plan(
-            classify_nodes(CYCLE), cost_certificate=certify_cost(CYCLE)
-        )
+        plan = recommended_plan(certify_cost(CYCLE))
         assert plan.method == "mc_basic_independent"
         assert plan.details["heuristic"] == "mc_recurring_integrated_scc"
         assert "13" in plan.details["reason"]
 
     def test_names_a_table_entry(self):
-        plan = recommended_plan(classify_nodes(CHAIN))
+        # Every path out of the ranking names a runnable row: a ranked
+        # pick, and the regime rule's pick when every candidate abstains
+        # (a widened certificate with its bounds withheld).
+        certificate = certify_cost(CHAIN)
+        plan = recommended_plan(certificate)
         assert METHODS[plan.method].run is counting_method
-        assert plan.provenance == "heuristic"
+        assert plan.method == certificate.best().method
+        abstaining = dataclasses.replace(
+            certificate,
+            bounds={
+                name: dataclasses.replace(entry, bound=None)
+                for name, entry in certificate.bounds.items()
+            },
+        )
+        fallback = recommended_plan(abstaining, classify_nodes(CHAIN))
+        assert fallback.provenance == "heuristic-fallback"
+        assert METHODS[fallback.method].run is counting_method
+        assert fallback.method == fallback.details["heuristic"]
 
     def test_candidates_cover_every_executable_plan(self):
         names = [c.name for c in plan_candidates()]
@@ -243,16 +254,12 @@ class TestPlanSelection:
         assert "mc_recurring_integrated_scc" in names
 
     def test_adaptive_solve_attaches_the_plan_table(self):
-        result = adaptive_solve(CYCLE, cost_bounds=True)
+        result = adaptive_solve(CYCLE)
         plan = result.details["plan"]
         assert plan["provenance"] == "certified-bound"
         assert result.method == "mc_basic_independent"
         assert result.cost.retrievals <= plan["bound"] == 13
-
-    def test_adaptive_solve_default_is_unchanged(self):
-        result = adaptive_solve(CYCLE)
-        assert result.method == "mc_recurring_integrated_scc"
-        assert "plan" not in result.details
+        assert "13" in plan["reason"]
 
 
 class TestReport:

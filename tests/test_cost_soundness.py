@@ -80,7 +80,7 @@ class TestBoundSoundness:
     @settings(max_examples=30, deadline=None)
     @given(csl_queries())
     def test_adaptive_solve_respects_its_own_certificate(self, query):
-        result = adaptive_solve(query, cost_bounds=True)
+        result = adaptive_solve(query)
         plan = result.details["plan"]
         if plan["provenance"] == "certified-bound":
             assert result.cost.retrievals <= plan["bound"]
@@ -100,7 +100,7 @@ class TestBoundSoundness:
         if not certified:
             return
         best = min(certified.values())
-        chosen = adaptive_solve(query, cost_bounds=True)
+        chosen = adaptive_solve(query)
         plan = chosen.details["plan"]
         if plan["provenance"] == "certified-bound":
             assert plan["bound"] == best

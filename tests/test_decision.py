@@ -73,7 +73,7 @@ def assert_same_decision(query):
         classification = classify_nodes(sibling)
         certificate = certify_cost(sibling)
         assert certificate.graph_class is classification.graph_class
-        expected = recommended_plan(classification, certificate)
+        expected = recommended_plan(certificate, classification)
         recommendation = analyze_cost_query(sibling).recommendation
         assert recommendation.method == expected.method
         assert recommendation.provenance == expected.provenance

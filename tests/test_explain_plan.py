@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis.cost import analyze_cost_query
 from repro.core.explain import explain_evaluation
+from repro.core.methods import METHODS
 from repro.repl import Repl
 from repro.workloads.figures import figure2_query
 from repro.workloads.generators import cyclic_workload, regular_workload
@@ -16,10 +18,16 @@ class TestExplainEvaluation:
         assert "adaptive choice: counting" in text
 
     def test_cyclic_plan(self):
-        text = explain_evaluation(cyclic_workload(scale=1, seed=0))
+        query = cyclic_workload(scale=1, seed=0)
+        text = explain_evaluation(query)
         assert "class: cyclic" in text
         assert "UNSAFE" in text
-        assert "adaptive choice: mc_recurring_integrated_scc" in text
+        # The plan is the certified-bound ranking's pick, with its reason
+        # (no row name: the cyclic generator follows the hash seed).
+        recommendation = analyze_cost_query(query).recommendation
+        assert not METHODS[recommendation.method].needs_acyclic
+        assert f"adaptive choice: {recommendation.method} " in text
+        assert f"why: {recommendation.details['reason']}" in text
         assert "unsafe" in text  # the counting prediction cell
 
     def test_figure2_plan_mentions_classes(self):

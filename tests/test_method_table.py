@@ -190,14 +190,6 @@ def test_the_service_runs_every_table_row(query, name):
         )
         assert service.stats()["retrievals"] == 0
         assert service.stats()["batches"] == 0
-        service = SolverService(unsafe_fallback=True)
-        batch = service.solve_batch(query, [query.source], method=name)
-        assert batch.method == "shared_magic"
-        assert batch.answers == {query.source: fact2_answer(query)}
-        assert batch.details["fallback"]["from"] == name
-        assert batch.details["fallback"]["to"] == "shared_magic"
-        assert batch.details["fallback"]["unsafe_sources"] == [query.source]
-        assert service.stats()["fallbacks"] == 1
         return
     batch = SolverService().solve_batch(query, [query.source], method=name)
     assert batch.answers == {query.source: fact2_answer(query)}

@@ -2,11 +2,10 @@
 
 The acceptance property for the static analyzer is that a certified
 counting-unsafe goal never reaches a counting fixpoint: the service
-either refuses it (default) or serves it with the always-terminating
-shared magic plan (``unsafe_fallback=True``).  These tests prove the
+refuses it with :class:`UnsafeQueryError`.  These tests prove the
 "never reaches" part by replacing the counting fixpoint with a bomb --
 if any divergence path were still reachable, the bomb would go off
-instead of the expected refusal/fallback.
+instead of the expected refusal.
 """
 
 import sys
@@ -22,7 +21,7 @@ from repro.service import SolverService
 
 
 #: the ``cyclic_query`` fixture's certificate text, as the gate has
-#: always worded it — refusals and fallback records are an interface
+#: always worded it — refusals are an interface
 UNSAFE_FROM_A = (
     "counting is unsafe from source 'a': the magic graph reachable from "
     "the bound source contains a cycle; the counting method would diverge "
@@ -79,34 +78,15 @@ class TestRefusal:
 
 
 class TestFallback:
-    def test_fallback_serves_shared_magic(
-        self, cyclic_query, no_counting_fixpoint
-    ):
-        service = SolverService(cyclic_query.database(), unsafe_fallback=True)
-        result = service.solve_batch(
-            cyclic_query, sources=["a", "d"], method="counting"
-        )
-        assert result.method == "shared_magic"
-        assert result.answers == oracle(cyclic_query, ["a", "d"])
-        assert result.details["fallback"] == {
-            "from": "counting",
-            "to": "shared_magic",
-            "reason": UNSAFE_FROM_A,
-            "unsafe_sources": ["a"],
-        }
-        assert service.stats()["fallbacks"] == 1
-
     def test_safe_source_still_uses_counting(self, cyclic_query):
-        # The fallback switch must not pessimize safe goals: source "d"
-        # never reaches the cycle, so counting proceeds normally.
-        service = SolverService(cyclic_query.database(), unsafe_fallback=True)
+        # The gate must not pessimize safe goals: source "d" never
+        # reaches the cycle, so counting proceeds normally.
+        service = SolverService(cyclic_query.database())
         result = service.solve_batch(
             cyclic_query, sources=["d"], method="counting"
         )
         assert result.method == "counting"
-        assert "fallback" not in result.details
         assert result.answers == oracle(cyclic_query, ["d"])
-        assert service.stats()["fallbacks"] == 0
 
     def test_safe_query_unaffected_by_gate(
         self, samegen_query, no_counting_fixpoint
@@ -120,16 +100,14 @@ class TestFallback:
 
     def test_adaptive_on_cyclic_never_hits_the_gate(self, cyclic_query):
         # Adaptive serves the recommended row, which on a cyclic source
-        # is never one that needs an acyclic graph, so no fallback is
-        # recorded even with the switch on.
-        service = SolverService(cyclic_query.database(), unsafe_fallback=True)
+        # is never one that needs an acyclic graph, so it is never
+        # refused.
+        service = SolverService(cyclic_query.database())
         result = service.solve_batch(cyclic_query, method="adaptive")
         plan = service.compile(cyclic_query)
         assert result.method == plan.cost_report("a").recommendation.method
         assert not METHODS[result.method].needs_acyclic
         assert result.answers == oracle(cyclic_query, ["a"])
-        assert "fallback" not in result.details
-        assert service.stats()["fallbacks"] == 0
 
 
 class TestPlanReports:

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings
 
+from repro.analysis.cost import analyze_cost_query, run_cost_analysis
 from repro.analysis.static import (
     ProgramFacts,
     STATIC_PASSES,
@@ -20,7 +21,7 @@ from repro.analysis.static import (
 )
 from repro.core.classification import classify_nodes
 from repro.core.csl import CSLQuery
-from repro.core.methods import recommended_plan
+from repro.core.methods import METHODS
 from repro.core.reduced_sets import Strategy
 from repro.core.step1 import compute_reduced_sets
 from repro.datalog.database import Database
@@ -291,7 +292,9 @@ class TestFramework:
         document = json.loads(json.dumps(report.to_json()))
         assert document["counting_safety"]["verdict"] == "unsafe"
         assert document["graph_class"] == "cyclic"
-        assert document["recommended_method"] == "mc_recurring_integrated_scc"
+        recommendation = run_cost_analysis(program, database).recommendation
+        assert document["recommended_method"] == recommendation.method
+        assert not METHODS[recommendation.method].needs_acyclic
 
     def test_preseeded_csl_query_is_not_rematerialized(self):
         program, database = sg_setup([("a", "b")])
@@ -373,12 +376,14 @@ class TestAdmissibility:
         assert verdicts["magic_set"].admissible is True
 
     def test_recommendation_matches_adaptive_policy(self, cyclic_query):
-        classification = classify_nodes(cyclic_query)
-        name = recommended_plan(classification).method
+        # adaptive_solve runs exactly this recommendation.
+        recommendation = analyze_cost_query(cyclic_query).recommendation
         report = run_static_analysis(
             cyclic_query.to_program(), cyclic_query.database()
         )
-        assert report.recommended_method == name == "mc_recurring_integrated_scc"
+        assert report.recommended_method == recommendation.method
+        assert recommendation.provenance == "certified-bound"
+        assert not METHODS[report.recommended_method].needs_acyclic
 
 
 class TestCallPatterns:

@@ -24,9 +24,10 @@ from ...diagnostics import (
     run_passes,
     sort_diagnostics,
 )
+from .abstract import interpret
 from .bounds import certify_cost
 from .certificate import CostCertificate
-from .stats import DEFAULT_NODE_BUDGET
+from .stats import DEFAULT_NODE_BUDGET, collect_statistics
 
 #: Every diagnostic code the pipeline can emit, with SARIF descriptions.
 RULE_METADATA: Dict[str, str] = {
@@ -80,20 +81,18 @@ class CostFacts:
         if self.query is None:
             return None
         if self._recommendation is None:
-            from ...core.classification import classify_nodes
             from ...core.methods import recommended_plan
 
             certificate = self.certificate()
             # The certificate names the regime its abstract state
-            # proved; only a widened region is classified on its own.
-            classification = (
-                classify_nodes(self.query)
+            # proved; only a widened region is walked again, unbounded,
+            # for the regime its exact abstract proves.
+            exact = (
+                interpret(collect_statistics(self.query, node_budget=None))
                 if certificate.graph_class is None
                 else None
             )
-            self._recommendation = recommended_plan(
-                certificate, classification
-            )
+            self._recommendation = recommended_plan(certificate, exact)
         return self._recommendation
 
 

@@ -160,7 +160,7 @@ class RegionStatistics:
 def _answer_region(
     seeds: Set[object],
     predecessors: Mapping[object, List[object]],
-    budget: int,
+    budget: Optional[int],
 ) -> Optional[Tuple[int, int]]:
     """``(n_R, m_R)`` of ``seeds`` closed backwards under ``R``: the
     nodes, and the arcs out of them, counted as the walk expands each
@@ -171,7 +171,7 @@ def _answer_region(
     stack = list(seen)
     arcs = 0
     while stack:
-        if len(seen) > budget:
+        if budget is not None and len(seen) > budget:
             return None
         reached = predecessors.get(stack.pop())
         if reached:
@@ -184,14 +184,16 @@ def _answer_region(
 
 
 def collect_statistics(
-    query: CSLQuery, node_budget: int = DEFAULT_NODE_BUDGET
+    query: CSLQuery, node_budget: Optional[int] = DEFAULT_NODE_BUDGET
 ) -> RegionStatistics:
-    """Two budgeted walks over the query's adjacency index."""
+    """Two budgeted walks over the query's adjacency index.
+
+    ``node_budget=None`` walks the whole region and never widens."""
     index = query.index
     assumptions: List[str] = []
     depth = bfs_depths(query.source, index.l_successors, node_budget)
     ms: Iterable[object] = depth
-    ms_exceeded = len(depth) > node_budget
+    ms_exceeded = node_budget is not None and len(depth) > node_budget
     if ms_exceeded:
         depth = {}
         ms = {query.source} | {c for _b, c in query.left}

@@ -6,15 +6,17 @@ dashed, and — beyond the paper — node colours encoding the
 single/multiple/recurring classification so the RC/RM split is visible
 at a glance.  The output is plain DOT text; render it with
 ``dot -Tpng``.
+
+Drawing needs the arcs themselves, so this module walks the explicit
+:func:`~repro.core.query_graph.build_query_graph` and classifies it
+with :func:`~repro.core.classification.classify_graph`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core.classification import Classification, classify_graph
+from ..core.classification import classify_graph
 from ..core.csl import CSLQuery
-from ..core.query_graph import QueryGraph, build_query_graph
+from ..core.query_graph import build_query_graph
 
 _CLASS_COLORS = {
     "single": "#8bc34a",     # green  — countable
@@ -28,17 +30,10 @@ def _quote(value) -> str:
     return f'"{text}"'
 
 
-def query_graph_to_dot(
-    query: CSLQuery,
-    graph: Optional[QueryGraph] = None,
-    classification: Optional[Classification] = None,
-    title: str = "query graph",
-) -> str:
+def query_graph_to_dot(query: CSLQuery, title: str = "query graph") -> str:
     """Render the query graph of ``query`` as DOT text."""
-    if graph is None:
-        graph = build_query_graph(query)
-    if classification is None:
-        classification = classify_graph(graph)
+    graph = build_query_graph(query)
+    classification = classify_graph(graph)
 
     lines = [
         "digraph query_graph {",

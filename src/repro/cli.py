@@ -26,7 +26,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core.classification import classify_nodes
 from .core.complexity import all_method_predictions, compute_statistics
 from .core.csl import CSLQuery
 from .core.program_rewrite import magic_counting_program
@@ -39,7 +38,7 @@ from .datalog.magic_rewrite import magic_rewrite
 from .datalog.parser import parse_program
 from .datalog.program import Program
 from .datalog.supplementary import supplementary_magic_rewrite
-from .errors import ReproError
+from .errors import NotCSLError, ReproError
 from .service import BATCH_METHODS, SolverService
 
 _STRATEGIES = {s.value: s for s in Strategy}
@@ -322,15 +321,26 @@ def cmd_analyze(args) -> int:
     if args.cost:
         return _cmd_analyze_cost(args)
     program, database = _load(args.program, args.facts)
-    query = _extract_query(program, database)
-    classification = classify_nodes(query)
+    try:
+        query = _extract_query(program, database)
+    except NotCSLError:
+        # Outside the CSL class the static report's ``not-csl`` finding
+        # says why (a program with no goal has none: still an error).
+        from .analysis.static import run_static_analysis
+
+        report = run_static_analysis(program, database)
+        reasons = [d for d in report.diagnostics if d.code == "not-csl"]
+        if not reasons:
+            raise
+        print(f"goal: {program.query}", *reasons, sep="\n")
+        return 0
     stats = compute_statistics(query)
     print(f"goal: {program.query}")
-    print(f"magic graph class: {classification.graph_class.value}")
+    print(f"magic graph class: {stats.graph_class.value}")
     print(
-        f"nodes: {stats.n_l} magic ({len(classification.single)} single, "
-        f"{len(classification.multiple)} multiple, "
-        f"{len(classification.recurring)} recurring), {stats.n_r} answer-side"
+        f"nodes: {stats.n_l} magic ({stats.n_s} single, "
+        f"{stats.n_m - stats.n_s} multiple, "
+        f"{stats.n_l - stats.n_m} recurring), {stats.n_r} answer-side"
     )
     print(f"arcs: m_L={stats.m_l} m_E={stats.m_e} m_R={stats.m_r}")
     print(f"single-method frontier i_x = {stats.i_x}")

@@ -10,9 +10,12 @@ path lengths from the source ``a`` to ``b``.  ``b`` is
 
 The magic graph is **regular** when every node is single.
 
-The computation here is the analytical reference (used by tests to
-validate the paper's Step-1 fixpoints, and by the "smarter" SCC-based
-recurring Step 1):
+The computation here is the oracle: it materializes the exact ``I_b``
+sets, read by the Theorem 1/2 checks (``analysis/static/rewrite_check``,
+``magic_counting(verify_conditions=True)``), the DOT export, and the
+tests that hold the fast analyses to it: ``tests/test_classification.py``
+(walk enumeration), ``tests/test_complexity.py`` (the statistics off the
+cost analyzer's walk), ``tests/test_step1.py`` (the Step-1 fixpoints).
 
 1. Tarjan SCC on ``G_L``; nodes of non-trivial components (or with a
    self-loop) are *cyclic cores*;

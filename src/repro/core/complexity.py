@@ -1,11 +1,19 @@
 """Graph statistics and the paper's Θ cost formulas (Tables 1-5).
 
 Section 3 and Sections 6-9 express every method's cost in terms of
-quantities of the query graph.  :class:`GraphStatistics` computes all of
+quantities of the query graph.  :class:`GraphStatistics` holds all of
 them; :func:`predicted_cost` evaluates the corresponding Θ-expression.
-The benchmark harness divides measured tuple retrievals by these
-predictions across a size sweep — a bounded ratio confirms the paper's
-asymptotic shape.
+The benchmark harness (:func:`repro.analysis.runner.measure`) divides
+measured tuple retrievals by these predictions across a size sweep — a
+bounded ratio confirms the paper's asymptotic shape; ``repro analyze``,
+the REPL and :mod:`repro.core.explain` print them.
+
+:func:`compute_statistics` reads them off the cost analyzer's walk run
+without a node budget (``collect_statistics`` then ``interpret``, in
+:mod:`repro.analysis.cost`); unwidened, that abstraction is exact, so no
+``I_b`` set is materialized.  ``tests/test_complexity.py`` holds every
+field to the definitions below over ``build_query_graph`` →
+``classify_graph``, the oracle.
 
 Quantities (notation as in the paper; ``X̂`` rendered ``x_hat``):
 
@@ -35,39 +43,13 @@ vs. the larger ``m_x``-style exclusions for integrated).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional
 
-from .classification import (
-    Classification,
-    MagicGraphClass,
-    boundary_index,
-    classify_graph,
-)
+from .classification import MagicGraphClass
 from .csl import CSLQuery
 from .graph_index import closure
 from .methods import METHODS
-from .query_graph import QueryGraph, build_query_graph
 from .reduced_sets import Mode, Strategy
-
-
-def _reaches_target(graph: QueryGraph, targets: Set[object]) -> Set[object]:
-    """Nodes of G_L with a directed path (length >= 1) to ``targets``.
-
-    Computed by reverse BFS from the targets; a target node itself is
-    included only if it can re-reach a target through an arc.
-    """
-    predecessors = graph.l_predecessors()
-    return closure(
-        {p for target in targets for p in predecessors[target]}, predecessors
-    )
-
-
-def _arcs_within(graph: QueryGraph, nodes: Set[object]) -> int:
-    return sum(1 for b, c in graph.l_arcs if b in nodes and c in nodes)
-
-
-def _arcs_entering(graph: QueryGraph, nodes: Set[object]) -> int:
-    return sum(1 for _b, c in graph.l_arcs if c in nodes)
 
 
 @dataclass
@@ -108,55 +90,58 @@ class GraphStatistics:
         }
 
 
-def compute_statistics(
-    query: CSLQuery,
-    graph: Optional[QueryGraph] = None,
-    classification: Optional[Classification] = None,
-) -> GraphStatistics:
-    """All Table 1-5 quantities for ``query``."""
-    if graph is None:
-        graph = build_query_graph(query)
-    if classification is None:
-        classification = classify_graph(graph)
+def compute_statistics(query: CSLQuery) -> GraphStatistics:
+    """All Table 1-5 quantities for ``query``.
 
-    single = classification.single
-    multiple = classification.multiple
-    recurring = classification.recurring
-    distance = classification.shortest_distance
+    Read off the cost analyzer's region walk, run without a node budget
+    (module docstring)."""
+    from ..analysis.cost import collect_statistics, interpret
 
-    i_x = boundary_index(classification)
-    below = {b for b in single if distance[b] < i_x}
-    at_or_above = {b for b in graph.l_nodes if distance[b] >= i_x}
-    reaches_above = _reaches_target(graph, at_or_above)
-    j_hat = {b for b in below if b not in reaches_above}
+    region = collect_statistics(query, node_budget=None)
+    abstract = interpret(region)
+    nodes = abstract.nodes
+    successors = region.adjacency
+    shortest = abstract.shortest
+    single = abstract.provably_single
+    finite = abstract.finite
+    # Every node is single on a regular graph (INF frontier): all count.
+    i_x = min(abstract.frontier_index, abstract.max_dmin + 1)
+    below = {b for b in single if shortest[b] < i_x}
 
-    reaches_non_single = _reaches_target(graph, multiple | recurring)
-    i_hat = {b for b in single if b not in reaches_non_single}
+    # The region is closed under L, so its arcs are its nodes' L arcs.
+    predecessors: Dict[object, List[object]] = {v: [] for v in nodes}
+    for b in nodes:
+        for c in successors.get(b, ()):
+            predecessors[c].append(b)
 
-    finite = single | multiple
-    reaches_recurring = _reaches_target(graph, recurring)
-    m_hat = {b for b in finite if b not in reaches_recurring}
+    def clear_of(members, targets):
+        """``members`` (disjoint from ``targets``) with no L path to any
+        of ``targets``."""
+        return members - closure(targets, predecessors)
 
+    def within(members) -> int:
+        return sum(
+            1 for b in members for c in successors.get(b, ()) if c in members
+        )
+
+    def entering(members) -> int:
+        return sum(len(predecessors[c]) for c in members)
+
+    j_hat = clear_of(below, {b for b in nodes if shortest[b] >= i_x})
+    i_hat = clear_of(single, abstract.non_single)
+    m_hat = clear_of(finite, abstract.recurring)
     return GraphStatistics(
-        n_l=graph.n_l,
-        m_l=graph.m_l,
-        n_r=graph.n_r,
-        m_r=graph.m_r,
-        m_e=graph.m_e,
-        graph_class=classification.graph_class,
+        n_l=region.n, m_l=region.m,
+        n_r=region.n_y, m_r=region.m_r,
+        m_e=sum(region.out_e.values()),
+        graph_class=abstract.graph_class,
         i_x=i_x,
-        n_x=len(below),
-        m_x=_arcs_within(graph, below),
-        n_j_hat=len(j_hat),
-        m_j_hat=_arcs_entering(graph, j_hat),
-        n_s=len(single),
-        m_s=_arcs_within(graph, single),
-        n_i_hat=len(i_hat),
-        m_i_hat=_arcs_entering(graph, i_hat),
-        n_m=len(finite),
-        m_m=_arcs_within(graph, finite),
-        n_m_hat=len(m_hat),
-        m_m_hat=_arcs_entering(graph, m_hat),
+        n_x=len(below), m_x=within(below),
+        n_j_hat=len(j_hat), m_j_hat=entering(j_hat),
+        n_s=len(single), m_s=within(single),
+        n_i_hat=len(i_hat), m_i_hat=entering(i_hat),
+        n_m=len(finite), m_m=within(finite),
+        n_m_hat=len(m_hat), m_m_hat=entering(m_hat),
     )
 
 

@@ -209,6 +209,13 @@ class CSLQuery:
             raise NotCSLError("a database of EDB facts is required")
         if analysis is None:
             analysis = analyze_linear(program, goal)
+        if analysis.head_free_terms and not analysis.right_elements:
+            # Right-linear: nothing relates the head's free terms to the
+            # recursive call's (with none, R is the one empty-tuple pair).
+            rule = str(analysis.recursive_rule).rstrip(".")
+            raise NotCSLError(
+                f"the recursive rule {rule} has no right-hand (R) conjunct"
+            )
         goal = analysis.goal
 
         # Materialize derived predicates (everything except the recursive

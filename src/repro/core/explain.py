@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .classification import classify_nodes
 from .complexity import all_method_predictions, compute_statistics
 from .counting_method import compute_counting_set
 from .csl import CSLQuery
@@ -30,29 +29,32 @@ def _format_values(values, limit: int = 8) -> str:
 
 def explain_evaluation(query: CSLQuery, max_level_rows: int = 12) -> str:
     """A textual evaluation plan for ``query``."""
-    classification = classify_nodes(query)
+    from ..analysis.cost import collect_statistics, interpret
+
     stats = compute_statistics(query)
+    # The unbounded abstract is exact: its classes are the paper's.
+    abstract = interpret(collect_statistics(query, node_budget=None))
+    multiple = abstract.finite - abstract.provably_single
     lines: List[str] = []
 
     lines.append("== magic graph ==")
     lines.append(
-        f"class: {classification.graph_class.value}   "
+        f"class: {stats.graph_class.value}   "
         f"n_L={stats.n_l} m_L={stats.m_l}  n_R={stats.n_r} m_R={stats.m_r}  "
         f"m_E={stats.m_e}"
     )
     lines.append(
-        f"nodes: {len(classification.single)} single, "
-        f"{len(classification.multiple)} multiple, "
-        f"{len(classification.recurring)} recurring   (i_x = {stats.i_x})"
+        f"nodes: {stats.n_s} single, {len(multiple)} multiple, "
+        f"{len(abstract.recurring)} recurring   (i_x = {stats.i_x})"
     )
-    if classification.multiple:
-        lines.append(f"multiple:  {_format_values(classification.multiple)}")
-    if classification.recurring:
-        lines.append(f"recurring: {_format_values(classification.recurring)}")
+    if multiple:
+        lines.append(f"multiple:  {_format_values(multiple)}")
+    if abstract.recurring:
+        lines.append(f"recurring: {_format_values(abstract.recurring)}")
     lines.append("")
 
     lines.append("== counting set ==")
-    if classification.is_cyclic:
+    if abstract.recurring:
         lines.append(
             "cyclic magic graph: the counting set is infinite — the pure "
             "counting method is UNSAFE here."

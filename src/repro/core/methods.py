@@ -219,8 +219,9 @@ def recommended_plan(cost_certificate, classification=None):
     way ``details["ranking"]`` records the full table.
 
     The regime is read from ``cost_certificate.graph_class``;
-    ``classification`` is needed only when the certificate was widened
-    and proved no graph class.
+    ``classification`` — anything with a ``graph_class``, such as the
+    unbounded region's abstract the cost analyzer passes — is needed
+    only when the certificate was widened and proved no graph class.
     """
     graph_class = (
         cost_certificate.graph_class

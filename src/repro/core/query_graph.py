@@ -14,7 +14,12 @@ by the nodes reachable from the source constant ``a``:
 
 This module builds the graph *unchar­ged* (it is an analysis artefact,
 not a database computation) by walking the query's shared adjacency
-index (:mod:`repro.core.graph_index`) from the source.
+index (:mod:`repro.core.graph_index`) from the source.  It is read
+where the explicit arcs are the point: the DOT export draws them,
+:func:`~repro.core.classification.classify_nodes` (the oracle) walks
+them, and ``extended_counting`` takes its level cap from the node
+counts.  The paper's statistics come from the cost analyzer's walk
+(:func:`repro.core.complexity.compute_statistics`).
 """
 
 from __future__ import annotations
@@ -76,19 +81,6 @@ class QueryGraph:
         adjacency: Dict[object, Set[object]] = {b: set() for b in self.l_nodes}
         for b, c in self.l_arcs:
             adjacency[b].add(c)
-        return adjacency
-
-    def l_predecessors(self) -> Dict[object, Set[object]]:
-        adjacency: Dict[object, Set[object]] = {b: set() for b in self.l_nodes}
-        for b, c in self.l_arcs:
-            adjacency[c].add(b)
-        return adjacency
-
-    def r_successors(self) -> Dict[object, Set[object]]:
-        """Adjacency of G_R in graph orientation (arc (c, b) per (b, c) ∈ R)."""
-        adjacency: Dict[object, Set[object]] = {c: set() for c in self.r_nodes}
-        for from_node, to_node in self.r_arcs:
-            adjacency[from_node].add(to_node)
         return adjacency
 
     def __repr__(self):

@@ -227,7 +227,6 @@ class Repl:
         return ["retracted." if removed else "no such fact."]
 
     def _analyze(self, goal_text: str) -> List[str]:
-        from .core.classification import classify_nodes
         from .core.complexity import compute_statistics
         from .datalog.parser import parse_atom
 
@@ -235,13 +234,12 @@ class Repl:
         query = CSLQuery.from_program(
             self._program(goal), database=self.database
         )
-        classification = classify_nodes(query)
         stats = compute_statistics(query)
         return [
-            f"class: {classification.graph_class.value}",
-            f"nodes: {stats.n_l} magic ({len(classification.single)} single, "
-            f"{len(classification.multiple)} multiple, "
-            f"{len(classification.recurring)} recurring)",
+            f"class: {stats.graph_class.value}",
+            f"nodes: {stats.n_l} magic ({stats.n_s} single, "
+            f"{stats.n_m - stats.n_s} multiple, "
+            f"{stats.n_l - stats.n_m} recurring)",
             f"arcs: m_L={stats.m_l} m_E={stats.m_e} m_R={stats.m_r}, "
             f"i_x={stats.i_x}",
         ]

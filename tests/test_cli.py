@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
+
+EXAMPLE_PROGRAMS = pathlib.Path(__file__).parent.parent / "examples" / "programs"
 
 PROGRAM = """
 sg(X, Y) :- flat(X, Y).
@@ -107,6 +111,25 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "magic graph class: cyclic" in out
         assert "unsafe" in out  # predicted counting cost
+
+    @pytest.mark.parametrize(
+        "program", sorted(path.name for path in EXAMPLE_PROGRAMS.glob("*.dl"))
+    )
+    def test_every_example_program(self, program, capsys):
+        # Programs outside the CSL class get the static report's
+        # ``not-csl`` reason, not an internal placeholder, and exit 0.
+        assert main(["analyze", str(EXAMPLE_PROGRAMS / program)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("goal: ")
+        assert "$conjunction" not in captured.out + captured.err
+
+    def test_outside_csl_prints_the_not_csl_reason(self, capsys):
+        program = str(EXAMPLE_PROGRAMS / "transitive_closure.dl")
+        assert main(["analyze", program]) == 0
+        out = capsys.readouterr().out
+        assert "info[not-csl]" in out
+        assert "has no right-hand (R) conjunct" in out
+        assert main(["solve", program]) == 1
 
 
 class TestRewrite:

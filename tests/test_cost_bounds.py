@@ -286,6 +286,10 @@ class TestReport:
         assert any(d.code == "cost-widened" for d in report.diagnostics)
         assert report.exceeds("warning")
         assert not report.exceeds("error")
+        # The widened certificate proves no regime; the unbounded walk
+        # supplies the exact one (regular) for the tie-break rule.
+        assert report.certificate.graph_class is None
+        assert report.recommendation.details["heuristic"] == "counting"
 
     def test_non_csl_program_degrades_gracefully(self):
         program = parse_program(

@@ -382,6 +382,6 @@ class TestPartRulesThroughBothEngines:
         with pytest.raises(NotCSLError) as raised:
             CSLQuery.from_program(program, database=db)
         assert str(raised.value) == (
-            "unbound term while materializing conjunct: unbound variable Y "
-            "instantiating $conjunction(Y, Y)"
+            "the recursive rule reach(X, Y) :- edge(X, Z), reach(Z, Y) has "
+            "no right-hand (R) conjunct"
         )

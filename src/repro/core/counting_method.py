@@ -32,11 +32,11 @@ level is therefore complete, and safe on every input.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from ..errors import UnsafeQueryError
 from .cost import AnswerResult
-from .csl import CSLInstance, CSLQuery, frontier_step
+from .csl import CSLInstance, CSLQuery, charged_image
 from .query_graph import build_query_graph
 
 
@@ -44,18 +44,19 @@ def level_frontiers(
     instance: CSLInstance,
     max_level: Optional[int] = None,
     method: str = "counting method",
-) -> Iterator[Set[object]]:
+) -> Iterator[int]:
     """The L-side level walk: yields the frontier ``L^k(source)`` for
-    ``k = 0, 1, ...`` until it drains.
+    ``k = 0, 1, ...`` until it drains, as a mask over ``index.lbits``.
 
     When ``max_level`` is given the walk is truncated there (used by the
     extended method); otherwise divergence detection raises
     :class:`UnsafeQueryError` (naming ``method``) on cyclic magic graphs
     — an untruncated walk that did not detect would only loop forever
-    there, so "detect unless truncated" is not a choice.
+    there, so "detect unless truncated" is not a choice.  Each step is
+    charged as it is taken, so a refusal has paid for the levels walked.
     """
-    frontier: Set[object] = {instance.source}
-    seen = set(frontier)
+    lbits = instance.index.lbits
+    frontier = seen = lbits.encode((instance.source,))
     # Divergence witness: the frontier at level k+1 is a function of the
     # frontier at level k alone, so a repeated frontier set makes the
     # sequence periodic — the fixpoint can never drain.  On an acyclic
@@ -64,92 +65,87 @@ def level_frontiers(
     # graphs, and within one period of the cycle being entered (much
     # earlier than the coarse ``level > |seen|`` bound, which can lag by
     # up to n levels on wide graphs).
-    seen_frontiers: Set[frozenset] = {frozenset(frontier)}
+    seen_frontiers: Set[int] = {frontier}
     level = 0
     while frontier:
         yield frontier
         if max_level is not None and level >= max_level:
             return
-        frontier = frontier_step(instance.left, 0, frontier)
+        frontier = charged_image(instance.left, lbits, frontier)
         seen |= frontier
         level += 1
         if max_level is None and frontier:
-            frontier_key = frozenset(frontier)
-            if frontier_key in seen_frontiers:
+            if frontier in seen_frontiers:
                 raise UnsafeQueryError(
                     f"{method} is unsafe: the magic graph is cyclic "
                     f"(frontier set repeated at level {level}; the CS "
                     "fixpoint is periodic and would grow forever)"
                 )
-            seen_frontiers.add(frontier_key)
-            if level > len(seen):
+            seen_frontiers.add(frontier)
+            if level > seen.bit_count():
                 # Backstop: a walk longer than the number of distinct
                 # values repeats a value, which also proves a cycle.
                 raise UnsafeQueryError(
                     f"{method} is unsafe: the magic graph is cyclic "
                     f"(frontier still alive at level {level} with only "
-                    f"{len(seen)} distinct values)"
+                    f"{seen.bit_count()} distinct values)"
                 )
 
 
 def compute_counting_set(
     instance: CSLInstance, max_level: Optional[int] = None
-) -> Dict[int, Set[object]]:
-    """The ``CS`` fixpoint, level by level: ``{index: set of values}``
+) -> Dict[int, int]:
+    """The ``CS`` fixpoint, level by level: ``{index: mask of values}``
     (truncation and divergence as for :func:`level_frontiers`)."""
     return dict(enumerate(level_frontiers(instance, max_level)))
 
 
+def level_masks(
+    instance: CSLInstance, pairs: Iterable[Tuple[int, object]]
+) -> Dict[int, int]:
+    """Distinct ``(index, value)`` pairs (a reduced counting set ``RC``)
+    as ``CS``-like level masks over ``index.lbits``."""
+    levels: Dict[int, list] = {}
+    for index, value in pairs:
+        levels.setdefault(index, []).append(value)
+    encode = instance.index.lbits.encode
+    return {index: encode(values) for index, values in levels.items()}
+
+
 def descend_answers(
-    instance: CSLInstance, pc_levels: Dict[int, Set[object]]
+    instance: CSLInstance, pc_levels: Mapping[int, int]
 ) -> Set[object]:
     """Apply ``P_C(J-1, Y) :- P_C(J, Y1), R(Y, Y1)`` down to level 0.
 
-    ``pc_levels`` maps index to the set of ``Y`` values known at that
-    index.  The caller's mapping is left untouched (the descent works on
-    a fresh copy), so shared or cached level sets can be reused across
-    queries; the level-0 set is returned.
+    ``pc_levels`` maps index to the mask of ``Y`` values known there
+    (over ``index.bits``) and is left untouched; the level-0 values are
+    returned, decoded once.
     """
-    if not pc_levels:
-        return set()
-    working = {level: set(values) for level, values in pc_levels.items()}
-    for level in range(max(working), 0, -1):
-        current = working.get(level)
-        if current:
-            working.setdefault(level - 1, set()).update(
-                frontier_step(instance.right, 1, current)
-            )
-    return working.get(0, set())
+    bits, mask = instance.index.bits, 0
+    for level in range(max(pc_levels, default=0), 0, -1):
+        mask |= pc_levels.get(level, 0)
+        if mask:
+            mask = charged_image(instance.right, bits, mask)
+    return bits.decode(mask | pc_levels.get(0, 0))
 
 
 def seed_exit(
-    instance: CSLInstance, pairs: Iterable[Tuple[int, object]]
-) -> Dict[int, Set[object]]:
-    """Apply ``P_C(J, Y) :- CS(J, X), E(X, Y)`` to ``(index, value)``
-    pairs — the counting set's, or a reduced counting set ``RC`` (rule 1
-    of Section 4, rule 4 of Section 5).  One exit probe per pair."""
-    pairs = list(pairs)
-    exits = instance.exit.probe_many((0,), [(value,) for _index, value in pairs])
-    pc_levels: Dict[int, Set[object]] = {}
-    for (index, _value), rows in zip(pairs, exits):
-        if rows:
-            pc_levels.setdefault(index, set()).update(y for _x, y in rows)
-    return pc_levels
+    instance: CSLInstance, levels: Mapping[int, int]
+) -> Dict[int, int]:
+    """Apply ``P_C(J, Y) :- CS(J, X), E(X, Y)`` to level masks — ``CS``'s,
+    or :func:`level_masks` of ``RC`` (rule 1 of Section 4, rule 4 of
+    Section 5): one exit probe per pair, ``P_C`` as ``index.bits`` masks."""
+    ebits = instance.index.ebits
+    pc_levels = {index: charged_image(instance.exit, ebits, mask)
+                 for index, mask in levels.items()}
+    return {index: image for index, image in pc_levels.items() if image}
 
 
 def counting_answers(instance: CSLInstance, max_level: Optional[int] = None):
     """The whole counting pipeline on one instance: the ``CS`` fixpoint,
     the exit seeding, the descent.  Returns ``(answers, cs_levels)``."""
     cs_levels = compute_counting_set(instance, max_level)
-    pc_levels = seed_exit(
-        instance,
-        (
-            (level, value)
-            for level, values in cs_levels.items()
-            for value in values
-        ),
-    )
-    return descend_answers(instance, pc_levels), cs_levels
+    return descend_answers(instance, seed_exit(instance, cs_levels)), cs_levels
 
 
 def counting_method(
@@ -167,7 +163,7 @@ def counting_method(
         method="counting",
         cost=instance.counter,
         details={
-            "cs_pairs": sum(len(v) for v in cs_levels.values()),
+            "cs_pairs": sum(m.bit_count() for m in cs_levels.values()),
             "cs_levels": len(cs_levels),
         },
     )
@@ -190,7 +186,7 @@ def extended_counting_method(query: CSLQuery, counter=None) -> AnswerResult:
         method="extended_counting",
         cost=instance.counter,
         details={
-            "cs_pairs": sum(len(v) for v in cs_levels.values()),
+            "cs_pairs": sum(m.bit_count() for m in cs_levels.values()),
             "level_cap": cap,
         },
     )

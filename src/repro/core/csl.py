@@ -40,7 +40,7 @@ from ..datalog.relation import CostCounter, Relation, StorageBackend
 from ..datalog.rule import Rule
 from ..datalog.term import Constant, Variable
 from ..errors import NotCSLError
-from .graph_index import GraphIndex, Pair, closure
+from .graph_index import BitIndex, GraphIndex, Pair, closure
 
 
 def row_to_pair(row: Tuple, split: int) -> Pair:
@@ -226,7 +226,9 @@ class CSLQuery:
             seminaive_evaluate(Program(support), scratch)
 
         pairs: Dict[str, Set[Pair]] = {part: set() for part in PART_PREDICATES}
+        exit_rules = iter(analysis.exit_rules)  # one exit part each, in order
         for part, split, rule in parts:
+            origin = next(exit_rules) if part == "exit" else analysis.recursive_rule
             # Each conjunction is lowered once into a join kernel
             # (:mod:`repro.datalog.engine`) and executed flat — the same
             # machinery the semi-naive engine uses, so materialization
@@ -237,11 +239,16 @@ class CSLQuery:
                 )
             except ValueError as exc:
                 # An unbound projection term surfaces from the kernel as
-                # the head-grounding ValueError; in CSL recognition that
-                # means the program is outside the class.
-                raise NotCSLError(
-                    f"unbound term while materializing conjunct: {exc}"
-                ) from exc
+                # the head-grounding ValueError: the program is outside
+                # the class, and the rule it came from says why.
+                bound = set().union(*(
+                    item.variables() for item in rule.body
+                    if isinstance(item, Literal) and not item.negated))
+                unbound = ", ".join(str(t) for t in rule.head.terms
+                                    if isinstance(t, Variable) and t not in bound)
+                kind = "exit" if part == "exit" else "recursive"
+                raise NotCSLError(f"the {kind} rule {str(origin).rstrip('.')} "
+                                  f"leaves {unbound} unbound") from exc
             pairs[part].update(row_to_pair(row, split) for row in rows)
 
         goal_constants = tuple(goal.terms[i].value for i in analysis.bound)
@@ -317,8 +324,8 @@ class CSLInstance:
     Engines read ``left``/``exit``/``right`` through :class:`Relation`'s
     charged bulk reads, so ``counter`` accumulates the tuple-retrieval cost
     (the paper's unit).  ``query``'s uncharged :attr:`index` gives an order,
-    and the ``P_M`` fixpoint its ``E``/``R`` reads (``index.bits``), which
-    charge the same figures via ``counter.charge_probe_batch``/``charge_tuples``.
+    and the bit indexes that counting and the ``P_M`` fixpoint read instead,
+    charged the same figures via ``counter.charge_probe_batch``/``charge_tuples``.
     """
 
     left: Relation
@@ -346,3 +353,12 @@ def frontier_step(relation: Relation, position: int, frontier: Iterable) -> Set[
     )
     other = 1 - position
     return {row[other] for rows in rows_per_value for row in rows}
+
+
+def charged_image(relation: Relation, bits: BitIndex, mask: int) -> int:
+    """:func:`frontier_step` on a mask: its image through ``bits``'
+    adjacency, charged to ``relation`` what the bulk read would charge —
+    a probe per value (a popcount) plus its degree (the weight masks)."""
+    relation.counter.charge_probe_batch(relation.name, mask.bit_count())
+    relation.counter.charge_tuples(relation.name, bits.degree(mask))
+    return bits.image(mask, {})

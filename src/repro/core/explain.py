@@ -62,7 +62,9 @@ def explain_evaluation(query: CSLQuery, max_level_rows: int = 12) -> str:
     else:
         levels = compute_counting_set(query.instance())
         for index in sorted(levels)[:max_level_rows]:
-            lines.append(f"CS[{index}] = {_format_values(levels[index])}")
+            # a mask that decodes to nothing is a source off the numbering
+            values = query.index.lbits.decode(levels[index]) or {query.source}
+            lines.append(f"CS[{index}] = {_format_values(values)}")
         if len(levels) > max_level_rows:
             lines.append(f"… ({len(levels) - max_level_rows} more levels)")
     lines.append("")

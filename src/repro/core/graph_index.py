@@ -22,13 +22,15 @@ recurring nodes of a region are ``closure(region ∩ cores)`` and a
 dynamic program over its finite part runs in rank order.  The successor
 of an index carries the condensation across whenever the delta provably
 leaves it valid (:func:`_carried`); otherwise it is unset and the next
-reader pays the pass; so does :attr:`GraphIndex.bits`'s (:class:`BitIndex`).
+reader pays the pass.  The bit indexes (:class:`BitIndex`) are carried
+through every delta, patched only where it touches them.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain, compress, count
 from typing import (
+    Collection,
     Dict,
     FrozenSet,
     Hashable,
@@ -45,6 +47,7 @@ from ..datalog.stratify import strongly_connected_components
 
 Node = Hashable
 Pair = Tuple[Node, Node]
+Adjacency = Mapping[Node, Collection[Node]]
 
 
 class Condensation(NamedTuple):
@@ -156,72 +159,122 @@ def _carried(
     return Condensation(rank, condensation.cores, None)
 
 
-#: byte -> the offsets of its set bits
-_OFFSETS = [[j for j in range(8) if byte >> j & 1] for byte in range(256)]
+#: byte -> its bits as 0/1 flags, for ``compress``
+_BYTE_FLAGS = [bytes(byte >> j & 1 for j in range(8)) for byte in range(256)]
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-class BitIndex:
-    """The answer side (``E`` targets, ``R`` values), a bit per value.
-    Masks are built on first read, ``exit_mask(x)`` per ``x`` and ``R⁻¹``
-    images per 8-bit chunk (``table[chunk << 8 | byte]``, kept while it
-    has ``room`` bits: a few times the adjacency's own), both filled
-    without a lock (racing fills agree).  ``weights[k]``: the values
-    whose ``indeg_R`` has bit ``k`` set."""
+def _mask(bits: List[int]) -> int:
+    """One pass: a byte per 8 bits, then one ``int``."""
+    flags = bytearray((max(bits, default=-1) >> 3) + 1)
+    for i in bits:
+        flags[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(flags, "little")
 
-    def __init__(self, e_successors: Dict[Node, List[Node]],
-                 r_predecessors: Dict[Node, List[Node]]):
-        self.e_successors, self.r_predecessors = e_successors, r_predecessors
-        self.values: List[Node] = list(dict.fromkeys(chain(
-            r_predecessors, *e_successors.values(), *r_predecessors.values())))
-        self.bit = {value: i for i, value in enumerate(self.values)}
-        degrees = [len(y) for y in r_predecessors.values()]
-        self.weights = [
-            self.encode(y1 for y1, y in r_predecessors.items() if len(y) >> k & 1)
-            for k in range(max(degrees, default=0).bit_length())]
-        self.exit_masks: Dict[Node, int] = {}
+
+class BitIndex:
+    """A bit per value of ``values`` and ``adjacency`` out of them as masks
+    over ``target``'s bits (None: its own) — ``R⁻¹`` on the answer side,
+    ``L`` and ``E`` on the ``L`` side; a value off the numbering takes the
+    bit past it, which has no arcs.  Images are built on first read,
+    ``row(x)`` per value and ``image(mask)`` per 8-bit chunk
+    (``table[chunk << 8 | byte]``, kept while it has ``room`` bits: a few
+    times the adjacency's own), filled without a lock (racing fills
+    agree).  ``weights[k]``: the values whose degree has bit ``k`` set."""
+
+    def __init__(self, values: List[Node], adjacency: Adjacency,
+                 target: Optional["BitIndex"] = None,
+                 bit: Optional[Dict[Node, int]] = None):
+        self.values, self.adjacency = values, adjacency
+        self.bit = {value: i for i, value in enumerate(values)} if bit is None else bit
+        self.target = target
+        self.rows: Dict[Node, int] = {}
         self.table: Dict[int, int] = {}
-        self.room = 2048 * (len(self.values) + sum(degrees))
+        self.weights: List[int] = []
+        self._reweigh(range(len(values)))
+        self.room = self._budget()
+
+    def _reweigh(self, indices: Iterable[int]) -> None:
+        """Re-encode the weight bits of the values at ``indices``."""
+        degrees = {i: len(self.adjacency.get(self.values[i], ())) for i in indices}
+        keep, old = ~_mask(list(degrees)), self.weights
+        self.weights = [
+            (old[k] if k < len(old) else 0) & keep
+            | _mask([i for i, degree in degrees.items() if degree >> k & 1])
+            for k in range(max(len(old), max(degrees.values(), default=0).bit_length()))
+        ]
+
+    def _budget(self) -> int:
+        return 2048 * (len(self.values) + self.degree((1 << len(self.values)) - 1))
 
     def encode(self, values: Iterable[Node]) -> int:
-        """One pass: a byte per 8 bits, then one ``int``."""
-        bits = [self.bit[value] for value in values]
-        flags = bytearray((max(bits, default=-1) >> 3) + 1)
-        for i in bits:
-            flags[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(flags, "little")
-
-    def exit_mask(self, x: Node) -> int:
-        """``E(x, ·)`` as a mask."""
-        mask = self.exit_masks.get(x)
-        if mask is None:
-            mask = self.exit_masks[x] = self.encode(self.e_successors.get(x, ()))
-        return mask
+        outside = len(self.values)
+        return _mask([self.bit.get(value, outside) for value in values])
 
     def decode(self, mask: int) -> Set[Node]:
         bits = bin(mask)[:1:-1].encode().translate(_FLAGS)  # bit i -> 0/1
         return set(compress(self.values, bits))
 
+    def row(self, x: Node) -> int:
+        """``adjacency(x)`` as a mask (``x`` need not be numbered)."""
+        mask = self.rows.get(x)
+        if mask is None:
+            mask = self.rows[x] = (self.target or self).encode(  # race-ok
+                self.adjacency.get(x, ()))
+        return mask
+
     def image(self, mask: int, spill: Dict[int, int]) -> int:
-        """``R⁻¹(mask)``: an entry per byte, kept in the table while it has
-        room, else in ``spill`` (the caller's, dropped after its fixpoint)."""
-        image, table = 0, self.table
+        """The adjacency's image of ``mask``: an entry per byte, kept in the
+        table while it has room, else in ``spill`` (the caller's)."""
+        image, table, values = 0, self.table, self.values
         data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
         for chunk, byte in enumerate(data):
             if byte:
                 key = chunk << 8 | byte
                 part = table.get(key)
                 if part is None and (part := spill.get(key)) is None:
-                    part = self.encode(chain.from_iterable(self.r_predecessors.get(
-                        self.values[chunk << 3 | j], ()) for j in _OFFSETS[byte]))
+                    sources = values[chunk << 3:(chunk + 1) << 3]
+                    part = (self.target or self).encode(chain.from_iterable(
+                        self.adjacency.get(x, ())
+                        for x in compress(sources, _BYTE_FLAGS[byte])))
                     (table if self.room > 0 else spill)[key] = part  # race-ok
                     self.room -= part.bit_length() + 256  # race-ok: may overdraw
                 image |= part
         return image
 
-    def indegree(self, mask: int) -> int:
-        """Σ indeg_R over ``mask``: a popcount per weight."""
+    def degree(self, mask: int) -> int:
+        """Σ degree over ``mask``: a popcount per weight."""
         return sum((mask & w).bit_count() << k for k, w in enumerate(self.weights))
+
+    def patched(self, adjacency: Adjacency, touched: Iterable[Node],
+                values: Iterable[Node] = (), numbering: Optional["BitIndex"] = None,
+                target: Optional["BitIndex"] = None) -> "BitIndex":
+        """This index over ``adjacency``, changed at ``touched``: new
+        ``values`` (or ``numbering``'s) take the bits past the old ones,
+        and only their and the touched values' weight bits and chunk
+        entries are redone — in the successor's own copies of the tables."""
+        successor = object.__new__(BitIndex)
+        successor.adjacency, successor.target = adjacency, target
+        numbering = numbering or self
+        new = [value for value in dict.fromkeys(values) if value not in numbering.bit]
+        successor.values, successor.bit = numbering.values, numbering.bit
+        if new:  # appended: every old bit keeps its value
+            successor.values = numbering.values + new
+            successor.bit = dict(numbering.bit)
+            successor.bit.update(zip(new, count(len(numbering.values))))
+        touched = set(touched)
+        indices = {successor.bit[x] for x in touched if x in successor.bit}
+        indices.update(range(len(self.values), len(successor.values)))
+        successor.rows, successor.table = self.rows.copy(), self.table.copy()  # race-ok
+        for x in touched:
+            successor.rows.pop(x, None)
+        dropped = [successor.table.pop(key, None) for chunk in {i >> 3 for i in indices}
+                   for key in range(chunk << 8 | 1, (chunk + 1) << 8)]
+        successor.weights = self.weights
+        successor._reweigh(indices)
+        successor.room = self.room + successor._budget() - self._budget() + sum(
+            part.bit_length() + 256 for part in dropped if part is not None)
+        return successor
 
 
 class GraphIndex:
@@ -237,7 +290,7 @@ class GraphIndex:
 
     __slots__ = (
         "l_successors", "l_in_degree", "e_successors", "r_predecessors",
-        "_condensation", "_bits",
+        "_condensation", "_bits", "_lbits", "_ebits",
     )
 
     def __init__(
@@ -262,7 +315,7 @@ class GraphIndex:
         for y, y1 in right:
             self.r_predecessors.setdefault(y1, []).append(y)
         self._condensation: Optional[Condensation] = None
-        self._bits: Optional[BitIndex] = None
+        self._bits = self._lbits = self._ebits = None  # answer side, L, E
 
     def patched(
         self,
@@ -275,8 +328,9 @@ class GraphIndex:
         build of ``(pairs | added) - removed``, for one dict copy per
         touched part instead of a pass over every pair.  This index is
         left as it is; the two share every entry the delta does not
-        touch, the condensation when :func:`_carried` keeps it, and the
-        bit index when neither ``E`` nor ``R`` changed.
+        touch, the condensation when :func:`_carried` keeps it, and each
+        bit index whose parts the delta leaves alone; one whose parts it
+        touches is carried by :meth:`BitIndex.patched`.
         """
         successor = object.__new__(GraphIndex)
         if any(left):
@@ -323,7 +377,19 @@ class GraphIndex:
             )
             if any(right) else self.r_predecessors
         )
-        successor._bits = None if any(exit) or any(right) else self._bits  # race-ok
+        # Unset or final; ebits first: set, it implies the two it was built on.
+        ebits, lbits, bits = self._ebits, self._lbits, self._bits  # race-ok
+        if bits is not None and (any(exit) or any(right)):
+            bits = bits.patched(
+                successor.r_predecessors, [y1 for _y, y1 in chain(*right)],
+                chain((y for _x, y in exit[0]), *right[0]))
+        if lbits is not None and (any(left) or any(exit)):
+            lbits = lbits.patched(successor.l_successors, [b for b, _c in chain(*left)],
+                                  chain(*left[0], (x for x, _y in exit[0])))
+        if ebits is not None and (any(left) or any(exit) or any(right)):
+            ebits = ebits.patched(successor.e_successors, [x for x, _y in chain(*exit)],
+                                  numbering=lbits, target=bits)
+        successor._bits, successor._lbits, successor._ebits = bits, lbits, ebits
         return successor
 
     @property
@@ -343,10 +409,32 @@ class GraphIndex:
 
     @property
     def bits(self) -> BitIndex:
-        """The answer side as bits (on first use, like the condensation)."""
+        """The answer side (``E`` targets, ``R`` values), with ``R⁻¹``."""
         if self._bits is None:  # race-ok: benign duplicate fill
-            self._bits = BitIndex(self.e_successors, self.r_predecessors)  # race-ok
+            self._bits = BitIndex(list(dict.fromkeys(chain(  # race-ok
+                self.r_predecessors, *self.e_successors.values(),
+                *self.r_predecessors.values()))), self.r_predecessors)
         return self._bits
+
+    @property
+    def lbits(self) -> BitIndex:
+        """The ``L`` side as bits, with the ``L`` successors: ``L``'s
+        values in condensation-rank order (a level walk stays in few
+        chunks), then the rest of ``E``'s domain."""
+        if self._lbits is None:  # race-ok: benign duplicate fill
+            rank = self.condensation.rank
+            self._lbits = BitIndex(sorted(rank, key=rank.__getitem__) + [  # race-ok
+                x for x in self.e_successors if x not in rank], self.l_successors)
+        return self._lbits
+
+    @property
+    def ebits(self) -> BitIndex:
+        """``E`` from :attr:`lbits`' bits into :attr:`bits`'."""
+        if self._ebits is None:  # race-ok: benign duplicate fill
+            lbits = self.lbits
+            self._ebits = BitIndex(  # race-ok
+                lbits.values, self.e_successors, self.bits, lbits.bit)
+        return self._ebits
 
     def l_nodes(self) -> Set[Node]:
         """Every value occurring in ``L``."""

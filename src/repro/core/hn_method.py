@@ -24,11 +24,11 @@ consume one L-side level walk, so the same divergence detection applies.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 from .cost import AnswerResult
 from .counting_method import level_frontiers
-from .csl import CSLQuery, frontier_step
+from .csl import CSLQuery, charged_image
 
 
 def hn_method(
@@ -40,23 +40,23 @@ def hn_method(
     ``max_level`` truncation is forced.
     """
     instance = query.instance(counter)
-    answers: Set[object] = set()
-    levels = 0
+    exits, bits = instance.index.ebits, instance.index.bits
+    answers = levels = 0
     # Up: L^k(source), one level per step.
     for frontier in level_frontiers(
         instance, max_level, "the [HN] iterative method"
     ):
         # Across: E(frontier).
-        current = frontier_step(instance.exit, 0, frontier)
+        current = charged_image(instance.exit, exits, frontier)
         # Down: R applied k times, recomputed from scratch at each level.
         for _ in range(levels):
             if not current:
                 break
-            current = frontier_step(instance.right, 1, current)
+            current = charged_image(instance.right, bits, current)
         answers |= current
         levels += 1
     return AnswerResult(
-        answers=frozenset(answers),
+        answers=frozenset(bits.decode(answers)),
         method="henschen_naqvi",
         cost=instance.counter,
         details={"levels": levels},

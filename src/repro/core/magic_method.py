@@ -143,7 +143,7 @@ def predecessor_join(
         if not preds:
             continue
         probes += len(preds) * facts
-        tuples += len(preds) * bits.indegree(ys)
+        tuples += len(preds) * bits.degree(ys)
         image = bits.image(ys, spill)
         for x in preds if image else ():
             yield x, image
@@ -185,7 +185,7 @@ def magic_fixpoint(
     full ``magic`` set, which yields the plain magic set method.  The
     magic counting methods reuse this with ``RM`` in place of one or both
     guards (independent: exit ``RM`` / recursion ``MS``; integrated:
-    ``RM`` for both).  The exit rule seeds from the index's ``E`` masks,
+    ``RM`` for both).  The exit rule seeds from the index's ``E`` rows,
     charged one probe per guard value plus its matches.
 
     Returns ``P_M`` as ``{x: set of y}`` (:class:`MagicFacts`).
@@ -193,9 +193,9 @@ def magic_fixpoint(
     exit_guard = magic if exit_guard is None else exit_guard
     recursion_guard = magic if recursion_guard is None else recursion_guard
     if not exit_guard:  # no fact: no charge, and no index read
-        return MagicFacts({}, BitIndex({}, {}))
-    bits = instance.index.bits
-    pm = {x: mask for x in exit_guard if (mask := bits.exit_mask(x))}
+        return MagicFacts({}, BitIndex([], {}))
+    bits, exits = instance.index.bits, instance.index.ebits
+    pm = {x: mask for x in exit_guard if (mask := exits.row(x))}
     instance.counter.charge_probe_batch(instance.exit.name, len(exit_guard))
     instance.counter.charge_tuples(instance.exit.name, MagicFacts(pm, bits).facts)
     # delta: the facts P_M(x1, ·) not yet expanded (each enters once).

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from .csl import CSLInstance
-from .counting_method import descend_answers, seed_exit
+from .counting_method import descend_answers, level_masks, seed_exit
 from .magic_method import magic_fixpoint, predecessor_join, worklist
 from .reduced_sets import ReducedSets
 
@@ -42,7 +42,7 @@ from .reduced_sets import ReducedSets
 def independent_step2(instance: CSLInstance, reduced: ReducedSets):
     """Run the independent modified rules; returns (answers, details)."""
     # Counting part: rules 1, 2, 5.
-    pc_levels = seed_exit(instance, reduced.rc)
+    pc_levels = seed_exit(instance, level_masks(instance, reduced.rc))
     counting_answers = descend_answers(instance, pc_levels)
 
     # Magic part: rules 3, 4, 6 — exit restricted to RM, recursion over MS.
@@ -59,7 +59,7 @@ def independent_step2(instance: CSLInstance, reduced: ReducedSets):
         "magic_answers": len(magic_answers),
         "pm_facts": pm.facts,
     }
-    return set(counting_answers) | set(magic_answers), details
+    return counting_answers | magic_answers, details
 
 
 def integrated_step2(instance: CSLInstance, reduced: ReducedSets):
@@ -77,24 +77,22 @@ def integrated_step2(instance: CSLInstance, reduced: ReducedSets):
     )
 
     # Counting part: rule 4 seeds from E ...
-    pc_levels = seed_exit(instance, reduced.rc)
+    pc_levels = seed_exit(instance, level_masks(instance, reduced.rc))
 
     # ... and rule 3 transfers the magic part's results across the
     # frontier: the same L-predecessor x R-predecessor join as rule 2,
-    # guarded by the values RC holds, into their indices (as masks).
+    # guarded by the values RC holds, straight into their indices' masks.
     rc_by_value: Dict[object, List[int]] = {}
     for index, value in reduced.rc:
         rc_by_value.setdefault(value, []).append(index)
     transferred = 0
-    buckets: Dict[int, int] = {}
     for x, image in predecessor_join(
         instance, rc_by_value, worklist(instance, pm.masks)
     ):
         for index in rc_by_value[x]:
-            bucket = buckets.get(index) or pm.bits.encode(pc_levels.get(index, ()))
-            transferred += (image & ~bucket).bit_count()
-            buckets[index] = bucket | image
-    pc_levels.update((i, pm.bits.decode(b)) for i, b in buckets.items())
+            known = pc_levels.get(index, 0)
+            transferred += (image & ~known).bit_count()
+            pc_levels[index] = known | image
 
     # Rules 5 and 6.
     answers = descend_answers(instance, pc_levels)
@@ -102,4 +100,4 @@ def integrated_step2(instance: CSLInstance, reduced: ReducedSets):
         "pm_facts": pm.facts,
         "transferred": transferred,
     }
-    return set(answers), details
+    return answers, details

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 _DIGEST_LENGTH = 16
 
@@ -66,10 +66,10 @@ def pairs_fingerprint(left, exit_pairs, right) -> str:
     return _digest(parts)
 
 
-# Weak-keyed so memoized digests die with their targets.  Values are
-# (validation token, fingerprint); the token catches in-place Program
-# mutations (rule count / goal rebinding) that would stale the digest.
-_target_memo: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# id(target) -> (validation token, fingerprint): by identity, as a Program
+# has __eq__ but no __hash__; a weakref.finalize drops the entry before the
+# id can be reused.  The token catches in-place Program mutations.
+_target_memo: Dict[int, Tuple[object, str]] = {}
 
 
 def target_fingerprint(target) -> str:
@@ -87,20 +87,20 @@ def target_fingerprint(target) -> str:
 
     is_query = isinstance(target, CSLQuery)
     token = None if is_query else (len(target.rules), id(target.query))
-    try:
-        cached = _target_memo.get(target)
-    except TypeError:
-        cached = None  # unhashable / non-weakrefable target
+    key = id(target)
+    cached = _target_memo.get(key)
     if cached is not None and cached[0] == token:
         return cached[1]
     if is_query:
         fingerprint = pairs_fingerprint(target.left, target.exit, target.right)
     else:
         fingerprint = program_fingerprint(target)
-    try:
-        _target_memo[target] = (token, fingerprint)
-    except TypeError:
-        pass
+    if cached is None:
+        try:
+            weakref.finalize(target, _target_memo.pop, key, None)
+        except TypeError:
+            return fingerprint  # not weakrefable: no memo
+    _target_memo[key] = (token, fingerprint)
     return fingerprint
 
 

@@ -184,19 +184,20 @@ def test_a_hand_built_instance_reads_its_own_pairs(acyclic_query):
         )
 
 
-def test_a_run_without_a_fixpoint_builds_no_index():
+def test_every_run_reads_the_one_bit_index_of_its_pair_sets():
     # Regular: basic Step 1 puts every value in RC and none in RM, so
-    # the integrated method starts no P_M fixpoint — and reads no index.
+    # the integrated method starts no P_M fixpoint — its counting half
+    # still runs on the index's masks, built once per pair-set version.
     query = regular_workload(scale=1, seed=0)
     result = magic_counting(query, Strategy.BASIC, Mode.INTEGRATED)
     assert result.details["rm_size"] == 0
-    assert query._shared.index is None
-    # Nor, once something else has built the index, its bit index.
-    query.magic_set()
-    magic_counting(query, Strategy.BASIC, Mode.INTEGRATED)
-    assert query._shared.index._bits is None
-    # A fixpoint that starts reads the one index of the pair sets, and
-    # its bits.
+    index = query._shared.index
+    built = index._bits, index._lbits, index._ebits
+    assert None not in built
+    assert built[2].values is built[1].values and built[2].target is built[0]
+    magic_counting(query.with_source(query.source), Strategy.BASIC, Mode.INTEGRATED)
+    assert (index._bits, index._lbits, index._ebits) == built
+    # A fixpoint that starts reads the same index, and its bits.
     cyclic = cyclic_workload(scale=1, seed=0)
     magic_counting(cyclic, Strategy.BASIC, Mode.INTEGRATED)
     assert cyclic._shared.index is not None

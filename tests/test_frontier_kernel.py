@@ -1,13 +1,16 @@
-"""Differential test of the frontier-at-a-time kernel.
+"""Differential test of the frontier-at-a-time kernels.
 
 ``core.csl.frontier_step`` expands a whole frontier on one bulk read
-(``Relation.probe_many``); counting, the five Step-1 functions and [HN]
-are built on it.  The oracles below are the eleven loops it replaced,
-kept verbatim from the last commit that executed one Python step per
-charged retrieval (``Relation.lookup`` per value): three in the
-counting method, five in Step 1 (the SCC variant holds two), three in
-[HN].  Kernel and oracle must agree on the result *and* on every key of
-``CostCounter.snapshot()``, on every storage backend.
+(``Relation.probe_many``); the five Step-1 functions are built on it.
+Counting and [HN] expand a whole frontier as a mask
+(``core.csl.charged_image`` over ``GraphIndex.lbits``/``ebits``/``bits``).
+The oracles below are the eleven loops they replaced, kept verbatim
+from the last commit that executed one Python step per charged
+retrieval (``Relation.lookup`` per value): three in the counting
+method, five in Step 1 (the SCC variant holds two), three in [HN].
+Kernel and oracle must agree on the result *and* on every key of
+``CostCounter.snapshot()``, on every storage backend; the only adapters
+between them turn ``RC`` pairs into level masks and decode masks.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.core.counting_method import (
     compute_counting_set,
     counting_answers,
     descend_answers,
+    level_masks,
     seed_exit,
 )
 from repro.core.cost import AnswerResult
@@ -312,6 +316,18 @@ def outcome(function, *args):
         return UnsafeQueryError
 
 
+def decoded_levels(instance: CSLInstance, levels: Dict[int, int]):
+    """The adapter: ``CS`` level masks as value sets.  A mask that decodes
+    to nothing holds only the bit past the numbering — the source, when
+    no relation numbers it."""
+    decode = instance.index.lbits.decode
+    return {index: decode(mask) or {instance.source} for index, mask in levels.items()}
+
+
+def kernel_counting_set(instance: CSLInstance, max_level: Optional[int] = None):
+    return decoded_levels(instance, compute_counting_set(instance, max_level))
+
+
 def reduced_fields(reduced: ReducedSets):
     return reduced.rc, reduced.rm, reduced.ms, reduced.strategy, reduced.details
 
@@ -363,7 +379,7 @@ def test_counting_set_matches_per_tuple_oracle(backend, query, max_level):
 
     # Same levels, or a refusal on exactly the oracle's inputs — after
     # exactly the oracle's charges either way.
-    assert outcome(compute_counting_set, kernel, max_level) == expected
+    assert outcome(kernel_counting_set, kernel, max_level) == expected
     assert kernel.counter.snapshot() == oracle.counter.snapshot()
 
 
@@ -377,14 +393,16 @@ def test_exit_seeding_and_descent_match_per_tuple_oracle(backend, query, strateg
     kernel = make_instance(query, backend)
     oracle = make_instance(query, backend)
 
-    pc_levels = seed_exit(kernel, iter(pairs))
-    assert pc_levels == oracle_seed_exit(oracle, iter(pairs))
+    pc_levels = seed_exit(kernel, level_masks(kernel, iter(pairs)))
+    bits = kernel.index.bits
+    decoded = {level: bits.decode(mask) for level, mask in pc_levels.items()}
+    assert decoded == oracle_seed_exit(oracle, iter(pairs))
     assert all(pc_levels.values()), "P_C must hold no empty level"
     assert kernel.counter.snapshot() == oracle.counter.snapshot()
 
-    before = {level: set(values) for level, values in pc_levels.items()}
+    before = dict(pc_levels)
     assert descend_answers(kernel, pc_levels) == oracle_descend_answers(
-        oracle, pc_levels
+        oracle, decoded
     )
     assert pc_levels == before, "the caller's mapping is left untouched"
     assert kernel.counter.snapshot() == oracle.counter.snapshot()
@@ -402,11 +420,15 @@ def test_counting_pipeline_matches_per_tuple_oracle(backend, query, max_level):
         )
         return oracle_descend_answers(instance, pc_levels), cs_levels
 
+    def kernel_counting_answers(instance):
+        answers, cs_levels = counting_answers(instance, max_level)
+        return answers, decoded_levels(instance, cs_levels)
+
     kernel = make_instance(query, backend)
     oracle = make_instance(query, backend)
     expected = outcome(oracle_counting_answers, oracle)
 
-    assert outcome(counting_answers, kernel, max_level) == expected
+    assert outcome(kernel_counting_answers, kernel) == expected
     assert kernel.counter.snapshot() == oracle.counter.snapshot()
 
 
@@ -560,5 +582,24 @@ def test_no_per_value_lookup_under_core():
         for path in sorted(root.glob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if re.search(r"\.lookup\(", line)
+    ]
+    assert offenders == []
+
+
+def test_counting_walks_on_masks_only():
+    """Counting, Step 2 and [HN] read ``L``/``E``/``R`` through the
+    index's masks, never a per-frontier bulk read; rule 3 ORs into the
+    ``P_C`` masks without a round trip through value sets."""
+    root = pathlib.Path(repro.core.__file__).parent
+    banned = {
+        "counting_method.py": r"frontier_step\(|probe_many\(",
+        "hn_method.py": r"frontier_step\(|probe_many\(",
+        "step2.py": r"frontier_step\(|probe_many\(|\.encode\(|\.decode\(",
+    }
+    offenders = [
+        f"{name}:{number}"
+        for name, pattern in banned.items()
+        for number, line in enumerate((root / name).read_text().splitlines(), 1)
+        if re.search(pattern, line)
     ]
     assert offenders == []

@@ -11,6 +11,9 @@ its pair sets, or a successor — its adjacency, or the condensation it
 carried across — differs from a from-scratch build of the same pairs.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +22,15 @@ import repro.core.graph_index as graph_index
 from repro.analysis.cost import certify_cost, collect_statistics
 from repro.analysis.static import certify_counting_safety
 from repro.core.classification import classify_nodes
+from repro.core.counting_method import counting_method
 from repro.core.csl import CSLQuery
 from repro.core.graph_index import GraphIndex
 from repro.core.query_graph import build_query_graph
+from repro.core.solver import fact2_answer
 from repro.datalog.database import Database
 from repro.service import SolverService
 from repro.service.plan import compile_program_plan
+from repro.workloads.generators import acyclic_workload
 
 from .conftest import _L_VALUES, _R_VALUES, csl_queries
 from .test_service import sg_database, sg_program
@@ -354,8 +360,150 @@ def test_the_bit_index_is_carried_iff_e_and_r_are_untouched(delta, carried):
     fresh = CSLQuery(successor.left, successor.exit, successor.right, A)
     new = successor.index.bits
     for x, targets in fresh.index.e_successors.items():
-        assert new.decode(new.exit_mask(x)) == set(targets)
+        assert new.decode(successor.index.ebits.row(x)) == set(targets)
     for y1, ys in fresh.index.r_predecessors.items():
         mask = new.encode([y1])
         assert new.decode(new.image(mask, {})) == set(ys)
-        assert new.indegree(mask) == len(ys)
+        assert new.degree(mask) == len(ys)
+
+
+#: the drawn instances' domains, and values no instance starts with: a
+#: delta over these appends bits, past the first byte too
+_NEW_L = [f"x{i}" for i in range(7, 12)]
+_NEW_R = [f"y{i}" for i in range(7, 12)]
+
+
+def _images(index):
+    """Every image and weight of the three bit indexes, decoded: ``L``
+    and ``E`` per ``L``-side value, ``R⁻¹`` per answer-side value, one
+    many-value mask per side, and ``{k: values}`` per weight mask."""
+    lbits, ebits, bits = index.lbits, index.ebits, index.bits
+    out = {}
+    for side, one, decode in (
+        ("l", lbits, lbits.decode), ("e", ebits, bits.decode), ("r", bits, bits.decode),
+    ):
+        numbering = sorted(one.values, key=repr)
+        for value in numbering:
+            out[side, value] = decode(one.image(one.encode([value]), {}))
+        out[side, "*"] = decode(one.image(one.encode(numbering[::2]), {}))
+        out[side, "weights"] = {
+            k: one.decode(w) for k, w in enumerate(one.weights) if w
+        }
+    out["rows"] = {x: bits.decode(ebits.row(x)) for x in sorted(ebits.values, key=repr)}
+    return out
+
+
+def _expected_images(fresh, lvalues, rvalues):
+    """``_images`` of ``fresh``'s adjacency over the given numberings."""
+    out = {}
+    for side, values, adjacency in (
+        ("l", lvalues, fresh.l_successors),
+        ("e", lvalues, fresh.e_successors),
+        ("r", rvalues, fresh.r_predecessors),
+    ):
+        numbering = sorted(values, key=repr)
+        for value in numbering:
+            out[side, value] = set(adjacency.get(value, ()))
+        out[side, "*"] = {y for x in numbering[::2] for y in adjacency.get(x, ())}
+        weights = {}
+        for value in values:
+            degree = len(adjacency.get(value, ()))
+            for k in range(degree.bit_length()):
+                if degree >> k & 1:
+                    weights.setdefault(k, set()).add(value)
+        out[side, "weights"] = weights
+    out["rows"] = {
+        x: set(fresh.e_successors.get(x, ())) for x in sorted(lvalues, key=repr)
+    }
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(csl_queries(max_l=8), st.data())
+def test_patched_bit_indexes_decode_like_a_fresh_build(query, data):
+    """Random signed ``L``/``E``/``R`` deltas, some adding values and
+    some not: each successor's ``L``, ``E`` and ``R⁻¹`` images, rows
+    and weights decode to a from-scratch index's, over a numbering that
+    is the predecessor's with the new values appended (shared when
+    there are none); the predecessor still reads as it did."""
+    pairs = {"left": set(query.left), "exit": set(query.exit), "right": set(query.right)}
+    domains = {
+        "left": (_L_VALUES + _NEW_L, _L_VALUES + _NEW_L),
+        "exit": (_L_VALUES + _NEW_L, _R_VALUES + _NEW_R),
+        "right": (_R_VALUES + _NEW_R, _R_VALUES + _NEW_R),
+    }
+    index = GraphIndex(pairs["left"], pairs["exit"], pairs["right"])
+    before = _images(index)  # builds the three, fills their tables
+    for _step in range(data.draw(st.integers(min_value=1, max_value=4))):
+        deltas = {}
+        for part, (firsts, seconds) in domains.items():
+            if not data.draw(st.booleans()):
+                continue
+            added = data.draw(st.sets(
+                st.tuples(st.sampled_from(firsts), st.sampled_from(seconds)),
+                max_size=3,
+            ))
+            present = sorted(pairs[part])
+            removed = (
+                data.draw(st.sets(st.sampled_from(present), max_size=2))
+                if present else set()
+            )
+            deltas[part] = (added, removed)
+            pairs[part] = (pairs[part] | added) - removed
+        old = index.lbits, index.ebits, index.bits
+        successor = index.patched(**deltas)
+        lbits, ebits, bits = successor._lbits, successor._ebits, successor._bits
+        for new, carried in zip((lbits, ebits, bits), old):
+            assert new is not None
+            assert new.values[: len(carried.values)] == carried.values
+            if len(new.values) == len(carried.values):
+                assert new.values is carried.values
+            assert new is carried or new.table is not carried.table
+        assert ebits.values is lbits.values and ebits.target is bits
+        fresh = GraphIndex(pairs["left"], pairs["exit"], pairs["right"])
+        assert set(fresh.lbits.values) <= set(lbits.values)
+        assert set(fresh.bits.values) <= set(bits.values)
+        images = _images(successor)
+        assert images == _expected_images(fresh, lbits.values, bits.values)
+        assert _images(index) == before
+        index, before = successor, images
+
+
+def test_walks_filling_the_tables_race_the_patches_that_copy_them():
+    """Counting fills the ``L``, ``E`` and ``R⁻¹`` tables without a lock
+    while another thread succeeds the index: each walk answers on the
+    index it started on, and each successor like a fresh build."""
+    query = acyclic_workload(scale=2, seed=0)
+    sources = sorted({value for pair in query.left for value in pair}, key=repr)
+    expected = {source: fact2_answer(query.with_source(source)) for source in sources}
+    wrong = []
+
+    def walk():
+        for source in sources * 3:
+            if counting_method(query.with_source(source)).answers != expected[source]:
+                wrong.append(source)
+
+    arcs = sorted(query.left, key=repr)[::7]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        index, left = query.index, set(query.left)
+        for step, arc in enumerate(arcs):
+            delta = ({(f"new{step}", arc[1])}, {arc})  # a new value, an arc gone
+            index = index.patched(left=delta)
+            left = (left | delta[0]) - delta[1]
+            successor = CSLQuery(left, query.exit, query.right, query.source)
+            successor._shared.index = index
+            source = sources[step % len(sources)]
+            assert counting_method(successor.with_source(source)).answers == (
+                fact2_answer(successor.with_source(source))
+            )
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.counting_method import descend_answers, seed_exit
 from repro.core.csl import CSLInstance, CSLQuery
 from repro.core.magic_method import (
     compute_magic_set,
@@ -33,6 +32,7 @@ from repro.core.step2 import integrated_step2
 from repro.workloads.generators import cyclic_workload
 
 from .conftest import BACKENDS, SOURCES, _pairs, make_instance, sourced_queries
+from .test_frontier_kernel import oracle_descend_answers, oracle_seed_exit
 
 # --- the oracles: the parent commit's per-tuple loops, verbatim -------------
 
@@ -93,7 +93,7 @@ def oracle_integrated_step2(instance: CSLInstance, reduced):
         exit_guard=reduced.rm,
         recursion_guard=reduced.rm,
     )
-    pc_levels = seed_exit(instance, reduced.rc)
+    pc_levels = oracle_seed_exit(instance, reduced.rc)
     rc_by_value: Dict[object, List[int]] = {}
     for index, value in reduced.rc:
         rc_by_value.setdefault(value, []).append(index)
@@ -110,7 +110,7 @@ def oracle_integrated_step2(instance: CSLInstance, reduced):
                         if y not in bucket:
                             bucket.add(y)
                             transferred += 1
-    answers = descend_answers(instance, pc_levels)
+    answers = oracle_descend_answers(instance, pc_levels)
     details = {
         "pm_facts": sum(len(v) for v in pm.values()),
         "transferred": transferred,
@@ -301,13 +301,14 @@ def test_chunk_entries_are_filled_only_by_lookups(monkeypatch):
         return image(self, mask, spill)
 
     monkeypatch.setattr(type(bits), "image", counted)
-    assert not bits.table and not bits.exit_masks
+    exits = query.index.ebits
+    assert not bits.table and not exits.rows
     magic = query.magic_set()
     magic_fixpoint(query.instance(), magic)
     chunks = (len(bits.values) + 7) // 8
     assert 0 < len(bits.table) <= sum(lookups)
     assert len(bits.table) <= 256 * chunks
-    assert bits.exit_masks.keys() == magic  # a mask per guard value only
+    assert exits.rows.keys() == magic  # a mask per guard value only
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

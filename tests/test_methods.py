@@ -64,11 +64,8 @@ class TestCountingMethod:
         # corrupting any cached/shared level sets on a second descent.
         instance = samegen_query.instance()
         cs_levels = compute_counting_set(instance)
-        pc_levels = seed_exit(
-            instance,
-            [(level, v) for level, values in cs_levels.items() for v in values],
-        )
-        snapshot = {level: set(values) for level, values in pc_levels.items()}
+        pc_levels = seed_exit(instance, cs_levels)
+        snapshot = dict(pc_levels)
         first = descend_answers(instance, pc_levels)
         assert pc_levels == snapshot
         assert descend_answers(instance, pc_levels) == first

@@ -1,5 +1,7 @@
 """Tests for the batch solver service and its compiled-plan cache."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core.csl import CSLQuery
@@ -16,6 +18,7 @@ from repro.service import (
     program_fingerprint,
     target_fingerprint,
 )
+from repro.service import fingerprint as fingerprint_module
 from repro.workloads.generators import cyclic_workload
 
 PROGRAM = """
@@ -398,12 +401,20 @@ class TestPlanCache:
         program = sg_program()
         fingerprint = target_fingerprint(program)
         assert fingerprint == program_fingerprint(program)
-        assert target_fingerprint(program) == fingerprint
-        # In-place mutation must not serve the stale digest.
-        extra = parse_program("sg(X, Y) :- extra(X, Y).")
-        program.add_rule(extra.rules[0])
-        assert target_fingerprint(program) != fingerprint
-        assert target_fingerprint(program) == program_fingerprint(program)
+        with mock.patch.object(
+            fingerprint_module, "program_fingerprint",
+            side_effect=program_fingerprint,
+        ) as rendered:
+            # A repeat call is a memo hit: no rule is rendered again.
+            assert target_fingerprint(program) == fingerprint
+            assert rendered.call_count == 0
+            # In-place mutation must not serve the stale digest.
+            extra = parse_program("sg(X, Y) :- extra(X, Y).")
+            program.add_rule(extra.rules[0])
+            assert target_fingerprint(program) != fingerprint
+            assert rendered.call_count == 1
+            assert target_fingerprint(program) == program_fingerprint(program)
+            assert rendered.call_count == 1  # the recomputed digest is memoized
 
     def test_program_fingerprint_masks_goal_constant(self):
         base = parse_program(PROGRAM)

@@ -253,7 +253,7 @@ def test_maintenance_dividend():
 def _adjacency(index):
     return (
         index.l_successors,
-        index.l_in_degree,
+        {c: sorted(bs) for c, bs in index.l_predecessors.items()},
         {b: sorted(cs) for b, cs in index.e_successors.items()},
         {y1: sorted(ys) for y1, ys in index.r_predecessors.items()},
     )

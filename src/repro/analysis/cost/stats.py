@@ -76,7 +76,7 @@ class RegionStatistics:
     adjacency: Mapping[object, Set[object]] = field(repr=False)
     #: Full-relation L out-degree of the ``ms`` nodes.
     out_l: Mapping[object, int] = field(repr=False)
-    #: Full-relation L in-degree, keyed by second column.
+    #: Full-relation L in-degree of the ``ms`` nodes.
     in_l: Mapping[object, int] = field(repr=False)
     #: Full-relation E out-degree of the ``ms`` nodes.
     out_e: Mapping[object, int] = field(repr=False)
@@ -235,6 +235,6 @@ def collect_statistics(
         depth=depth,
         condensation=None if ms_exceeded else index.condensation,
         out_l=degrees(ms, index.l_successors),
-        in_l=index.l_in_degree,
+        in_l=degrees(ms, index.l_predecessors),
         out_e=degrees(ms, index.e_successors),
     )

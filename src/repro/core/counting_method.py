@@ -71,7 +71,7 @@ def level_frontiers(
         yield frontier
         if max_level is not None and level >= max_level:
             return
-        frontier = charged_image(instance.left, lbits, frontier)
+        frontier = charged_image(instance, "l", lbits, frontier)
         seen |= frontier
         level += 1
         if max_level is None and frontier:
@@ -125,7 +125,7 @@ def descend_answers(
     for level in range(max(pc_levels, default=0), 0, -1):
         mask |= pc_levels.get(level, 0)
         if mask:
-            mask = charged_image(instance.right, bits, mask)
+            mask = charged_image(instance, "r", bits, mask)
     return bits.decode(mask | pc_levels.get(0, 0))
 
 
@@ -136,7 +136,7 @@ def seed_exit(
     or :func:`level_masks` of ``RC`` (rule 1 of Section 4, rule 4 of
     Section 5): one exit probe per pair, ``P_C`` as ``index.bits`` masks."""
     ebits = instance.index.ebits
-    pc_levels = {index: charged_image(instance.exit, ebits, mask)
+    pc_levels = {index: charged_image(instance, "e", ebits, mask)
                  for index, mask in levels.items()}
     return {index: image for index, image in pc_levels.items() if image}
 

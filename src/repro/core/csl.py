@@ -8,7 +8,9 @@ The paper's entire development is phrased over the abstract query
 
 A :class:`CSLQuery` is precisely this abstraction: three binary relations
 ``L``, ``E``, ``R`` (as plain sets of pairs) plus the source constant
-``a``.  Every method in :mod:`repro.core` consumes a ``CSLQuery``.
+``a``.  Every method in :mod:`repro.core` consumes a ``CSLQuery``: it
+reads the pairs off :attr:`CSLQuery.index` and charges the paper's unit
+through :meth:`CSLInstance.charge`.
 
 Two bridges connect it to the Datalog world:
 
@@ -36,7 +38,7 @@ from ..datalog.linear import (
     part_rules,
 )
 from ..datalog.program import Program
-from ..datalog.relation import CostCounter, Relation, StorageBackend
+from ..datalog.relation import CostCounter
 from ..datalog.rule import Rule
 from ..datalog.term import Constant, Variable
 from ..errors import NotCSLError
@@ -63,15 +65,13 @@ def _frozen(pairs: Iterable[Pair]) -> FrozenSet[Pair]:
 
 
 class _PerPairSets:
-    """What a query builds from its pair sets alone, each on first use:
-    one holder per pair-set version, held by every ``with_source``
-    sibling."""
+    """What a query builds from its pair sets alone, on first use: one
+    holder per pair-set version, held by every ``with_source`` sibling."""
 
-    __slots__ = ("index", "storage")
+    __slots__ = ("index",)
 
     def __init__(self):
         self.index: Optional[GraphIndex] = None
-        self.storage: Optional[Tuple[StorageBackend, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -110,40 +110,26 @@ class CSLQuery:
             self._shared.index = GraphIndex(self.left, self.exit, self.right)
         return self._shared.index
 
-    @property
-    def storage(self) -> Tuple[StorageBackend, ...]:
-        """The ``L``/``E``/``R`` tuple stores with their lazy hash
-        indexes (built on first use, source-independent like
-        :attr:`index`): every :meth:`instance` of this query and of its
-        :meth:`with_source` siblings reads through these three objects,
-        so an index one run builds is there for the next.  Read-only,
-        except through :meth:`patched`."""
-        if self._shared.storage is None:
-            self._shared.storage = tuple(
-                Relation(name, 2, pairs).backend
-                for name, pairs in (
-                    ("l", self.left), ("e", self.exit), ("r", self.right)
-                )
-            )
-        return self._shared.storage
+    def memory_bytes(self) -> int:
+        """Estimated resident bytes of the :attr:`index`, if a reader has
+        built it (:meth:`GraphIndex.memory_bytes`); builds nothing."""
+        index = self._shared.index  # race-ok: unset or final
+        arcs = 2 * len(self.left) + len(self.exit) + len(self.right)
+        return 0 if index is None else index.memory_bytes(arcs)
 
     def with_source(self, source) -> "CSLQuery":
-        """The same relations — and the same :attr:`index` and
-        :attr:`storage` — asked from another bound constant."""
+        """The same relations — and the same :attr:`index` — asked from
+        another bound constant."""
         sibling = object.__new__(CSLQuery)
         sibling.__dict__.update(self.__dict__, source=source)
         return sibling
 
     def patched(self, **deltas) -> "CSLQuery":
         """The query after signed pair deltas (``left=(added, removed)``,
-        likewise ``exit``/``right``), and the next owner of this one's
-        :attr:`storage`: the stores move to it patched in place, so the
-        hash indexes already built survive a mutation.  This query and
-        its siblings keep their pair sets and build stores of their own
-        if they are executed again; the caller keeps their instances
-        idle meanwhile.  An :attr:`index` already built is succeeded,
-        not moved (:meth:`GraphIndex.patched`): this query keeps its
-        own, unchanged, for whoever is still walking it."""
+        likewise ``exit``/``right``).  An :attr:`index` already built is
+        succeeded, not moved (:meth:`GraphIndex.patched`): this query
+        and its siblings keep their own, unchanged, for whoever is still
+        walking it."""
         successor = replace(
             self,
             **{
@@ -151,14 +137,6 @@ class CSLQuery:
                 for part, (added, removed) in deltas.items()
             },
         )
-        storage, self._shared.storage = self._shared.storage, None
-        if storage is not None:
-            for store, part in zip(storage, ("left", "exit", "right")):
-                added, removed = deltas.get(part, ((), ()))
-                store.add_new(added)
-                for pair in removed:
-                    store.discard(pair)
-            successor._shared.storage = storage
         # One a racing reader is still building is not handed over: the
         # successor builds its own.
         index = self._shared.index  # race-ok: unset or final
@@ -288,15 +266,9 @@ class CSLQuery:
         return database
 
     def instance(self, counter: Optional[CostCounter] = None) -> "CSLInstance":
-        """A cost-instrumented relation triple for the direct engines:
-        three views over :attr:`storage` that charge ``counter`` and
-        nothing else, so instances never share charges."""
-        counter = counter if counter is not None else CostCounter()
-        left, exit, right = (
-            Relation(store.name, 2, (), counter, backend=store)
-            for store in self.storage
-        )
-        return CSLInstance(left, exit, right, self.source, self, counter)
+        """One evaluation run of this query, charging ``counter`` (a
+        fresh one by default) and nothing else."""
+        return CSLInstance(self, self.source, counter or CostCounter())
 
     # --- uncharged structural views (for analysis) ----------------------
 
@@ -319,20 +291,17 @@ class CSLQuery:
 
 @dataclass
 class CSLInstance:
-    """Cost-instrumented relations for one evaluation run.
+    """One evaluation run: a query, its source, the counter it charges.
 
-    Engines read ``left``/``exit``/``right`` through :class:`Relation`'s
-    charged bulk reads, so ``counter`` accumulates the tuple-retrieval cost
-    (the paper's unit).  ``query``'s uncharged :attr:`index` gives an order,
-    and the bit indexes that counting and the ``P_M`` fixpoint read instead,
-    charged the same figures via ``counter.charge_probe_batch``/``charge_tuples``.
+    Engines read ``L``/``E``/``R`` through ``query``'s uncharged
+    :attr:`~CSLQuery.index` — its plain adjacency, or the bit indexes
+    counting and the ``P_M`` fixpoint work on — and pay for each read
+    through :meth:`charge`, so ``counter`` accumulates the paper's
+    tuple-retrieval cost under the part names ``l``, ``e`` and ``r``.
     """
 
-    left: Relation
-    exit: Relation
-    right: Relation
-    source: object
     query: CSLQuery
+    source: object
     counter: CostCounter = field(default_factory=CostCounter)
 
     @property
@@ -341,24 +310,29 @@ class CSLInstance:
         that never asks for it builds none)."""
         return self.query.index
 
-
-def frontier_step(relation: Relation, position: int, frontier: Iterable) -> Set[object]:
-    """The image of ``frontier`` through a binary ``relation``: the other
-    column of every tuple whose ``position`` column holds a frontier
-    value (0: successors, 1: predecessors).  One bulk read, charged one
-    probe plus the degree per frontier value — what a loop of per-value
-    lookups pays in any order (``docs/complexity_notes.md``)."""
-    rows_per_value = relation.probe_many(
-        (position,), [(value,) for value in frontier]
-    )
-    other = 1 - position
-    return {row[other] for rows in rows_per_value for row in rows}
+    def charge(self, part: str, probes: int, tuples: int) -> None:
+        """Charge one read of ``part`` (``"l"``, ``"e"`` or ``"r"``):
+        ``probes`` probes — one per value, per repeat — and the
+        ``tuples`` they retrieve, the sum of those values' degrees.
+        Every charge of the paper's unit under ``core`` is made here
+        (``docs/complexity_notes.md``)."""
+        self.counter.charge_probe_batch(part, probes)
+        self.counter.charge_tuples(part, tuples)
 
 
-def charged_image(relation: Relation, bits: BitIndex, mask: int) -> int:
-    """:func:`frontier_step` on a mask: its image through ``bits``'
-    adjacency, charged to ``relation`` what the bulk read would charge —
-    a probe per value (a popcount) plus its degree (the weight masks)."""
-    relation.counter.charge_probe_batch(relation.name, mask.bit_count())
-    relation.counter.charge_tuples(relation.name, bits.degree(mask))
+def left_image(instance: CSLInstance, frontier: Iterable) -> Set[object]:
+    """The ``L`` successors of the ``frontier`` values, read off the
+    index's adjacency and charged what one probe per value would cost:
+    a probe each plus its out-degree."""
+    successors = instance.index.l_successors
+    rows = [successors.get(value, ()) for value in frontier]
+    instance.charge("l", len(rows), sum(map(len, rows)))
+    return set().union(*rows)
+
+
+def charged_image(instance: CSLInstance, part: str, bits: BitIndex, mask: int) -> int:
+    """:func:`left_image` on a mask: the image of ``mask`` through
+    ``bits``' adjacency (``part``'s), charged a probe per value (a
+    popcount) plus its degree (the weight masks)."""
+    instance.charge(part, mask.bit_count(), bits.degree(mask))
     return bits.image(mask, {})

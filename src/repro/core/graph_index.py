@@ -153,7 +153,7 @@ def _carried(
         for node in arc:
             if (
                 node not in successor.l_successors
-                and node not in successor.l_in_degree
+                and node not in successor.l_predecessors
             ):
                 rank.pop(node, None)
     return Condensation(rank, condensation.cores, None)
@@ -162,6 +162,11 @@ def _carried(
 #: byte -> its bits as 0/1 flags, for ``compress``
 _BYTE_FLAGS = [bytes(byte >> j & 1 for j in range(8)) for byte in range(256)]
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+#: rough CPython sizes in bytes, for the memory estimates: a dict slot,
+#: a container per adjacency key, a reference, an ``int``'s header
+_SLOT, _CONTAINER, _REF, _INT = 48, 64, 8, 28
 
 
 def _mask(bits: List[int]) -> int:
@@ -246,6 +251,14 @@ class BitIndex:
         """Σ degree over ``mask``: a popcount per weight."""
         return sum((mask & w).bit_count() << k for k, w in enumerate(self.weights))
 
+    def memory_bytes(self) -> int:
+        """Estimated bytes of the numbering (its owner's: an index with a
+        ``target`` shares one) and the masks built so far, each at the
+        width of the numbering it ranges over — from ``len()``s alone."""
+        own = 0 if self.target else len(self.values) * (_SLOT + _REF)
+        mask = _SLOT + _INT + len((self.target or self).values) // 8
+        return own + (len(self.rows) + len(self.table) + len(self.weights)) * mask
+
     def patched(self, adjacency: Adjacency, touched: Iterable[Node],
                 values: Iterable[Node] = (), numbering: Optional["BitIndex"] = None,
                 target: Optional["BitIndex"] = None) -> "BitIndex":
@@ -280,16 +293,15 @@ class BitIndex:
 class GraphIndex:
     """Source-independent adjacency of the ``L``, ``E`` and ``R`` pairs.
 
-    Degrees are the lengths of the adjacency entries; only the ``L``
-    in-degree (the backward probe ``L(None, x1)`` charges every
-    predecessor) needs its own count.  Built once per plan, succeeded
-    per delta (:meth:`patched`), never mutated: it is shared between
-    every query over the same pair sets, and its entries with its
-    successors.
+    It is the one copy of them the paper's methods read.  Degrees are
+    the lengths of the adjacency entries.  Built once per plan,
+    succeeded per delta (:meth:`patched`), never mutated: it is shared
+    between every query over the same pair sets, and its entries with
+    its successors.
     """
 
     __slots__ = (
-        "l_successors", "l_in_degree", "e_successors", "r_predecessors",
+        "l_successors", "l_predecessors", "e_successors", "r_predecessors",
         "_condensation", "_bits", "_lbits", "_ebits",
     )
 
@@ -301,11 +313,11 @@ class GraphIndex:
     ):
         #: ``b -> {c : (b, c) in L}``
         self.l_successors: Dict[Node, Set[Node]] = {}
-        #: ``c -> |{b : (b, c) in L}|``
-        self.l_in_degree: Dict[Node, int] = {}
+        #: ``c -> [b : (b, c) in L]`` — the backward probe ``L(None, c)``
+        self.l_predecessors: Dict[Node, List[Node]] = {}
         for b, c in left:
             self.l_successors.setdefault(b, set()).add(c)
-            self.l_in_degree[c] = self.l_in_degree.get(c, 0) + 1
+            self.l_predecessors.setdefault(c, []).append(b)
         #: ``b -> [c : (b, c) in E]``
         self.e_successors: Dict[Node, List[Node]] = {}
         for b, c in exit:
@@ -336,12 +348,10 @@ class GraphIndex:
         if any(left):
             added, removed = left
             l_successors = dict(self.l_successors)
-            l_in_degree = dict(self.l_in_degree)
             for b, c in added:
                 targets = l_successors.get(b)
                 if targets is None or c not in targets:
                     l_successors[b] = {c} if targets is None else targets | {c}
-                    l_in_degree[c] = l_in_degree.get(c, 0) + 1
             for b, c in removed:
                 targets = l_successors.get(b)
                 if targets is not None and c in targets:
@@ -349,19 +359,18 @@ class GraphIndex:
                         l_successors[b] = targets - {c}
                     else:
                         del l_successors[b]
-                    if l_in_degree[c] > 1:
-                        l_in_degree[c] -= 1
-                    else:
-                        del l_in_degree[c]
             successor.l_successors = l_successors
-            successor.l_in_degree = l_in_degree
+            successor.l_predecessors = _patched_lists(
+                self.l_predecessors,
+                [(c, b) for b, c in added], [(c, b) for b, c in removed],
+            )
             successor._condensation = _carried(
                 self._condensation,  # race-ok: unset or final
                 added, removed, successor,
             )
         else:
             successor.l_successors = self.l_successors
-            successor.l_in_degree = self.l_in_degree
+            successor.l_predecessors = self.l_predecessors
             successor._condensation = (
                 self._condensation  # race-ok: unset or final
             )
@@ -436,9 +445,22 @@ class GraphIndex:
                 lbits.values, self.e_successors, self.bits, lbits.bit)
         return self._ebits
 
+    def memory_bytes(self, arcs: int) -> int:
+        """Estimated resident bytes of the adjacency, the condensation and
+        the bit indexes built so far, from ``len()``s alone (it builds
+        nothing); ``arcs`` counts the adjacency entries: each ``L`` pair
+        twice, each ``E`` and ``R`` pair once."""
+        keys = sum(map(len, (self.l_successors, self.l_predecessors,
+                             self.e_successors, self.r_predecessors)))
+        condensation = self._condensation  # race-ok: unset or final
+        built = (self._bits, self._lbits, self._ebits)  # race-ok: unset or final
+        return (keys * (_SLOT + _CONTAINER) + arcs * _REF
+                + (len(condensation.rank) * _SLOT if condensation else 0)
+                + sum(bits.memory_bytes() for bits in built if bits))
+
     def l_nodes(self) -> Set[Node]:
         """Every value occurring in ``L``."""
-        return set(self.l_successors) | set(self.l_in_degree)
+        return set(self.l_successors) | set(self.l_predecessors)
 
 
 def closure(

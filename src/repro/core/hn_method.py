@@ -47,12 +47,12 @@ def hn_method(
         instance, max_level, "the [HN] iterative method"
     ):
         # Across: E(frontier).
-        current = charged_image(instance.exit, exits, frontier)
+        current = charged_image(instance, "e", exits, frontier)
         # Down: R applied k times, recomputed from scratch at each level.
         for _ in range(levels):
             if not current:
                 break
-            current = charged_image(instance.right, bits, current)
+            current = charged_image(instance, "r", bits, current)
         answers |= current
         levels += 1
     return AnswerResult(

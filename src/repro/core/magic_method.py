@@ -48,7 +48,7 @@ from typing import (
 )
 
 from .cost import AnswerResult
-from .csl import CSLInstance, CSLQuery, frontier_step
+from .csl import CSLInstance, CSLQuery, left_image
 from .graph_index import BitIndex, Node
 
 
@@ -57,7 +57,7 @@ def union_magic_set(instance: CSLInstance, sources: Iterable) -> Set[object]:
     sweep over ``L``, a value reachable from several sources expanded once."""
     magic = frontier = set(sources)
     while frontier:
-        frontier = frontier_step(instance.left, 0, frontier) - magic
+        frontier = left_image(instance, frontier) - magic
         magic |= frontier
     return magic
 
@@ -128,27 +128,31 @@ def predecessor_join(
     successor it could hear from.  The *charge* is the paper's nested
     loop — per fact the L arcs into ``x1`` and, per guarded predecessor,
     the R pairs ending in ``y1`` — while the *work* is a word at a time:
-    L is one read per batch, R a few popcounts per batch settled when
-    ``delta`` runs dry (``docs/complexity_notes.md``), the image a table
-    entry per byte.
+    L is one list per batch (``GraphIndex.l_predecessors``), R a few
+    popcounts per batch, both settled when ``delta`` runs dry
+    (``docs/complexity_notes.md``), the image a table entry per byte.
     """
     if not delta:
         return
-    bits, left = instance.index.bits, instance.left.probe_repeated
-    probes, tuples, spill = 0, 0, {}
+    bits, arcs_into = instance.index.bits, instance.index.l_predecessors
+    l_probes = l_tuples = r_probes = r_tuples = 0
+    spill: Dict[int, int] = {}
     while delta:
         x1, ys = delta.pop()
         facts = ys.bit_count()
-        preds = [x for x, _x1 in left((1,), (x1,), facts) if x in guard]
+        arcs = arcs_into.get(x1, ())
+        l_probes += facts
+        l_tuples += facts * len(arcs)
+        preds = [x for x in arcs if x in guard]
         if not preds:
             continue
-        probes += len(preds) * facts
-        tuples += len(preds) * bits.degree(ys)
+        r_probes += len(preds) * facts
+        r_tuples += len(preds) * bits.degree(ys)
         image = bits.image(ys, spill)
         for x in preds if image else ():
             yield x, image
-    instance.counter.charge_probe_batch(instance.right.name, probes)
-    instance.counter.charge_tuples(instance.right.name, tuples)
+    instance.charge("l", l_probes, l_tuples)
+    instance.charge("r", r_probes, r_tuples)
 
 
 @dataclass(eq=False)  # equal as a mapping, to a dict of sets too
@@ -196,8 +200,7 @@ def magic_fixpoint(
         return MagicFacts({}, BitIndex([], {}))
     bits, exits = instance.index.bits, instance.index.ebits
     pm = {x: mask for x in exit_guard if (mask := exits.row(x))}
-    instance.counter.charge_probe_batch(instance.exit.name, len(exit_guard))
-    instance.counter.charge_tuples(instance.exit.name, MagicFacts(pm, bits).facts)
+    instance.charge("e", len(exit_guard), MagicFacts(pm, bits).facts)
     # delta: the facts P_M(x1, ·) not yet expanded (each enters once).
     delta = worklist(instance, pm)
     for x, image in predecessor_join(instance, recursion_guard, delta):

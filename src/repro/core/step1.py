@@ -18,10 +18,11 @@ finer split of the magic set:
   algorithm and propagates index sets only through the non-recurring
   DAG — :func:`recurring_step1_scc`.
 
-Every function reads the ``L`` relation through the charged bulk reads,
-a frontier at a time, so Step-1 costs land in the same counter as Step 2.
-What is charged is the paper's loop; what is read may be less: the
-naive recurring Step 1 reads each distinct frontier once and charges
+Every function reads ``L`` off the graph index's adjacency, a frontier
+at a time (:func:`~repro.core.csl.left_image`), and charges it through
+:meth:`CSLInstance.charge`, so Step-1 costs land in the same counter as
+Step 2.  What is charged is the paper's loop; what is read may be less:
+the naive recurring Step 1 reads each distinct frontier once and charges
 the periodic tail up to level ``2K - 1`` without re-walking it.
 """
 
@@ -30,8 +31,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Set
 
-from .csl import CSLInstance, frontier_step
+from .csl import CSLInstance, left_image
 from .graph_index import recurring_closure
+from .magic_method import compute_magic_set
 from .reduced_sets import Mode, ReducedSets, Strategy
 
 
@@ -48,7 +50,7 @@ def _basic_fixpoint(instance: CSLInstance):
     level = 0
     while frontier:
         level += 1
-        reached = frontier_step(instance.left, 0, frontier)
+        reached = left_image(instance, frontier)
         # A value this level reaches for the first time may be reached
         # again within the level: one tuple, not a duplicate.
         duplicated |= reached & first.keys()
@@ -115,7 +117,7 @@ def multiple_step1(instance: CSLInstance) -> ReducedSets:
         # The not(MS(_, 2, X1)) guard; whatever else the level reaches
         # gains exactly one tuple (same-level re-derivations are that
         # same tuple) and generates.
-        frontier = frontier_step(instance.left, 0, frontier) - second.keys()
+        frontier = left_image(instance, frontier) - second.keys()
         second.update(dict.fromkeys(frontier & first.keys(), level))
         first.update(dict.fromkeys(frontier - first.keys(), level))
     ms = set(first)
@@ -142,8 +144,8 @@ def recurring_step1(instance: CSLInstance) -> ReducedSets:
     function of the previous frontier alone, so the first repeated
     frontier makes the sequence periodic and fixes ``K``; the levels
     from there to ``2K - 1`` are indexed arithmetically, and their
-    expansions are charged per value (``Relation.probe_repeated``)
-    exactly as the literal loop would pay them, not re-read.
+    expansions are charged per value exactly as the literal loop would
+    pay them, not re-read.
     """
     levels = [frozenset({instance.source})]  # one per distinct frontier
     first_at = {levels[0]: 0}
@@ -151,7 +153,7 @@ def recurring_step1(instance: CSLInstance) -> ReducedSets:
     repeat = None
     while levels[-1] and len(levels) - 1 < 2 * len(seen) - 1:
         # Levels only grow, so the next level is the whole image.
-        frontier = frozenset(frontier_step(instance.left, 0, levels[-1]))
+        frontier = frozenset(left_image(instance, levels[-1]))
         repeat = first_at.get(frontier)
         if repeat is not None:
             break
@@ -172,8 +174,9 @@ def recurring_step1(instance: CSLInstance) -> ReducedSets:
     times: Counter = Counter()
     for index, count in Counter(map(at, range(len(levels), last))).items():
         times.update(dict.fromkeys(levels[index], count))
-    for value, count in times.items():
-        instance.left.probe_repeated((0,), (value,), count)
+    successors = instance.index.l_successors
+    instance.charge("l", sum(times.values()), sum(
+        count * len(successors.get(value, ())) for value, count in times.items()))
 
     rm = set().union(*(levels[index] for index in
                        set(map(at, range(cardinality, last + 1)))))
@@ -194,24 +197,16 @@ def recurring_step1_scc(instance: CSLInstance) -> ReducedSets:
     """Recurring method, "smarter" Step 1 (the O(m_L + n_m × m_m)
     implementation the paper sketches via [Tar]).
 
-    1. one charged traversal loads the reachable ``L`` adjacency (m_L);
+    1. one charged traversal finds the magic set (m_L);
     2. Tarjan SCC finds the cyclic cores; their forward closure is the
        recurring set (linear, in memory);
     3. exact index sets for the non-recurring nodes are propagated
-       through the residual DAG, re-probing ``L`` once per (node, index)
-       pair — Θ(Σ|I_b| · outdeg) = O(n_m × m_m) retrievals.
+       through the residual DAG, charging an ``L`` probe per (node,
+       index) pair — Θ(Σ|I_b| · outdeg) = O(n_m × m_m) retrievals.
     """
-    successor_sets: Dict[object, Set[object]] = {}
-    frontier: Set[object] = {instance.source}
-    while frontier:
-        loaded = instance.left.probe_many((0,), [(value,) for value in frontier])
-        reached: Set[object] = set()
-        for value, rows in zip(frontier, loaded):
-            successor_sets[value] = {successor for _b, successor in rows}
-            reached |= successor_sets[value]
-        frontier = reached - successor_sets.keys()
-    seen = set(successor_sets)
-    components, recurring = recurring_closure(seen, successor_sets)
+    seen = compute_magic_set(instance)
+    successors = instance.index.l_successors
+    components, recurring = recurring_closure(seen, successors)
 
     # Index-set propagation over the non-recurring DAG.  Tarjan's output
     # order is reverse-topological w.r.t. the successor direction, so
@@ -220,6 +215,7 @@ def recurring_step1_scc(instance: CSLInstance) -> ReducedSets:
     indices: Dict[object, Set[int]] = {value: set() for value in finite_nodes}
     if instance.source in indices:
         indices[instance.source].add(0)
+    probes = tuples = 0
     for component in reversed(components):
         value = component[0]
         if value not in finite_nodes:
@@ -227,11 +223,13 @@ def recurring_step1_scc(instance: CSLInstance) -> ReducedSets:
         # One charged probe per (node, index) pair: the smarter
         # implementation still pays n_m × m_m for multiple nodes.
         shifted = {index + 1 for index in indices[value]}
-        for _b, successor in instance.left.probe_repeated(
-            (0,), (value,), len(shifted)
-        ):
+        targets = successors.get(value, ())
+        probes += len(shifted)
+        tuples += len(shifted) * len(targets)
+        for successor in targets:
             if successor in indices:
                 indices[successor] |= shifted
+    instance.charge("l", probes, tuples)
 
     rm = set(recurring)
     rc = {
@@ -240,7 +238,7 @@ def recurring_step1_scc(instance: CSLInstance) -> ReducedSets:
         for index in bucket
     }
     return ReducedSets(
-        rc=rc, rm=rm, ms=set(seen), strategy=Strategy.RECURRING,
+        rc=rc, rm=rm, ms=seen, strategy=Strategy.RECURRING,
         details={"regular": not rm and all(len(b) == 1 for b in indices.values()),
                  "variant": "scc"},
     )

@@ -12,11 +12,10 @@ cached half:
   evaluated once, at compile time);
 * one base :class:`~repro.core.csl.CSLQuery` per pair-set version,
   which owns what is built from the pair sets: the adjacency index
-  (:mod:`repro.core.graph_index`) every per-source analysis walks —
-  built once, and succeeded by a patched index (with its condensation,
-  when the delta keeps it) at every later version — and the three tuple
-  stores every execution reads, whose lazy hash indexes persist across
-  batches — :meth:`CompiledPlan.query_for` only swaps the source in;
+  (:mod:`repro.core.graph_index`) every per-source analysis walks and
+  every execution reads — built once, and succeeded by a patched index
+  (with its condensation, when the delta keeps it) at every later
+  version — :meth:`CompiledPlan.query_for` only swaps the source in;
 * one memoized :class:`SourceDecision` per source — the row the cost
   analyzer recommends, every row's certified bound and the class of the
   magic graph the source reaches, which is all a batch reads of a cost
@@ -29,9 +28,9 @@ were compiled from — the owning :class:`SolverService` discarded them
 on every mutation.  They now carry a :class:`PlanMaintainer`: a
 deletion-capable incremental view over the ``L``/``E``/``R``
 materialization (:mod:`repro.datalog.maintenance`), so an EDB fact
-insert or delete patches the base query's stores *in place*, and
-succeeds its index, via :meth:`CompiledPlan.maintain` instead of
-forcing a recompile.  Plans
+insert or delete patches the base query's pair sets and succeeds its
+index, via :meth:`CompiledPlan.maintain` instead of forcing a
+recompile.  Plans
 whose program falls outside the supported maintenance fragment get no
 maintainer; :meth:`maintain` raises :class:`MaintenanceError` and the
 service falls back to invalidation (recorded in its metrics, never
@@ -195,10 +194,9 @@ class CompiledPlan:
         backend: str = "set",
     ):
         # The base query — the pair sets and, built on first use, their
-        # adjacency index and tuple stores — is replaced atomically (one
-        # new CSLQuery) under exec_lock by maintain(); readers see
-        # either the old or the new triple, and never an index or a
-        # store older than its pair sets.
+        # adjacency index — is replaced atomically (one new CSLQuery)
+        # under exec_lock by maintain(); readers see either the old or
+        # the new triple, and never an index older than its pair sets.
         self._query = query
         self.default_source = query.source
         self.fingerprint = fingerprint
@@ -207,7 +205,7 @@ class CompiledPlan:
         self.compile_seconds = compile_seconds
         # Storage backend of the database this plan was compiled from
         # ("set" or "columnar") — recorded for observability; the base
-        # query's stores are always set-backed.
+        # query reads no backend.
         self.backend = backend
         # Maintenance: present only when the source program is inside
         # the supported fragment; None means maintain() must fall back.
@@ -223,9 +221,9 @@ class CompiledPlan:
         self._memo_lock = threading.Lock()
         self._decisions: Dict[object, SourceDecision] = {}  # guarded-by: _memo_lock
         # Held by a batch while it executes query_for() queries, and by
-        # maintain() while it patches the stores they read: a batch
+        # maintain() while it replaces the query they read: a batch
         # finishes on the state it started on.  (Charging needs no lock:
-        # every batch reads through CSLQuery.instance views of its own.)
+        # every batch charges a CSLQuery.instance of its own.)
         self.exec_lock = threading.Lock()
 
     # --- incremental maintenance --------------------------------------
@@ -239,9 +237,9 @@ class CompiledPlan:
     ) -> Dict[str, int]:
         """Apply an EDB fact delta to this plan *in place*.
 
-        Updates the materialized pair sets (frozensets and stores
-        alike), clears the pair-dependent decision memo, and
-        re-stamps the plan's database version, all under the execution
+        Updates the materialized pair sets (and succeeds their index),
+        clears the pair-dependent decision memo, and re-stamps the
+        plan's database version, all under the execution
         lock — a concurrently executing batch either finishes on the old
         state or starts on the new one.  Returns the flat maintenance
         summary (``facts_touched``/``overdeleted``/``rederived``/
@@ -269,9 +267,9 @@ class CompiledPlan:
                 part: delta for part, delta in part_deltas.items() if any(delta)
             }
             if deltas:
-                # A new base query: the stores move to it, patched, and
-                # its index is the old one's successor — the old index
-                # is left as it is, for a fill still walking it.  The
+                # A new base query: its index is the old one's
+                # successor — the old index is left as it is, for a
+                # fill still walking it.  The
                 # memoized decisions are stale with the old query (they
                 # are graph analyses of the pair sets); swapping the
                 # query under the memo lock is what lets a fill that
@@ -294,8 +292,8 @@ class CompiledPlan:
 
     def query_for(self, source) -> CSLQuery:
         """The plan's query asked from one source: its pair sets, their
-        one adjacency index (analysis) and their one store triple
-        (execution, under :attr:`exec_lock`)."""
+        one adjacency index (analysis, and execution under
+        :attr:`exec_lock`)."""
         return self._query.with_source(source)
 
     # --- cost bounds ---------------------------------------------------
@@ -371,11 +369,14 @@ class CompiledPlan:
     # --- reporting ----------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Estimated resident bytes of the base query's stores (tuples
-        plus their lazy hash indexes)."""
-        return sum(store.memory_bytes() for store in self._query.storage)
+        """Estimated resident bytes of what the base query has built from
+        its pair sets (:meth:`CSLQuery.memory_bytes`): O(1), and it
+        builds nothing in order to report it."""
+        return self._query.memory_bytes()
 
     def describe(self) -> Dict[str, object]:
+        """The plan at a glance, building nothing the plan keeps (the
+        counting-safety verdict is certified on a scratch ``L`` index)."""
         return {
             "fingerprint": self.fingerprint,
             "database_fp": self.database_fp,
@@ -384,7 +385,7 @@ class CompiledPlan:
             "e_pairs": len(self._query.exit),
             "r_pairs": len(self._query.right),
             "default_source": self.default_source,
-            "counting_safety": self.relation_certificate.verdict,
+            "counting_safety": certify_relation(self._query.left).verdict,
             "backend": self.backend,
             "memory_bytes": self.memory_bytes(),
             "compile_ms": self.compile_seconds * 1000.0,

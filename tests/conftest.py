@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import pathlib
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
-from repro.core.csl import CSLInstance, CSLQuery
+from repro.core.csl import CSLQuery
 from repro.datalog.columnar import ColumnarBackend, SymbolTable
 from repro.datalog.relation import CostCounter, Relation
 
@@ -55,7 +56,7 @@ def acyclic_csl_queries(draw, max_l=14, max_e=6, max_r=14):
     return CSLQuery(left, exit_pairs, right, "x0")
 
 
-# --- instances for the kernel-vs-oracle differential suites -----------------
+# --- the oracle side of the kernel-vs-oracle differential suites ------------
 
 #: ``columnar`` follows the environment (numpy, or the ``array`` fallback
 #: under ``REPRO_COLUMNAR_FALLBACK=1`` — CI runs those suites both ways);
@@ -74,9 +75,22 @@ def sourced_queries(draw):
     return query.with_source(draw(st.sampled_from(SOURCES)))
 
 
-def make_instance(query: CSLQuery, backend: str, counter=None) -> CSLInstance:
-    """A fresh instance of ``query`` on ``backend`` (own counter unless
-    one is given)."""
+@dataclass
+class RelationTriple:
+    """What a per-tuple oracle reads: ``L``/``E``/``R`` as charged
+    :class:`Relation`s on one storage backend, and the source.  The
+    kernels under test read the graph index instead (``query.instance``)."""
+
+    left: Relation
+    exit: Relation
+    right: Relation
+    source: object
+    counter: CostCounter
+
+
+def make_instance(query: CSLQuery, backend: str, counter=None) -> RelationTriple:
+    """A fresh oracle instance of ``query`` on ``backend`` (own counter
+    unless one is given)."""
     counter = counter if counter is not None else CostCounter()
     symbols = SymbolTable()
 
@@ -87,12 +101,11 @@ def make_instance(query: CSLQuery, backend: str, counter=None) -> CSLInstance:
         storage = ColumnarBackend(name, 2, symbols, vector=vector)
         return Relation(name, 2, pairs, counter, backend=storage)
 
-    return CSLInstance(
+    return RelationTriple(
         left=relation("l", query.left),
         exit=relation("e", query.exit),
         right=relation("r", query.right),
         source=query.source,
-        query=query,
         counter=counter,
     )
 

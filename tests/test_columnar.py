@@ -250,6 +250,22 @@ class TestMemoryObservability:
         service.solve_batch(sg_program())
         assert service.stats()["cache:resident_bytes"] > 0
 
+    def test_plan_bytes_report_only_what_was_built(self):
+        service = SolverService(sg_database())
+        plan = service.compile(sg_program())
+        query = plan.query_for(plan.default_source)
+        assert plan.memory_bytes() == 0
+        assert plan.describe()["memory_bytes"] == 0
+        assert query._shared.index is None  # reporting built nothing
+        index = query.index
+        adjacency = plan.memory_bytes()
+        assert adjacency > 0 and index._bits is None
+        # A run builds the answer side's bit index, its rows and chunk
+        # entries: the estimate grows by them.
+        service.solve_batch(sg_program(), method="magic_set")
+        assert query.index is index and index._bits is not None
+        assert plan.memory_bytes() > adjacency
+
 
 class TestSnapshotInterning:
     def test_round_trip_preserves_backend_and_symbol_ids(self, tmp_path):

@@ -2,17 +2,20 @@
 
 import pytest
 
-from repro.core.csl import CSLQuery
+from repro.core.csl import CSLQuery, charged_image, left_image
+from repro.core.graph_index import GraphIndex
+from repro.core.magic_method import compute_magic_set
 from repro.core.methods import METHODS
 from repro.core.solver import fact2_answer, solve
 from repro.datalog.database import Database
 from repro.datalog.evaluation import answer_tuples
 from repro.datalog.parser import parse_program
-from repro.datalog.relation import CostCounter, SetBackend
+from repro.datalog.relation import CostCounter
 from repro.errors import NotCSLError
 from repro.service import SolverService
 from repro.service.plan import compile_program_plan
 
+from .test_graph_index import _snapshot
 from .test_service import sg_database, sg_program
 
 
@@ -56,90 +59,84 @@ class TestProgramBridges:
         assert db.facts("r") == set(samegen_query.right)
 
     def test_instance_shares_counter(self, samegen_query):
-        instance = samegen_query.instance()
-        list(instance.left.lookup((None, None)))
-        list(instance.right.lookup((None, None)))
-        assert instance.counter.retrievals > 0
+        counter = CostCounter()
+        instance = samegen_query.instance(counter)
+        compute_magic_set(instance)
+        assert instance.counter is counter
+        assert counter.retrievals > 0
 
 
-def _count_store_index_builds(monkeypatch):
+def _count_index_builds(monkeypatch):
     builds = []
-    index_for = SetBackend._index_for
+    build = GraphIndex.__init__
 
-    def counted(self, positions):
-        if positions not in self._indexes:
-            builds.append((self.name, positions))
-        return index_for(self, positions)
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        build(self, *args, **kwargs)
 
-    monkeypatch.setattr(SetBackend, "_index_for", counted)
+    monkeypatch.setattr(GraphIndex, "__init__", counted)
     return builds
 
 
-class TestOneStoreTriple:
-    """``CSLQuery.storage`` is the relation triple's one owner: an
-    instance is three views with a counter of their own."""
+class TestOneIndex:
+    """``CSLQuery.index`` is the one copy of the pair sets every method
+    reads: an instance is a query and a counter of its own."""
 
     def test_instances_never_charge_each_other(self, acyclic_query):
         first, second = CostCounter(), CostCounter()
         one = acyclic_query.instance(first)
         other = acyclic_query.with_source("b").instance(second)
-        assert one.left.backend is other.left.backend
+        assert one.index is other.index
+        bits = other.index.bits
         charged = []
         for _ in range(3):
-            one.left.probe_many((0,), [("a",)])
+            left_image(one, ["a"])
             charged.append((first.retrievals, second.retrievals))
-            other.right.probe_many((1,), [("u",), ("v",)])
+            charged_image(other, "r", bits, bits.encode(["u", "v"]))
             charged.append((first.retrievals, second.retrievals))
         assert charged == [(3, 0), (3, 4), (6, 4), (6, 8), (9, 8), (9, 12)]
         assert set(first.per_relation) == {"l"}
         assert set(second.per_relation) == {"r"}
 
-    def test_fifty_solves_build_each_store_index_once(
-        self, monkeypatch, cyclic_query
-    ):
-        builds = _count_store_index_builds(monkeypatch)
+    def test_fifty_solves_build_one_graph_index(self, monkeypatch, cyclic_query):
+        builds = _count_index_builds(monkeypatch)
         sources = sorted({v for pair in cyclic_query.left for v in pair})
         names = [n for n, row in METHODS.items() if not row.needs_acyclic]
         for turn in range(50):
             sibling = cyclic_query.with_source(sources[turn % len(sources)])
             result = solve(sibling, names[turn % len(names)])
             assert result.answers == fact2_answer(sibling)
-        # E and R are read only through the graph index's masks: their
-        # stores never build a hash index.
-        assert sorted(builds) == [("l", (0,)), ("l", (1,))]
+        assert builds == [cyclic_query.index]
 
-    def test_a_patch_moves_the_stores_and_never_reaches_old_siblings(self):
+    def test_a_patch_succeeds_the_index_and_never_reaches_old_siblings(self):
         service = SolverService(sg_database())
         program = sg_program("a")
         plan = service.compile(program)
         assert service.solve(program).answers == {"a1", "y2"}
         before = plan.query_for("d")
-        stores = before.storage
-        assert plan.query_for("a").storage is stores
+        index = before.index
+        assert plan.query_for("a").index is index
 
         service.mutate(inserts={"flat": [("b", "b1")], "down": [("z", "b1")]})
         after = plan.query_for("d")
-        assert after.storage is stores  # patched in place, indexes kept
+        assert after._shared.index is not None  # succeeded at the mutation
+        assert after.index is not index
         assert ("b", "b1") in after.exit and ("b", "b1") not in before.exit
         assert solve(after, "magic_set").answers == {"y2", "z"}
-        # The old sibling answers for its own pair sets, from stores of
-        # its own: it never reads what the mutation patched.
-        assert before.storage is not stores
+        # The old sibling answers for its own pair sets, from its own
+        # index: it never reads what the mutation changed.
+        assert before.index is index
         assert solve(before, "magic_set").answers == {"y2"}
-        assert set(before.storage[1]) == set(before.exit)
+        assert _snapshot(index) == _snapshot(
+            GraphIndex(before.left, before.exit, before.right)
+        )
 
         service.mutate(deletes={"flat": [("b", "b1")], "down": [("z", "b1")]})
         fresh = compile_program_plan(program, service.database).query_for("d")
         patched = plan.query_for("d")
-        assert patched.storage is stores
+        assert patched._shared.index is not None
         assert patched == fresh
-        for store, twin in zip(patched.storage, fresh.storage):
-            assert set(store) == set(twin)
-            for column in (0, 1):
-                for value in twin.column_values(column):
-                    assert set(store.matches((column,), (value,))) == set(
-                        twin.matches((column,), (value,))
-                    )
+        assert _snapshot(patched.index) == _snapshot(fresh.index)
         assert service.solve(program).answers == {"a1", "y2"}
 
 

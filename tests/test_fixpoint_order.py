@@ -25,6 +25,7 @@ from repro.core.methods import magic_counting
 from repro.core.reduced_sets import Mode, Strategy
 from repro.core.step1 import compute_reduced_sets
 from repro.core.step2 import integrated_step2
+from repro.datalog.relation import CostCounter
 from repro.workloads.generators import (
     acyclic_workload,
     cyclic_workload,
@@ -89,7 +90,7 @@ def test_every_order_gives_one_pm_and_one_charge(combination, query, strategy, s
     results = outcomes(query, exit_guard, recursion_guard, reduced.ms, seed)
     assert results["reversed"] == results["ranked"]
     assert results["shuffled"] == results["ranked"]
-    oracle = query.instance()
+    oracle = make_instance(query, "set")
     expected = oracle_magic_fixpoint(
         oracle, reduced.ms, exit_guard, recursion_guard
     )
@@ -154,7 +155,7 @@ def test_values_of_mixed_types_are_never_compared():
     query = CSLQuery(left, exit_pairs, right, 1)
     assert len(set(query.index.condensation.rank.values())) == 1
     for backend in BACKENDS:
-        instance = make_instance(query, backend)
+        instance = query.instance()
         oracle = make_instance(query, backend)
         magic = query.magic_set()
         pm = magic_fixpoint(instance, magic)
@@ -167,20 +168,18 @@ def test_values_of_mixed_types_are_never_compared():
 
 
 def test_a_hand_built_instance_reads_its_own_pairs(acyclic_query):
-    for backend in BACKENDS:
-        instance = make_instance(acyclic_query, backend)
-        assert instance.index is acyclic_query.index
-        assert (
-            instance.index.l_successors
-            == GraphIndex(acyclic_query.left).l_successors
-        )
-    relation = make_instance(acyclic_query, "set")
-    with pytest.raises(TypeError):  # no instance without its query
+    counter = CostCounter()
+    instance = CSLInstance(acyclic_query, "b", counter)
+    assert (instance.source, instance.counter) == ("b", counter)
+    assert instance.index is acyclic_query.index
+    assert instance.index.l_successors == GraphIndex(acyclic_query.left).l_successors
+    relations = make_instance(acyclic_query, "set")
+    with pytest.raises(TypeError):  # no instance over relations: only a query
         CSLInstance(
-            left=relation.left,
-            exit=relation.exit,
-            right=relation.right,
-            source=relation.source,
+            left=relations.left,
+            exit=relations.exit,
+            right=relations.right,
+            query=acyclic_query,
         )
 
 

@@ -1,16 +1,18 @@
 """Differential test of the frontier-at-a-time kernels.
 
-``core.csl.frontier_step`` expands a whole frontier on one bulk read
-(``Relation.probe_many``); the five Step-1 functions are built on it.
-Counting and [HN] expand a whole frontier as a mask
-(``core.csl.charged_image`` over ``GraphIndex.lbits``/``ebits``/``bits``).
-The oracles below are the eleven loops they replaced, kept verbatim
-from the last commit that executed one Python step per charged
-retrieval (``Relation.lookup`` per value): three in the counting
-method, five in Step 1 (the SCC variant holds two), three in [HN].
-Kernel and oracle must agree on the result *and* on every key of
-``CostCounter.snapshot()``, on every storage backend; the only adapters
-between them turn ``RC`` pairs into level masks and decode masks.
+The five Step-1 functions expand a whole frontier off the graph index's
+``L`` adjacency (``core.csl.left_image``); counting and [HN] expand a
+whole frontier as a mask (``core.csl.charged_image`` over
+``GraphIndex.lbits``/``ebits``/``bits``); both charge through
+``CSLInstance.charge``.  The oracles below are the eleven loops they
+replaced, kept verbatim from the last commit that executed one Python
+step per charged retrieval (``Relation.lookup`` per value): three in the
+counting method, five in Step 1 (the SCC variant holds two), three in
+[HN].  The oracles read relations of their own
+(``conftest.make_instance``) on every storage backend; kernel and oracle
+must agree on the result *and* on every key of
+``CostCounter.snapshot()``; the only adapters between them turn ``RC``
+pairs into level masks and decode masks.
 """
 
 from __future__ import annotations
@@ -34,21 +36,26 @@ from repro.core.counting_method import (
     seed_exit,
 )
 from repro.core.cost import AnswerResult
-from repro.core.csl import CSLInstance, CSLQuery, frontier_step
+from repro.core.csl import CSLInstance, CSLQuery, left_image
 from repro.core.hn_method import hn_method
 from repro.core.reduced_sets import ReducedSets, Strategy
-from repro.datalog.relation import Relation
 from repro.datalog.stratify import strongly_connected_components
 from repro.errors import UnsafeQueryError
 from repro.workloads.generators import cyclic_workload
 
-from .conftest import BACKENDS, make_instance, sourced_queries
+from .conftest import (
+    BACKENDS,
+    SOURCES,
+    RelationTriple,
+    make_instance,
+    sourced_queries,
+)
 
 # --- the oracles: the parent commit's per-tuple loops, verbatim -------------
 
 
 def oracle_compute_counting_set(
-    instance: CSLInstance, max_level: Optional[int] = None
+    instance: RelationTriple, max_level: Optional[int] = None
 ) -> Dict[int, Set[object]]:
     levels: Dict[int, Set[object]] = {0: {instance.source}}
     seen: Set[object] = {instance.source}
@@ -89,7 +96,7 @@ def oracle_compute_counting_set(
 
 
 def oracle_descend_answers(
-    instance: CSLInstance, pc_levels: Dict[int, Set[object]]
+    instance: RelationTriple, pc_levels: Dict[int, Set[object]]
 ) -> Set[object]:
     if not pc_levels:
         return set()
@@ -106,7 +113,7 @@ def oracle_descend_answers(
 
 
 def oracle_seed_exit(
-    instance: CSLInstance, pairs: Iterable[Tuple[int, object]]
+    instance: RelationTriple, pairs: Iterable[Tuple[int, object]]
 ) -> Dict[int, Set[object]]:
     pc_levels: Dict[int, Set[object]] = {}
     for index, value in pairs:
@@ -115,7 +122,7 @@ def oracle_seed_exit(
     return pc_levels
 
 
-def oracle_basic_fixpoint(instance: CSLInstance):
+def oracle_basic_fixpoint(instance: RelationTriple):
     first: Dict[object, int] = {instance.source: 0}
     duplicated: Set[object] = set()
     frontier = [instance.source]
@@ -135,7 +142,7 @@ def oracle_basic_fixpoint(instance: CSLInstance):
     return first, duplicated
 
 
-def oracle_multiple_step1(instance: CSLInstance) -> ReducedSets:
+def oracle_multiple_step1(instance: RelationTriple) -> ReducedSets:
     first: Dict[object, int] = {instance.source: 0}
     second: Dict[object, int] = {}
     frontier: Set[object] = {instance.source}
@@ -165,7 +172,7 @@ def oracle_multiple_step1(instance: CSLInstance) -> ReducedSets:
     )
 
 
-def oracle_recurring_step1(instance: CSLInstance) -> ReducedSets:
+def oracle_recurring_step1(instance: RelationTriple) -> ReducedSets:
     indices: Dict[object, Set[int]] = {instance.source: {0}}
     frontier: Set[object] = {instance.source}
     level = 0
@@ -194,7 +201,7 @@ def oracle_recurring_step1(instance: CSLInstance) -> ReducedSets:
     )
 
 
-def oracle_recurring_step1_scc(instance: CSLInstance) -> ReducedSets:
+def oracle_recurring_step1_scc(instance: RelationTriple) -> ReducedSets:
     adjacency: Dict[object, List[object]] = {}
     order: List[object] = []
     stack = [instance.source]
@@ -333,8 +340,8 @@ def reduced_fields(reduced: ReducedSets):
 
 
 class OnBackend:
-    """Stands in for a ``CSLQuery`` where a method only calls
-    ``query.instance(counter)``: builds the instance on ``backend``."""
+    """Stands in for a ``CSLQuery`` where an oracle method only calls
+    ``query.instance(counter)``: builds its relations on ``backend``."""
 
     def __init__(self, query, backend):
         self.query, self.backend = query, backend
@@ -345,27 +352,22 @@ class OnBackend:
 
 max_levels = st.one_of(st.none(), st.integers(min_value=0, max_value=9))
 
-#: conftest's R-side domain, and a value no relation holds
-R_VALUES = [f"y{i}" for i in range(7)] + ["outside"]
-
 # --- the differential properties ----------------------------------------------
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("position", [0, 1])
 @settings(max_examples=40, deadline=None)
-@given(query=sourced_queries(), frontier=st.sets(st.sampled_from(R_VALUES)))
-def test_frontier_step_is_the_charged_image(backend, position, query, frontier):
-    kernel = make_instance(query, backend)
+@given(query=sourced_queries(), frontier=st.sets(st.sampled_from(SOURCES)))
+def test_left_image_is_the_charged_lookup(backend, query, frontier):
+    kernel = query.instance()
     oracle = make_instance(query, backend)
-    patterns = [(v, None) if position == 0 else (None, v) for v in frontier]
     expected = {
-        row[1 - position]
-        for pattern in patterns
-        for row in oracle.right.lookup(pattern)
+        successor
+        for value in frontier
+        for _b, successor in oracle.left.lookup((value, None))
     }
 
-    assert frontier_step(kernel.right, position, frontier) == expected
+    assert left_image(kernel, frontier) == expected
     assert kernel.counter.snapshot() == oracle.counter.snapshot()
 
 
@@ -373,7 +375,7 @@ def test_frontier_step_is_the_charged_image(backend, position, query, frontier):
 @settings(max_examples=80, deadline=None)
 @given(query=sourced_queries(), max_level=max_levels)
 def test_counting_set_matches_per_tuple_oracle(backend, query, max_level):
-    kernel = make_instance(query, backend)
+    kernel = query.instance()
     oracle = make_instance(query, backend)
     expected = outcome(oracle_compute_counting_set, oracle, max_level)
 
@@ -390,7 +392,7 @@ def test_exit_seeding_and_descent_match_per_tuple_oracle(backend, query, strateg
     # RC of the recurring strategy repeats a value under several indices:
     # every pair is one exit probe.
     pairs = sorted(step1.compute_reduced_sets(query.instance(), strategy).rc)
-    kernel = make_instance(query, backend)
+    kernel = query.instance()
     oracle = make_instance(query, backend)
 
     pc_levels = seed_exit(kernel, level_masks(kernel, iter(pairs)))
@@ -424,7 +426,7 @@ def test_counting_pipeline_matches_per_tuple_oracle(backend, query, max_level):
         answers, cs_levels = counting_answers(instance, max_level)
         return answers, decoded_levels(instance, cs_levels)
 
-    kernel = make_instance(query, backend)
+    kernel = query.instance()
     oracle = make_instance(query, backend)
     expected = outcome(oracle_counting_answers, oracle)
 
@@ -436,7 +438,7 @@ def test_counting_pipeline_matches_per_tuple_oracle(backend, query, max_level):
 @settings(max_examples=60, deadline=None)
 @given(query=sourced_queries())
 def test_basic_fixpoint_matches_per_tuple_oracle(backend, query):
-    kernel = make_instance(query, backend)
+    kernel = query.instance()
     oracle = make_instance(query, backend)
 
     assert step1._basic_fixpoint(kernel) == oracle_basic_fixpoint(oracle)
@@ -468,7 +470,7 @@ STEP1 = {
 @given(query=sourced_queries())
 def test_step1_matches_per_tuple_oracle(backend, name, query):
     function, oracle_function = STEP1[name]
-    kernel = make_instance(query, backend)
+    kernel = query.instance()
     oracle = make_instance(query, backend)
 
     assert reduced_fields(function(kernel)) == reduced_fields(
@@ -478,6 +480,12 @@ def test_step1_matches_per_tuple_oracle(backend, name, query):
 
 
 # --- the periodic tail of the naive recurring Step 1 ---------------------------
+
+
+def counted_reads():
+    """Count Step 1's charged ``L`` reads: every frontier it reads goes
+    through one ``left_image`` call, which charges it."""
+    return mock.patch.object(step1, "left_image", wraps=step1.left_image)
 
 _CHAIN = [("s", "c1")] + [(f"c{i}", f"c{i + 1}") for i in range(1, 7)]
 
@@ -515,16 +523,14 @@ PERIODIC = {
 def test_recurring_step1_charges_the_periodic_tail(backend, name):
     arcs, reads = PERIODIC[name]
     query = CSLQuery(arcs, {("a", "y0"), ("s", "y1")}, {("y2", "y0")}, "s")
-    kernel = make_instance(query, backend)
+    kernel = query.instance()
     oracle = make_instance(query, backend)
-    with mock.patch.object(
-        Relation, "probe_many", autospec=True, side_effect=Relation.probe_many
-    ) as probe_many:
+    with counted_reads() as left_reads:
         reduced = step1.recurring_step1(kernel)
 
     assert reduced_fields(reduced) == reduced_fields(oracle_recurring_step1(oracle))
     assert kernel.counter.snapshot() == oracle.counter.snapshot()
-    assert probe_many.call_count == reads
+    assert left_reads.call_count == reads
 
 
 def test_recurring_step1_reads_table1_cyclic_s8_up_to_the_repeat():
@@ -532,21 +538,20 @@ def test_recurring_step1_reads_table1_cyclic_s8_up_to_the_repeat():
     # kernel reads until the first level whose frontier it already holds
     # (the transient, then one period) and charges the rest.
     query = cyclic_workload(scale=8, seed=0)
-    walk = query.instance()
-    frontiers = [frozenset({walk.source})]
+    successors = query.index.l_successors
+    frontiers = [frozenset({query.source})]
     while frontiers[-1] not in frontiers[:-1]:
-        frontiers.append(frozenset(frontier_step(walk.left, 0, frontiers[-1])))
+        frontiers.append(frozenset(
+            c for value in frontiers[-1] for c in successors.get(value, ())))
     repeat = len(frontiers) - 1
 
     instance = query.instance()
-    with mock.patch.object(
-        Relation, "probe_many", autospec=True, side_effect=Relation.probe_many
-    ) as probe_many:
+    with counted_reads() as left_reads:
         reduced = step1.recurring_step1(instance)
 
-    assert all(call.args[0] is instance.left for call in probe_many.call_args_list)
-    assert probe_many.call_count == repeat < reduced.details["levels"] // 4
-    oracle = query.instance()
+    assert all(call.args[0] is instance for call in left_reads.call_args_list)
+    assert left_reads.call_count == repeat < reduced.details["levels"] // 4
+    oracle = make_instance(query, "set")
     assert reduced_fields(reduced) == reduced_fields(oracle_recurring_step1(oracle))
     assert instance.counter.snapshot() == oracle.counter.snapshot()
 
@@ -555,15 +560,14 @@ def test_recurring_step1_reads_table1_cyclic_s8_up_to_the_repeat():
 @settings(max_examples=80, deadline=None)
 @given(query=sourced_queries(), max_level=max_levels)
 def test_hn_matches_per_tuple_oracle(backend, query, max_level):
-    on_backend = OnBackend(query, backend)
-    expected = outcome(oracle_hn_method, on_backend, None, max_level)
+    expected = outcome(oracle_hn_method, OnBackend(query, backend), None, max_level)
     if expected is UnsafeQueryError:
         # The kernel refuses too — earlier, at counting's level, so the
         # charges differ on purpose (tests/test_hn_method.py pins them).
         with pytest.raises(UnsafeQueryError, match=r"\[HN\]"):
-            hn_method(on_backend, max_level=max_level)
+            hn_method(query, max_level=max_level)
         return
-    result = hn_method(on_backend, max_level=max_level)
+    result = hn_method(query, max_level=max_level)
 
     assert result.answers == expected.answers
     assert result.details == expected.details  # levels, exactly
@@ -574,27 +578,31 @@ def test_hn_matches_per_tuple_oracle(backend, query, max_level):
 
 
 def test_no_per_value_lookup_under_core():
-    """The per-tuple loops must not creep back: ``core`` reads relations
-    through the bulk reads only."""
+    """The per-tuple loops must not creep back, nor a second copy of the
+    relations: ``core`` reads ``L``/``E``/``R`` off the graph index only,
+    never through a ``Relation`` read or a tuple store."""
     root = pathlib.Path(repro.core.__file__).parent
+    banned = (
+        r"\.lookup\(|probe_many\(|probe_repeated\(|frontier_step\(|\.storage\b"
+    )
     offenders = [
         f"{path.name}:{number}"
         for path in sorted(root.glob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"\.lookup\(", line)
+        if re.search(banned, line)
     ]
     assert offenders == []
 
 
 def test_counting_walks_on_masks_only():
     """Counting, Step 2 and [HN] read ``L``/``E``/``R`` through the
-    index's masks, never a per-frontier bulk read; rule 3 ORs into the
+    index's masks, never a per-frontier set read; rule 3 ORs into the
     ``P_C`` masks without a round trip through value sets."""
     root = pathlib.Path(repro.core.__file__).parent
     banned = {
-        "counting_method.py": r"frontier_step\(|probe_many\(",
-        "hn_method.py": r"frontier_step\(|probe_many\(",
-        "step2.py": r"frontier_step\(|probe_many\(|\.encode\(|\.decode\(",
+        "counting_method.py": r"left_image\(",
+        "hn_method.py": r"left_image\(",
+        "step2.py": r"left_image\(|\.encode\(|\.decode\(",
     }
     offenders = [
         f"{name}:{number}"

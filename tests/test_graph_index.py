@@ -75,7 +75,7 @@ def _snapshot(index):
     """A deep, order-free copy of an index's adjacency."""
     return (
         {b: frozenset(cs) for b, cs in index.l_successors.items()},
-        dict(index.l_in_degree),
+        {c: sorted(bs, key=repr) for c, bs in index.l_predecessors.items()},
         {b: sorted(cs, key=repr) for b, cs in index.e_successors.items()},
         {y1: sorted(ys, key=repr) for y1, ys in index.r_predecessors.items()},
     )

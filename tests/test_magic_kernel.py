@@ -5,8 +5,10 @@ charges the paper's nested loop arithmetically.  The oracles below are
 the loops it replaced, kept verbatim from the last commit that executed
 one Python step per charged retrieval: the per-tuple worklist fixpoint,
 the per-tuple reachability sweep, and ``integrated_step2``'s rule-3
-transfer loop.  Kernel and oracle must agree on the result *and* on
-every key of ``CostCounter.snapshot()``, on both storage backends.
+transfer loop.  The kernel reads the graph index; each oracle reads
+relations of its own (``conftest.make_instance``) on every storage
+backend.  Kernel and oracle must agree on the result *and* on every key
+of ``CostCounter.snapshot()``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.csl import CSLInstance, CSLQuery
+from repro.core.csl import CSLQuery
 from repro.core.magic_method import (
     compute_magic_set,
     magic_fixpoint,
@@ -31,13 +33,20 @@ from repro.core.step1 import compute_reduced_sets
 from repro.core.step2 import integrated_step2
 from repro.workloads.generators import cyclic_workload
 
-from .conftest import BACKENDS, SOURCES, _pairs, make_instance, sourced_queries
+from .conftest import (
+    BACKENDS,
+    SOURCES,
+    RelationTriple,
+    _pairs,
+    make_instance,
+    sourced_queries,
+)
 from .test_frontier_kernel import oracle_descend_answers, oracle_seed_exit
 
 # --- the oracles: the parent commit's per-tuple loops, verbatim -------------
 
 
-def oracle_union_magic_set(instance: CSLInstance, sources) -> set:
+def oracle_union_magic_set(instance: RelationTriple, sources) -> set:
     magic = set(sources)
     frontier = list(magic)
     while frontier:
@@ -50,7 +59,7 @@ def oracle_union_magic_set(instance: CSLInstance, sources) -> set:
 
 
 def oracle_magic_fixpoint(
-    instance: CSLInstance,
+    instance: RelationTriple,
     magic: Set[object],
     exit_guard: Optional[Set[object]] = None,
     recursion_guard: Optional[Set[object]] = None,
@@ -86,7 +95,7 @@ def oracle_magic_fixpoint(
     return pm
 
 
-def oracle_integrated_step2(instance: CSLInstance, reduced):
+def oracle_integrated_step2(instance: RelationTriple, reduced):
     pm = oracle_magic_fixpoint(
         instance,
         magic=reduced.ms,
@@ -141,7 +150,7 @@ def test_fixpoint_matches_per_tuple_oracle(backend, combination, query, strategy
     reduced = compute_reduced_sets(query.instance(), strategy)
     exit_guard, recursion_guard = guards(reduced, combination)
 
-    kernel = make_instance(query, backend)
+    kernel = query.instance()
     oracle = make_instance(query, backend)
     pm = magic_fixpoint(kernel, reduced.ms, exit_guard, recursion_guard)
     expected = oracle_magic_fixpoint(
@@ -157,9 +166,12 @@ def test_fixpoint_matches_per_tuple_oracle(backend, combination, query, strategy
 @settings(max_examples=40, deadline=None)
 @given(query=sourced_queries())
 def test_empty_exit_guard_gives_empty_pm_and_no_charge(backend, query):
-    instance = make_instance(query, backend)
-    assert magic_fixpoint(instance, query.magic_set(), exit_guard=set()) == {}
-    assert instance.counter.retrievals == 0
+    instance = query.instance()
+    oracle = make_instance(query, backend)
+    magic = query.magic_set()
+    assert magic_fixpoint(instance, magic, exit_guard=set()) == {}
+    assert oracle_magic_fixpoint(oracle, magic, exit_guard=set()) == {}
+    assert instance.counter.retrievals == oracle.counter.retrievals == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -167,7 +179,7 @@ def test_empty_exit_guard_gives_empty_pm_and_no_charge(backend, query):
 @given(query=sourced_queries(), extra=st.sets(st.sampled_from(SOURCES), max_size=3))
 def test_reachability_sweep_matches_per_tuple_oracle(backend, query, extra):
     sources = [query.source, *sorted(extra)]
-    kernel = make_instance(query, backend)
+    kernel = query.instance()
     oracle = make_instance(query, backend)
 
     assert union_magic_set(kernel, sources) == oracle_union_magic_set(
@@ -191,7 +203,7 @@ def test_integrated_transfer_matches_per_tuple_oracle(backend, query, strategy):
         reduced = compute_reduced_sets(query.instance(), strategy)
         return reduced.ensure_source_pair(query.source)
 
-    kernel = make_instance(query, backend)
+    kernel = query.instance()
     oracle = make_instance(query, backend)
     answers, details = integrated_step2(kernel, reduced_sets())
     expected_answers, expected_details = oracle_integrated_step2(
@@ -236,7 +248,7 @@ def wide_queries(draw):
 def test_a_wide_answer_side_matches_the_oracle(backend, combination, query, strategy):
     reduced = compute_reduced_sets(query.instance(), strategy)
     exit_guard, recursion_guard = guards(reduced, combination)
-    kernel = make_instance(query, backend)
+    kernel = query.instance()
     oracle = make_instance(query, backend)
     pm = magic_fixpoint(kernel, reduced.ms, exit_guard, recursion_guard)
     expected = oracle_magic_fixpoint(oracle, reduced.ms, exit_guard, recursion_guard)
@@ -253,7 +265,7 @@ def test_a_wide_integrated_transfer_matches_the_oracle(backend, query, strategy)
         reduced = compute_reduced_sets(query.instance(), strategy)
         return reduced.ensure_source_pair(query.source)
 
-    kernel = make_instance(query, backend)
+    kernel = query.instance()
     oracle = make_instance(query, backend)
     assert integrated_step2(kernel, reduced_sets()) == oracle_integrated_step2(
         oracle, reduced_sets()
@@ -281,7 +293,7 @@ def test_hand_built_edges_match_the_oracle(backend):
         ),
     }
     for name, query in cases.items():
-        kernel = make_instance(query, backend)
+        kernel = query.instance()
         oracle = make_instance(query, backend)
         magic = query.magic_set()
         assert magic_fixpoint(kernel, magic) == oracle_magic_fixpoint(oracle, magic), name
@@ -323,7 +335,7 @@ def test_a_table_out_of_room_spills_and_keeps_the_result(backend):
         bits = query.index.bits
         bits.table.clear()
         bits.room = room
-        kernel = make_instance(query, backend)
+        kernel = query.instance()
         assert magic_fixpoint(kernel, magic) == expected
         assert kernel.counter.snapshot() == oracle.counter.snapshot()
         assert (len(bits.table) > 0) is (room > 0)
@@ -336,7 +348,7 @@ def test_threads_filling_one_chunk_table_agree():
     # are filled without a lock: racing fills must store equal entries.
     query = cyclic_workload(scale=2, seed=0)
     magic = query.magic_set()
-    oracle = query.instance()
+    oracle = make_instance(query, "set")
     expected = (oracle_magic_fixpoint(oracle, magic), oracle.counter.snapshot())
     results = []
 
